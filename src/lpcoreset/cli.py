@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage/input error, 2 solve failure.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -172,18 +171,11 @@ def _cmd_certify(args):
     return 0
 
 
-def _bench_threads(seeds):
-    env = os.environ.get("LPC_THREADS")
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, seeds))
-
-
 def _cmd_bench(args):
     p_list = [float(s) for s in str(args.p).split(",") if s.strip()]
     if not p_list:
         raise _UsageError("--p must name at least one exponent")
     os.makedirs(args.out, exist_ok=True)
-    workers = _bench_threads(args.seeds)
     aggregate = {
         "family": args.family,
         "n": args.n,
@@ -209,9 +201,8 @@ def _cmd_bench(args):
             cfg,
             n_seeds=args.seeds,
             master_seed=derive_seed(args.seed, f"stats:{p}"),
-            max_workers=workers,
         )
-        sweep = _ratio_sweep(inst, cfg, args, workers)
+        sweep = _ratio_sweep(inst, cfg, args)
         result = {"statistics": stats, "ratio_sweep": sweep}
         path = os.path.join(args.out, f"stats_p{p:g}.json")
         with open(path, "w", encoding="utf-8") as f:
@@ -222,7 +213,7 @@ def _cmd_bench(args):
     return 0
 
 
-def _ratio_sweep(inst, cfg, args, workers):
+def _ratio_sweep(inst, cfg, args):
     """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale."""
     basis = well_conditioned_basis(inst.A, inst.p)
     Z = solve_lp_regression(inst.A, inst.b, inst.p).objective
@@ -235,17 +226,11 @@ def _ratio_sweep(inst, cfg, args, workers):
             r1_scale=cfg.r1_scale,
             r2_scale=cfg.r2_scale * mult,
         )
-
-        def run(k):
+        ratios = []
+        for k in range(args.seeds):
             seed = derive_seed(args.seed, f"sweep:{mult}:{k}")
             rep = two_stage_solve(inst, cfg_k, seed, basis=basis)
-            return rep.final_objective / Z if Z > 0 else 1.0
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ratios = list(pool.map(run, range(args.seeds)))
-        else:
-            ratios = [run(k) for k in range(args.seeds)]
+            ratios.append(rep.final_objective / Z if Z > 0 else 1.0)
         sweep.append(
             {
                 "r2_scale": cfg_k.r2_scale,

@@ -264,7 +264,7 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     )
 
 
-def well_conditioned_basis(A, p, tol=0.05, rank_tol=None, max_iters=None):
+def well_conditioned_basis(A, p, tol=0.05, max_iters=None):
     """Construct U = Q G^-1 and tau = G R with conditioning certificates.
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
@@ -274,7 +274,7 @@ def well_conditioned_basis(A, p, tol=0.05, rank_tol=None, max_iters=None):
     warning, with the certificates inflated to the achieved factors.
     """
     A = as_matrix(A)
-    factors = qr_thin(A) if rank_tol is None else qr_thin(A, rank_tol)
+    factors = qr_thin(A)
     d = factors.rank
     rounding = lowner_john_round(factors.Q, p, tol, max_iters=max_iters)
     if not rounding.converged:

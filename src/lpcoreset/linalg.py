@@ -79,41 +79,38 @@ class QRFactors:
 
     Q has d orthonormal columns and R is d x m with Q @ R ~= A.  For
     full-rank inputs R is upper-trapezoidal; for rank-deficient inputs Q
-    comes from the column-pivoted factorization and R = Q.T @ A, which is
-    triangular only up to the stored column permutation ``perm``.
+    spans the top d left singular vectors of A and R = Q.T @ A.
     """
 
     Q: np.ndarray
     R: np.ndarray
     rank: int
-    perm: np.ndarray
 
 
-def qr_thin(A, rank_tol=DEFAULT_RANK_TOL):
-    """Householder QR with column pivoting for rank detection.
+def qr_thin(A):
+    """Economic Householder QR with numeric rank detection.
 
-    rank = number of diagonal entries of the pivoted R exceeding
-    rank_tol * |R_11|.  Raises ZeroRankError for an all-zero matrix.
+    rank = number of singular values of the small factor R (which are
+    those of A) exceeding DEFAULT_RANK_TOL * sigma_1.  A rank-deficient
+    Q is rotated onto the leading left singular vectors of R, so one
+    factorization of A serves every case.  Raises ZeroRankError for an
+    all-zero matrix.
     """
     A = as_matrix(A)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    Qp, Rp, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rp))
-    if diag.size == 0 or diag[0] == 0.0:
+    Q, R = scipy.linalg.qr(A, mode="economic")
+    U_R, sv, _ = np.linalg.svd(R, full_matrices=False)
+    if sv[0] == 0.0:
         raise ZeroRankError("matrix has numeric rank 0")
-    d = int(np.sum(diag > rank_tol * diag[0]))
-    if d == min(A.shape):
-        Q, R = scipy.linalg.qr(A, mode="economic")
-    else:
-        Q = np.ascontiguousarray(Qp[:, :d])
+    d = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+    if d < min(A.shape):
+        Q = Q @ U_R[:, :d]
         R = Q.T @ A
-    return QRFactors(Q=Q[:, :d], R=R[:d, :], rank=d, perm=piv)
+    return QRFactors(Q=Q, R=R, rank=d)
 
 
-def numeric_rank(A, rank_tol=DEFAULT_RANK_TOL):
-    """Numeric rank via the pivoted-QR diagonal; 0 for an all-zero matrix."""
+def numeric_rank(A):
+    """Numeric rank as read by qr_thin; 0 for an all-zero matrix."""
     try:
-        return qr_thin(A, rank_tol).rank
+        return qr_thin(A).rank
     except ZeroRankError:
         return 0

@@ -13,7 +13,7 @@ so every report is reproducible end to end.
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,21 +254,54 @@ def _base_report(inst, cfg, seed, variant, extra_config=None):
     )
 
 
-def _finish(report, final_out, inst, cfg, compute_exact, opts, cell_cap, t_exact=None):
-    if final_out.plan is not None:
-        report.coreset_indices = final_out.plan.realized_indices
-        report.coreset_scales = final_out.plan.scales
+@contextmanager
+def _timed(report, key):
+    """Record the wall time of the block under report.timings_ms[key]
+    (nothing is recorded when the block raises)."""
+    t0 = time.perf_counter()
+    yield
+    report.timings_ms[key] = (time.perf_counter() - t0) * 1000.0
+
+
+def _run_stages(report, inst, seed, matrix, stages, compute_exact, opts, cell_cap, basis=None):
+    """The pipeline body every variant shares.
+
+    Conditions matrix (unless a basis is supplied), then runs the stages
+    in order: each (seed label, step) calls step(basis, previous outcome,
+    derived seed) for its StageOutcome.  Stage failures produce a
+    status="failed" report, never an exception.
+    """
+    try:
+        with _timed(report, "conditioning"):
+            if basis is None:
+                basis = well_conditioned_basis(matrix, inst.p)
+        out = None
+        for k, (label, step) in enumerate(stages, start=1):
+            with _timed(report, f"stage{k}"):
+                out = step(basis, out, derive_seed(seed, label))
+            setattr(report, f"stage{k}", out)
+    except StageFailureError as exc:
+        report.status = "failed"
+        report.error = f"{exc} | diagnostics: {exc.diagnostics}"
+        return report
+    if out.plan is not None:
+        report.coreset_indices = out.plan.realized_indices
+        report.coreset_scales = out.plan.scales
     else:
         report.coreset_indices = np.array([], dtype=np.intp)
         report.coreset_scales = np.array([])
     if compute_exact:
-        t0 = time.perf_counter()
-        _, Z = _exact_solve(inst, opts, cell_cap)
-        report.timings_ms["exact"] = (time.perf_counter() - t0) * 1000.0
+        with _timed(report, "exact"):
+            _, Z = _exact_solve(inst, opts, cell_cap)
         if Z is not None:
             report.Z_exact = Z
-            report.approx_ratio = _ratio(final_out.full_objective, Z)
+            report.approx_ratio = _ratio(out.full_objective, Z)
     return report
+
+
+def _one_shot(inst, opts, probabilities):
+    """A single-stage step: sample by probabilities(basis) and solve."""
+    return lambda basis, _, seed: _sample_and_solve(inst, probabilities(basis), 1, seed, opts)
 
 
 def two_stage_solve(
@@ -292,29 +325,13 @@ def two_stage_solve(
     if stages not in (1, 2):
         raise InvalidConfigError("stages must be 1 or 2")
     report = _base_report(inst, cfg, seed, variant, {"stages": stages})
-    try:
-        t0 = time.perf_counter()
-        if basis is None:
-            basis = well_conditioned_basis(inst.A, inst.p)
-        report.timings_ms["conditioning"] = (time.perf_counter() - t0) * 1000.0
-
-        t0 = time.perf_counter()
-        st1 = stage_one(inst, cfg, derive_seed(seed, "stage1"), basis, opts)
-        report.timings_ms["stage1"] = (time.perf_counter() - t0) * 1000.0
-        report.stage1 = st1
-        final = st1
-
-        if stages == 2:
-            t0 = time.perf_counter()
-            st2 = stage_two(inst, st1, cfg, derive_seed(seed, "stage2"), opts)
-            report.timings_ms["stage2"] = (time.perf_counter() - t0) * 1000.0
-            report.stage2 = st2
-            final = st2
-    except StageFailureError as exc:
-        report.status = "failed"
-        report.error = f"{exc} | diagnostics: {exc.diagnostics}"
-        return report
-    return _finish(report, final, inst, cfg, compute_exact, opts, exact_cell_cap)
+    steps = [
+        ("stage1", lambda basis, _, s: stage_one(inst, cfg, s, basis, opts)),
+        ("stage2", lambda _, st1, s: stage_two(inst, st1, cfg, s, opts)),
+    ]
+    return _run_stages(
+        report, inst, seed, inst.A, steps[:stages], compute_exact, opts, exact_cell_cap, basis
+    )
 
 
 def single_stage_oracle_solve(
@@ -335,22 +352,14 @@ def single_stage_oracle_solve(
     if inst.is_generalized:
         raise InvalidConfigError("oracle sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
-    try:
-        t0 = time.perf_counter()
-        basis = well_conditioned_basis(inst.A, inst.p)
-        report.timings_ms["conditioning"] = (time.perf_counter() - t0) * 1000.0
-        rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
-        Z_ref = vec_p_norm(rho_ref, inst.p)
-        probs = oracle_probabilities(basis, rho_ref, Z_ref, float(r))
-        t0 = time.perf_counter()
-        out = _sample_and_solve(inst, probs, 1, derive_seed(seed, "oracle"), opts)
-        report.timings_ms["stage1"] = (time.perf_counter() - t0) * 1000.0
-        report.stage1 = out
-    except StageFailureError as exc:
-        report.status = "failed"
-        report.error = f"{exc} | diagnostics: {exc.diagnostics}"
-        return report
-    return _finish(report, out, inst, cfg, compute_exact, opts, exact_cell_cap)
+    rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
+    Z_ref = vec_p_norm(rho_ref, inst.p)
+    step = _one_shot(
+        inst, opts, lambda basis: oracle_probabilities(basis, rho_ref, Z_ref, float(r))
+    )
+    return _run_stages(
+        report, inst, seed, inst.A, [("oracle", step)], compute_exact, opts, exact_cell_cap
+    )
 
 
 def single_stage_augmented_solve(
@@ -370,21 +379,11 @@ def single_stage_augmented_solve(
     if inst.is_generalized:
         raise InvalidConfigError("augmented sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "augmented", {"r": float(r)})
-    try:
-        t0 = time.perf_counter()
-        aug = np.column_stack([inst.A, inst.b])
-        aug_basis = well_conditioned_basis(aug, inst.p)
-        report.timings_ms["conditioning"] = (time.perf_counter() - t0) * 1000.0
-        probs = stage1_probabilities(aug_basis, float(r))
-        t0 = time.perf_counter()
-        out = _sample_and_solve(inst, probs, 1, derive_seed(seed, "augmented"), opts)
-        report.timings_ms["stage1"] = (time.perf_counter() - t0) * 1000.0
-        report.stage1 = out
-    except StageFailureError as exc:
-        report.status = "failed"
-        report.error = f"{exc} | diagnostics: {exc.diagnostics}"
-        return report
-    return _finish(report, out, inst, cfg, compute_exact, opts, exact_cell_cap)
+    aug = np.column_stack([inst.A, inst.b])
+    step = _one_shot(inst, opts, lambda basis: stage1_probabilities(basis, float(r)))
+    return _run_stages(
+        report, inst, seed, aug, [("augmented", step)], compute_exact, opts, exact_cell_cap
+    )
 
 
 def generalized_two_stage(inst, cfg, seed, **kwargs):
@@ -435,7 +434,6 @@ def guarantee_statistics(
     n_seeds,
     master_seed=0,
     opts=DEFAULT_OPTIONS,
-    max_workers=None,
 ):
     """Empirical frequencies of the stagewise approximation guarantees.
 
@@ -477,11 +475,7 @@ def guarantee_statistics(
             "count2": 0 if st2.plan is None else st2.plan.actual_count,
         }
 
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run, range(n_seeds)))
-    else:
-        rows = [run(k) for k in range(n_seeds)]
+    rows = [run(k) for k in range(n_seeds)]
 
     freqs = {
         key: sum(r["events"][i] for r in rows) / n_seeds

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import ZeroRankError
 from .kernels import smoothed_power_weights
-from .linalg import as_matrix, as_vector, vec_p_norm, _check_exponent
+from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, vec_p_norm, _check_exponent
 
 _MAX_HALVINGS = 40
 
@@ -73,7 +73,7 @@ def _smoothed_gradient(A, rho, mu, p):
 
 
 def _lstsq(A, b):
-    x, _, _, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
+    x, _, _, _ = scipy.linalg.lstsq(A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy")
     return x
 
 
@@ -103,7 +103,7 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
             x=x,
             objective=vec_p_norm(rho, 2.0),
             iterations=1,
-            converged=True,
+            converged=kkt <= opts.grad_tol,
             kkt_residual=kkt,
         )
 

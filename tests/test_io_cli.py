@@ -365,8 +365,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "certificates_hold = true" in out
 
-    def test_bench_writes_statistics(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPC_THREADS", "2")
+    def test_bench_writes_statistics(self, tmp_path):
         out = str(tmp_path / "bench")
         code = run_cli(
             [
@@ -389,8 +388,7 @@ class TestCli:
             assert len(agg["results"][key]["ratio_sweep"]) == 3
         assert os.path.exists(os.path.join(out, "stats_p1.json"))
 
-    def test_bench_determinism(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPC_THREADS", "2")
+    def test_bench_determinism(self, tmp_path):
         outs = []
         for name in ("b1", "b2"):
             out = str(tmp_path / name)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,30 @@ class TestQR:
         assert f.rank == 6
         below = np.tril(f.R, -1)
         assert np.abs(below).max() <= 1e-12 * np.abs(f.R).max()
+
+    def test_one_factorization_per_call(self, rng, monkeypatch):
+        calls = []
+        real_qr = scipy.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(kwargs)
+            return real_qr(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        base = rng.standard_normal((50, 3))
+        for A in (base, np.column_stack([base, base[:, 0] - base[:, 2]])):
+            calls.clear()
+            qr_thin(A)
+            assert len(calls) == 1
+
+    def test_rank_deficient_invariants(self, rng):
+        base = rng.standard_normal((60, 3))
+        A = np.column_stack([base[:, 0], base, 2.0 * base[:, 1] - base[:, 2]])
+        f = qr_thin(A)
+        assert f.rank == 3
+        assert f.Q.shape == (60, 3) and f.R.shape == (3, 5)
+        assert np.abs(f.Q.T @ f.Q - np.eye(3)).max() <= 1e-12
+        assert np.abs(f.Q @ f.R - A).max() <= 1e-12 * np.abs(A).max()
 
 
 class TestNumericRank:
