@@ -60,6 +60,8 @@ def json_dumps(obj, indent=0):
 
 
 def _parse_csv(lines):
+    if lines and not all(_is_number(c) for c in lines[0][1].split(",")):
+        lines = lines[1:]  # non-numeric first line: header
     rows = []
     width = None
     for lineno, raw in lines:
@@ -67,8 +69,6 @@ def _parse_csv(lines):
         try:
             row = [float(c) for c in cells]
         except ValueError:
-            if not rows and width is None:
-                continue  # non-numeric first line: header
             bad = next(c for c in cells if not _is_number(c))
             raise MatrixParseError(f"non-numeric cell {bad!r}", line=lineno) from None
         if width is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, ZeroRankError
 from .kernels import counter_uniforms, powsum_ratios, row_pnorms
 from .linalg import as_matrix
 
@@ -213,8 +213,14 @@ def apply_plan(plan, M, v=None):
 
 
 def measure_distortion(A, plan, p, x_samples=100, seed=0):
-    """max_x | ||SAx||_p - ||Ax||_p | / ||Ax||_p over random directions x."""
+    """max_x | ||SAx||_p - ||Ax||_p | / ||Ax||_p over random directions x.
+
+    Raises ZeroRankError for an identically zero A, where every direction
+    has ||Ax||_p = 0 and the ratio is undefined.
+    """
     A = as_matrix(A)
+    if not np.any(A):
+        raise ZeroRankError("coefficient matrix is identically zero")
     rng = np.random.default_rng(seed)
     SA = apply_plan(plan, A)
     worst = 0.0

@@ -45,9 +45,15 @@ class TestCsv:
             load_matrix(write(tmp_path, "m.csv", "1,2\n3,4,5\n"))
         assert err.value.line == 2
 
-    def test_non_numeric_cell_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2\n3,oops\n", "colA,colB\nfoo,bar\n1,2\n"],
+        ids=["data-row", "second-header"],
+    )
+    def test_non_numeric_cell_reports_line(self, tmp_path, text):
+        # only the first non-blank line may be a header
         with pytest.raises(MatrixParseError) as err:
-            load_matrix(write(tmp_path, "m.csv", "1,2\n3,oops\n"))
+            load_matrix(write(tmp_path, "m.csv", text))
         assert err.value.line == 2
 
     def test_empty_file(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpcoreset.conditioning import well_conditioned_basis
-from lpcoreset.errors import InvalidConfigError
+from lpcoreset.errors import InvalidConfigError, ZeroRankError
 from lpcoreset.linalg import numeric_rank, vec_p_norm
 from lpcoreset.sampling import (
     SamplerConfig,
@@ -264,6 +264,12 @@ class TestDistortion:
         A = rng.standard_normal((30, 3))
         plan = realize_sample(np.zeros(30), 2.0, seed=0)
         assert measure_distortion(A, plan, 2.0, x_samples=20, seed=1) == 1.0
+
+    def test_zero_matrix_rejected(self):
+        # every direction has ||Ax||_p = 0, so no draw could ever be kept
+        plan = realize_sample(np.ones(5), 2.0, seed=0)
+        with pytest.raises(ZeroRankError):
+            measure_distortion(np.zeros((5, 2)), plan, 2.0)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_stage1_distortion_small(self, p):
