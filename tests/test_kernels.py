@@ -21,8 +21,8 @@ PINNED_DIGESTS = {
 }
 
 
-# 1.5, 2 and 3 take the multiply/sqrt chains, the rest np.power; the IRLS
-# weight exponents (p-2)/2 cover the +-1/2 chains.
+# 1.5 and 2 take the multiply/sqrt chains; the other exponents, and the
+# IRLS weight exponents (p-2)/2, go through np.power.
 @pytest.fixture(params=[1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0])
 def p(request):
     return request.param
