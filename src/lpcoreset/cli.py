@@ -79,7 +79,7 @@ def _build_parser():
     pb.add_argument("--n", type=int, default=2000)
     pb.add_argument("--d", type=int, default=4)
     pb.add_argument("--rho", type=float, default=0.1)
-    pb.add_argument("--epsilon", type=float, default=0.5)
+    pb.add_argument("--epsilon", type=float, default=0.1)
     pb.add_argument("--r1-scale", type=float, default=1e-4)
     pb.add_argument("--r2-scale", type=float, default=1e-5)
     pb.add_argument("--seed", type=int, default=0)

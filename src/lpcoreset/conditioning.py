@@ -16,6 +16,16 @@ the minimum-volume ellipsoid of a finite symmetric point set on the
 boundary of C; subgradient ascent hunts for directions of C sticking out
 of the current ellipsoid, and any violators are added to the point set
 until none are found.
+
+The hunt runs on a proxy: a fixed row sample Qs of Q, drawn once per
+call by p-norm importance with the library's own sampler, so that
+||Qs z||_p estimates ||Qz||_p at a fraction of the cost.  Only the
+directions it finds are scored on Q itself (one product per round), and
+only exact violators, scaled onto the boundary of C, join the point set,
+so kappa stays rigorous.  A round declares convergence only after an
+ascent on the exact norm, started from those directions, finds no
+violator either, which keeps the slack certified on C rather than on
+the proxy.
 """
 import math
 import warnings
@@ -25,11 +35,19 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ZeroRankError
-from .kernels import pnorm, row_pnorms
+from .kernels import pnorm, powsum_ratios, row_pnorms
 from .linalg import as_matrix, dual_exponent, mat_entrywise_p_norm, qr_thin
+from .sampling import apply_plan, realize_sample
 
 _PROBE_SEED = 0x5EEDB0B
 _ASCENT_ITERS = 60
+# Expected rows of the search proxy per column of Q.  Rounding the
+# 20,000 x 8, p=1.5 reference instance in six row orders took a median of
+# 0.39, 0.43, 0.36, 0.53 and 0.75 s at 125, 250, 500, 1000 and 2000 rows
+# per column, against 0.91 s for the serial search on Q itself (one BLAS
+# thread, 2 vCPUs): fewer rows miss violators that the exact search must
+# then find, more rows cost more per step.
+_PROXY_ROWS = 500
 _REFINE_TOP = 6
 _MAX_ROUNDS = 80
 
@@ -39,9 +57,12 @@ class RoundingResult:
     """Ellipsoidal rounding of {z : ||Qz||_p <= 1}.
 
     kappa:  rigorous factor with ||Q G^-1 w||_p <= kappa ||w||_2 for all w
-            (<= sqrt(d)*(1+tol) when converged).
+            (<= sqrt(d)*(1+tol) when converged); every point behind it is
+            an exact boundary point of the ball, even when the search for
+            them ran on a row sample of Q.
     kappa_slack: certified slack for the reverse direction; no probed w
-            violated ||w||_2 <= kappa_slack * ||Q G^-1 w||_p.
+            violated ||w||_2 <= kappa_slack * ||Q G^-1 w||_p, where the
+            final probes are ascents on the exact norm of Q.
     """
 
     G: np.ndarray
@@ -73,46 +94,74 @@ class WellConditionedBasis:
         return self.U.shape[1]
 
 
-def _p_norm_subgradient(y, p):
-    """A subgradient of ||.||_p at y (zero rows at kinks), p in [1, inf]."""
-    nrm = pnorm(y, p)
-    if nrm == 0.0:
-        return np.zeros_like(y)
+def _row_subgradients(Y, norms, p):
+    """Subgradients of ||.||_p at the rows of Y, whose p-norms are given.
+
+    p in [1, inf]; zero entries get zero at kinks, zero rows get zero.
+    """
     if math.isinf(p):
-        g = np.zeros_like(y)
-        i = int(np.argmax(np.abs(y)))
-        g[i] = np.sign(y[i])
-        return g
-    if p == 1.0:
-        return np.sign(y)
-    return np.sign(y) * (np.abs(y) / nrm) ** (p - 1.0)
+        g = np.zeros_like(Y)
+        rows = np.arange(Y.shape[0])
+        cols = np.argmax(np.abs(Y), axis=1)
+        g[rows, cols] = np.sign(Y[rows, cols])
+    elif p == 1.0:
+        g = np.sign(Y)
+    else:
+        g = np.abs(Y)
+        g /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        g **= p - 1.0
+        np.copysign(g, Y, out=g)
+    g[norms == 0.0] = 0.0
+    return g
 
 
-def _ratio_ascent(u0, num_val, num_grad, den_val, den_grad, iters=_ASCENT_ITERS):
-    """Maximize log num(u) - log den(u) over the unit sphere from u0."""
-    u = u0 / np.linalg.norm(u0)
-    f = math.log(num_val(u)) - math.log(den_val(u))
-    step = 0.5
+def _ratio_ascent(U0, N, a, M, b, iters=_ASCENT_ITERS):
+    """Maximize ||N u||_a / ||M u||_b over unit u from each row of U0.
+
+    All rows move in lockstep, one matrix product per step for the whole
+    block, but each row follows its own subgradient ascent on the log
+    ratio: its own step size (grown by 1.5 on success, halved on failure
+    down to 1e-9), stopping when its projected gradient vanishes, when no
+    step improves it, or after iters steps.  Returns (ratios, U).
+    """
+    U = U0 / np.linalg.norm(U0, axis=1)[:, None]
+    Ym = U @ M.T
+    den = row_pnorms(Ym, b)
+    f = np.log(row_pnorms(U @ N.T, a)) - np.log(den)
+    step = np.full(U.shape[0], 0.5)
+    live = np.ones(U.shape[0], dtype=bool)
     for _ in range(iters):
-        g = num_grad(u) / num_val(u) - den_grad(u) / den_val(u)
-        g = g - (g @ u) * u
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
+        idx = np.flatnonzero(live)
+        if not idx.size:
             break
-        moved = False
-        while step > 1e-9:
-            u2 = u + (step / gn) * g
-            u2 /= np.linalg.norm(u2)
-            f2 = math.log(num_val(u2)) - math.log(den_val(u2))
-            if f2 > f + 1e-15:
-                u, f = u2, f2
-                step = min(step * 1.5, 1.0)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return math.exp(f), u
+        Yn = U[idx] @ N.T
+        num = row_pnorms(Yn, a)
+        g = _row_subgradients(Yn, num, a) @ N / num[:, None]
+        g -= _row_subgradients(Ym[idx], den[idx], b) @ M / den[idx, None]
+        g -= np.einsum("ij,ij->i", g, U[idx])[:, None] * U[idx]
+        gn = np.linalg.norm(g, axis=1)
+        flat = gn < 1e-14
+        live[idx[flat]] = False
+        idx, g, gn = idx[~flat], g[~flat], gn[~flat]
+        moved = np.zeros(idx.size, dtype=bool)
+        pending = np.flatnonzero(step[idx] > 1e-9)
+        while pending.size:
+            rows = idx[pending]
+            U2 = U[rows] + (step[rows] / gn[pending])[:, None] * g[pending]
+            U2 /= np.linalg.norm(U2, axis=1)[:, None]
+            Y2 = U2 @ M.T
+            den2 = row_pnorms(Y2, b)
+            f2 = np.log(row_pnorms(U2 @ N.T, a)) - np.log(den2)
+            up = f2 > f[rows] + 1e-15
+            won = rows[up]
+            U[won], Ym[won], den[won], f[won] = U2[up], Y2[up], den2[up], f2[up]
+            step[won] = np.minimum(step[won] * 1.5, 1.0)
+            moved[pending[up]] = True
+            lost = pending[~up]
+            step[idx[lost]] *= 0.5
+            pending = lost[step[idx[lost]] > 1e-9]
+        live[idx[~moved]] = False
+    return np.exp(f), U
 
 
 def _mvee_fw(points, d, kappa_target, weights, budget):
@@ -145,13 +194,41 @@ def _mvee_fw(points, d, kappa_target, weights, budget):
         iters += 1
 
 
+def _search_proxy(Q, p):
+    """Row sample of Q on which the rounding searches for violators.
+
+    Rows are kept by p-norm importance, ||row_i(Q)||_p^p, at an expected
+    count of at most _PROXY_ROWS * d, with the library's own sampler under
+    _PROBE_SEED and the usual p_i^(-1/p) rescaling, so ||Qs u||_p^p
+    estimates ||Q u||_p^p without bias.  Returns Q itself when the sample
+    would keep every row or would lose rank.
+    """
+    d = Q.shape[1]
+    probs = np.minimum(1.0, _PROXY_ROWS * d * powsum_ratios(row_pnorms(Q, p), p))
+    if np.all(probs >= 1.0):
+        return Q
+    Qs = apply_plan(realize_sample(probs, p, _PROBE_SEED), Q)
+    if np.linalg.matrix_rank(Qs) < d:
+        return Q
+    return Qs
+
+
+def _exact_violators(dirs, G, Q, p, inner_tol):
+    """Boundary points of C along the rows of dirs whose exact ratio
+    ||Gu||_2 / ||Qu||_p exceeds inner_tol (one product with Q)."""
+    den = row_pnorms(dirs @ Q.T, p)
+    hit = np.linalg.norm(dirs @ G.T, axis=1) / den > inner_tol
+    return dirs[hit] / den[hit, None]
+
+
 def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
     Q must have orthonormal columns.  p = 2 returns G = I immediately;
     d = 1 is an interval and is rounded exactly.  Otherwise runs the
-    cutting scheme described in the module docstring until the probe
-    search finds no direction of C outside the ellipsoid (converged) or
+    cutting scheme described in the module docstring, searching on the
+    row-sample proxy and certifying on Q, until neither search finds a
+    direction of C outside the ellipsoid (converged) or
     the iteration budget is exhausted (converged=False, best factors
     reported).
     """
@@ -178,14 +255,10 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     inner_tol = 1.0 + 0.5 * tol
 
     rng = np.random.default_rng(_PROBE_SEED)
+    Qs = _search_proxy(Q, p)
 
-    def boundary(z):
-        return z / pnorm(Q @ z, p)
-
-    pts = [boundary(e) for e in np.eye(d)]
-    raw = rng.standard_normal((4 * d, d))
-    pts.extend(boundary(z) for z in raw)
-    X = np.array(pts)
+    Z = np.vstack([np.eye(d), rng.standard_normal((4 * d, d))])
+    X = Z / row_pnorms(Z @ Q.T, p)[:, None]
     w = np.full(X.shape[0], 1.0 / X.shape[0])
 
     used = 0
@@ -201,37 +274,23 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
         F = 0.5 * (F + F.T)
         G = scipy.linalg.cholesky(F, lower=False)
 
-        # hunt for directions of C outside E: maximize ||Gu||_2 / ||Qu||_p
+        # hunt for directions of C outside E: maximize ||Gu||_2 / ||Qu||_p,
+        # searching on the proxy and keeping what is exact on Q
         cand = [G[i] / np.linalg.norm(G[i]) for i in range(d)]
         evals, evecs = np.linalg.eigh(F)
         cand.extend(evecs.T)
         cand.append(rng.standard_normal(d))
         cand = np.vstack([np.asarray(cand), rng.standard_normal((32 * d, d))])
-        num = np.linalg.norm(cand @ G.T, axis=1)
-        den = row_pnorms(cand @ Q.T, p)
-        ratios = num / den
-        order = np.argsort(ratios)[::-1][:_REFINE_TOP]
-
-        def nv(u):
-            return float(np.linalg.norm(G @ u))
-
-        def ng(u):
-            return G.T @ (G @ u) / nv(u)
-
-        def dv(u):
-            return pnorm(Q @ u, p)
-
-        def dg(u):
-            return Q.T @ _p_norm_subgradient(Q @ u, p)
-
-        worst = 0.0
-        violators = []
-        for j in order:
-            r, u = _ratio_ascent(cand[j], nv, ng, dv, dg)
-            worst = max(worst, r)
-            if r > inner_tol:
-                violators.append(boundary(u))
-        if not violators:
+        ratios = np.linalg.norm(cand @ G.T, axis=1) / row_pnorms(cand @ Qs.T, p)
+        top = cand[np.argsort(ratios)[::-1][:_REFINE_TOP]]
+        _, dirs = _ratio_ascent(top, G, 2.0, Qs, p)
+        violators = _exact_violators(dirs, G, Q, p, inner_tol)
+        if not len(violators) and Qs is not Q:
+            # nothing found on the proxy: only an ascent on the exact norm
+            # may declare convergence
+            _, dirs = _ratio_ascent(dirs, G, 2.0, Q, p)
+            violators = _exact_violators(dirs, G, Q, p, inner_tol)
+        if not len(violators):
             converged = kappa_max <= kappa_target
             if converged:
                 return RoundingResult(
@@ -325,28 +384,10 @@ def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):
 
     rng = np.random.default_rng(seed)
     dirs = np.vstack([np.eye(d), rng.standard_normal((max(1, n_probes), d))])
-    num = row_pnorms(dirs, q) if not math.isinf(q) else np.max(np.abs(dirs), axis=1)
-    den = row_pnorms(dirs @ U.T, p)
-    ratios = num / den
-    best = float(ratios.max())
-    order = np.argsort(ratios)[::-1][:_REFINE_TOP]
-
-    def nv(z):
-        return pnorm(z, q)
-
-    def ng(z):
-        return _p_norm_subgradient(z, q)
-
-    def dv(z):
-        return pnorm(U @ z, p)
-
-    def dg(z):
-        return U.T @ _p_norm_subgradient(U @ z, p)
-
-    for j in order:
-        r, _ = _ratio_ascent(dirs[j], nv, ng, dv, dg)
-        best = max(best, r)
-    return alpha_measured, best
+    ratios = row_pnorms(dirs, q) / row_pnorms(dirs @ U.T, p)
+    top = dirs[np.argsort(ratios)[::-1][:_REFINE_TOP]]
+    refined, _ = _ratio_ascent(top, np.eye(d), q, U, p)
+    return alpha_measured, max(float(ratios.max()), float(refined.max()))
 
 
 def spanner_coefficients(basis, A, z_samples=1000, seed=_PROBE_SEED):

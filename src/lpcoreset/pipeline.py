@@ -444,6 +444,8 @@ def guarantee_statistics(
     """
     if inst.is_generalized:
         raise InvalidConfigError("guarantee statistics expect a vector right-hand side")
+    if n_seeds < 1:
+        raise InvalidConfigError(f"guarantee statistics need n_seeds >= 1, got {n_seeds}")
     basis = well_conditioned_basis(inst.A, inst.p)
     exact = solve_lp_regression(inst.A, inst.b, inst.p, opts)
     Z = exact.objective

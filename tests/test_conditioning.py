@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_directions
+from lpcoreset import conditioning
 from lpcoreset.conditioning import (
     certify_basis,
     lowner_john_round,
@@ -12,6 +13,7 @@ from lpcoreset.conditioning import (
 )
 from lpcoreset.kernels import row_pnorms
 from lpcoreset.linalg import dual_exponent, mat_entrywise_p_norm, qr_thin, vec_p_norm
+from lpcoreset.pipeline import make_instance_arrays
 
 TOL = 0.05
 CERT_SLACK = 1.0 + 1e-8
@@ -70,6 +72,82 @@ class TestRounding:
         alpha_m, beta_m = certify_basis(W, n_probes=1500)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
+
+
+class TestProxySearch:
+    """Tall inputs, where the rounding searches on a strict row sample of Q
+    and certifies on Q itself."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_certificates_hold_on_the_full_matrix(self, rng, monkeypatch, d, p):
+        n = 10_000
+        A = rng.standard_normal((n, d))
+        Q = qr_thin(A).Q
+        proxy = conditioning._search_proxy(Q, p)
+        assert proxy.shape[1] == d and proxy.shape[0] < n
+
+        searched = []
+        ascent = conditioning._ratio_ascent
+
+        def recorded(U0, N, a, M, b, **kw):
+            searched.append(M.shape[0])
+            return ascent(U0, N, a, M, b, **kw)
+
+        monkeypatch.setattr(conditioning, "_ratio_ascent", recorded)
+        res = lowner_john_round(Q, p, tol=TOL)
+        monkeypatch.undo()
+        assert res.converged
+        assert res.kappa <= math.sqrt(d) * (1.0 + TOL) * CERT_SLACK
+        # the search ran on the proxy, and convergence came from Q itself
+        assert searched[0] == proxy.shape[0] and searched[-1] == n
+        np.testing.assert_array_equal(lowner_john_round(Q, p, tol=TOL).G, res.G)
+
+        # the slack holds on the exact norm: ascents on Q from random starts
+        ratios, _ = ascent(rng.standard_normal((16, d)), res.G, 2.0, Q, p)
+        assert ratios.max() <= res.kappa_slack * CERT_SLACK
+
+        W = well_conditioned_basis(A, p, tol=TOL)
+        alpha_m, beta_m = certify_basis(W, n_probes=200)
+        assert alpha_m <= W.alpha_cert * CERT_SLACK
+        assert beta_m <= W.beta_cert * CERT_SLACK
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_losing_sample_falls_back_to_q(self):
+        # four heavy rows carry the first direction and 19,996 light rows
+        # the second; at p=4 the importance sample keeps only the heavy rows
+        n = 20_000
+        Q = np.zeros((n, 2))
+        Q[:4, 0] = 0.5
+        Q[4:, 1] = 1.0 / math.sqrt(n - 4)
+        assert conditioning._search_proxy(Q, 4.0) is Q
+        res = lowner_john_round(Q, 4.0, tol=TOL)
+        assert res.converged
+        assert res.kappa <= math.sqrt(2.0) * (1.0 + TOL) * CERT_SLACK
+
+    def test_full_size_work(self, monkeypatch):
+        # one unit per n-vector and k units per k x n block handed to the
+        # norm kernels; searching on Q itself costs about 4,900 units on
+        # this instance, the proxy search about 720
+        A, _, _ = make_instance_arrays(20_000, 8, seed=1)
+        Q = qr_thin(A).Q
+        n = Q.shape[0]
+        work = []
+
+        def counted(kernel):
+            def wrapper(M, p):
+                M = np.asarray(M)
+                if n in M.shape:
+                    work.append(M.size / n)
+                return kernel(M, p)
+
+            return wrapper
+
+        monkeypatch.setattr(conditioning, "pnorm", counted(conditioning.pnorm))
+        monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
+        res = lowner_john_round(Q, 1.5, tol=TOL)
+        assert res.converged
+        assert sum(work) <= 2000
 
 
 class TestWellConditionedBasis:

@@ -413,3 +413,29 @@ class TestCli:
             ) == 0
             outs.append(open(os.path.join(out, "bench.json")).read())
         assert outs[0] == outs[1]
+
+    def test_bench_default_epsilon_is_accepted(self, tmp_path):
+        out = str(tmp_path / "bench")
+        code = run_cli(
+            [
+                "bench",
+                "--seeds", "2",
+                "--p", "2",
+                "--n", "60",
+                "--d", "2",
+                "--r1-scale", "1e-3",
+                "--r2-scale", "1e-3",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        agg = json.loads(open(os.path.join(out, "bench.json")).read())
+        assert agg["epsilon"] == 0.1
+
+    def test_bench_zero_seeds_is_an_error(self, tmp_path, capsys):
+        code = run_cli(
+            ["bench", "--seeds", "0", "--p", "2", "--n", "60", "--d", "2",
+             "--epsilon", "0.1", "--out", str(tmp_path / "bench")]
+        )
+        assert code == 1
+        assert "error: guarantee statistics need n_seeds >= 1" in capsys.readouterr().err

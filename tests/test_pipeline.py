@@ -344,6 +344,13 @@ class TestGuaranteeStatistics:
         assert f["e"] >= 0.5
         assert set(stats["legend"]) == set("abcde")
 
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_rejects_fewer_than_one_seed(self, rng, n_seeds):
+        A = rng.standard_normal((40, 2))
+        inst = lc.RegressionInstance(A=A, b=rng.standard_normal(40), p=2.0)
+        with pytest.raises(lc.InvalidConfigError, match="n_seeds >= 1"):
+            lc.guarantee_statistics(inst, full_cfg(2.0, d=2), n_seeds=n_seeds)
+
 
 class TestInstances:
     def test_corrupted_row_count(self):
