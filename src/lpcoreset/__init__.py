@@ -58,7 +58,6 @@ from .sampling import (
     realize_sample,
     stage1_probabilities,
     stage2_probabilities,
-    weighted_stage1_probabilities,
 )
 from .solver import (
     SolveResult,

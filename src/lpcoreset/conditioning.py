@@ -6,26 +6,22 @@ U = Q G^-1 satisfies, for all w,
 
     ||w||_2 / slack  <=  ||U w||_p  <=  kappa * ||w||_2,
 
-from which the (alpha, beta, p) conditioning certificates follow.  The
-upper factor kappa is rigorous by construction; the lower slack is
-certified against adaptively refined probe directions (and confirmed by
-brute-force direction nets in the test suite for d <= 2).
+from which the (alpha, beta, p) conditioning certificates follow.  Both
+factors are rigorous, up to floating-point rounding, with no probes.
 
-The rounding itself is a cutting scheme: Frank-Wolfe iterations compute
-the minimum-volume ellipsoid of a finite symmetric point set on the
-boundary of C; subgradient ascent hunts for directions of C sticking out
-of the current ellipsoid, and any violators are added to the point set
-until none are found.
+The rounding uses lp Lewis weights (D. Lewis, Studia Math. 1978; Cohen &
+Peng, arXiv:1412.0588).  For any positive row weights w, with
+M = Q^T W^(1-2/p) Q = G^T G, tau_i = q_i^T M^-1 q_i, c = max_i
+tau_i / w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, the Hoelder and
+Cauchy-Schwarz inequalities bound ||Qz||_p against ||Gz||_2 from both
+sides with product (S c)^e.  At the exact Lewis weights c = 1 and S = d,
+so the product is d^e <= sqrt(d).
 
-The hunt runs on a proxy: a fixed row sample Qs of Q, drawn once per
-call by p-norm importance with the library's own sampler, so that
-||Qs z||_p estimates ||Qz||_p at a fraction of the cost.  Only the
-directions it finds are scored on Q itself (one product per round), and
-only exact violators, scaled onto the boundary of C, join the point set,
-so kappa stays rigorous.  A round declares convergence only after an
-ascent on the exact norm, started from those directions, finds no
-violator either, which keeps the slack certified on C rather than on
-the proxy.
+The weights come from the fixed point w <- tau(w)^(p/2), swept on a
+proxy: a fixed row sample Qs of Q, drawn once per call by p-norm
+importance with the library's own sampler.  Two passes over Q then give
+every row its weight from the proxy's M and compute the exact M, c and S,
+so the certificates hold on Q itself, whatever the proxy missed.
 """
 import math
 import warnings
@@ -41,15 +37,24 @@ from .sampling import apply_plan, realize_sample
 
 _PROBE_SEED = 0x5EEDB0B
 _ASCENT_ITERS = 60
-# Expected rows of the search proxy per column of Q.  Rounding the
-# 20,000 x 8, p=1.5 reference instance in six row orders took a median of
-# 0.39, 0.43, 0.36, 0.53 and 0.75 s at 125, 250, 500, 1000 and 2000 rows
-# per column, against 0.91 s for the serial search on Q itself (one BLAS
-# thread, 2 vCPUs): fewer rows miss violators that the exact search must
-# then find, more rows cost more per step.
+# Expected rows of the sweep proxy per column of Q.  Rounding the
+# 20,000 x 8 reference instance at p=1.5 took a median of 5.9, 6.3, 6.9,
+# 7.1 and 9.2 ms at 125, 250, 500, 1000 and 2000 rows per column, for a
+# distortion kappa * slack of 1.440, 1.436, 1.425, 1.422 and 1.417
+# against d^e = 1.414 at the exact weights; at p=1 it was 2.99, 2.97,
+# 2.91, 2.87 and 2.85 against 2.83, and 3.12 is the converged bound (one
+# BLAS thread, 2 vCPUs).  Fewer rows loosen the certificates, more rows
+# cost more per sweep.
 _PROXY_ROWS = 500
 _REFINE_TOP = 6
-_MAX_ROUNDS = 80
+# Probe directions scored per block in certify_basis: each block costs
+# about three _PROBE_BLOCK x n arrays (the product and two working copies
+# in row_pnorms), 61 MB at n = 10,000.
+_PROBE_BLOCK = 256
+# Lewis sweeps stop at a relative weight change below _SWEEP_RTOL or after
+# _MAX_SWEEPS sweeps.
+_SWEEP_RTOL = 1e-3
+_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,13 @@ class RoundingResult:
     """Ellipsoidal rounding of {z : ||Qz||_p <= 1}.
 
     kappa:  rigorous factor with ||Q G^-1 w||_p <= kappa ||w||_2 for all w
-            (<= sqrt(d)*(1+tol) when converged); every point behind it is
-            an exact boundary point of the ball, even when the search for
-            them ran on a row sample of Q.
-    kappa_slack: certified slack for the reverse direction; no probed w
-            violated ||w||_2 <= kappa_slack * ||Q G^-1 w||_p, where the
-            final probes are ascents on the exact norm of Q.
+            (<= sqrt(d)*(1+tol) when converged).
+    kappa_slack: rigorous factor for the reverse direction,
+            ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
+            so that it is 1 + tol.
+    iterations: Lewis-weight sweeps on the row-sample proxy.
+    Both factors follow in closed form from the row weights (module
+    docstring) and hold on Q itself, converged or not.
     """
 
     G: np.ndarray
@@ -164,38 +170,8 @@ def _ratio_ascent(U0, N, a, M, b, iters=_ASCENT_ITERS):
     return np.exp(f), U
 
 
-def _mvee_fw(points, d, kappa_target, weights, budget):
-    """Frank-Wolfe pass for the min-volume ellipsoid of a symmetric point set.
-
-    points: (k, d) rows on the boundary of C (signs irrelevant).  Returns
-    (weights, S, kappa_max, iterations) where S = sum_i w_i x_i x_i^T and
-    kappa_max = max_i x_i^T S^-1 x_i.  Terminates when kappa_max <=
-    kappa_target or the iteration budget runs out.
-    """
-    X = points
-    k = X.shape[0]
-    w = weights
-    iters = 0
-    while True:
-        S = X.T @ (w[:, None] * X)
-        try:
-            Sinv_Xt = np.linalg.solve(S, X.T)
-        except np.linalg.LinAlgError:
-            S = S + (1e-14 * np.trace(S) / d) * np.eye(d)
-            Sinv_Xt = np.linalg.solve(S, X.T)
-        g = np.einsum("ij,ji->i", X, Sinv_Xt)
-        kappa_max = float(g.max())
-        if kappa_max <= kappa_target or iters >= budget:
-            return w, S, kappa_max, iters
-        j = int(np.argmax(g))
-        lam = (kappa_max / d - 1.0) / (kappa_max - 1.0)
-        w = (1.0 - lam) * w
-        w[j] += lam
-        iters += 1
-
-
 def _search_proxy(Q, p):
-    """Row sample of Q on which the rounding searches for violators.
+    """Row sample of Q on which the rounding sweeps for Lewis weights.
 
     Rows are kept by p-norm importance, ||row_i(Q)||_p^p, at an expected
     count of at most _PROXY_ROWS * d, with the library's own sampler under
@@ -213,24 +189,31 @@ def _search_proxy(Q, p):
     return Qs
 
 
-def _exact_violators(dirs, G, Q, p, inner_tol):
-    """Boundary points of C along the rows of dirs whose exact ratio
-    ||Gu||_2 / ||Qu||_p exceeds inner_tol (one product with Q)."""
-    den = row_pnorms(dirs @ Q.T, p)
-    hit = np.linalg.norm(dirs @ G.T, axis=1) / den > inner_tol
-    return dirs[hit] / den[hit, None]
+def _lewis_factor(Q, w, p):
+    """Upper Cholesky factor G of M = Q^T W^(1-2/p) Q, rows with w = 0 left out."""
+    s = np.zeros_like(w)
+    pos = w > 0.0
+    s[pos] = w[pos] ** (0.5 - 1.0 / p)
+    X = Q * s[:, None]
+    return scipy.linalg.cholesky(X.T @ X, lower=False)
+
+
+def _leverages(Q, G):
+    """tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||q_i^T G^-1||_2^2."""
+    Y = Q @ scipy.linalg.solve_triangular(G, np.eye(G.shape[0]))
+    return np.einsum("ij,ij->i", Y, Y)
 
 
 def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
     Q must have orthonormal columns.  p = 2 returns G = I immediately;
-    d = 1 is an interval and is rounded exactly.  Otherwise runs the
-    cutting scheme described in the module docstring, searching on the
-    row-sample proxy and certifying on Q, until neither search finds a
-    direction of C outside the ellipsoid (converged) or
-    the iteration budget is exhausted (converged=False, best factors
-    reported).
+    d = 1 is an interval and is rounded exactly.  Otherwise sweeps the
+    Lewis-weight fixed point on the row-sample proxy for at most
+    max_iters sweeps (default _MAX_SWEEPS), weights every row of Q from
+    the proxy's M, and takes G from the exact M on Q, scaled so that
+    kappa_slack = 1 + tol.  Both factors hold for any weights;
+    converged says that kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
     """
     Q = as_matrix(Q)
     d = Q.shape[1]
@@ -247,79 +230,48 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
         return RoundingResult(
             G=np.array([[g]]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
         )
-
     if max_iters is None:
-        max_iters = int(math.ceil(10.0 * d * d * math.log(d + 1.0) * math.log(1.0 / tol)))
-    # FW stop so that sqrt(kappa_max) <= sqrt(d)*(1+tol)
-    kappa_target = d * (1.0 + tol) ** 2
-    inner_tol = 1.0 + 0.5 * tol
+        max_iters = _MAX_SWEEPS
 
-    rng = np.random.default_rng(_PROBE_SEED)
+    # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
+    # w <- w^(1-2/p) tau(w), which has the same fixed point
     Qs = _search_proxy(Q, p)
-
-    Z = np.vstack([np.eye(d), rng.standard_normal((4 * d, d))])
-    X = Z / row_pnorms(Z @ Q.T, p)[:, None]
-    w = np.full(X.shape[0], 1.0 / X.shape[0])
-
-    used = 0
-    converged = False
-    S = None
-    kappa_max = float(d)
-    for _ in range(_MAX_ROUNDS):
-        w, S, kappa_max, it = _mvee_fw(X, d, kappa_target, w, max_iters - used)
-        used += it
-        # E = {z^T F z <= 1}, F = S^-1 / kappa_max, certifies
-        # ||U w||_p <= sqrt(kappa_max) ||w||_2 unconditionally.
-        F = np.linalg.inv(S) / kappa_max
-        F = 0.5 * (F + F.T)
-        G = scipy.linalg.cholesky(F, lower=False)
-
-        # hunt for directions of C outside E: maximize ||Gu||_2 / ||Qu||_p,
-        # searching on the proxy and keeping what is exact on Q
-        cand = [G[i] / np.linalg.norm(G[i]) for i in range(d)]
-        evals, evecs = np.linalg.eigh(F)
-        cand.extend(evecs.T)
-        cand.append(rng.standard_normal(d))
-        cand = np.vstack([np.asarray(cand), rng.standard_normal((32 * d, d))])
-        ratios = np.linalg.norm(cand @ G.T, axis=1) / row_pnorms(cand @ Qs.T, p)
-        top = cand[np.argsort(ratios)[::-1][:_REFINE_TOP]]
-        _, dirs = _ratio_ascent(top, G, 2.0, Qs, p)
-        violators = _exact_violators(dirs, G, Q, p, inner_tol)
-        if not len(violators) and Qs is not Q:
-            # nothing found on the proxy: only an ascent on the exact norm
-            # may declare convergence
-            _, dirs = _ratio_ascent(dirs, G, 2.0, Q, p)
-            violators = _exact_violators(dirs, G, Q, p, inner_tol)
-        if not len(violators):
-            converged = kappa_max <= kappa_target
-            if converged:
-                return RoundingResult(
-                    G=G,
-                    kappa=math.sqrt(kappa_max),
-                    kappa_slack=1.0 + tol,
-                    iterations=used,
-                    converged=True,
-                )
-            break
-        X = np.vstack([X, violators])
-        w = np.concatenate([w, np.zeros(len(violators))])
-        if used >= max_iters:
+    w = np.full(Qs.shape[0], d / Qs.shape[0])
+    Gs = None
+    sweeps = 0
+    while sweeps < max_iters:
+        Gs = _lewis_factor(Qs, w, p)
+        tau = _leverages(Qs, Gs)
+        new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
+        pos = w > 0.0
+        change = float(np.max(np.abs(new[pos] - w[pos]) / w[pos]))
+        w = new
+        sweeps += 1
+        if change < _SWEEP_RTOL:
             break
 
-    # budget exhausted: report the best rigorous upper factor and the
-    # worst probe slack actually observed
-    F = np.linalg.inv(S) / kappa_max
-    F = 0.5 * (F + F.T)
-    G = scipy.linalg.cholesky(F, lower=False)
-    Uc = np.linalg.solve(G.T, Q.T).T
-    probe = rng.standard_normal((64 * d, d))
-    slack = float(np.max(np.linalg.norm(probe, axis=1) / row_pnorms(probe @ Uc.T, p)))
+    # every row of Q weighted from the last sweep's M (uniformly when no
+    # sweep ran), then the exact M on Q
+    n = Q.shape[0]
+    w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs) ** (p / 2.0)
+    G = _lewis_factor(Q, w, p)
+    tau = _leverages(Q, G)
+    pos = w > 0.0
+    c = float(np.max(tau[pos] / w[pos] ** (2.0 / p)))
+    S = float(w.sum())
+
+    # with N(z) = ||Gz||_2, Hoelder and Cauchy-Schwarz give, for p <= 2,
+    # ||Qz||_p <= S^e N(z) and N(z) <= c^e ||Qz||_p, and for p >= 2 the
+    # same with S and c swapped; G is scaled to put 1 + tol on the slack
+    e = abs(1.0 / p - 0.5)
+    G *= (1.0 + tol) / (c if p < 2.0 else S) ** e
+    kappa = (S * c) ** e / (1.0 + tol)
     return RoundingResult(
         G=G,
-        kappa=math.sqrt(kappa_max),
-        kappa_slack=max(slack, 1.0 + tol),
-        iterations=used,
-        converged=False,
+        kappa=kappa,
+        kappa_slack=1.0 + tol,
+        iterations=sweeps,
+        converged=kappa <= math.sqrt(d) * (1.0 + tol),
     )
 
 
@@ -328,9 +280,10 @@ def well_conditioned_basis(A, p, tol=0.05, max_iters=None):
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
     beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
-    For p = 2 the rounding is bypassed and the certificates are exactly
-    (sqrt(d), 1).  Non-convergence of the rounding downgrades to a
-    warning, with the certificates inflated to the achieved factors.
+    Both are rigorous.  For p = 2 the rounding is bypassed and the
+    certificates are exactly (sqrt(d), 1).  max_iters caps the rounding's
+    Lewis-weight sweeps.  Non-convergence of the rounding downgrades to a
+    warning; the certificates are then the looser factors it achieved.
     """
     A = as_matrix(A)
     factors = qr_thin(A)
@@ -384,7 +337,8 @@ def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):
 
     rng = np.random.default_rng(seed)
     dirs = np.vstack([np.eye(d), rng.standard_normal((max(1, n_probes), d))])
-    ratios = row_pnorms(dirs, q) / row_pnorms(dirs @ U.T, p)
+    blocks = [dirs[i : i + _PROBE_BLOCK] for i in range(0, len(dirs), _PROBE_BLOCK)]
+    ratios = np.concatenate([row_pnorms(B, q) / row_pnorms(B @ U.T, p) for B in blocks])
     top = dirs[np.argsort(ratios)[::-1][:_REFINE_TOP]]
     refined, _ = _ratio_ascent(top, np.eye(d), q, U, p)
     return alpha_measured, max(float(ratios.max()), float(refined.max()))

@@ -70,23 +70,18 @@ def row_pnorms(M, p):
     return np.where(m > 0.0, m * out, 0.0)
 
 
-def powsum_ratios(vals, p, weights=None):
-    """Normalized vals_i^p (optionally weighted): w_i*vals_i^p / sum_j w_j*vals_j^p.
+def powsum_ratios(vals, p):
+    """Normalized powers vals_i^p / sum_j vals_j^p.
 
-    vals must be nonnegative with at least one strictly positive weighted
-    entry; computed after dividing by max(vals) so large p cannot overflow.
+    vals must be nonnegative with at least one strictly positive entry;
+    computed after dividing by max(vals) so large p cannot overflow.
     """
     a = np.asarray(vals, dtype=np.float64)
     t = float(a.max()) if a.size else 0.0
     if t <= 0.0:
         raise ValueError("powsum_ratios: all values are zero")
     r = _pow_inplace(a / t, p)
-    if weights is not None:
-        r *= np.asarray(weights, dtype=np.float64)
-    total = float(r.sum())
-    if total <= 0.0:
-        raise ValueError("powsum_ratios: zero total weight")
-    r /= total
+    r /= float(r.sum())
     return r
 
 

@@ -113,21 +113,6 @@ def stage1_probabilities(basis, r1):
     return np.minimum(1.0, r1 * ratios)
 
 
-def weighted_stage1_probabilities(basis, weights, r1):
-    """p_i = min(1, r1 * w_i ||row_i(U)||_p^p / sum_j w_j ||row_j(U)||_p^p).
-
-    With unit weights this reproduces stage1_probabilities bit-for-bit.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    if not np.any(w > 0.0):
-        raise ValueError("at least one weight must be positive")
-    rn = row_pnorms(basis.U, basis.p)
-    ratios = powsum_ratios(rn, basis.p, weights=w)
-    return np.minimum(1.0, r1 * ratios)
-
-
 def stage2_probabilities(p1, residual, p, r2):
     """q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)).
 

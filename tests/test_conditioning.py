@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lpcoreset.conditioning import (
 )
 from lpcoreset.kernels import row_pnorms
 from lpcoreset.linalg import dual_exponent, mat_entrywise_p_norm, qr_thin, vec_p_norm
-from lpcoreset.pipeline import make_instance_arrays
+from lpcoreset.pipeline import make_instance_arrays, reference_instance
 
 TOL = 0.05
 CERT_SLACK = 1.0 + 1e-8
@@ -80,27 +81,17 @@ class TestProxySearch:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("d", [3, 5])
-    def test_certificates_hold_on_the_full_matrix(self, rng, monkeypatch, d, p):
+    def test_certificates_hold_on_the_full_matrix(self, rng, d, p):
         n = 10_000
         A = rng.standard_normal((n, d))
         Q = qr_thin(A).Q
         proxy = conditioning._search_proxy(Q, p)
         assert proxy.shape[1] == d and proxy.shape[0] < n
 
-        searched = []
         ascent = conditioning._ratio_ascent
-
-        def recorded(U0, N, a, M, b, **kw):
-            searched.append(M.shape[0])
-            return ascent(U0, N, a, M, b, **kw)
-
-        monkeypatch.setattr(conditioning, "_ratio_ascent", recorded)
         res = lowner_john_round(Q, p, tol=TOL)
-        monkeypatch.undo()
         assert res.converged
         assert res.kappa <= math.sqrt(d) * (1.0 + TOL) * CERT_SLACK
-        # the search ran on the proxy, and convergence came from Q itself
-        assert searched[0] == proxy.shape[0] and searched[-1] == n
         np.testing.assert_array_equal(lowner_john_round(Q, p, tol=TOL).G, res.G)
 
         # the slack holds on the exact norm: ascents on Q from random starts
@@ -127,8 +118,9 @@ class TestProxySearch:
 
     def test_full_size_work(self, monkeypatch):
         # one unit per n-vector and k units per k x n block handed to the
-        # norm kernels; searching on Q itself costs about 4,900 units on
-        # this instance, the proxy search about 720
+        # norm kernels; the Lewis rounding hands them Q once (8 units), for
+        # the proxy's importance probabilities; the cutting scheme it
+        # replaced took about 720 units here, or 4,900 searching on Q itself
         A, _, _ = make_instance_arrays(20_000, 8, seed=1)
         Q = qr_thin(A).Q
         n = Q.shape[0]
@@ -147,7 +139,70 @@ class TestProxySearch:
         monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
         res = lowner_john_round(Q, 1.5, tol=TOL)
         assert res.converged
-        assert sum(work) <= 2000
+        assert sum(work) <= 8
+
+
+def _rows(kind, rng, n, d):
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "student-t":
+        return rng.standard_t(1.5, (n, d))
+    # rotated cross-polytope: each row a signed coordinate vector, rotated
+    X = np.zeros((n, d))
+    X[np.arange(n), rng.integers(0, d, n)] = rng.choice([-1.0, 1.0], n)
+    return X @ orthonormal(rng, d, d)
+
+
+def _exact_ascents(res, Q, p, rng):
+    """Largest ||Q G^-1 u||_p / ||u||_2 and ||G u||_2 / ||Q u||_p found by
+    16-start ascents on the exact norm of Q."""
+    d = Q.shape[1]
+    U = np.linalg.solve(res.G.T, Q.T).T
+    upper, _ = conditioning._ratio_ascent(rng.standard_normal((16, d)), U, p, np.eye(d), 2.0)
+    lower, _ = conditioning._ratio_ascent(rng.standard_normal((16, d)), res.G, 2.0, Q, p)
+    return float(upper.max()), float(lower.max())
+
+
+class TestLewisRounding:
+    """Both factors of the Lewis-weight rounding are closed-form bounds on Q
+    itself, so no exact ascent may beat either of them."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student-t", "cross-polytope"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 7.0])
+    def test_soundness_grid(self, rng, p, kind):
+        d = 5
+        Q = qr_thin(_rows(kind, rng, 20_000, d)).Q
+        res = lowner_john_round(Q, p, tol=TOL)
+        assert res.converged
+        assert res.kappa_slack == 1.0 + TOL
+        assert 0 < res.iterations <= conditioning._MAX_SWEEPS
+        upper, lower = _exact_ascents(res, Q, p, rng)
+        assert upper <= res.kappa * CERT_SLACK
+        assert lower <= res.kappa_slack * CERT_SLACK
+        np.testing.assert_array_equal(lowner_john_round(Q, p, tol=TOL).G, res.G)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [300, 20_000])
+    def test_zero_rows(self, rng, n, p):
+        # every third row is zero: on the small input the sweeps run on Q
+        # itself, on the tall one the zero rows meet only the full passes
+        Q = np.zeros((n, 3))
+        Q[::3] = orthonormal(rng, Q[::3].shape[0], 3)
+        res = lowner_john_round(Q, p, tol=TOL)
+        assert res.converged
+        upper, lower = _exact_ascents(res, Q, p, rng)
+        assert upper <= res.kappa * CERT_SLACK
+        assert lower <= res.kappa_slack * CERT_SLACK
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_last_bit_noise_stays_last_bit(self, p):
+        inst = reference_instance(seed=1)
+        Q = qr_thin(np.column_stack([inst.A, inst.b])).Q
+        G = lowner_john_round(Q, p, tol=TOL).G
+        for factor in (1.0 + 2.0**-52, 1.0 - 2.0**-52):
+            G2 = lowner_john_round(Q * factor, p, tol=TOL).G
+            assert np.abs(G2 - G).max() <= 1e-12 * np.abs(G).max()
 
 
 class TestWellConditionedBasis:
@@ -226,6 +281,21 @@ class TestCertify:
         assert net_beta <= W.beta_cert * CERT_SLACK
         # the refined probe search should essentially find the net's maximum
         assert beta_m >= net_beta * (1.0 - 1e-6)
+
+
+    def test_probes_scored_in_blocks(self, monkeypatch):
+        W = well_conditioned_basis(np.random.default_rng(3).standard_normal((10_000, 4)), 1.5)
+        tracemalloc.start()
+        try:
+            alpha, beta = certify_basis(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        monkeypatch.setattr(conditioning, "_PROBE_BLOCK", 1 << 30)
+        alpha_whole, beta_whole = certify_basis(W)
+        assert alpha == pytest.approx(alpha_whole, rel=1e-12)
+        assert beta == pytest.approx(beta_whole, rel=1e-12)
 
 
 class TestSpanner:

@@ -16,7 +16,6 @@ from lpcoreset.sampling import (
     realize_sample,
     stage1_probabilities,
     stage2_probabilities,
-    weighted_stage1_probabilities,
 )
 
 
@@ -149,28 +148,6 @@ class TestOracleProbabilities:
         rho = np.full(8, 2.0)
         probs = oracle_probabilities(W, rho, vec_p_norm(rho, 2.0), 4.0)
         np.testing.assert_allclose(probs, 0.5)
-
-
-class TestWeightedProbabilities:
-    def test_unit_weights_bitwise_reduction(self, basis):
-        pw = weighted_stage1_probabilities(basis, np.ones(50), 9.0)
-        np.testing.assert_array_equal(pw, stage1_probabilities(basis, 9.0))
-
-    def test_zero_weight_row(self, basis):
-        w = np.ones(50)
-        w[3] = 0.0
-        pw = weighted_stage1_probabilities(basis, w, 9.0)
-        assert pw[3] == 0.0
-
-    def test_weight_scale_invariance(self, basis, rng):
-        w = rng.uniform(0.5, 2.0, 50)
-        a = weighted_stage1_probabilities(basis, w, 9.0)
-        b = weighted_stage1_probabilities(basis, 2.0 * w, 9.0)
-        np.testing.assert_allclose(a, b, rtol=1e-14)
-
-    def test_all_zero_rejected(self, basis):
-        with pytest.raises(ValueError):
-            weighted_stage1_probabilities(basis, np.zeros(50), 9.0)
 
 
 class TestRealize:
