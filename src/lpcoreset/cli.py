@@ -215,7 +215,7 @@ def _cmd_bench(args):
 
 def _ratio_sweep(inst, cfg, args):
     """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale."""
-    basis = well_conditioned_basis(inst.A, inst.p)
+    basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     Z = solve_lp_regression(inst.A, inst.b, inst.p).objective
     sweep = []
     for mult in (0.5, 1.0, 2.0):

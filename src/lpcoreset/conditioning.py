@@ -275,7 +275,7 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     )
 
 
-def well_conditioned_basis(A, p, tol=0.05, max_iters=None):
+def well_conditioned_basis(A, p, tol=0.05, max_iters=None, *, factors=None):
     """Construct U = Q G^-1 and tau = G R with conditioning certificates.
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
@@ -284,9 +284,14 @@ def well_conditioned_basis(A, p, tol=0.05, max_iters=None):
     certificates are exactly (sqrt(d), 1).  max_iters caps the rounding's
     Lewis-weight sweeps.  Non-convergence of the rounding downgrades to a
     warning; the certificates are then the looser factors it achieved.
+
+    factors, when given, must be qr_thin(A) and A is not factored again.
+    RegressionInstance passes its own: it keeps Q, n x d doubles, for its
+    lifetime, so its A must not be changed after construction.  For p = 2
+    the basis U is factors.Q itself, shared with the instance.
     """
-    A = as_matrix(A)
-    factors = qr_thin(A)
+    if factors is None:
+        factors = qr_thin(A)
     d = factors.rank
     rounding = lowner_john_round(factors.Q, p, tol, max_iters=max_iters)
     if not rounding.converged:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditioning import well_conditioned_basis
-from .errors import InvalidConfigError, StageFailureError
-from .linalg import as_matrix, mat_entrywise_p_norm, numeric_rank, vec_p_norm
+from .errors import InvalidConfigError, StageFailureError, ZeroRankError
+from .linalg import QRFactors, as_matrix, mat_entrywise_p_norm, numeric_rank, qr_thin, vec_p_norm
 from .sampling import (
     apply_plan,
     oracle_probabilities,
@@ -53,14 +53,19 @@ class RegressionInstance:
 
     b may be a vector or a matrix (generalized, multiple right-hand
     sides); weights, when present, define the weighted p-norm objective.
-    The numeric rank d is computed once at construction.
+    A is factored once, at construction: factors is its thin QR (see
+    linalg.qr_thin) and d = factors.rank its numeric rank.  Conditioning
+    A reuses factors instead of factoring A again, so the instance keeps
+    Q, n x d doubles, for its lifetime, and A must not be changed after
+    construction.
     """
 
     A: np.ndarray
     b: np.ndarray
     p: float
     weights: np.ndarray | None = None
-    d: int = field(default=0)
+    d: int = field(init=False)
+    factors: QRFactors = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
@@ -75,10 +80,11 @@ class RegressionInstance:
                 raise ValueError("weights length does not match A")
             if np.any(self.weights < 0.0):
                 raise ValueError("weights must be nonnegative")
-        if not self.d:
-            self.d = numeric_rank(self.A)
-        if self.d < 1:
-            raise InvalidConfigError("A must have numeric rank >= 1")
+        try:
+            self.factors = qr_thin(self.A)
+        except ZeroRankError:
+            raise InvalidConfigError("A must have numeric rank >= 1") from None
+        self.d = self.factors.rank
 
     @property
     def n(self):
@@ -187,7 +193,7 @@ def stage_one(inst, cfg, seed, basis=None, opts=DEFAULT_OPTIONS):
     (the default formula at desk scale) degenerates to full sampling.
     """
     if basis is None:
-        basis = well_conditioned_basis(inst.A, inst.p)
+        basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     probs = stage1_probabilities(basis, r1_default(cfg))
     return _sample_and_solve(inst, probs, 1, seed, opts)
 
@@ -266,15 +272,17 @@ def _timed(report, key):
 def _run_stages(report, inst, seed, matrix, stages, compute_exact, opts, cell_cap, basis=None):
     """The pipeline body every variant shares.
 
-    Conditions matrix (unless a basis is supplied), then runs the stages
-    in order: each (seed label, step) calls step(basis, previous outcome,
-    derived seed) for its StageOutcome.  Stage failures produce a
-    status="failed" report, never an exception.
+    Conditions matrix (unless a basis is supplied; inst.A through the
+    instance's own factors), then runs the stages in order: each (seed
+    label, step) calls step(basis, previous outcome, derived seed) for its
+    StageOutcome.  Stage failures produce a status="failed" report, never
+    an exception.
     """
     try:
         with _timed(report, "conditioning"):
             if basis is None:
-                basis = well_conditioned_basis(matrix, inst.p)
+                factors = inst.factors if matrix is inst.A else None
+                basis = well_conditioned_basis(matrix, inst.p, factors=factors)
         out = None
         for k, (label, step) in enumerate(stages, start=1):
             with _timed(report, f"stage{k}"):
@@ -446,7 +454,7 @@ def guarantee_statistics(
         raise InvalidConfigError("guarantee statistics expect a vector right-hand side")
     if n_seeds < 1:
         raise InvalidConfigError(f"guarantee statistics need n_seeds >= 1, got {n_seeds}")
-    basis = well_conditioned_basis(inst.A, inst.p)
+    basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     exact = solve_lp_regression(inst.A, inst.b, inst.p, opts)
     Z = exact.objective
     rho_opt = inst.A @ exact.x - inst.b

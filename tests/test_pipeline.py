@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lpcoreset as lc
-from lpcoreset.io import report_to_dict
+from lpcoreset.io import json_dumps, report_to_dict
 from lpcoreset.pipeline import _sample_and_solve, derive_seed
 from lpcoreset.solver import DEFAULT_OPTIONS
 
@@ -370,3 +371,73 @@ class TestInstances:
     def test_instance_rank_computed(self):
         inst = lc.reference_instance(n=100, d=4, p=2.0, seed=0)
         assert inst.d == 4 and inst.n == 100 and inst.m == 4
+
+
+class TestOneFactorization:
+    """The instance factors A once; every consumer of its A reuses that."""
+
+    @pytest.fixture
+    def qr_heights(self, monkeypatch):
+        heights = []
+        real_qr = scipy.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            heights.append(np.shape(a)[0])
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        return heights
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_build_and_solve_factor_a_once(self, qr_heights, p):
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
+        assert rep.status == "ok" and rep.stage2.plan.actual_count < inst.n
+        assert qr_heights.count(inst.n) == 1
+
+    def test_guarantee_statistics_factor_a_once(self, qr_heights):
+        inst = lc.reference_instance(n=2000, d=4, p=1.5, seed=1)
+        lc.guarantee_statistics(inst, small_cfg(1.5, d=4), n_seeds=2)
+        assert qr_heights.count(inst.n) == 1
+
+    def test_weighted_factors_a_and_its_scaled_copy(self, qr_heights):
+        A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
+        w = np.random.default_rng(2).uniform(0.5, 2.0, 2000)
+        inst = lc.RegressionInstance(A=A, b=b, p=1.5, weights=w)
+        rep = lc.weighted_two_stage(inst, small_cfg(1.5, d=4), seed=0)
+        assert rep.status == "ok"
+        assert qr_heights.count(inst.n) == 2
+
+    @pytest.mark.parametrize(
+        "p, rank_deficient",
+        [(1.0, False), (1.5, False), (2.0, False), (3.0, False), (1.5, True)],
+    )
+    def test_reused_factors_give_identical_reports(self, p, rank_deficient):
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        if rank_deficient:
+            A = np.column_stack([inst.A, inst.A[:, 0] - 2.0 * inst.A[:, 2]])
+            inst = lc.RegressionInstance(A=A, b=inst.b, p=p)
+            assert inst.d == 4 and inst.m == 5
+        cfg = small_cfg(p, d=4)
+
+        def payload(rep):
+            doc = report_to_dict(rep)
+            doc.pop("timings_ms")
+            return json_dumps(doc)
+
+        fresh = lc.well_conditioned_basis(inst.A, p)
+        for seed in range(2):
+            reused = lc.two_stage_solve(inst, cfg, seed, compute_exact=True)
+            refactored = lc.two_stage_solve(inst, cfg, seed, compute_exact=True, basis=fresh)
+            assert reused.status == "ok"
+            assert payload(reused) == payload(refactored)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(lc.InvalidConfigError, match="rank >= 1"):
+            lc.RegressionInstance(A=np.zeros((10, 2)), b=np.ones(10), p=1.5)
+
+    @pytest.mark.parametrize("name", ["d", "factors"])
+    def test_derived_fields_are_not_arguments(self, name):
+        A = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(TypeError):
+            lc.RegressionInstance(A=A, b=np.ones(20), p=1.5, **{name: None})
