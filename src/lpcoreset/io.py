@@ -60,30 +60,44 @@ def json_dumps(obj, indent=0):
 
 
 def _parse_csv(lines):
-    if lines and not all(_is_number(c) for c in lines[0][1].split(",")):
-        lines = lines[1:]  # non-numeric first line: header
-    rows = []
+    if lines and not any(_is_number(c) for c in lines[0][1].split(",")):
+        lines = lines[1:]  # first line with no numeric cell: header
+    if not lines:
+        raise MatrixParseError("no data rows found", line=1)
+    try:
+        return np.loadtxt(
+            [s for _, s in lines],
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            dtype=np.float64,
+        )
+    except ValueError as err:
+        _locate_csv_error(lines)
+        raise MatrixParseError(f"unparsable CSV: {err}") from err
+
+
+def _locate_csv_error(lines):
+    """Raise MatrixParseError at the first bad line; builds no values."""
     width = None
     for lineno, raw in lines:
-        cells = [c.strip() for c in raw.split(",")]
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            bad = next(c for c in cells if not _is_number(c))
-            raise MatrixParseError(f"non-numeric cell {bad!r}", line=lineno) from None
+        cells = raw.split(",")
+        bad = next((c for c in cells if not _is_number(c)), None)
+        if bad is not None:
+            raise MatrixParseError(f"non-numeric cell {bad.strip()!r}", line=lineno)
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = len(cells)
+        elif len(cells) != width:
             raise MatrixParseError(
-                f"ragged row: expected {width} cells, got {len(row)}", line=lineno
+                f"ragged row: expected {width} cells, got {len(cells)}", line=lineno
             )
-        rows.append(row)
-    if not rows:
-        raise MatrixParseError("no data rows found", line=1)
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _is_number(s):
+    """True when s is one CSV number: float()'s grammar, ASCII, no '_'."""
+    s = s.strip()
+    if not s.isascii() or "_" in s:
+        return False
     try:
         float(s)
         return True
@@ -178,15 +192,23 @@ def load_matrix(path, fmt="auto"):
     """Load a dense matrix from CSV or MatrixMarket (array or coordinate).
 
     fmt is one of auto / csv / matrix-market-array /
-    matrix-market-coordinate; auto sniffs the %%MatrixMarket banner.  CSV
-    may carry a header line (detected by non-numeric cells).  Malformed
-    inputs raise MatrixParseError with a 1-based line number.
+    matrix-market-coordinate; auto sniffs the %%MatrixMarket banner.  The
+    file is read as UTF-8; a leading byte-order mark is dropped.  Blank
+    lines are skipped and line endings may be LF or CRLF.
+
+    A CSV cell is a number in float()'s grammar (surrounding whitespace,
+    sign, decimal or exponent form, nan, inf, infinity in any case) without
+    '_' digit grouping or non-ASCII characters such as full-width digits;
+    each parses to the same double as float().  The first non-blank line
+    is a header when none of its cells is a number; a first line that
+    mixes numbers and non-numbers is an error.  Malformed inputs raise
+    MatrixParseError with a 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         lines = [
-            (lineno, line.strip())
+            (lineno, stripped)
             for lineno, line in enumerate(f, 1)
-            if line.strip()
+            if (stripped := line.strip())
         ]
     if not lines:
         raise MatrixParseError("empty file", line=1)
@@ -218,11 +240,12 @@ def load_vector(path, fmt="auto"):
 
 
 def save_matrix_csv(M, path):
+    """Write M as CSV, one row per line, floats at 17 significant digits."""
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as f:
-        for row in M:
-            f.write(",".join(_format_float(x) for x in row))
-            f.write("\n")
+    if not np.isfinite(M).all():
+        bad = M[~np.isfinite(M)][0]
+        raise ValueError(f"cannot serialize non-finite value {float(bad)!r}")
+    np.savetxt(path, M, fmt="%.17g", delimiter=",")
 
 
 def generate_instance(n, d, p, noise_model, corruption_rho, seed, out_dir):

@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lpcoreset as lc
 from lpcoreset.cli import run_cli
@@ -20,7 +24,7 @@ from lpcoreset.io import (
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -33,12 +37,20 @@ def canonical(report_text):
 
 class TestCsv:
     def test_basic(self, tmp_path):
-        M = load_matrix(write(tmp_path, "m.csv", "1,2\n3,4\n"))
-        np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+        # plain; UTF-8 byte-order mark; CRLF with whitespace-only lines
+        for text in ("1,2\n3,4\n", "\ufeff1,2\n3,4\n", "1,2\r\n \r\n\t\r\n3,4\r\n"):
+            M = load_matrix(write(tmp_path, "m.csv", text))
+            np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_detection(self, tmp_path):
-        M = load_matrix(write(tmp_path, "m.csv", "colA,colB\n1,2\n3,4\n"))
-        np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+        # a first line is a header only when none of its cells is a number
+        for header in ("colA,colB", "\ufeffcolA,colB", "a,", "1_0,x"):
+            M = load_matrix(write(tmp_path, "m.csv", header + "\n1,2\n3,4\n"))
+            np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+        for first in ("1,x", "1_0,2"):  # a mistyped data row is no header
+            with pytest.raises(MatrixParseError) as err:
+                load_matrix(write(tmp_path, "m.csv", first + "\n3,4\n"))
+            assert err.value.line == 1
 
     def test_ragged_row_reports_line(self, tmp_path):
         with pytest.raises(MatrixParseError) as err:
@@ -46,15 +58,71 @@ class TestCsv:
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
-        "text",
-        ["1,2\n3,oops\n", "colA,colB\nfoo,bar\n1,2\n"],
-        ids=["data-row", "second-header"],
+        "text, line",
+        [
+            ("1,2\n3,oops\n", 2),
+            ("colA,colB\nfoo,bar\n1,2\n", 2),
+            ("1,x\n3,4\n", 1),
+            ("1_0,2\n3,4\n", 1),
+        ],
+        ids=["data-row", "second-header", "mixed-first-row", "grouped-digits"],
     )
-    def test_non_numeric_cell_reports_line(self, tmp_path, text):
+    def test_non_numeric_cell_reports_line(self, tmp_path, text, line):
         # only the first non-blank line may be a header
-        with pytest.raises(MatrixParseError) as err:
+        with pytest.raises(MatrixParseError, match="non-numeric cell") as err:
             load_matrix(write(tmp_path, "m.csv", text))
-        assert err.value.line == 2
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "token, accepted",
+        [
+            (" 1 ", True),
+            ("+1", True),
+            ("-0", True),
+            (".5", True),
+            ("5.", True),
+            ("1E+05", True),
+            ("nan", True),
+            ("-Infinity", True),
+            ("1e400", True),
+            ("4.9e-324", True),
+            ("", False),
+            ("1_0", False),
+            ("\uff11", False),  # full-width digit one
+            ("0x10", False),
+            ("1d3", False),
+            ('"1"', False),
+        ],
+    )
+    def test_token_grammar(self, tmp_path, token, accepted):
+        path = write(tmp_path, "m.csv", f"x,y\n1,2\n{token},4\n")
+        if accepted:
+            M = load_matrix(path)
+            assert M[1, 0].tobytes() == np.float64(float(token)).tobytes()
+        else:
+            with pytest.raises(MatrixParseError, match="non-numeric cell") as err:
+                load_matrix(path)
+            assert err.value.line == 3
+
+    def test_unlocated_parse_error_is_chained(self, tmp_path, monkeypatch):
+        def reject(*args, **kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(np, "loadtxt", reject)
+        with pytest.raises(MatrixParseError) as err:
+            load_matrix(write(tmp_path, "m.csv", "1,2\n3,4\n"))
+        assert str(err.value.__cause__) == "rejected"
+
+    @pytest.mark.parametrize(
+        "bad_line, bad_row", [(40_001, "1,oops,3"), (50_000, "1,2")],
+        ids=["bad-cell", "ragged-last-row"],
+    )
+    def test_late_error_in_large_file(self, tmp_path, bad_line, bad_row):
+        rows = ["1,2,3"] * 50_000
+        rows[bad_line - 1] = bad_row
+        with pytest.raises(MatrixParseError) as err:
+            load_matrix(write(tmp_path, "m.csv", "\n".join(rows) + "\n"))
+        assert err.value.line == bad_line
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(MatrixParseError):
@@ -68,6 +136,30 @@ class TestCsv:
         np.testing.assert_array_equal(M, M2)
         save_matrix_csv(M2, path + ".again")
         np.testing.assert_array_equal(load_matrix(path + ".again"), M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+            ),
+        )
+    )
+    def test_writer_bytes_and_exact_roundtrip(self, M):
+        legacy = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in M)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.csv")
+            save_matrix_csv(M, path)
+            with open(path, "rb") as f:
+                assert f.read() == legacy.encode("ascii")
+            assert load_matrix(path).tobytes() == M.tobytes()
+
+    def test_writer_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            save_matrix_csv(np.array([[1.0, np.inf]]), str(tmp_path / "m.csv"))
 
     def test_mm_to_csv_roundtrip(self, tmp_path):
         text = (
@@ -133,8 +225,9 @@ class TestMatrixMarket:
 
 class TestVectors:
     def test_column(self, tmp_path):
-        v = load_vector(write(tmp_path, "v.csv", "1\n2\n3\n"))
-        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
+        for bom in ("", "\ufeff"):
+            v = load_vector(write(tmp_path, "v.csv", bom + "1\n2\n3\n"))
+            np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
 
     def test_matrix_rejected(self, tmp_path):
         with pytest.raises(MatrixParseError):
