@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ZeroRankError
 from .kernels import pnorm, powsum_ratios, row_pnorms
 from .linalg import as_matrix, dual_exponent, mat_entrywise_p_norm, qr_thin
 from .sampling import apply_plan, realize_sample
@@ -215,16 +214,16 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     kappa_slack = 1 + tol.  Both factors hold for any weights;
     converged says that kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
     """
-    Q = as_matrix(Q)
-    d = Q.shape[1]
-    if d == 0:
-        raise ZeroRankError("cannot round an empty basis")
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    if p == 2.0:
+    if p == 2.0 and np.ndim(Q) == 2 and np.shape(Q)[1] > 0:
+        # G = I rounds the 2-norm ball of an orthonormal Q exactly; Q's
+        # entries are never read, so they are not checked either
         return RoundingResult(
-            G=np.eye(d), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
+            G=np.eye(np.shape(Q)[1]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
         )
+    Q = as_matrix(Q)
+    d = Q.shape[1]
     if d == 1:
         g = pnorm(Q[:, 0], p)
         return RoundingResult(

@@ -5,7 +5,17 @@ scaled ratios, the counter array, ``r*r``) and does the rest of its work
 in place on it, so callers' arrays are never modified.  A step that needs
 a second operand of full size (the power chain at 1.5, the xor-shifts of
 the counter mix) uses one temporary array.
+
+The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
+take the unscaled sum of squares in one pass over the input, with no
+``np.abs`` copy.  Only a sum outside ``[_SQ_LO, _SQ_HI]`` (overflowed,
+possibly underflowed, zero or NaN) is redone by the max-scaled code the
+other exponents use, so the result is as exact as the scaled one.
+Non-finite input follows ``math.hypot``: an infinity gives inf, else a
+NaN gives NaN.
 """
+import math
+
 import numpy as np
 
 BACKEND = "python"
@@ -16,6 +26,11 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _INV53 = 2.0 ** -53
+# A p=2 sum of squares s needs no scaling when _SQ_LO <= s <= _SQ_HI: a
+# finite s had no square overflow, and each square that underflowed is
+# below 2^-1022 = 2^-122 * _SQ_LO, far below the last bit of s.
+_SQ_LO = 2.0 ** -900
+_SQ_HI = float(np.finfo(np.float64).max)
 
 
 def _pow_inplace(a, e):
@@ -35,8 +50,20 @@ def _pow_inplace(a, e):
 
 
 def pnorm(v, p):
-    """Entrywise p-norm of a 1-D array, scaled by max|v| to avoid overflow."""
-    a = np.abs(np.asarray(v, dtype=np.float64).ravel())
+    """Entrywise p-norm of a 1-D array, scaled by max|v| to avoid overflow.
+
+    At p=2 the unscaled sum of squares is kept when it is safe (see the
+    module docstring).
+    """
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if p == 2.0:
+        with np.errstate(over="ignore"):
+            s = float(v @ v)
+        if _SQ_LO <= s <= _SQ_HI:
+            return math.sqrt(s)
+        if np.isinf(v).any():
+            return math.inf
+    a = np.abs(v)
     if a.size == 0:
         return 0.0
     if p == 1.0:
@@ -51,12 +78,35 @@ def pnorm(v, p):
 
 
 def row_pnorms(M, p):
-    """Per-row p-norms of a 2-D array, each row scaled by its own max."""
-    a = np.abs(np.asarray(M, dtype=np.float64))
-    if a.ndim != 2:
+    """Per-row p-norms of a 2-D array, each row scaled by its own max.
+
+    At p=2 each row's unscaled sum of squares is kept when it is safe
+    (see the module docstring); only the other rows are scaled.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
         raise ValueError("row_pnorms expects a 2-D array")
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0])
+    if M.shape[1] == 0:
+        return np.zeros(M.shape[0])
+    if p != 2.0:
+        return _scaled_row_pnorms(np.abs(M), p)
+    with np.errstate(over="ignore"):
+        s = np.einsum("ij,ij->i", M, M)
+    if s.min(initial=_SQ_LO) >= _SQ_LO and s.max(initial=0.0) <= _SQ_HI:
+        return np.sqrt(s, out=s)
+    bad = np.flatnonzero(~((s >= _SQ_LO) & (s <= _SQ_HI)))
+    out = np.sqrt(s, out=s)
+    R = M[bad]
+    with np.errstate(invalid="ignore"):  # inf / inf in rows holding inf
+        out[bad] = _scaled_row_pnorms(np.abs(R), 2.0)
+    out[bad[np.isnan(R).any(axis=1)]] = np.nan
+    out[bad[np.isinf(R).any(axis=1)]] = np.inf
+    return out
+
+
+def _scaled_row_pnorms(a, p):
+    """Row p-norms of the nonnegative array a, each row divided in place
+    by its own max; a row whose max is 0 or NaN reads 0."""
     if p == 1.0:
         return a.sum(axis=1)
     m = a.max(axis=1)

@@ -96,8 +96,12 @@ def qr_thin(A):
     factorization of A serves every case.  Raises ZeroRankError for an
     all-zero matrix.
     """
-    A = as_matrix(A)
-    Q, R = scipy.linalg.qr(A, mode="economic")
+    return _qr_factors(as_matrix(A))
+
+
+def _qr_factors(A):
+    """qr_thin of an A that as_matrix has already validated."""
+    Q, R = scipy.linalg.qr(A, mode="economic", check_finite=False)
     U_R, sv, _ = np.linalg.svd(R, full_matrices=False)
     if sv[0] == 0.0:
         raise ZeroRankError("matrix has numeric rank 0")

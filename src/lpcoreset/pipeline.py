@@ -20,7 +20,15 @@ import numpy as np
 
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
-from .linalg import QRFactors, as_matrix, mat_entrywise_p_norm, numeric_rank, qr_thin, vec_p_norm
+from .linalg import (
+    QRFactors,
+    _qr_factors,
+    as_matrix,
+    as_vector,
+    mat_entrywise_p_norm,
+    numeric_rank,
+    vec_p_norm,
+)
 from .sampling import (
     apply_plan,
     oracle_probabilities,
@@ -69,19 +77,19 @@ class RegressionInstance:
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.b = as_matrix(self.b) if np.ndim(self.b) == 2 else as_vector(self.b)
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError("A and b row counts differ")
         if not (self.p >= 1.0):
             raise InvalidConfigError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
+            self.weights = as_vector(self.weights)
             if self.weights.shape != (self.A.shape[0],):
                 raise ValueError("weights length does not match A")
             if np.any(self.weights < 0.0):
                 raise ValueError("weights must be nonnegative")
         try:
-            self.factors = qr_thin(self.A)
+            self.factors = _qr_factors(self.A)
         except ZeroRankError:
             raise InvalidConfigError("A must have numeric rank >= 1") from None
         self.d = self.factors.rank
@@ -169,7 +177,8 @@ def _sample_and_solve(inst, probs, stage, seed, opts):
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
         x, sampled_obj = _solve_subproblem(SA, Sb, inst.p, opts)
-        residual = inst.A @ x - inst.b
+        residual = inst.A @ x
+        residual -= inst.b
         return StageOutcome(
             stage=stage,
             plan=plan,
@@ -206,7 +215,7 @@ def stage_two(inst, stage1_out, cfg, seed, opts=DEFAULT_OPTIONS):
     """
     rho = stage1_out.residual
     threshold = _ZERO_RESIDUAL_RTOL * max(1.0, _objective(inst.b, inst.p))
-    if _objective(rho, inst.p) <= threshold:
+    if stage1_out.full_objective <= threshold:
         return StageOutcome(
             stage=2,
             plan=None,

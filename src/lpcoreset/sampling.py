@@ -110,7 +110,8 @@ def stage1_probabilities(basis, r1):
         raise ValueError("r1 must be nonnegative")
     rn = row_pnorms(basis.U, basis.p)
     ratios = powsum_ratios(rn, basis.p)
-    return np.minimum(1.0, r1 * ratios)
+    ratios *= r1
+    return np.minimum(ratios, 1.0, out=ratios)
 
 
 def stage2_probabilities(p1, residual, p, r2):
@@ -127,7 +128,9 @@ def stage2_probabilities(p1, residual, p, r2):
     if mags.max(initial=0.0) <= 0.0:
         raise ValueError("stage-2 probabilities are undefined for a zero residual")
     ratios = powsum_ratios(mags, p)
-    return np.minimum(1.0, np.maximum(p1, r2 * ratios))
+    ratios *= r2
+    np.maximum(ratios, p1, out=ratios)
+    return np.minimum(ratios, 1.0, out=ratios)
 
 
 def oracle_probabilities(basis, rho_opt, Z, r):
@@ -159,7 +162,8 @@ def realize_sample(probs, p, seed):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("probs must be a vector")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    # NaN fails both comparisons, since min and max propagate it
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     u = counter_uniforms(int(seed), probs.shape[0])
     idx = np.nonzero(u < probs)[0]

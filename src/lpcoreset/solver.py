@@ -84,8 +84,13 @@ def _residual(A, x, b, out):
     return out
 
 
-def _lstsq(A, b):
-    x, _, _, _ = scipy.linalg.lstsq(A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy")
+def _lstsq(A, b, check_finite=False):
+    """Least squares by gelsy.  Callers pass arrays that as_matrix and
+    as_vector have validated; the IRLS steps, whose weights are computed,
+    ask for scipy's finiteness check."""
+    x, _, _, _ = scipy.linalg.lstsq(
+        A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy", check_finite=check_finite
+    )
     return x
 
 
@@ -163,7 +168,7 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
             np.sqrt(sw, out=sw)
             np.multiply(A, sw[:, None], out=Aw)
             np.multiply(bs, sw, out=bw)
-            dx = _lstsq(Aw, bw) - x
+            dx = _lstsq(Aw, bw, check_finite=True) - x
             t = 1.0
             accepted = False
             for _ in range(_MAX_HALVINGS):

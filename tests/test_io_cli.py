@@ -342,6 +342,16 @@ class TestCli:
         )
         assert code == 1
 
+    def test_non_finite_rhs_is_clean_error(self, instance_files, capsys):
+        b = load_vector(str(instance_files / "b.csv"))
+        b[3] = np.nan
+        rhs = write(instance_files, "b_nan.csv", "".join(f"{x:.17g}\n" for x in b))
+        code = run_cli(
+            ["solve", "--input", str(instance_files / "A.csv"), "--rhs", rhs, "--p", "2"]
+        )
+        assert code == 1
+        assert "error: vector contains non-finite entries" in capsys.readouterr().err
+
     def test_gen_then_solve_exact(self, tmp_path, capsys):
         assert run_cli(["gen", "--n", "80", "--d", "2", "--seed", "4",
                         "--out", str(tmp_path / "inst")]) == 0

@@ -1,5 +1,6 @@
 """Kernels against their plain formulas, and the pinned counter RNG stream."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -119,3 +120,73 @@ def test_kernels_leave_inputs_unchanged(rng, p):
 def test_powsum_ratios_rejects_all_zero():
     with pytest.raises(ValueError):
         kernels.powsum_ratios(np.zeros(4), 2.0)
+
+
+# Rows whose unscaled sum of squares overflows, underflows, is zero or is
+# NaN, next to rows it handles; math.hypot is the reference at p=2.
+TINY = 5e-324  # the least subnormal
+GUARD_ROWS = [
+    [1e200, 1e200, -3e200],
+    [1e308, 1e308],
+    [1e-200, 3e-200, -2e-200],
+    [1e-160, 1e-160],
+    [1.0, 1e-170],
+    [1e-170, 1.0],
+    [TINY, TINY, 0.0],
+    [3 * TINY, -4 * TINY],
+    [2.2e-308, 1e-310],
+    [0.0, 0.0, 0.0],
+    [-0.0, 0.0],
+    [np.inf, 1.0],
+    [2.0, -np.inf],
+    [np.nan, 1.0],
+    [np.nan, np.inf],
+    [1e300, np.nan],
+    [3.0, 4.0],
+]
+
+
+def _assert_ulps(got, want, ulps=4):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore"):
+        close = np.abs(got - want) <= ulps * np.spacing(np.abs(want))
+    assert np.all(same | close), (got, want)
+
+
+@pytest.mark.parametrize("row", GUARD_ROWS, ids=repr)
+def test_p2_guarded_norms_match_hypot(row):
+    want = math.hypot(*row)
+    _assert_ulps(kernels.pnorm(np.array(row), 2.0), want)
+    _assert_ulps(kernels.row_pnorms(np.array([row]), 2.0), [want])
+
+
+def test_p2_row_pnorms_mixed_block(rng):
+    # guarded rows scattered through a block of ordinary ones: each row
+    # matches hypot, and the ordinary rows keep the one-pass value
+    M = rng.standard_normal((200, 3)) * np.exp(rng.uniform(-50.0, 50.0, (200, 1)))
+    picks = rng.choice(200, size=len(GUARD_ROWS), replace=False)
+    rows = [r + [0.0] * (3 - len(r)) for r in GUARD_ROWS]
+    M[picks] = rows
+    got = kernels.row_pnorms(M, 2.0)
+    _assert_ulps(got, [math.hypot(*r) for r in M])
+    plain = np.setdiff1d(np.arange(200), picks)
+    np.testing.assert_array_equal(got[plain], np.sqrt(np.einsum("ij,ij->i", M, M))[plain])
+    # Fortran order, as the thin Q of a QR arrives (einsum may add in
+    # another order there, so only the distance to hypot is fixed)
+    _assert_ulps(kernels.row_pnorms(np.asfortranarray(M), 2.0), [math.hypot(*r) for r in M])
+
+
+def test_p2_pnorm_long_vectors():
+    # the sum over many entries can overflow, or underflow, where no
+    # single square does
+    big = np.full(1000, 1e154)
+    small = np.full(1000, 1e-155)
+    for v in (big, small, np.concatenate([big, small])):
+        _assert_ulps(kernels.pnorm(v, 2.0), math.hypot(*v))
+
+
+def test_p2_empty_inputs():
+    assert kernels.pnorm(np.zeros(0), 2.0) == 0.0
+    assert kernels.row_pnorms(np.zeros((0, 3)), 2.0).shape == (0,)
+    np.testing.assert_array_equal(kernels.row_pnorms(np.zeros((2, 0)), 2.0), [0.0, 0.0])

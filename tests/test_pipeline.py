@@ -372,6 +372,26 @@ class TestInstances:
         inst = lc.reference_instance(n=100, d=4, p=2.0, seed=0)
         assert inst.d == 4 and inst.n == 100 and inst.m == 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        # a NaN in b used to surface as a rank-deficient stage 2 or a bare
+        # solver error instead of at construction
+        A, b, _ = lc.make_instance_arrays(20_000, 4, seed=1)
+        b[5] = bad
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            lc.RegressionInstance(A=A, b=b, p=2.0)
+        B = np.column_stack([b, b])
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            lc.RegressionInstance(A=A, b=B, p=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        A, b, _ = lc.make_instance_arrays(200, 3, seed=1)
+        w = np.ones(200)
+        w[7] = bad
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            lc.RegressionInstance(A=A, b=b, p=2.0, weights=w)
+
 
 class TestOneFactorization:
     """The instance factors A once; every consumer of its A reuses that."""

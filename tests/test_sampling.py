@@ -93,6 +93,18 @@ class TestStage1Probabilities:
         assert probs[7] == 0.0
         assert np.all(probs[np.arange(20) != 7] > 0.0)
 
+    def test_p2_is_clamped_leverage(self, rng):
+        # at p=2 the basis is the thin Q and p_i = min(1, r1 * tau_i / d)
+        # with tau_i = ||q_i||_2^2 the leverage scores, which sum to d
+        A = rng.standard_normal((400, 4)) * rng.pareto(1.5, (400, 1))
+        W = well_conditioned_basis(A, 2.0)
+        Q = W.U
+        r1 = 60.0
+        probs = stage1_probabilities(W, r1)
+        want = np.minimum(1.0, r1 * np.einsum("ij,ij->i", Q, Q) / 4)
+        np.testing.assert_allclose(probs, want, rtol=1e-14)
+        assert 0 < np.count_nonzero(probs == 1.0) < 400
+
 
 class TestStage2Probabilities:
     def test_uniform_residual(self):
@@ -185,6 +197,19 @@ class TestRealize:
             plan = realize_sample(probs, p, seed=11)
             expect = probs[plan.realized_indices] ** (-1.0 / p)
             np.testing.assert_allclose(plan.scales, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan, 1.0], [np.nan], [0.2, -1e-300], [1.0 + 2**-52, 0.5], [np.inf]],
+        ids=repr,
+    )
+    def test_rejects_probabilities_outside_unit_interval(self, probs):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            realize_sample(probs, 2.0, 0)
+
+    def test_empty_probabilities(self):
+        plan = realize_sample(np.zeros(0), 2.0, 0)
+        assert plan.actual_count == 0 and plan.expected_count == 0.0
 
     def test_binomial_moments(self):
         # probs = 0.3, n = 10^4: mean count over 50 seeds within
