@@ -1,4 +1,4 @@
-"""Hot kernels: row p-norms, probability ratios, counter RNG, IRLS weights.
+"""Hot kernels: row p-norms, probability ratios, counter RNG, smoothed power weights.
 
 Each kernel allocates one working array (the ``np.abs`` result, the
 scaled ratios, the counter array, ``r*r``) and does the rest of its work
@@ -11,8 +11,10 @@ take the unscaled sum of squares in one pass over the input, with no
 ``np.abs`` copy.  Only a sum outside ``[_SQ_LO, _SQ_HI]`` (overflowed,
 possibly underflowed, zero or NaN) is redone by the max-scaled code the
 other exponents use, so the result is as exact as the scaled one.
-Non-finite input follows ``math.hypot``: an infinity gives inf, else a
-NaN gives NaN.
+
+Non-finite input follows ``math.hypot`` at every p: an infinity gives
+inf, else a NaN gives NaN.  Only a row whose max (at p=1, its sum) is not
+finite is looked at again, so finite input pays no extra pass.
 """
 import math
 
@@ -61,15 +63,13 @@ def pnorm(v, p):
             s = float(v @ v)
         if _SQ_LO <= s <= _SQ_HI:
             return math.sqrt(s)
-        if np.isinf(v).any():
-            return math.inf
     a = np.abs(v)
     if a.size == 0:
         return 0.0
-    if p == 1.0:
-        return float(a.sum())
-    m = float(a.max())
-    if m == 0.0 or np.isinf(p):
+    m = float(a.sum() if p == 1.0 else a.max())
+    if not math.isfinite(m):
+        return float(_nonfinite_norms(a[None, :])[0])
+    if p == 1.0 or m == 0.0 or np.isinf(p):
         return m
     a /= m
     if p == 2.0:
@@ -96,28 +96,38 @@ def row_pnorms(M, p):
         return np.sqrt(s, out=s)
     bad = np.flatnonzero(~((s >= _SQ_LO) & (s <= _SQ_HI)))
     out = np.sqrt(s, out=s)
-    R = M[bad]
-    with np.errstate(invalid="ignore"):  # inf / inf in rows holding inf
-        out[bad] = _scaled_row_pnorms(np.abs(R), 2.0)
-    out[bad[np.isnan(R).any(axis=1)]] = np.nan
-    out[bad[np.isinf(R).any(axis=1)]] = np.inf
+    out[bad] = _scaled_row_pnorms(np.abs(M[bad]), 2.0)
     return out
 
 
 def _scaled_row_pnorms(a, p):
     """Row p-norms of the nonnegative array a, each row divided in place
-    by its own max; a row whose max is 0 or NaN reads 0."""
-    if p == 1.0:
-        return a.sum(axis=1)
-    m = a.max(axis=1)
-    if np.isinf(p):
-        return m
-    a /= np.where(m > 0.0, m, 1.0)[:, None]
-    if p == 2.0:
-        out = np.sqrt(np.einsum("ij,ij->i", a, a))
+    by its own max; a row whose max is 0 reads 0.  Rows whose max (at p=1,
+    sum) is not finite are zeroed first and read _nonfinite_norms."""
+    m = a.sum(axis=1) if p == 1.0 else a.max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        nonfinite = _nonfinite_norms(a[bad])
+        a[bad] = 0.0
+        m[bad] = 0.0
+    if p == 1.0 or np.isinf(p):
+        out = m
     else:
-        out = _pow_inplace(a, p).sum(axis=1) ** (1.0 / p)
-    return np.where(m > 0.0, m * out, 0.0)
+        a /= np.where(m > 0.0, m, 1.0)[:, None]
+        if p == 2.0:
+            out = np.sqrt(np.einsum("ij,ij->i", a, a))
+        else:
+            out = _pow_inplace(a, p).sum(axis=1) ** (1.0 / p)
+        out = np.where(m > 0.0, m * out, 0.0)
+    if bad.size:
+        out[bad] = nonfinite
+    return out
+
+
+def _nonfinite_norms(R):
+    """Norms of rows that hold inf or NaN, or whose finite sum overflowed,
+    as math.hypot gives them: NaN for a row with a NaN and no inf, else inf."""
+    return np.where(np.isnan(R).any(axis=1) & ~np.isinf(R).any(axis=1), np.nan, np.inf)
 
 
 def powsum_ratios(vals, p):
@@ -157,7 +167,8 @@ def counter_uniforms(seed, n):
 
 
 def smoothed_power_weights(residuals, mu, p):
-    """IRLS weights (r_i^2 + mu^2)^((p-2)/2) for the smoothed p-th power loss."""
+    """Weights (r_i^2 + mu^2)^((p-2)/2) of the smoothed p-th power loss, from
+    which the solver builds its derivatives."""
     r = np.asarray(residuals, dtype=np.float64)
     w = r * r
     w += mu * mu

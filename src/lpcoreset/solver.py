@@ -2,10 +2,13 @@
 
 One solver covers all exponents: the p = 2 path is a direct QR
 least-squares solve, everything else minimizes the smoothed objective
-sum_i (rho_i^2 + mu^2)^(p/2) by damped iteratively reweighted least
-squares, driving mu down a geometric continuation ladder.  The problem
-is internally normalized by ||b||_p so tolerances and smoothing levels
-are scale-free.
+f = sum_i (rho_i^2 + mu^2)^(p/2) by damped Newton steps, driving mu down
+a geometric continuation ladder.  Each step is one weighted least-squares
+solve; a step is accepted by the Armijo test and a rung of the ladder
+ends when the Newton decrement falls below a fixed share of f (Boyd &
+Vandenberghe, Convex Optimization, 9.5), taking whole the step it has
+just solved for.  The problem is internally
+normalized by ||b||_p so tolerances and smoothing levels are scale-free.
 """
 import math
 from dataclasses import dataclass
@@ -18,14 +21,22 @@ from .kernels import smoothed_power_weights
 from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, vec_p_norm, _check_exponent
 
 _MAX_HALVINGS = 40
+# a rung of the mu ladder ends once the Newton decrement -grad.dx falls
+# to this share of the smoothed objective
+_DECREMENT_TOL = 2e-12
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration and smoothing knobs.
 
-    smoothing_mu0 / mu_min default to 0.1*||b||_p/sqrt(n) and
-    1e-8*||b||_p/sqrt(n) when None.
+    At p != 2, max_iters caps the Newton steps on each rung of the mu
+    ladder, which runs from smoothing_mu0 down to mu_min by factors of
+    smoothing_shrink (one rung at mu_min for p > 2).  smoothing_mu0 /
+    mu_min default to 0.1*||b||_p/sqrt(n) and 1e-8*||b||_p/sqrt(n) when
+    None.  grad_tol sets the converged flag of a p = 2 solve and the
+    stall test of solve_constrained; at p != 2 a rung ends by the Newton
+    decrement test instead.
     """
 
     max_iters: int = 500
@@ -46,6 +57,11 @@ DEFAULT_OPTIONS = SolverOptions()
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """converged: at p != 2, the last rung of the mu ladder ended by the
+    Newton decrement test; kkt_residual is the smoothed gradient norm at
+    that rung's last point, relative to max(1, ||A^T b||) after
+    normalizing b."""
+
     x: np.ndarray
     objective: float
     iterations: int
@@ -86,8 +102,8 @@ def _residual(A, x, b, out):
 
 def _lstsq(A, b, check_finite=False):
     """Least squares by gelsy.  Callers pass arrays that as_matrix and
-    as_vector have validated; the IRLS steps, whose weights are computed,
-    ask for scipy's finiteness check."""
+    as_vector have validated; the Newton steps, whose weights are
+    computed, ask for scipy's finiteness check."""
     x, _, _, _ = scipy.linalg.lstsq(
         A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy", check_finite=check_finite
     )
@@ -97,8 +113,8 @@ def _lstsq(A, b, check_finite=False):
 def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
     """Minimize ||Ax - b||_p.
 
-    p = 2 solves in closed form; otherwise smoothed IRLS with
-    mu-continuation and step halving.  For p = 1 the minimizer may be any
+    p = 2 solves in closed form; otherwise damped Newton on the smoothed
+    objective with mu-continuation.  For p = 1 the minimizer may be any
     point of the optimal face; the objective is what is controlled.
     """
     A = as_matrix(A)
@@ -157,39 +173,57 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
     scratch = np.empty(n)
 
     total_iters = 0
-    converged = False
-    kkt = math.inf
     for mu in ladder:
+        mu2 = mu * mu
         _residual(A, x, bs, rho)
         f = _smoothed_objective(rho, mu, p, scratch)
+        converged = False
         for _ in range(opts.max_iters):
             total_iters += 1
+            # phi' = p*r*w and phi'' = p*w*h/q with q = r^2 + mu^2,
+            # w = q^((p-2)/2) and h = (p-1)*r^2 + mu^2, formed directly
+            # because q - (2-p)*r^2 cancels to 0 at p = 1.  The Newton step
+            # solves sqrt(phi'')*A dx = -phi'/sqrt(phi'') in least squares;
+            # the common factor p cancels from it.
             sw = smoothed_power_weights(rho, mu, p)
+            np.multiply(rho, rho, out=scratch)
+            np.add(scratch, mu2, out=rho_try)
+            scratch *= p - 1.0
+            scratch += mu2
+            scratch /= rho_try
+            np.sqrt(scratch, out=scratch)  # sqrt(h/q)
             np.sqrt(sw, out=sw)
-            np.multiply(A, sw[:, None], out=Aw)
-            np.multiply(bs, sw, out=bw)
-            dx = _lstsq(Aw, bw, check_finite=True) - x
+            np.multiply(rho, sw, out=bw)
+            bw /= scratch  # (phi'/p) / sqrt(phi''/p)
+            scratch *= sw  # sqrt(phi''/p)
+            np.multiply(A, scratch[:, None], out=Aw)
+            grad = p * (Aw.T @ bw)  # A^T phi'
+            dx = -_lstsq(Aw, bw, check_finite=True)
+            decrement = -float(grad @ dx)
+            if decrement <= _DECREMENT_TOL * f:
+                # the step is solved for already: taking it whole squares
+                # the error the stop leaves, unless rounding makes f rise
+                x_try = x + dx
+                if _smoothed_objective(_residual(A, x_try, bs, rho_try), mu, p, scratch) <= f:
+                    x = x_try
+                    rho, rho_try = rho_try, rho
+                converged = True
+                break
             t = 1.0
-            accepted = False
             for _ in range(_MAX_HALVINGS):
                 x_try = x + t * dx
                 f_try = _smoothed_objective(_residual(A, x_try, bs, rho_try), mu, p, scratch)
-                if f_try < f:
+                if f_try <= f - 0.25 * t * decrement:
                     x, f = x_try, f_try
                     rho, rho_try = rho_try, rho
-                    accepted = True
                     break
                 t *= 0.5
-            grad = _smoothed_gradient(A, rho, mu, p)
-            kkt = float(np.linalg.norm(grad)) / gscale
-            if kkt <= opts.grad_tol:
-                break
-            if not accepted:
+            else:
                 break
         true_obj = vec_p_norm(rho, p)
         if true_obj < best_true:
             best_true, best_x = true_obj, x.copy()
-    converged = kkt <= opts.grad_tol
+    kkt = float(np.linalg.norm(_smoothed_gradient(A, rho, mu, p))) / gscale
 
     x_out = s * best_x
     return SolveResult(

@@ -1,6 +1,7 @@
 """Kernels against their plain formulas, and the pinned counter RNG stream."""
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,32 @@ def test_p2_empty_inputs():
     assert kernels.pnorm(np.zeros(0), 2.0) == 0.0
     assert kernels.row_pnorms(np.zeros((0, 3)), 2.0).shape == (0,)
     np.testing.assert_array_equal(kernels.row_pnorms(np.zeros((2, 0)), 2.0), [0.0, 0.0])
+
+
+# Rows holding inf or NaN at the other exponents: math.hypot's rule (any
+# inf gives inf, else a NaN gives NaN) holds at every p.
+NONFINITE_ROWS = [
+    [np.nan, 1.0],
+    [np.inf, 1.0],
+    [1.0, -np.inf],
+    [np.nan, np.inf],
+    [-np.inf, np.nan],
+    [np.nan, np.nan],
+    [np.inf, -np.inf],
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+def test_nonfinite_norms_match_hypot(rng, p):
+    M = rng.standard_normal((30, 2))
+    picks = rng.choice(30, size=len(NONFINITE_ROWS), replace=False)
+    M[picks] = NONFINITE_ROWS
+    plain = np.setdiff1d(np.arange(30), picks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.row_pnorms(M, p)
+        for row in NONFINITE_ROWS:
+            _assert_ulps(kernels.pnorm(np.array(row), p), math.hypot(*row))
+    _assert_ulps(got[picks], [math.hypot(*r) for r in NONFINITE_ROWS])
+    # the finite rows keep the values they have without their neighbours
+    np.testing.assert_array_equal(got[plain], kernels.row_pnorms(M[plain], p))

@@ -6,10 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.optimize import linprog
 
 import lpcoreset
 from lpcoreset.errors import ZeroRankError
 from lpcoreset.linalg import vec_p_norm
+from lpcoreset.pipeline import make_instance_arrays
 from lpcoreset.solver import (
     SolverOptions,
     objective_gradient_check,
@@ -40,6 +43,22 @@ def grid_scan_2d(A, b, p, lo, hi, step):
         if objs[j] < best[1]:
             best = (np.array([x0, axis[j]]), objs[j])
     return best[0], best[1] ** (1.0 / p)
+
+
+def highs_l1_optimum(A, b):
+    """min ||Ax - b||_1 as the linear program min sum t, -t <= Ax - b <= t,
+    solved by HiGHS and read back as the l1 residual of its x."""
+    n, m = A.shape
+    S, eye = scipy.sparse.csr_matrix(A), scipy.sparse.identity(n, format="csr")
+    res = linprog(
+        np.concatenate([np.zeros(m), np.ones(n)]),
+        A_ub=scipy.sparse.vstack([scipy.sparse.hstack([S, -eye]), scipy.sparse.hstack([-S, -eye])]),
+        b_ub=np.concatenate([b, -b]),
+        bounds=[(None, None)] * m + [(0.0, None)] * n,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return vec_p_norm(A @ res.x[:m] - b, 1.0)
 
 
 class TestBasicSolves:
@@ -98,6 +117,15 @@ class TestBasicSolves:
         assert res.kkt_residual <= 1e-8
 
 
+    def test_converged_flag_needs_the_decrement_test(self, rng):
+        # one Newton step per rung leaves the last decrement above its bound
+        A = rng.standard_normal((30, 3))
+        b = rng.standard_t(2.0, 30)
+        for p in (1.0, 3.0):
+            assert solve_lp_regression(A, b, p).converged
+            assert not solve_lp_regression(A, b, p, SolverOptions(max_iters=1)).converged
+
+
 class TestAgainstOracles:
     def test_p2_vs_normal_equations(self, rng):
         for _ in range(25):
@@ -137,6 +165,38 @@ class TestAgainstOracles:
             for _ in range(10)
         ]
         assert (max(objs) - min(objs)) / min(objs) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "n, d, noise, seed", [(2000, 8, "sparse-gross", 0), (2000, 3, "gaussian", 1)]
+    )
+    def test_l1_matches_highs(self, n, d, noise, seed):
+        A, b, _ = make_instance_arrays(n, d, noise_model=noise, seed=seed)
+        z_lp = highs_l1_optimum(A, b)
+        res = solve_lp_regression(A, b, 1.0)
+        assert res.converged
+        assert abs(res.objective - z_lp) <= 1e-9 * z_lp
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_first_order_optimality(self, rng, p):
+        # the gradient of the unsmoothed ||Ax - b||_p^p against the size of
+        # the terms it sums: at most 2e-8 here (smoothing at mu_min bounds it
+        # at p < 2), 0.06-0.4 at the least-squares start
+        cases = [make_instance_arrays(2000, 8, seed=2)[:2]]
+        cases.append((rng.standard_normal((500, 5)), rng.standard_t(2.0, 500)))
+        for A, b in cases:
+            res = solve_lp_regression(A, b, p)
+            rho = A @ res.x - b
+            terms = np.abs(rho) ** (p - 1.0)
+            grad = A.T @ (np.sign(rho) * terms)
+            assert res.converged
+            assert np.linalg.norm(grad) <= 1e-6 * np.linalg.norm(np.abs(A).T @ terms)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_newton_converges_in_few_steps(self, p):
+        A, b, _ = make_instance_arrays(20000, 8, seed=1)
+        res = solve_lp_regression(A, b, p)
+        assert res.converged
+        assert res.iterations <= 35
 
     def test_continuation_no_worse_than_single_stage(self, rng):
         A = rng.standard_normal((40, 3))
