@@ -5,7 +5,9 @@ Pipeline: build a well-conditioned basis for span(A) (QR + ellipsoidal
 rounding), sample rows by basis leverage (constant-factor stage), then
 resample by the stage-1 residual (relative-error stage).  The realized
 stage-2 rows form a coreset: re-solving on them reproduces the reported
-solution.
+solution.  two_stage_solve runs it for every RegressionInstance: vector
+or matrix right-hand side, weighted (stored row-scaled by w_i^(1/p)) or
+not.
 """
 from .conditioning import (
     RoundingResult,
@@ -36,7 +38,6 @@ from .pipeline import (
     SolveReport,
     StageOutcome,
     derive_seed,
-    generalized_two_stage,
     guarantee_statistics,
     make_instance_arrays,
     reference_instance,
@@ -45,7 +46,6 @@ from .pipeline import (
     stage_one,
     stage_two,
     two_stage_solve,
-    weighted_two_stage,
 )
 from .sampling import (
     SamplerConfig,

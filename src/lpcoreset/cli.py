@@ -19,7 +19,6 @@ from .pipeline import (
     single_stage_augmented_solve,
     single_stage_oracle_solve,
     two_stage_solve,
-    weighted_two_stage,
 )
 from .sampling import EPSILON_GUARANTEE_LIMIT, SamplerConfig, r2_default
 from .solver import solve_lp_regression
@@ -96,16 +95,16 @@ def _check_cli_epsilon(epsilon):
 
 
 def _cmd_solve(args):
+    if args.variant == "weighted" and not args.weights:
+        raise _UsageError("--variant weighted requires --weights")
+    if args.variant != "weighted" and args.weights is not None:
+        raise _UsageError("--weights goes only with --variant weighted")
     A = load_matrix(args.input)
     if args.variant == "generalized":
         b = load_matrix(args.rhs)
     else:
         b = load_vector(args.rhs)
-    weights = None
-    if args.variant == "weighted":
-        if not args.weights:
-            raise _UsageError("--variant weighted requires --weights")
-        weights = load_vector(args.weights)
+    weights = load_vector(args.weights) if args.variant == "weighted" else None
     inst = RegressionInstance(A=A, b=b, p=args.p, weights=weights)
     cfg = SamplerConfig(
         p=args.p,
@@ -114,29 +113,20 @@ def _cmd_solve(args):
         r1_scale=args.r1_scale,
         r2_scale=args.r2_scale,
     )
-    if args.variant == "two-stage" or args.variant == "generalized":
-        report = two_stage_solve(
-            inst,
-            cfg,
-            args.seed,
-            compute_exact=args.exact,
-            stages=args.stages,
-            variant=args.variant,
-        )
-    elif args.variant == "weighted":
-        report = weighted_two_stage(
-            inst, cfg, args.seed, compute_exact=args.exact, stages=args.stages
-        )
-    elif args.variant == "oracle":
+    if args.variant == "oracle":
         x_ref = solve_lp_regression(inst.A, inst.b, inst.p).x
         r = min(r2_default(cfg, strict=False), float(inst.n))
         report = single_stage_oracle_solve(
             inst, x_ref, cfg, r, args.seed, compute_exact=args.exact
         )
-    else:  # augmented
+    elif args.variant == "augmented":
         r = min(r2_default(cfg, strict=False), float(inst.n))
         report = single_stage_augmented_solve(
             inst, cfg, r, args.seed, compute_exact=args.exact
+        )
+    else:  # two-stage, generalized or weighted: the instance says which
+        report = two_stage_solve(
+            inst, cfg, args.seed, compute_exact=args.exact, stages=args.stages
         )
     text = emit_report(report, args.output)
     if args.output is None:

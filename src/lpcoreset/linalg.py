@@ -58,13 +58,6 @@ def mat_entrywise_p_norm(M, p):
     return kernels.pnorm(np.asarray(M, dtype=np.float64).ravel(), float(p))
 
 
-def row_p_norms(M, p):
-    """Vector of p-norms of the rows of M."""
-    if not math.isinf(p):
-        _check_exponent(p)
-    return kernels.row_pnorms(np.asarray(M, dtype=np.float64), float(p))
-
-
 def dual_exponent(p):
     """q with 1/p + 1/q = 1; p = 1 maps to +inf (max-norm dispatch)."""
     _check_exponent(p)

@@ -3,9 +3,12 @@
 Stage 1 samples rows by the p-norm leverage of a well-conditioned basis
 and solves the sampled subproblem (a constant-factor approximation);
 stage 2 resamples using the stage-1 residual and solves again (a
-relative-error approximation).  Single-stage variants (oracle
-probabilities, augmented-matrix sampling) and the generalized (matrix
-right-hand side) and weighted flavors reduce onto the same machinery.
+relative-error approximation).  two_stage_solve is the one entry point
+for the paper's algorithm: a weighted instance is stored row-scaled by
+w_i^(1/p), so it is a plain instance to every stage, and a matrix
+right-hand side changes only the residual norm.  The single-stage
+variants (oracle probabilities, augmented-matrix sampling) run on the
+same machinery.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -38,7 +41,7 @@ from .sampling import (
     stage1_probabilities,
     stage2_probabilities,
 )
-from .solver import DEFAULT_OPTIONS, solve_lp_regression, solve_multi_rhs
+from .solver import row_scaled, solve_lp_regression, solve_multi_rhs
 
 _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
@@ -60,7 +63,10 @@ class RegressionInstance:
     """An overconstrained lp regression problem.
 
     b may be a vector or a matrix (generalized, multiple right-hand
-    sides); weights, when present, define the weighted p-norm objective.
+    sides); weights, when present, define the weighted p-norm objective,
+    and A and b are then stored row-scaled by w_i^(1/p) (see
+    solver.row_scaled), so every solve and report of the instance is of
+    the weighted problem.
     A is factored once, at construction: factors is its thin QR (see
     linalg.qr_thin) and d = factors.rank its numeric rank.  Conditioning
     A reuses factors instead of factoring A again, so the instance keeps
@@ -84,10 +90,7 @@ class RegressionInstance:
             raise InvalidConfigError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             self.weights = as_vector(self.weights)
-            if self.weights.shape != (self.A.shape[0],):
-                raise ValueError("weights length does not match A")
-            if np.any(self.weights < 0.0):
-                raise ValueError("weights must be nonnegative")
+            self.A, self.b = row_scaled(self.A, self.b, self.weights, self.p)
         try:
             self.factors = _qr_factors(self.A)
         except ZeroRankError:
@@ -153,15 +156,15 @@ def _objective(resid, p):
     return mat_entrywise_p_norm(resid, p) if resid.ndim == 2 else vec_p_norm(resid, p)
 
 
-def _solve_subproblem(SA, Sb, p, opts):
+def _solve_subproblem(SA, Sb, p):
     if Sb.ndim == 2:
-        X = solve_multi_rhs(SA, Sb, p, opts)
+        X = solve_multi_rhs(SA, Sb, p)
         return X, _objective(SA @ X - Sb, p)
-    res = solve_lp_regression(SA, Sb, p, opts)
+    res = solve_lp_regression(SA, Sb, p)
     return res.x, res.objective
 
 
-def _sample_and_solve(inst, probs, stage, seed, opts):
+def _sample_and_solve(inst, probs, stage, seed):
     """Realize a plan (retrying on rank-deficient samples), solve it, and
     evaluate the solution on the full data."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
@@ -176,7 +179,7 @@ def _sample_and_solve(inst, probs, stage, seed, opts):
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
-        x, sampled_obj = _solve_subproblem(SA, Sb, inst.p, opts)
+        x, sampled_obj = _solve_subproblem(SA, Sb, inst.p)
         residual = inst.A @ x
         residual -= inst.b
         return StageOutcome(
@@ -195,7 +198,7 @@ def _sample_and_solve(inst, probs, stage, seed, opts):
     )
 
 
-def stage_one(inst, cfg, seed, basis=None, opts=DEFAULT_OPTIONS):
+def stage_one(inst, cfg, seed, basis=None):
     """Leverage-based sampling stage at size r1.
 
     The min(1, .) clamp already bounds every probability, so oversized r1
@@ -204,10 +207,10 @@ def stage_one(inst, cfg, seed, basis=None, opts=DEFAULT_OPTIONS):
     if basis is None:
         basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     probs = stage1_probabilities(basis, r1_default(cfg))
-    return _sample_and_solve(inst, probs, 1, seed, opts)
+    return _sample_and_solve(inst, probs, 1, seed)
 
 
-def stage_two(inst, stage1_out, cfg, seed, opts=DEFAULT_OPTIONS):
+def stage_two(inst, stage1_out, cfg, seed):
     """Residual-refined resampling stage at size r2 (capped at n).
 
     A numerically zero stage-1 residual short-circuits: the stage-1
@@ -227,18 +230,15 @@ def stage_two(inst, stage1_out, cfg, seed, opts=DEFAULT_OPTIONS):
         )
     r2 = r2_default(cfg, strict=False)
     probs = stage2_probabilities(stage1_out.plan.probs, rho, inst.p, r2)
-    return _sample_and_solve(inst, probs, 2, seed, opts)
+    return _sample_and_solve(inst, probs, 2, seed)
 
 
-def _exact_solve(inst, opts, cell_cap):
+def _exact_objective(inst):
+    """The full problem's optimum, or None above _EXACT_CELL_CAP cells."""
     cols = inst.b.shape[1] if inst.is_generalized else 1
-    if inst.n * inst.m * cols > cell_cap:
-        return None, None
-    if inst.is_generalized:
-        X = solve_multi_rhs(inst.A, inst.b, inst.p, opts)
-        return X, _objective(inst.A @ X - inst.b, inst.p)
-    res = solve_lp_regression(inst.A, inst.b, inst.p, opts)
-    return res.x, res.objective
+    if inst.n * inst.m * cols > _EXACT_CELL_CAP:
+        return None
+    return _solve_subproblem(inst.A, inst.b, inst.p)[1]
 
 
 def _ratio(final_obj, Z):
@@ -278,7 +278,7 @@ def _timed(report, key):
     report.timings_ms[key] = (time.perf_counter() - t0) * 1000.0
 
 
-def _run_stages(report, inst, seed, matrix, stages, compute_exact, opts, cell_cap, basis=None):
+def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None):
     """The pipeline body every variant shares.
 
     Conditions matrix (unless a basis is supplied; inst.A through the
@@ -309,58 +309,45 @@ def _run_stages(report, inst, seed, matrix, stages, compute_exact, opts, cell_ca
         report.coreset_scales = np.array([])
     if compute_exact:
         with _timed(report, "exact"):
-            _, Z = _exact_solve(inst, opts, cell_cap)
+            Z = _exact_objective(inst)
         if Z is not None:
             report.Z_exact = Z
             report.approx_ratio = _ratio(out.full_objective, Z)
     return report
 
 
-def _one_shot(inst, opts, probabilities):
+def _one_shot(inst, probabilities):
     """A single-stage step: sample by probabilities(basis) and solve."""
-    return lambda basis, _, seed: _sample_and_solve(inst, probabilities(basis), 1, seed, opts)
+    return lambda basis, _, seed: _sample_and_solve(inst, probabilities(basis), 1, seed)
 
 
-def two_stage_solve(
-    inst,
-    cfg,
-    seed,
-    compute_exact=False,
-    stages=2,
-    opts=DEFAULT_OPTIONS,
-    basis=None,
-    exact_cell_cap=_EXACT_CELL_CAP,
-    variant="two-stage",
-):
+def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2, basis=None):
     """Run the sampling pipeline end to end and assemble a report.
 
-    stages=1 stops after the constant-factor stage.  compute_exact adds
-    the full-problem optimum and the approximation ratio when the
-    instance is small enough (n*m <= exact_cell_cap, overridable).
+    Serves vector and matrix right-hand sides and weighted instances
+    alike; config["variant"] names which ("weighted", "generalized" or
+    "two-stage").  stages=1 stops after the constant-factor stage.
+    compute_exact adds the full-problem optimum and the approximation
+    ratio when the instance is small enough (n*m*columns <= 10^7).
     Stage failures produce a status="failed" report, never an exception.
     """
     if stages not in (1, 2):
         raise InvalidConfigError("stages must be 1 or 2")
+    if inst.weights is not None:
+        variant = "weighted"
+    elif inst.is_generalized:
+        variant = "generalized"
+    else:
+        variant = "two-stage"
     report = _base_report(inst, cfg, seed, variant, {"stages": stages})
     steps = [
-        ("stage1", lambda basis, _, s: stage_one(inst, cfg, s, basis, opts)),
-        ("stage2", lambda _, st1, s: stage_two(inst, st1, cfg, s, opts)),
+        ("stage1", lambda basis, _, s: stage_one(inst, cfg, s, basis)),
+        ("stage2", lambda _, st1, s: stage_two(inst, st1, cfg, s)),
     ]
-    return _run_stages(
-        report, inst, seed, inst.A, steps[:stages], compute_exact, opts, exact_cell_cap, basis
-    )
+    return _run_stages(report, inst, seed, inst.A, steps[:stages], compute_exact, basis)
 
 
-def single_stage_oracle_solve(
-    inst,
-    x_ref,
-    cfg,
-    r,
-    seed,
-    compute_exact=False,
-    opts=DEFAULT_OPTIONS,
-    exact_cell_cap=_EXACT_CELL_CAP,
-):
+def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
     """One-shot sampling from reference-solution probabilities.
 
     x_ref is supplied externally (typically the exact optimum); its
@@ -371,23 +358,11 @@ def single_stage_oracle_solve(
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
     rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
     Z_ref = vec_p_norm(rho_ref, inst.p)
-    step = _one_shot(
-        inst, opts, lambda basis: oracle_probabilities(basis, rho_ref, Z_ref, float(r))
-    )
-    return _run_stages(
-        report, inst, seed, inst.A, [("oracle", step)], compute_exact, opts, exact_cell_cap
-    )
+    step = _one_shot(inst, lambda basis: oracle_probabilities(basis, rho_ref, Z_ref, float(r)))
+    return _run_stages(report, inst, seed, inst.A, [("oracle", step)], compute_exact)
 
 
-def single_stage_augmented_solve(
-    inst,
-    cfg,
-    r,
-    seed,
-    compute_exact=False,
-    opts=DEFAULT_OPTIONS,
-    exact_cell_cap=_EXACT_CELL_CAP,
-):
+def single_stage_augmented_solve(inst, cfg, r, seed, compute_exact=False):
     """One-shot sampling by row norms of a basis for the stacked [A b].
 
     Conditioning the augmented matrix folds the right-hand side's
@@ -397,43 +372,8 @@ def single_stage_augmented_solve(
         raise InvalidConfigError("augmented sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "augmented", {"r": float(r)})
     aug = np.column_stack([inst.A, inst.b])
-    step = _one_shot(inst, opts, lambda basis: stage1_probabilities(basis, float(r)))
-    return _run_stages(
-        report, inst, seed, aug, [("augmented", step)], compute_exact, opts, exact_cell_cap
-    )
-
-
-def generalized_two_stage(inst, cfg, seed, **kwargs):
-    """Two-stage solve for a matrix right-hand side.
-
-    Stage-1 probabilities are unchanged; stage 2 keys on row p-norms of
-    the residual matrix.  A single-column B reproduces the vector
-    pipeline exactly.
-    """
-    if not inst.is_generalized:
-        raise InvalidConfigError("generalized_two_stage expects a matrix right-hand side")
-    kwargs.setdefault("variant", "generalized")
-    return two_stage_solve(inst, cfg, seed, **kwargs)
-
-
-def weighted_two_stage(inst, cfg, seed, **kwargs):
-    """Two-stage solve under the weighted p-norm.
-
-    Row-scales A and b by w_i^(1/p): the weighted objective of the
-    original instance equals the plain objective of the scaled one, and
-    the weighted sampling formulas coincide with the plain formulas on
-    the scaled basis.  Unit weights reduce bitwise to two_stage_solve.
-    """
-    if inst.weights is None:
-        raise InvalidConfigError("weighted_two_stage requires instance weights")
-    w = inst.weights
-    if not np.any(w > 0.0):
-        raise ValueError("at least one weight must be positive")
-    scale = w ** (1.0 / inst.p)
-    b = inst.b * (scale[:, None] if inst.is_generalized else scale)
-    scaled = RegressionInstance(A=inst.A * scale[:, None], b=b, p=inst.p)
-    kwargs.setdefault("variant", "weighted")
-    return two_stage_solve(scaled, cfg, seed, **kwargs)
+    step = _one_shot(inst, lambda basis: stage1_probabilities(basis, float(r)))
+    return _run_stages(report, inst, seed, aug, [("augmented", step)], compute_exact)
 
 
 GUARANTEE_LEGEND = {
@@ -445,13 +385,7 @@ GUARANTEE_LEGEND = {
 }
 
 
-def guarantee_statistics(
-    inst,
-    cfg,
-    n_seeds,
-    master_seed=0,
-    opts=DEFAULT_OPTIONS,
-):
+def guarantee_statistics(inst, cfg, n_seeds, master_seed=0):
     """Empirical frequencies of the stagewise approximation guarantees.
 
     Runs the two-stage pipeline for n_seeds independent seeds on one
@@ -464,7 +398,7 @@ def guarantee_statistics(
     if n_seeds < 1:
         raise InvalidConfigError(f"guarantee statistics need n_seeds >= 1, got {n_seeds}")
     basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
-    exact = solve_lp_regression(inst.A, inst.b, inst.p, opts)
+    exact = solve_lp_regression(inst.A, inst.b, inst.p)
     Z = exact.objective
     rho_opt = inst.A @ exact.x - inst.b
     probs1 = stage1_probabilities(basis, r1_default(cfg))
@@ -472,10 +406,10 @@ def guarantee_statistics(
 
     def run(k):
         s = derive_seed(master_seed, f"seed:{k}")
-        st1 = _sample_and_solve(inst, probs1, 1, derive_seed(s, "stage1"), opts)
+        st1 = _sample_and_solve(inst, probs1, 1, derive_seed(s, "stage1"))
         ev_a = vec_p_norm(apply_plan(st1.plan, rho_opt), inst.p) <= 3.0 * Z * pad
         ev_b = st1.full_objective <= 8.0 * Z * pad
-        st2 = stage_two(inst, st1, cfg, derive_seed(s, "stage2"), opts)
+        st2 = stage_two(inst, st1, cfg, derive_seed(s, "stage2"))
         if st2.plan is None:
             ev_c = True
         else:

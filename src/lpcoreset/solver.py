@@ -24,6 +24,11 @@ _MAX_HALVINGS = 40
 # a rung of the mu ladder ends once the Newton decrement -grad.dx falls
 # to this share of the smoothed objective
 _DECREMENT_TOL = 2e-12
+# sets the converged flag of a p = 2 solve and the stall test of
+# solve_constrained
+_GRAD_TOL = 1e-8
+# ratio between successive rungs of the mu ladder
+_SMOOTHING_SHRINK = 0.1
 
 
 @dataclass(frozen=True)
@@ -31,25 +36,19 @@ class SolverOptions:
     """Iteration and smoothing knobs.
 
     At p != 2, max_iters caps the Newton steps on each rung of the mu
-    ladder, which runs from smoothing_mu0 down to mu_min by factors of
-    smoothing_shrink (one rung at mu_min for p > 2).  smoothing_mu0 /
-    mu_min default to 0.1*||b||_p/sqrt(n) and 1e-8*||b||_p/sqrt(n) when
-    None.  grad_tol sets the converged flag of a p = 2 solve and the
-    stall test of solve_constrained; at p != 2 a rung ends by the Newton
-    decrement test instead.
+    ladder, which runs from smoothing_mu0 down to mu_min by factors of 10
+    (one rung at mu_min for p > 2); a rung ends by the Newton decrement
+    test.  smoothing_mu0 / mu_min default to 0.1*||b||_p/sqrt(n) and
+    1e-8*||b||_p/sqrt(n) when None.
     """
 
     max_iters: int = 500
-    grad_tol: float = 1e-8
     smoothing_mu0: float | None = None
-    smoothing_shrink: float = 0.1
     mu_min: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0.0:
-            raise ValueError("max_iters and grad_tol must be positive")
-        if not (0.0 < self.smoothing_shrink < 1.0):
-            raise ValueError("smoothing_shrink must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -136,7 +135,7 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
             x=x,
             objective=vec_p_norm(rho, 2.0),
             iterations=1,
-            converged=kkt <= opts.grad_tol,
+            converged=kkt <= _GRAD_TOL,
             kkt_residual=kkt,
         )
 
@@ -156,7 +155,7 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
     else:
         ladder = [mu0]
         while ladder[-1] > mu_min:
-            ladder.append(max(ladder[-1] * opts.smoothing_shrink, mu_min))
+            ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
 
     x = x0 / s if x0 is not None else _lstsq(A, bs)
     x = np.asarray(x, dtype=np.float64)
@@ -235,21 +234,29 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
     )
 
 
-def solve_weighted(A, b, p, weights, opts=DEFAULT_OPTIONS):
-    """Minimize the weighted norm (sum_i w_i |rho_i|^p)^(1/p).
+def row_scaled(A, b, weights, p):
+    """A and b (a vector or a matrix) with row i scaled by w_i^(1/p).
 
-    Row-scales A and b by w_i^(1/p) and delegates; unit weights reduce
-    exactly to the unweighted solve.
+    The plain p-norm objective of the scaled problem is the weighted
+    objective (sum_i w_i |rho_i|^p)^(1/p) of the original one, so every
+    unweighted solver and sampler serves weighted problems through it.
+    Unit weights leave A and b bitwise unchanged.
     """
     w = as_vector(weights)
+    if w.shape != (A.shape[0],):
+        raise ValueError("weights length does not match A")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if not np.any(w > 0.0):
         raise ValueError("at least one weight must be positive")
-    A = as_matrix(A)
-    b = as_vector(b)
     scale = w ** (1.0 / p)
-    return solve_lp_regression(A * scale[:, None], b * scale, p, opts)
+    return A * scale[:, None], b * (scale[:, None] if b.ndim == 2 else scale)
+
+
+def solve_weighted(A, b, p, weights, opts=DEFAULT_OPTIONS):
+    """Minimize the weighted norm (sum_i w_i |rho_i|^p)^(1/p) by solving
+    the row-scaled problem (see row_scaled)."""
+    return solve_lp_regression(*row_scaled(as_matrix(A), as_vector(b), weights, p), p, opts)
 
 
 def solve_multi_rhs(A, B, p, opts=DEFAULT_OPTIONS):
@@ -310,7 +317,7 @@ def solve_constrained(A, b, p, project, opts=DEFAULT_OPTIONS):
         window.append(best_f)
         if len(window) > 20:
             window.pop(0)
-            if window[0] - window[-1] <= opts.grad_tol * max(1.0, best_f):
+            if window[0] - window[-1] <= _GRAD_TOL * max(1.0, best_f):
                 converged = True
                 break
         if step < 1e-15 * max(1.0, np.linalg.norm(best_x)):

@@ -5,6 +5,7 @@ lines and timings.
 """
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -312,7 +313,7 @@ def test_criterion_7_reductions():
 
     winst = lc.RegressionInstance(A=inst.A, b=inst.b, p=1.5, weights=np.ones(400))
     plain = lc.two_stage_solve(inst, cfg, seed=3, compute_exact=True)
-    weighted = lc.weighted_two_stage(winst, cfg, seed=3, compute_exact=True)
+    weighted = lc.two_stage_solve(winst, cfg, seed=3, compute_exact=True)
     from lpcoreset.io import report_to_dict
 
     def payload(rep):
@@ -324,7 +325,7 @@ def test_criterion_7_reductions():
     ok_weighted = payload(plain) == payload(weighted)
 
     minst = lc.RegressionInstance(A=inst.A, b=inst.b[:, None], p=1.5)
-    gen = lc.generalized_two_stage(minst, cfg, seed=3, compute_exact=True)
+    gen = lc.two_stage_solve(minst, cfg, seed=3, compute_exact=True)
     ok_gen = (
         np.array_equal(gen.coreset_indices, plain.coreset_indices)
         and abs(gen.final_objective - plain.final_objective)
@@ -370,7 +371,7 @@ def test_criterion_8_determinism(tmp_path):
     for name in ("r1.json", "r2.json"):
         out = str(tmp_path / name)
         assert run_cli(solve_args + ["--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         doc.pop("timings_ms", None)
         texts.append(json_dumps(doc))
     ok_solve = texts[0] == texts[1]
@@ -394,7 +395,7 @@ def test_criterion_8_determinism(tmp_path):
             )
             == 0
         )
-        bench_texts.append(open(f"{out}/bench.json").read())
+        bench_texts.append(pathlib.Path(out, "bench.json").read_text())
     ok_bench = bench_texts[0] == bench_texts[1]
     elapsed = time.perf_counter() - t0
     gate(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -247,7 +248,7 @@ class TestGenerate:
         _, _, meta_path = generate_instance(
             200, 2, 1.0, "sparse-gross", 0.1, 3, str(tmp_path / "g")
         )
-        meta = json.loads(open(meta_path).read())
+        meta = json.loads(pathlib.Path(meta_path).read_text())
         assert len(meta["corrupted_rows"]) == 20
         assert meta["x_star"] == [1.0, 1.0]
 
@@ -371,7 +372,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert doc["approx_ratio"] >= 1.0 - 1e-10
 
     def test_full_sampling_ratio_one(self, instance_files, tmp_path):
@@ -390,7 +391,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert doc["approx_ratio"] <= 1.0 + 1e-6
 
     def test_stage1_only(self, instance_files, tmp_path):
@@ -407,7 +408,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert "stage2" not in doc
         assert "coreset_indices" in doc["stage1"]
 
@@ -425,7 +426,8 @@ class TestCli:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert run_cli(args + ["--output", out1]) == 0
         assert run_cli(args + ["--output", out2]) == 0
-        assert canonical(open(out1).read()) == canonical(open(out2).read())
+        texts = [pathlib.Path(out).read_text() for out in (out1, out2)]
+        assert canonical(texts[0]) == canonical(texts[1])
 
     def test_weighted_variant(self, instance_files, tmp_path):
         w_path = str(tmp_path / "w.csv")
@@ -445,6 +447,25 @@ class TestCli:
             ]
         )
         assert code == 0
+        assert json.loads(pathlib.Path(out).read_text())["config"]["variant"] == "weighted"
+
+    @pytest.mark.parametrize("variant", ["two-stage", "generalized", "oracle", "augmented"])
+    def test_weights_outside_weighted_variant_is_usage_error(self, tmp_path, capsys, variant):
+        # none of the files exists: the flags are rejected before any is read
+        code = run_cli(
+            [
+                "solve",
+                "--input", str(tmp_path / "A.csv"),
+                "--rhs", str(tmp_path / "b.csv"),
+                "--p", "1.5",
+                "--variant", variant,
+                "--weights", str(tmp_path / "w.csv"),
+            ]
+        )
+        assert code == 1
+        assert "usage error: --weights goes only with --variant weighted" in (
+            capsys.readouterr().err
+        )
 
     def test_oracle_and_augmented_variants(self, instance_files, tmp_path):
         for variant in ("oracle", "augmented"):
@@ -462,7 +483,7 @@ class TestCli:
                 ]
             )
             assert code == 0
-            doc = json.loads(open(out).read())
+            doc = json.loads(pathlib.Path(out).read_text())
             assert doc["config"]["variant"] == variant
             assert doc["approx_ratio"] >= 1.0 - 1e-10
 
@@ -490,7 +511,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        agg = json.loads(open(os.path.join(out, "bench.json")).read())
+        agg = json.loads(pathlib.Path(out, "bench.json").read_text())
         for key in ("p=1", "p=2"):
             freqs = agg["results"][key]["statistics"]["frequencies"]
             assert set(freqs) == set("abcde")
@@ -514,7 +535,7 @@ class TestCli:
                     "--out", out,
                 ]
             ) == 0
-            outs.append(open(os.path.join(out, "bench.json")).read())
+            outs.append(pathlib.Path(out, "bench.json").read_text())
         assert outs[0] == outs[1]
 
     def test_bench_default_epsilon_is_accepted(self, tmp_path):
@@ -532,7 +553,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        agg = json.loads(open(os.path.join(out, "bench.json")).read())
+        agg = json.loads(pathlib.Path(out, "bench.json").read_text())
         assert agg["epsilon"] == 0.1
 
     def test_bench_zero_seeds_is_an_error(self, tmp_path, capsys):

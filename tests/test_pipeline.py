@@ -5,7 +5,6 @@ import scipy.linalg
 import lpcoreset as lc
 from lpcoreset.io import json_dumps, report_to_dict
 from lpcoreset.pipeline import _sample_and_solve, derive_seed
-from lpcoreset.solver import DEFAULT_OPTIONS
 
 
 def small_cfg(p, d=3, eps=0.5, s1=1e-4, s2=1e-4):
@@ -84,7 +83,7 @@ class TestRetries:
         g = np.random.default_rng(3)
         A = g.standard_normal((40, 3))
         inst = lc.RegressionInstance(A=A, b=g.standard_normal(40), p=2.0)
-        out = _sample_and_solve(inst, np.full(40, 0.08), 1, 3, DEFAULT_OPTIONS)
+        out = _sample_and_solve(inst, np.full(40, 0.08), 1, 3)
         assert out.attempts == 3  # first two realizations were rank-deficient
 
     def test_exhausted_retries_raise_with_diagnostics(self, rng):
@@ -92,7 +91,7 @@ class TestRetries:
         A = g.standard_normal((40, 3))
         inst = lc.RegressionInstance(A=A, b=g.standard_normal(40), p=2.0)
         with pytest.raises(lc.StageFailureError) as exc_info:
-            _sample_and_solve(inst, np.full(40, 1e-9), 1, 0, DEFAULT_OPTIONS)
+            _sample_and_solve(inst, np.full(40, 1e-9), 1, 0)
         diag = exc_info.value.diagnostics
         assert diag["stage"] == 1
         assert len(diag["attempts"]) == 6
@@ -201,7 +200,7 @@ class TestVariants:
         cfg = small_cfg(1.5)
         inst_m = lc.RegressionInstance(A=ref300.A, b=ref300.b[:, None], p=1.5)
         rv = lc.two_stage_solve(ref300, cfg, seed=11, compute_exact=True)
-        rm = lc.generalized_two_stage(inst_m, cfg, seed=11, compute_exact=True)
+        rm = lc.two_stage_solve(inst_m, cfg, seed=11, compute_exact=True)
         np.testing.assert_array_equal(
             rv.stage2.plan.realized_indices, rm.stage2.plan.realized_indices
         )
@@ -209,12 +208,13 @@ class TestVariants:
             rv.stage2.full_objective, rel=1e-12
         )
         assert rm.Z_exact == pytest.approx(rv.Z_exact, rel=1e-12)
+        assert (rv.config["variant"], rm.config["variant"]) == ("two-stage", "generalized")
 
     def test_generalized_consistent(self, rng):
         A = rng.standard_normal((120, 3))
         Xs = rng.standard_normal((3, 2))
         inst = lc.RegressionInstance(A=A, b=A @ Xs, p=2.0)
-        rep = lc.generalized_two_stage(inst, small_cfg(2.0, s1=2e-3), seed=3)
+        rep = lc.two_stage_solve(inst, small_cfg(2.0, s1=2e-3), seed=3)
         assert rep.stage2.full_objective <= 1e-8 * lc.mat_entrywise_p_norm(inst.b, 2.0)
 
     def test_generalized_two_columns_relative_error(self, rng):
@@ -224,7 +224,7 @@ class TestVariants:
         cfg = lc.SamplerConfig(p=1.5, d=3, epsilon=0.5, r1_scale=6e-4, r2_scale=6e-4)
         hits = 0
         for seed in range(10):
-            rep = lc.generalized_two_stage(inst, cfg, seed=seed, compute_exact=True)
+            rep = lc.two_stage_solve(inst, cfg, seed=seed, compute_exact=True)
             if rep.approx_ratio <= 1.5:
                 hits += 1
         assert hits >= 9
@@ -235,7 +235,7 @@ class TestVariants:
         winst = lc.RegressionInstance(
             A=ref300.A, b=ref300.b, p=1.5, weights=np.ones(ref300.n)
         )
-        weighted = lc.weighted_two_stage(winst, cfg, seed=13, compute_exact=True)
+        weighted = lc.two_stage_solve(winst, cfg, seed=13, compute_exact=True)
         assert report_payload(plain) == report_payload(weighted)
 
     def test_weighted_zero_rows_never_sampled(self, rng):
@@ -245,7 +245,7 @@ class TestVariants:
         dead = np.array([5, 17, 44])
         w[dead] = 0.0
         inst = lc.RegressionInstance(A=A, b=b, p=2.0, weights=w)
-        rep = lc.weighted_two_stage(inst, small_cfg(2.0, s1=1e-2, s2=1e-2), seed=1)
+        rep = lc.two_stage_solve(inst, small_cfg(2.0, s1=1e-2, s2=1e-2), seed=1)
         for out in (rep.stage1, rep.stage2):
             assert not set(dead.tolist()) & set(out.plan.realized_indices.tolist())
 
@@ -259,7 +259,7 @@ class TestVariants:
         rinst = lc.RegressionInstance(A=A[reps], b=b[reps], p=2.0)
         cfg = small_cfg(2.0, d=2, s1=1e-5, s2=1e-5)
         w_obj = [
-            lc.weighted_two_stage(winst, cfg, seed=s).stage2.full_objective
+            lc.two_stage_solve(winst, cfg, seed=s).stage2.full_objective
             for s in range(20)
         ]
         r_obj = [
@@ -268,6 +268,24 @@ class TestVariants:
         ]
         # same objective scale: the distributions must overlap
         assert min(max(w_obj), max(r_obj)) >= max(min(w_obj), min(r_obj))
+
+    def test_weighted_instance_on_every_pipeline(self, ref300):
+        w = np.random.default_rng(4).uniform(0.0, 5.0, ref300.n)
+        winst = lc.RegressionInstance(A=ref300.A, b=ref300.b, p=1.5, weights=w)
+        exact = lc.solve_weighted(ref300.A, ref300.b, 1.5, w)
+        cfg = small_cfg(1.5)
+        reports = [
+            lc.two_stage_solve(winst, cfg, seed=2, compute_exact=True),
+            lc.single_stage_augmented_solve(winst, cfg, r=100.0, seed=2, compute_exact=True),
+            lc.single_stage_oracle_solve(
+                winst, exact.x, cfg, r=100.0, seed=2, compute_exact=True
+            ),
+        ]
+        assert [rep.status for rep in reports] == ["ok"] * 3
+        assert reports[0].config["variant"] == "weighted"
+        Z = [rep.Z_exact for rep in reports]
+        Z.append(lc.guarantee_statistics(winst, cfg, n_seeds=2)["Z_exact"])
+        assert Z == pytest.approx([exact.objective] * 4, rel=1e-9)
 
     def test_oracle_single_stage(self, rng):
         inst = lc.reference_instance(n=500, d=3, p=1.0, seed=8)
@@ -420,13 +438,13 @@ class TestOneFactorization:
         lc.guarantee_statistics(inst, small_cfg(1.5, d=4), n_seeds=2)
         assert qr_heights.count(inst.n) == 1
 
-    def test_weighted_factors_a_and_its_scaled_copy(self, qr_heights):
+    def test_weighted_factors_scaled_a_once(self, qr_heights):
         A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
         w = np.random.default_rng(2).uniform(0.5, 2.0, 2000)
         inst = lc.RegressionInstance(A=A, b=b, p=1.5, weights=w)
-        rep = lc.weighted_two_stage(inst, small_cfg(1.5, d=4), seed=0)
+        rep = lc.two_stage_solve(inst, small_cfg(1.5, d=4), seed=0)
         assert rep.status == "ok"
-        assert qr_heights.count(inst.n) == 2
+        assert qr_heights.count(inst.n) == 1
 
     @pytest.mark.parametrize(
         "p, rank_deficient",
