@@ -114,10 +114,9 @@ def _cmd_solve(args):
         r2_scale=args.r2_scale,
     )
     if args.variant == "oracle":
-        x_ref = solve_lp_regression(inst.A, inst.b, inst.p).x
         r = min(r2_default(cfg, strict=False), float(inst.n))
         report = single_stage_oracle_solve(
-            inst, x_ref, cfg, r, args.seed, compute_exact=args.exact
+            inst, None, cfg, r, args.seed, compute_exact=args.exact
         )
     elif args.variant == "augmented":
         r = min(r2_default(cfg, strict=False), float(inst.n))

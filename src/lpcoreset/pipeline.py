@@ -233,11 +233,16 @@ def stage_two(inst, stage1_out, cfg, seed):
     return _sample_and_solve(inst, probs, 2, seed)
 
 
-def _exact_objective(inst):
-    """The full problem's optimum, or None above _EXACT_CELL_CAP cells."""
+def _exact_objective(inst, exact=None):
+    """The full problem's optimum, or None above _EXACT_CELL_CAP cells.
+
+    exact, when given, is the full problem's SolveResult, and its
+    objective is taken instead of solving again."""
     cols = inst.b.shape[1] if inst.is_generalized else 1
     if inst.n * inst.m * cols > _EXACT_CELL_CAP:
         return None
+    if exact is not None:
+        return exact.objective
     return _solve_subproblem(inst.A, inst.b, inst.p)[1]
 
 
@@ -278,14 +283,15 @@ def _timed(report, key):
     report.timings_ms[key] = (time.perf_counter() - t0) * 1000.0
 
 
-def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None):
+def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None, exact=None):
     """The pipeline body every variant shares.
 
     Conditions matrix (unless a basis is supplied; inst.A through the
     instance's own factors), then runs the stages in order: each (seed
     label, step) calls step(basis, previous outcome, derived seed) for its
     StageOutcome.  Stage failures produce a status="failed" report, never
-    an exception.
+    an exception.  exact, the full problem's SolveResult when the caller
+    has it, spares compute_exact a second full solve.
     """
     try:
         with _timed(report, "conditioning"):
@@ -309,7 +315,7 @@ def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None):
         report.coreset_scales = np.array([])
     if compute_exact:
         with _timed(report, "exact"):
-            Z = _exact_objective(inst)
+            Z = _exact_objective(inst, exact)
         if Z is not None:
             report.Z_exact = Z
             report.approx_ratio = _ratio(out.full_objective, Z)
@@ -350,16 +356,24 @@ def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2, basis=None):
 def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
     """One-shot sampling from reference-solution probabilities.
 
-    x_ref is supplied externally (typically the exact optimum); its
+    x_ref is a reference solution, typically the exact optimum; its
     residual and norm feed the combined leverage/residual probabilities.
+    x_ref=None takes the full problem's optimum, solved here once: its
+    objective then also serves compute_exact, which solves nothing more.
     """
     if inst.is_generalized:
         raise InvalidConfigError("oracle sampling expects a vector right-hand side")
+    exact = None
+    if x_ref is None:
+        exact = solve_lp_regression(inst.A, inst.b, inst.p)
+        x_ref = exact.x
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
     rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
     Z_ref = vec_p_norm(rho_ref, inst.p)
     step = _one_shot(inst, lambda basis: oracle_probabilities(basis, rho_ref, Z_ref, float(r)))
-    return _run_stages(report, inst, seed, inst.A, [("oracle", step)], compute_exact)
+    return _run_stages(
+        report, inst, seed, inst.A, [("oracle", step)], compute_exact, exact=exact
+    )
 
 
 def single_stage_augmented_solve(inst, cfg, r, seed, compute_exact=False):

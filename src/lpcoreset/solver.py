@@ -9,12 +9,21 @@ ends when the Newton decrement falls below a fixed share of f (Boyd &
 Vandenberghe, Convex Optimization, 9.5), taking whole the step it has
 just solved for.  The problem is internally
 normalized by ||b||_p so tolerances and smoothing levels are scale-free.
+
+Every least-squares solve, the p = 2 one, the warm start and each Newton
+step, calls LAPACK's pivoted-QR driver gelsy directly (_lstsq), as
+scipy.linalg.lstsq(lapack_driver="gelsy") would, so the results are
+bitwise the same, but without that wrapper's per-call validation,
+workspace query and argument copies: the Newton loop queries the
+workspace once per solve and lets gelsy factor its own working arrays in
+place, and it checks their finiteness itself.  The caller's A and b are
+never overwritten.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ZeroRankError
 from .kernels import smoothed_power_weights
@@ -99,14 +108,47 @@ def _residual(A, x, b, out):
     return out
 
 
-def _lstsq(A, b, check_finite=False):
-    """Least squares by gelsy.  Callers pass arrays that as_matrix and
-    as_vector have validated; the Newton steps, whose weights are
-    computed, ask for scipy's finiteness check."""
-    x, _, _, _ = scipy.linalg.lstsq(
-        A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy", check_finite=check_finite
+_GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
+
+
+def _gelsy_workspace(n, m):
+    """Optimal gelsy workspace length for an n x m system with one
+    right-hand side."""
+    work, info = _GELSY_LWORK(n, m, 1, DEFAULT_RANK_TOL)
+    if info != 0:
+        raise ValueError(f"gelsy workspace query failed: info={info}")
+    return int(work)
+
+
+def _lstsq(A, b, lwork=None, overwrite=False):
+    """min ||Ax - b||_2 by gelsy with cond = DEFAULT_RANK_TOL, bitwise
+    what scipy.linalg.lstsq(lapack_driver="gelsy") returns.
+
+    A (n x m) and b (n) must be finite float64; callers pass arrays that
+    as_matrix and as_vector validated, or check them.  lwork defaults to
+    a fresh workspace query.  overwrite lets gelsy factor A and b in
+    place (A must then be F-ordered to avoid a copy); only the solver's
+    own working arrays may be passed so.  The returned x may be a view
+    of b's storage.
+    """
+    n, m = A.shape
+    if lwork is None:
+        lwork = _gelsy_workspace(n, m)
+    if n < m:
+        # gelsy writes the m-entry solution into b's storage
+        b = np.concatenate([b, np.zeros(m - n)])
+    _, x, _, _, info = _GELSY(
+        A,
+        b,
+        np.zeros(m, dtype=np.int32),
+        DEFAULT_RANK_TOL,
+        lwork,
+        overwrite_a=overwrite,
+        overwrite_b=overwrite,
     )
-    return x
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    return x[:m]
 
 
 def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
@@ -157,7 +199,8 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
         while ladder[-1] > mu_min:
             ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
 
-    x = x0 / s if x0 is not None else _lstsq(A, bs)
+    lwork = _gelsy_workspace(n, m)
+    x = x0 / s if x0 is not None else _lstsq(A, bs, lwork)
     x = np.asarray(x, dtype=np.float64)
     best_x = x.copy()
     best_true = vec_p_norm(A @ x - bs, p)
@@ -197,7 +240,11 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
             scratch *= sw  # sqrt(phi''/p)
             np.multiply(A, scratch[:, None], out=Aw)
             grad = p * (Aw.T @ bw)  # A^T phi'
-            dx = -_lstsq(Aw, bw, check_finite=True)
+            if not (np.isfinite(Aw).all() and np.isfinite(bw).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            # gelsy factors Aw and bw in place: both are rebuilt above
+            # before the next step, and grad is taken already
+            dx = -_lstsq(Aw, bw, lwork, overwrite=True)
             decrement = -float(grad @ dx)
             if decrement <= _DECREMENT_TOL * f:
                 # the step is solved for already: taking it whole squares

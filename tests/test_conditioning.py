@@ -243,6 +243,17 @@ class TestWellConditionedBasis:
             err = np.abs(A - W.U @ W.tau).max()
             assert err <= 1e-8 * np.abs(A).max()
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_basis_is_q_times_g_inverse_column_major(self, rng, p):
+        A = rng.standard_normal((300, 5))
+        W = well_conditioned_basis(A, p)
+        Q = qr_thin(A).Q
+        ref = np.linalg.solve(W.G.T, Q.T).T
+        assert np.abs(W.U - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the layout is pinned: stage1_probabilities takes row p-norms of U,
+        # and that pass runs two to three times slower on a row-major n x d U
+        assert W.U.flags.f_contiguous
+
     def test_scale_equivariance_of_basis(self, rng):
         A = rng.standard_normal((50, 3))
         W1 = well_conditioned_basis(A, 1.5)

@@ -158,6 +158,22 @@ class TestCsv:
                 assert f.read() == legacy.encode("ascii")
             assert load_matrix(path).tobytes() == M.tobytes()
 
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[-0.0, 1e-300, 1e300], [3.0, -7.0, 0.1], [2.0**53, -1.0, 1e-5]]),
+            np.array([[-0.0], [1e-300], [1e300], [42.0], [-0.1]]),
+            np.random.default_rng(5).standard_normal((5000, 2)),
+        ],
+        ids=["matrix", "one-column-b", "two-write-blocks"],
+    )
+    def test_writer_bytes_match_savetxt(self, tmp_path, M):
+        ref = str(tmp_path / "ref.csv")
+        np.savetxt(ref, M, fmt="%.17g", delimiter=",")
+        out = str(tmp_path / "out.csv")
+        save_matrix_csv(M, out)
+        assert pathlib.Path(out).read_bytes() == pathlib.Path(ref).read_bytes()
+
     def test_writer_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             save_matrix_csv(np.array([[1.0, np.inf]]), str(tmp_path / "m.csv"))
@@ -486,6 +502,32 @@ class TestCli:
             doc = json.loads(pathlib.Path(out).read_text())
             assert doc["config"]["variant"] == variant
             assert doc["approx_ratio"] >= 1.0 - 1e-10
+
+    def test_oracle_exact_solves_the_full_problem_once(self, instance_files, monkeypatch):
+        rows = []
+        solve = lc.pipeline.solve_lp_regression
+
+        def counted(A, b, p, *args, **kwargs):
+            rows.append(A.shape[0])
+            return solve(A, b, p, *args, **kwargs)
+
+        for module in (lc.pipeline, lc.cli):
+            monkeypatch.setattr(module, "solve_lp_regression", counted)
+        code = run_cli(
+            [
+                "solve",
+                "--input", str(instance_files / "A.csv"),
+                "--rhs", str(instance_files / "b.csv"),
+                "--p", "1.5",
+                "--variant", "oracle",
+                "--r2-scale", "2e-4",
+                "--exact",
+                "--output", str(instance_files / "oracle.json"),
+            ]
+        )
+        assert code == 0
+        # the reference solve's objective serves as Z_exact
+        assert rows == [150, 111]
 
     def test_certify_output(self, instance_files, capsys):
         code = run_cli(

@@ -6,12 +6,14 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
 import lpcoreset
+from lpcoreset import solver
 from lpcoreset.errors import ZeroRankError
-from lpcoreset.linalg import vec_p_norm
+from lpcoreset.linalg import DEFAULT_RANK_TOL, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays
 from lpcoreset.solver import (
     SolverOptions,
@@ -124,6 +126,44 @@ class TestBasicSolves:
         for p in (1.0, 3.0):
             assert solve_lp_regression(A, b, p).converged
             assert not solve_lp_regression(A, b, p, SolverOptions(max_iters=1)).converged
+
+
+class TestLeastSquaresHelper:
+    @pytest.mark.parametrize(
+        "shape, rank", [((40, 5), 5), ((6, 6), 6), ((3, 7), 3), ((40, 6), 4)]
+    )
+    def test_bitwise_scipy_gelsy(self, rng, shape, rank):
+        n, m = shape
+        A = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        b = rng.standard_normal(n)
+        ref = scipy.linalg.lstsq(A, b, cond=DEFAULT_RANK_TOL, lapack_driver="gelsy")[0]
+        A0, b0 = A.copy(), b.copy()
+        x = solver._lstsq(A, b)
+        assert x.shape == (m,)
+        np.testing.assert_array_equal(x, ref)
+        np.testing.assert_array_equal(A, A0)
+        np.testing.assert_array_equal(b, b0)
+
+    def test_non_finite_newton_weights_raise(self, rng, monkeypatch):
+        def poisoned(rho, mu, p):
+            w = np.ones_like(rho)
+            w[3] = np.nan
+            return w
+
+        monkeypatch.setattr(solver, "smoothed_power_weights", poisoned)
+        with pytest.raises(ValueError):
+            solve_lp_regression(rng.standard_normal((20, 3)), rng.standard_normal(20), 1.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_caller_arrays_untouched(self, rng, p):
+        # the Newton steps let gelsy factor their working arrays in place
+        for order in ("C", "F"):
+            A = np.asarray(rng.standard_normal((50, 4)), order=order)
+            b = rng.standard_normal(50)
+            A0, b0 = A.copy(), b.copy()
+            solve_lp_regression(A, b, p)
+            np.testing.assert_array_equal(A, A0)
+            np.testing.assert_array_equal(b, b0)
 
 
 class TestAgainstOracles:
