@@ -28,7 +28,6 @@ from .kernels import BACKEND as KERNEL_BACKEND
 from .linalg import (
     QRFactors,
     dual_exponent,
-    mat_entrywise_p_norm,
     numeric_rank,
     qr_thin,
     vec_p_norm,
@@ -61,7 +60,6 @@ from .sampling import (
 )
 from .solver import (
     SolveResult,
-    SolverOptions,
     objective_gradient_check,
     solve_constrained,
     solve_lp_regression,

@@ -203,7 +203,9 @@ def _cmd_bench(args):
 
 
 def _ratio_sweep(inst, cfg, args):
-    """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale."""
+    """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale.
+
+    A run whose report failed ends the sweep with StageFailureError."""
     basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     Z = solve_lp_regression(inst.A, inst.b, inst.p).objective
     sweep = []
@@ -219,6 +221,10 @@ def _ratio_sweep(inst, cfg, args):
         for k in range(args.seeds):
             seed = derive_seed(args.seed, f"sweep:{mult}:{k}")
             rep = two_stage_solve(inst, cfg_k, seed, basis=basis)
+            if rep.status != "ok":
+                raise StageFailureError(
+                    f"ratio sweep at r2_scale={cfg_k.r2_scale:g}: {rep.error}"
+                )
             ratios.append(rep.final_objective / Z if Z > 0 else 1.0)
         sweep.append(
             {

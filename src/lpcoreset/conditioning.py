@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import pnorm, powsum_ratios, row_pnorms
-from .linalg import as_matrix, dual_exponent, mat_entrywise_p_norm, qr_thin
+from .linalg import as_matrix, dual_exponent, qr_thin, vec_p_norm
 from .sampling import apply_plan, realize_sample
 
 _PROBE_SEED = 0x5EEDB0B
@@ -209,16 +209,16 @@ def _leverages(Q, G):
     return np.einsum("ij,ij->i", Y, Y)
 
 
-def lowner_john_round(Q, p, tol=0.05, max_iters=None):
+def lowner_john_round(Q, p, tol=0.05):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
     Q must have orthonormal columns.  p = 2 returns G = I immediately;
     d = 1 is an interval and is rounded exactly.  Otherwise sweeps the
     Lewis-weight fixed point on the row-sample proxy for at most
-    max_iters sweeps (default _MAX_SWEEPS), weights every row of Q from
-    the proxy's M, and takes G from the exact M on Q, scaled so that
-    kappa_slack = 1 + tol.  Both factors hold for any weights;
-    converged says that kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
+    _MAX_SWEEPS sweeps, weights every row of Q from the proxy's M, and
+    takes G from the exact M on Q, scaled so that kappa_slack = 1 + tol.
+    Both factors hold for any weights; converged says that
+    kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
@@ -235,8 +235,6 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
         return RoundingResult(
             G=np.array([[g]]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
         )
-    if max_iters is None:
-        max_iters = _MAX_SWEEPS
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
     # w <- w^(1-2/p) tau(w), which has the same fixed point
@@ -244,7 +242,7 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     w = np.full(Qs.shape[0], d / Qs.shape[0])
     Gs = None
     sweeps = 0
-    while sweeps < max_iters:
+    while sweeps < _MAX_SWEEPS:
         Gs = _lewis_factor(Qs, w, p)
         tau = _leverages(Qs, Gs)
         new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
@@ -280,7 +278,7 @@ def lowner_john_round(Q, p, tol=0.05, max_iters=None):
     )
 
 
-def well_conditioned_basis(A, p, tol=0.05, max_iters=None, *, factors=None):
+def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
     """Construct U = Q G^-1 and tau = G R with conditioning certificates.
 
     At p != 2, U is formed as (G^-T Q^T)^T, one matrix product with the
@@ -291,9 +289,9 @@ def well_conditioned_basis(A, p, tol=0.05, max_iters=None, *, factors=None):
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
     beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
     Both are rigorous.  For p = 2 the rounding is bypassed and the
-    certificates are exactly (sqrt(d), 1).  max_iters caps the rounding's
-    Lewis-weight sweeps.  Non-convergence of the rounding downgrades to a
-    warning; the certificates are then the looser factors it achieved.
+    certificates are exactly (sqrt(d), 1).  Non-convergence of the
+    rounding downgrades to a warning; the certificates are then the looser
+    factors it achieved.
 
     factors, when given, must be qr_thin(A) and A is not factored again.
     RegressionInstance passes its own: it keeps Q, n x d doubles, for its
@@ -303,7 +301,7 @@ def well_conditioned_basis(A, p, tol=0.05, max_iters=None, *, factors=None):
     if factors is None:
         factors = qr_thin(A)
     d = factors.rank
-    rounding = lowner_john_round(factors.Q, p, tol, max_iters=max_iters)
+    rounding = lowner_john_round(factors.Q, p, tol)
     if not rounding.converged:
         warnings.warn(
             "ellipsoidal rounding did not converge; certificates inflated "
@@ -349,7 +347,7 @@ def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):
     U, p = basis.U, basis.p
     d = U.shape[1]
     q = dual_exponent(p)
-    alpha_measured = mat_entrywise_p_norm(U, p)
+    alpha_measured = vec_p_norm(U, p)
 
     rng = np.random.default_rng(seed)
     dirs = np.vstack([np.eye(d), rng.standard_normal((max(1, n_probes), d))])

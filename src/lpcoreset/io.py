@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import InvalidConfigError, MatrixParseError
+from .errors import MatrixParseError
 from .pipeline import make_instance_arrays
 
 _MM_BANNER = "%%matrixmarket"
@@ -109,7 +109,7 @@ def _is_number(s):
         return False
 
 
-def _parse_matrix_market(lines, expected_layout=None):
+def _parse_matrix_market(lines):
     header_line, header = lines[0]
     fields = header.split()
     if len(fields) != 5:
@@ -123,11 +123,6 @@ def _parse_matrix_market(lines, expected_layout=None):
         raise MatrixParseError(f"unsupported object {obj!r}", line=header_line)
     if fmt not in ("array", "coordinate"):
         raise MatrixParseError(f"unsupported format {fmt!r}", line=header_line)
-    if expected_layout is not None and fmt != expected_layout:
-        raise MatrixParseError(
-            f"expected a {expected_layout} file, header says {fmt!r}",
-            line=header_line,
-        )
     if field not in ("real", "integer"):
         raise MatrixParseError(
             f"unsupported field {field!r} (only real/integer)", line=header_line
@@ -192,13 +187,14 @@ def _parse_matrix_market(lines, expected_layout=None):
     return M
 
 
-def load_matrix(path, fmt="auto"):
+def load_matrix(path):
     """Load a dense matrix from CSV or MatrixMarket (array or coordinate).
 
-    fmt is one of auto / csv / matrix-market-array /
-    matrix-market-coordinate; auto sniffs the %%MatrixMarket banner.  The
-    file is read as UTF-8; a leading byte-order mark is dropped.  Blank
-    lines are skipped and line endings may be LF or CRLF.
+    A file whose first non-blank line starts with the %%MatrixMarket
+    banner (in any case) is MatrixMarket, with the layout its header
+    names; any other file is CSV.  The file is read as UTF-8; a leading
+    byte-order mark is dropped.  Blank lines are skipped and line endings
+    may be LF or CRLF.
 
     A CSV cell is a number in float()'s grammar (surrounding whitespace,
     sign, decimal or exponent form, nan, inf, infinity in any case) without
@@ -216,27 +212,15 @@ def load_matrix(path, fmt="auto"):
         ]
     if not lines:
         raise MatrixParseError("empty file", line=1)
-    is_mm = lines[0][1].lower().startswith(_MM_BANNER)
-    if fmt == "auto":
-        fmt = "matrix-market" if is_mm else "csv"
-    if fmt.startswith("matrix-market"):
-        if not is_mm:
-            raise MatrixParseError("missing %%MatrixMarket banner", line=1)
-        layout = fmt[len("matrix-market-"):] or None
-        if layout not in (None, "array", "coordinate"):
-            raise InvalidConfigError(f"unknown matrix format {fmt!r}")
-        return _parse_matrix_market(lines, expected_layout=layout)
-    if fmt == "csv":
-        return _parse_csv(lines)
-    raise InvalidConfigError(f"unknown matrix format {fmt!r}")
+    if lines[0][1].lower().startswith(_MM_BANNER):
+        return _parse_matrix_market(lines)
+    return _parse_csv(lines)
 
 
-def load_vector(path, fmt="auto"):
+def load_vector(path):
     """Load a vector: a one-column (or one-row) matrix, flattened."""
-    M = load_matrix(path, fmt)
-    if M.ndim == 2 and 1 in M.shape:
-        return M.ravel()
-    if M.ndim == 2 and M.shape[1] > 1 and M.shape[0] > 1:
+    M = load_matrix(path)
+    if 1 not in M.shape:
         raise MatrixParseError(
             f"expected a vector, got a {M.shape[0]}x{M.shape[1]} matrix", line=1
         )

@@ -43,19 +43,15 @@ def as_vector(v):
 def vec_p_norm(v, p):
     """(sum_i |v_i|^p)^(1/p), scaled by max|v_i| so large p cannot overflow.
 
+    v may be a matrix: its norm is then the entrywise p-norm, the norm of
+    its flattened entries.
+
     p = inf is accepted so dual-norm evaluations can dispatch to the
     max-norm; any finite p must satisfy p >= 1.
     """
     if not math.isinf(p):
         _check_exponent(p)
     return kernels.pnorm(np.asarray(v, dtype=np.float64), float(p))
-
-
-def mat_entrywise_p_norm(M, p):
-    """Entrywise p-norm of a matrix: the p-norm of the flattened entries."""
-    if not math.isinf(p):
-        _check_exponent(p)
-    return kernels.pnorm(np.asarray(M, dtype=np.float64).ravel(), float(p))
 
 
 def dual_exponent(p):

@@ -28,7 +28,6 @@ from .linalg import (
     _qr_factors,
     as_matrix,
     as_vector,
-    mat_entrywise_p_norm,
     numeric_rank,
     vec_p_norm,
 )
@@ -152,14 +151,10 @@ class SolveReport:
         return None if out is None else out.full_objective
 
 
-def _objective(resid, p):
-    return mat_entrywise_p_norm(resid, p) if resid.ndim == 2 else vec_p_norm(resid, p)
-
-
 def _solve_subproblem(SA, Sb, p):
     if Sb.ndim == 2:
         X = solve_multi_rhs(SA, Sb, p)
-        return X, _objective(SA @ X - Sb, p)
+        return X, vec_p_norm(SA @ X - Sb, p)
     res = solve_lp_regression(SA, Sb, p)
     return res.x, res.objective
 
@@ -188,7 +183,7 @@ def _sample_and_solve(inst, probs, stage, seed):
             x_hat=x,
             residual=residual,
             sampled_objective=sampled_obj,
-            full_objective=_objective(residual, inst.p),
+            full_objective=vec_p_norm(residual, inst.p),
             attempts=attempt + 1,
         )
     raise StageFailureError(
@@ -217,7 +212,7 @@ def stage_two(inst, stage1_out, cfg, seed):
     solution is already exact and no sampling is performed.
     """
     rho = stage1_out.residual
-    threshold = _ZERO_RESIDUAL_RTOL * max(1.0, _objective(inst.b, inst.p))
+    threshold = _ZERO_RESIDUAL_RTOL * max(1.0, vec_p_norm(inst.b, inst.p))
     if stage1_out.full_objective <= threshold:
         return StageOutcome(
             stage=2,
@@ -259,7 +254,6 @@ def _base_report(inst, cfg, seed, variant, extra_config=None):
         "variant": variant,
         "r1_scale": cfg.r1_scale,
         "r2_scale": cfg.r2_scale,
-        "delta": cfg.delta,
     }
     if extra_config:
         config.update(extra_config)

@@ -27,12 +27,13 @@ class SamplerConfig:
     guarantee regime (and the strict form of the stage-2 formula) requires
     epsilon < 1/7.  r1_scale/r2_scale are oversampling multipliers applied
     to the theoretical sizes, which are astronomically large at desk scale.
+    The failure probability is not a setting: the ln 200 terms of both
+    formulas fix it.
     """
 
     p: float
     d: int
     epsilon: float = 0.1
-    delta: float = 0.5
     r1_scale: float = 1.0
     r2_scale: float = 1.0
 
@@ -43,8 +44,6 @@ class SamplerConfig:
             raise InvalidConfigError(f"d must be >= 1, got {self.d}")
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.r1_scale < 0.0 or self.r2_scale < 0.0:
             raise InvalidConfigError("scale multipliers must be nonnegative")
 

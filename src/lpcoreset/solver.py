@@ -9,6 +9,8 @@ ends when the Newton decrement falls below a fixed share of f (Boyd &
 Vandenberghe, Convex Optimization, 9.5), taking whole the step it has
 just solved for.  The problem is internally
 normalized by ||b||_p so tolerances and smoothing levels are scale-free.
+The ladder's ends and the step cap on each rung are fixed constants
+(_MU_FIRST, _MU_LAST, _MAX_ITERS).
 
 Every least-squares solve, the p = 2 one, the warm start and each Newton
 step, calls LAPACK's pivoted-QR driver gelsy directly (_lstsq), as
@@ -38,29 +40,13 @@ _DECREMENT_TOL = 2e-12
 _GRAD_TOL = 1e-8
 # ratio between successive rungs of the mu ladder
 _SMOOTHING_SHRINK = 0.1
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration and smoothing knobs.
-
-    At p != 2, max_iters caps the Newton steps on each rung of the mu
-    ladder, which runs from smoothing_mu0 down to mu_min by factors of 10
-    (one rung at mu_min for p > 2); a rung ends by the Newton decrement
-    test.  smoothing_mu0 / mu_min default to 0.1*||b||_p/sqrt(n) and
-    1e-8*||b||_p/sqrt(n) when None.
-    """
-
-    max_iters: int = 500
-    smoothing_mu0: float | None = None
-    mu_min: float | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-
-
-DEFAULT_OPTIONS = SolverOptions()
+# cap on the Newton steps of one rung of the mu ladder at p != 2;
+# solve_constrained takes 20 times as many subgradient steps
+_MAX_ITERS = 500
+# first and last rung of the mu ladder, in units of ||b||_p / sqrt(n);
+# p >= 2 runs the last rung alone
+_MU_FIRST = 0.1
+_MU_LAST = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +137,7 @@ def _lstsq(A, b, lwork=None, overwrite=False):
     return x[:m]
 
 
-def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
+def solve_lp_regression(A, b, p, x0=None):
     """Minimize ||Ax - b||_p.
 
     p = 2 solves in closed form; otherwise damped Newton on the smoothed
@@ -168,7 +154,8 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
         raise ZeroRankError("coefficient matrix is identically zero")
 
     if p == 2.0:
-        x = _lstsq(A, b)
+        # copied, so that the result does not keep gelsy's n-entry buffer
+        x = _lstsq(A, b).copy()
         rho = A @ x - b
         grad = A.T @ rho
         scale = max(1.0, float(np.linalg.norm(A.T @ b)))
@@ -189,13 +176,11 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
     bs = b / s
     gscale = max(1.0, float(np.linalg.norm(A.T @ bs)))
 
-    mu0 = opts.smoothing_mu0 / s if opts.smoothing_mu0 is not None else 0.1 / math.sqrt(n)
-    mu_min = opts.mu_min / s if opts.mu_min is not None else 1e-8 / math.sqrt(n)
-    mu_min = max(mu_min, 1e-300)
+    mu_min = _MU_LAST / math.sqrt(n)
     if p >= 2.0:
         ladder = [mu_min]  # objective already smooth; no continuation needed
     else:
-        ladder = [mu0]
+        ladder = [_MU_FIRST / math.sqrt(n)]
         while ladder[-1] > mu_min:
             ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
 
@@ -220,7 +205,7 @@ def solve_lp_regression(A, b, p, opts=DEFAULT_OPTIONS, x0=None):
         _residual(A, x, bs, rho)
         f = _smoothed_objective(rho, mu, p, scratch)
         converged = False
-        for _ in range(opts.max_iters):
+        for _ in range(_MAX_ITERS):
             total_iters += 1
             # phi' = p*r*w and phi'' = p*w*h/q with q = r^2 + mu^2,
             # w = q^((p-2)/2) and h = (p-1)*r^2 + mu^2, formed directly
@@ -300,13 +285,13 @@ def row_scaled(A, b, weights, p):
     return A * scale[:, None], b * (scale[:, None] if b.ndim == 2 else scale)
 
 
-def solve_weighted(A, b, p, weights, opts=DEFAULT_OPTIONS):
+def solve_weighted(A, b, p, weights):
     """Minimize the weighted norm (sum_i w_i |rho_i|^p)^(1/p) by solving
     the row-scaled problem (see row_scaled)."""
-    return solve_lp_regression(*row_scaled(as_matrix(A), as_vector(b), weights, p), p, opts)
+    return solve_lp_regression(*row_scaled(as_matrix(A), as_vector(b), weights, p), p)
 
 
-def solve_multi_rhs(A, B, p, opts=DEFAULT_OPTIONS):
+def solve_multi_rhs(A, B, p):
     """Minimize the entrywise p-norm of AX - B, column by column.
 
     The objective decouples: |||AX - B|||_p^p is the sum over columns of
@@ -316,11 +301,11 @@ def solve_multi_rhs(A, B, p, opts=DEFAULT_OPTIONS):
     B = as_matrix(B)
     if B.shape[0] != A.shape[0]:
         raise ValueError("A and B row counts differ")
-    cols = [solve_lp_regression(A, B[:, j], p, opts).x for j in range(B.shape[1])]
+    cols = [solve_lp_regression(A, B[:, j], p).x for j in range(B.shape[1])]
     return np.column_stack(cols)
 
 
-def solve_constrained(A, b, p, project, opts=DEFAULT_OPTIONS):
+def solve_constrained(A, b, p, project):
     """Minimize ||Ax - b||_p over a convex set given by its projection map.
 
     Projected subgradient descent with adaptively diminishing steps from a
@@ -331,7 +316,7 @@ def solve_constrained(A, b, p, project, opts=DEFAULT_OPTIONS):
     b = as_vector(b)
     _check_exponent(p)
 
-    x = project(np.asarray(solve_lp_regression(A, b, p, opts).x, dtype=np.float64))
+    x = project(np.asarray(solve_lp_regression(A, b, p).x, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(project(x), dtype=np.float64)
     if np.linalg.norm(x2 - x) > 1e-8 * (1.0 + np.linalg.norm(x)):
@@ -344,7 +329,7 @@ def solve_constrained(A, b, p, project, opts=DEFAULT_OPTIONS):
     window = []
     converged = False
     iters = 0
-    budget = 20 * opts.max_iters
+    budget = 20 * _MAX_ITERS
     for iters in range(1, budget + 1):
         rho = A @ x - b
         g = A.T @ _residual_subgradient(rho, p)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lpcoreset.errors import InvalidExponentError, ZeroRankError
 from lpcoreset.linalg import (
     dual_exponent,
-    mat_entrywise_p_norm,
     numeric_rank,
     qr_thin,
     vec_p_norm,
@@ -77,26 +76,26 @@ class TestVectorNorm:
 
 class TestMatrixNorm:
     def test_identity_frobenius(self):
-        assert mat_entrywise_p_norm(np.eye(2), 2.0) == pytest.approx(math.sqrt(2.0))
+        assert vec_p_norm(np.eye(2), 2.0) == pytest.approx(math.sqrt(2.0))
 
     def test_all_ones_p3(self):
         M = np.ones((2, 3))
-        assert mat_entrywise_p_norm(M, 3.0) == pytest.approx(6.0 ** (1.0 / 3.0))
+        assert vec_p_norm(M, 3.0) == pytest.approx(6.0 ** (1.0 / 3.0))
 
     def test_identity_l1(self):
-        assert mat_entrywise_p_norm(np.eye(2), 1.0) == pytest.approx(2.0)
+        assert vec_p_norm(np.eye(2), 1.0) == pytest.approx(2.0)
 
     def test_matches_flattened_vector(self, rng):
         M = rng.standard_normal((7, 5))
         for p in (1.0, 1.5, 2.0, 3.0):
-            assert mat_entrywise_p_norm(M, p) == pytest.approx(
+            assert vec_p_norm(M, p) == pytest.approx(
                 vec_p_norm(M.ravel(), p), rel=1e-14
             )
 
     def test_row_column_decomposition(self, rng):
         M = rng.standard_normal((9, 4))
         for p in (1.0, 1.5, 2.0, 3.0):
-            total = mat_entrywise_p_norm(M, p) ** p
+            total = vec_p_norm(M, p) ** p
             by_rows = sum(vec_p_norm(M[i], p) ** p for i in range(M.shape[0]))
             by_cols = sum(vec_p_norm(M[:, j], p) ** p for j in range(M.shape[1]))
             assert total == pytest.approx(by_rows, rel=1e-10)

@@ -215,7 +215,7 @@ class TestVariants:
         Xs = rng.standard_normal((3, 2))
         inst = lc.RegressionInstance(A=A, b=A @ Xs, p=2.0)
         rep = lc.two_stage_solve(inst, small_cfg(2.0, s1=2e-3), seed=3)
-        assert rep.stage2.full_objective <= 1e-8 * lc.mat_entrywise_p_norm(inst.b, 2.0)
+        assert rep.stage2.full_objective <= 1e-8 * lc.vec_p_norm(inst.b, 2.0)
 
     def test_generalized_two_columns_relative_error(self, rng):
         A = rng.standard_normal((400, 3))

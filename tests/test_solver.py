@@ -16,7 +16,6 @@ from lpcoreset.errors import ZeroRankError
 from lpcoreset.linalg import DEFAULT_RANK_TOL, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays
 from lpcoreset.solver import (
-    SolverOptions,
     objective_gradient_check,
     solve_constrained,
     solve_lp_regression,
@@ -104,6 +103,14 @@ class TestBasicSolves:
         assert res.objective <= 1e-8 * vec_p_norm(A @ x_star, 3.0)
         np.testing.assert_allclose(res.x, x_star, atol=1e-6)
 
+    def test_solution_owns_its_memory(self):
+        # at p = 2, x is copied out of gelsy's n-entry buffer
+        A, b, _ = make_instance_arrays(10000, 10, seed=1)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            res = solve_lp_regression(A, b, p)
+            assert res.x.shape == (10,)
+            assert res.x.base is None
+
     def test_objective_matches_solution(self, rng):
         A = rng.standard_normal((40, 3))
         b = rng.standard_normal(40)
@@ -119,13 +126,15 @@ class TestBasicSolves:
         assert res.kkt_residual <= 1e-8
 
 
-    def test_converged_flag_needs_the_decrement_test(self, rng):
+    def test_converged_flag_needs_the_decrement_test(self, rng, monkeypatch):
         # one Newton step per rung leaves the last decrement above its bound
         A = rng.standard_normal((30, 3))
         b = rng.standard_t(2.0, 30)
         for p in (1.0, 3.0):
             assert solve_lp_regression(A, b, p).converged
-            assert not solve_lp_regression(A, b, p, SolverOptions(max_iters=1)).converged
+        monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+        for p in (1.0, 3.0):
+            assert not solve_lp_regression(A, b, p).converged
 
 
 class TestLeastSquaresHelper:
@@ -238,12 +247,14 @@ class TestAgainstOracles:
         assert res.converged
         assert res.iterations <= 35
 
-    def test_continuation_no_worse_than_single_stage(self, rng):
+    def test_continuation_no_worse_than_single_stage(self, rng, monkeypatch):
         A = rng.standard_normal((40, 3))
         b = rng.standard_normal(40)
         full = solve_lp_regression(A, b, 1.2)
-        coarse_opts = SolverOptions(smoothing_mu0=0.05, mu_min=0.05)
-        coarse = solve_lp_regression(A, b, 1.2, coarse_opts)
+        # a one-rung ladder at a coarse smoothing
+        monkeypatch.setattr(solver, "_MU_FIRST", 0.05)
+        monkeypatch.setattr(solver, "_MU_LAST", 0.05)
+        coarse = solve_lp_regression(A, b, 1.2)
         assert full.objective <= coarse.objective + 1e-12
 
 
