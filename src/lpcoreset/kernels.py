@@ -1,10 +1,11 @@
 """Hot kernels: row p-norms, probability ratios, counter RNG, smoothed power weights.
 
 Each kernel allocates one working array (the ``np.abs`` result, the
-scaled ratios, the counter array, ``r*r``) and does the rest of its work
-in place on it, so callers' arrays are never modified.  A step that needs
-a second operand of full size (the power chain at 1.5, the xor-shifts of
-the counter mix) uses one temporary array.
+scaled ratios, ``r*r``) and does the rest of its work in place on it, so
+callers' arrays are never modified.  A step that needs a second operand
+of full size (the power chain at 1.5) uses one temporary array.  The
+counter mix is the exception: it works on chunk-sized counter and
+temporary arrays and writes each chunk's uniforms into the output.
 
 The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
 take the unscaled sum of squares in one pass over the input, with no
@@ -28,6 +29,13 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _INV53 = 2.0 ** -53
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Draws per chunk of counter_uniforms; its three uint64 working arrays
+# (the first chunk's states, the chunk and a temporary) are 128 KB each.
+# 1,000,000 draws took 6.4-6.6 ms in chunks of 16,384, against 9.0 ms at
+# 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
+# whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
+_COUNTER_CHUNK = 16384
 # A p=2 sum of squares s needs no scaling when _SQ_LO <= s <= _SQ_HI: a
 # finite s had no square overflow, and each square that underflowed is
 # below 2^-1022 = 2^-122 * _SQ_LO, far below the last bit of s.
@@ -149,20 +157,27 @@ def counter_uniforms(seed, n):
     """n uniforms in [0,1) from a splitmix64 counter stream keyed by seed.
 
     Draw i depends only on (seed, i), so plans are reproducible and
-    row-parallel.
+    row-parallel.  The stream is mixed in chunks of _COUNTER_CHUNK draws
+    written into the one output array.
     """
-    x = np.arange(1, n + 1, dtype=np.uint64)
-    x *= _GOLDEN
-    x += _U64(seed & 0xFFFFFFFFFFFFFFFF)
-    t = np.empty_like(x)
-    x ^= np.right_shift(x, _S30, out=t)
-    x *= _MIX1
-    x ^= np.right_shift(x, _S27, out=t)
-    x *= _MIX2
-    x ^= np.right_shift(x, _S31, out=t)
-    del t
-    u = np.right_shift(x, _S11, out=x).astype(np.float64)
-    u *= _INV53
+    u = np.empty(n)
+    size = min(n, _COUNTER_CHUNK)
+    # state of draw lo + j + 1 is (j + 1) * golden + seed + lo * golden
+    first = np.arange(1, size + 1, dtype=np.uint64)
+    first *= _GOLDEN
+    first += _U64(seed & _MASK64)
+    x = np.empty_like(first)
+    t = np.empty_like(first)
+    for lo in range(0, n, _COUNTER_CHUNK):
+        h = min(n - lo, size)
+        xs, ts = x[:h], t[:h]
+        np.add(first[:h], _U64(lo * int(_GOLDEN) & _MASK64), out=xs)
+        xs ^= np.right_shift(xs, _S30, out=ts)
+        xs *= _MIX1
+        xs ^= np.right_shift(xs, _S27, out=ts)
+        xs *= _MIX2
+        xs ^= np.right_shift(xs, _S31, out=ts)
+        np.multiply(np.right_shift(xs, _S11, out=xs), _INV53, out=u[lo:lo + h])
     return u
 
 

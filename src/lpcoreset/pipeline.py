@@ -393,19 +393,21 @@ GUARANTEE_LEGEND = {
 }
 
 
-def guarantee_statistics(inst, cfg, n_seeds, master_seed=0):
+def guarantee_statistics(inst, cfg, n_seeds, master_seed=0, basis=None):
     """Empirical frequencies of the stagewise approximation guarantees.
 
     Runs the two-stage pipeline for n_seeds independent seeds on one
     instance (basis and exact solution computed once) and records how
     often each of the events in GUARANTEE_LEGEND holds.  Requires the
-    instance to be small enough to solve exactly.
+    instance to be small enough to solve exactly.  basis, when given, is
+    the well-conditioned basis of inst.A and A is not conditioned again.
     """
     if inst.is_generalized:
         raise InvalidConfigError("guarantee statistics expect a vector right-hand side")
     if n_seeds < 1:
         raise InvalidConfigError(f"guarantee statistics need n_seeds >= 1, got {n_seeds}")
-    basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
+    if basis is None:
+        basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
     exact = solve_lp_regression(inst.A, inst.b, inst.p)
     Z = exact.objective
     rho_opt = inst.A @ exact.x - inst.b

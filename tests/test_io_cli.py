@@ -507,8 +507,7 @@ class TestCli:
             rows.append(A.shape[0])
             return solve(A, b, p, *args, **kwargs)
 
-        for module in (lc.pipeline, lc.cli):
-            monkeypatch.setattr(module, "solve_lp_regression", counted)
+        monkeypatch.setattr(lc.pipeline, "solve_lp_regression", counted)
         code = run_cli(
             [
                 "solve",
@@ -524,6 +523,31 @@ class TestCli:
         assert code == 0
         # the reference solve's objective serves as Z_exact
         assert rows == [150, 111]
+
+    def test_bench_conditions_and_solves_once_per_exponent(self, tmp_path, monkeypatch):
+        n = 2000
+        bases, full_solves = [], []
+        condition = lc.pipeline.well_conditioned_basis
+        solve = lc.pipeline.solve_lp_regression
+
+        def counted_basis(A, *args, **kwargs):
+            bases.append(A.shape[0])
+            return condition(A, *args, **kwargs)
+
+        def counted_solve(A, b, p, *args, **kwargs):
+            if A.shape[0] == n:
+                full_solves.append(p)
+            return solve(A, b, p, *args, **kwargs)
+
+        for module in (lc.pipeline, lc.cli):
+            monkeypatch.setattr(module, "well_conditioned_basis", counted_basis)
+            monkeypatch.setattr(module, "solve_lp_regression", counted_solve, raising=False)
+        code = run_cli(
+            ["bench", "--seeds", "3", "--p", "1.5", "--n", str(n), "--d", "3",
+             "--r1-scale", "1e-5", "--r2-scale", "1e-5", "--out", str(tmp_path / "bench")]
+        )
+        assert code == 0
+        assert bases == [n] and full_solves == [1.5]
 
     def test_certify_output(self, instance_files, capsys):
         code = run_cli(

@@ -68,6 +68,28 @@ def test_counter_uniforms_bit_identical():
         assert np.all((u >= 0.0) & (u < 1.0))
 
 
+def whole_stream_uniforms(seed, n):
+    """The splitmix64 counter stream over whole-length arrays."""
+    x = np.arange(1, n + 1, dtype=np.uint64)
+    x = x * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed & (2**64 - 1))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@pytest.mark.parametrize("chunk", [5, kernels._COUNTER_CHUNK])
+def test_counter_uniforms_chunks_match_whole_stream(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+        for seed in (0, 99, 2**64 - 1):
+            u = kernels.counter_uniforms(seed, n)
+            assert u.dtype == np.float64 and u.shape == (n,)
+            assert np.array_equal(u, whole_stream_uniforms(seed, n))
+
+
 def test_counter_uniforms_prefix_stable():
     # draw i depends only on (seed, i), not on how many draws are requested
     long = kernels.counter_uniforms(99, 500)

@@ -446,6 +446,27 @@ class TestOneFactorization:
         assert rep.status == "ok"
         assert qr_heights.count(inst.n) == 1
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_multi_block_instance_factors_a_once(self, monkeypatch, p):
+        # the instance's QR factors six blocks of 256 rows and one of 464
+        # (the last block with the tail), and nothing factors A again
+        monkeypatch.setattr(lc.linalg, "_TSQR_ROWS", 256)
+        A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
+        blocks_of_a = []
+        real_qr = scipy.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            if np.may_share_memory(a, A):
+                blocks_of_a.append(a.shape[0])
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        assert inst.A is A
+        rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
+        assert rep.status == "ok" and rep.stage2.plan.actual_count < inst.n
+        assert blocks_of_a == [256] * 6 + [464]
+
     @pytest.mark.parametrize(
         "p, rank_deficient",
         [(1.0, False), (1.5, False), (2.0, False), (3.0, False), (1.5, True)],
