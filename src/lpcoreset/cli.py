@@ -184,15 +184,10 @@ def _cmd_bench(args):
             r1_scale=args.r1_scale,
             r2_scale=args.r2_scale,
         )
-        basis = well_conditioned_basis(inst.A, p, factors=inst.factors)
         stats = guarantee_statistics(
-            inst,
-            cfg,
-            n_seeds=args.seeds,
-            master_seed=derive_seed(args.seed, f"stats:{p}"),
-            basis=basis,
+            inst, cfg, n_seeds=args.seeds, master_seed=derive_seed(args.seed, f"stats:{p}")
         )
-        sweep = _ratio_sweep(inst, cfg, args, basis, stats["Z_exact"])
+        sweep = _ratio_sweep(inst, cfg, args)
         result = {"statistics": stats, "ratio_sweep": sweep}
         path = os.path.join(args.out, f"stats_p{p:g}.json")
         with open(path, "w", encoding="utf-8") as f:
@@ -203,11 +198,12 @@ def _cmd_bench(args):
     return 0
 
 
-def _ratio_sweep(inst, cfg, args, basis, Z):
-    """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale, on
-    the instance's basis and against its optimum Z.
+def _ratio_sweep(inst, cfg, args):
+    """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale,
+    against the instance's optimum.
 
     A run whose report failed ends the sweep with StageFailureError."""
+    Z = inst.optimum[1]
     sweep = []
     for mult in (0.5, 1.0, 2.0):
         cfg_k = SamplerConfig(
@@ -220,7 +216,7 @@ def _ratio_sweep(inst, cfg, args, basis, Z):
         ratios = []
         for k in range(args.seeds):
             seed = derive_seed(args.seed, f"sweep:{mult}:{k}")
-            rep = two_stage_solve(inst, cfg_k, seed, basis=basis)
+            rep = two_stage_solve(inst, cfg_k, seed)
             if rep.status != "ok":
                 raise StageFailureError(
                     f"ratio sweep at r2_scale={cfg_k.r2_scale:g}: {rep.error}"

@@ -8,7 +8,10 @@ for the paper's algorithm: a weighted instance is stored row-scaled by
 w_i^(1/p), so it is a plain instance to every stage, and a matrix
 right-hand side changes only the residual norm.  The single-stage
 variants (oracle probabilities, augmented-matrix sampling) run on the
-same machinery.
+same machinery.  Each RegressionInstance keeps what every stage and
+statistic of it shares: the QR of A, the well-conditioned basis and the
+full problem's optimum, each made once; so neither A nor b may be
+changed after construction.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -18,6 +21,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,10 +71,12 @@ class RegressionInstance:
     solver.row_scaled), so every solve and report of the instance is of
     the weighted problem.
     A is factored once, at construction: factors is its thin QR (see
-    linalg.qr_thin) and d = factors.rank its numeric rank.  Conditioning
-    A reuses factors instead of factoring A again, so the instance keeps
-    Q, n x d doubles, for its lifetime, and A must not be changed after
-    construction.
+    linalg.qr_thin) and d = factors.rank its numeric rank.  basis (A's
+    well-conditioned basis, conditioned from factors) and optimum (the
+    full problem's (x, objective)) are computed on first use and then
+    kept, so every solve and statistic of the instance shares them.  The
+    instance holds Q (and, once conditioned at p != 2, U), n x d doubles
+    each, and neither A nor b may be changed after construction.
     """
 
     A: np.ndarray
@@ -95,6 +101,14 @@ class RegressionInstance:
         except ZeroRankError:
             raise InvalidConfigError("A must have numeric rank >= 1") from None
         self.d = self.factors.rank
+
+    @cached_property
+    def basis(self):
+        return well_conditioned_basis(self.A, self.p, factors=self.factors)
+
+    @cached_property
+    def optimum(self):
+        return _solve_subproblem(self.A, self.b, self.p)
 
     @property
     def n(self):
@@ -193,26 +207,24 @@ def _sample_and_solve(inst, probs, stage, seed):
     )
 
 
-def stage_one(inst, cfg, seed, basis=None):
-    """Leverage-based sampling stage at size r1.
+def stage_one(inst, cfg, seed):
+    """Leverage-based sampling stage at size r1 on inst.basis.
 
     The min(1, .) clamp already bounds every probability, so oversized r1
     (the default formula at desk scale) degenerates to full sampling.
     """
-    if basis is None:
-        basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
-    probs = stage1_probabilities(basis, r1_default(cfg))
+    probs = stage1_probabilities(inst.basis, r1_default(cfg))
     return _sample_and_solve(inst, probs, 1, seed)
 
 
 def stage_two(inst, stage1_out, cfg, seed):
     """Residual-refined resampling stage at size r2 (capped at n).
 
-    A numerically zero stage-1 residual short-circuits: the stage-1
+    A stage-1 objective at most 1e-12 ||b||_p short-circuits: the stage-1
     solution is already exact and no sampling is performed.
     """
     rho = stage1_out.residual
-    threshold = _ZERO_RESIDUAL_RTOL * max(1.0, vec_p_norm(inst.b, inst.p))
+    threshold = _ZERO_RESIDUAL_RTOL * vec_p_norm(inst.b, inst.p)
     if stage1_out.full_objective <= threshold:
         return StageOutcome(
             stage=2,
@@ -228,17 +240,12 @@ def stage_two(inst, stage1_out, cfg, seed):
     return _sample_and_solve(inst, probs, 2, seed)
 
 
-def _exact_objective(inst, exact=None):
-    """The full problem's optimum, or None above _EXACT_CELL_CAP cells.
-
-    exact, when given, is the full problem's SolveResult, and its
-    objective is taken instead of solving again."""
+def _exact_objective(inst):
+    """The full problem's optimum, or None above _EXACT_CELL_CAP cells."""
     cols = inst.b.shape[1] if inst.is_generalized else 1
     if inst.n * inst.m * cols > _EXACT_CELL_CAP:
         return None
-    if exact is not None:
-        return exact.objective
-    return _solve_subproblem(inst.A, inst.b, inst.p)[1]
+    return inst.optimum[1]
 
 
 def _ratio(final_obj, Z):
@@ -250,6 +257,11 @@ def _ratio(final_obj, Z):
 
 
 def _base_report(inst, cfg, seed, variant, extra_config=None):
+    if cfg.p != inst.p or cfg.d != inst.d:
+        raise InvalidConfigError(
+            f"config (p={cfg.p:g}, d={cfg.d}) does not match the instance "
+            f"(p={inst.p:g}, d={inst.d})"
+        )
     config = {
         "variant": variant,
         "r1_scale": cfg.r1_scale,
@@ -277,25 +289,18 @@ def _timed(report, key):
     report.timings_ms[key] = (time.perf_counter() - t0) * 1000.0
 
 
-def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None, exact=None):
+def _run_stages(report, inst, seed, stages, compute_exact):
     """The pipeline body every variant shares.
 
-    Conditions matrix (unless a basis is supplied; inst.A through the
-    instance's own factors), then runs the stages in order: each (seed
-    label, step) calls step(basis, previous outcome, derived seed) for its
-    StageOutcome.  Stage failures produce a status="failed" report, never
-    an exception.  exact, the full problem's SolveResult when the caller
-    has it, spares compute_exact a second full solve.
+    Runs the stages in order: each (seed label, step) calls step(previous
+    outcome, derived seed) for its StageOutcome.  Stage failures produce
+    a status="failed" report, never an exception.
     """
     try:
-        with _timed(report, "conditioning"):
-            if basis is None:
-                factors = inst.factors if matrix is inst.A else None
-                basis = well_conditioned_basis(matrix, inst.p, factors=factors)
         out = None
         for k, (label, step) in enumerate(stages, start=1):
             with _timed(report, f"stage{k}"):
-                out = step(basis, out, derive_seed(seed, label))
+                out = step(out, derive_seed(seed, label))
             setattr(report, f"stage{k}", out)
     except StageFailureError as exc:
         report.status = "failed"
@@ -309,7 +314,7 @@ def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None, e
         report.coreset_scales = np.array([])
     if compute_exact:
         with _timed(report, "exact"):
-            Z = _exact_objective(inst, exact)
+            Z = _exact_objective(inst)
         if Z is not None:
             report.Z_exact = Z
             report.approx_ratio = _ratio(out.full_objective, Z)
@@ -317,19 +322,21 @@ def _run_stages(report, inst, seed, matrix, stages, compute_exact, basis=None, e
 
 
 def _one_shot(inst, probabilities):
-    """A single-stage step: sample by probabilities(basis) and solve."""
-    return lambda basis, _, seed: _sample_and_solve(inst, probabilities(basis), 1, seed)
+    """A single-stage step: sample by probabilities() and solve."""
+    return lambda _, seed: _sample_and_solve(inst, probabilities(), 1, seed)
 
 
-def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2, basis=None):
+def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2):
     """Run the sampling pipeline end to end and assemble a report.
 
     Serves vector and matrix right-hand sides and weighted instances
     alike; config["variant"] names which ("weighted", "generalized" or
-    "two-stage").  stages=1 stops after the constant-factor stage.
-    compute_exact adds the full-problem optimum and the approximation
-    ratio when the instance is small enough (n*m*columns <= 10^7).
-    Stage failures produce a status="failed" report, never an exception.
+    "two-stage").  stages=1 stops after the constant-factor stage.  Both
+    stages sample from inst.basis, so only an instance's first run
+    conditions A.  compute_exact adds inst.optimum's objective and the
+    approximation ratio when the instance is small enough
+    (n*m*columns <= 10^7).  cfg must have the instance's p and d.  Stage
+    failures produce a status="failed" report, never an exception.
     """
     if stages not in (1, 2):
         raise InvalidConfigError("stages must be 1 or 2")
@@ -340,48 +347,49 @@ def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2, basis=None):
     else:
         variant = "two-stage"
     report = _base_report(inst, cfg, seed, variant, {"stages": stages})
+    with _timed(report, "conditioning"):
+        inst.basis  # conditioned on the instance's first run, then kept
     steps = [
-        ("stage1", lambda basis, _, s: stage_one(inst, cfg, s, basis)),
-        ("stage2", lambda _, st1, s: stage_two(inst, st1, cfg, s)),
+        ("stage1", lambda _, s: stage_one(inst, cfg, s)),
+        ("stage2", lambda st1, s: stage_two(inst, st1, cfg, s)),
     ]
-    return _run_stages(report, inst, seed, inst.A, steps[:stages], compute_exact, basis)
+    return _run_stages(report, inst, seed, steps[:stages], compute_exact)
 
 
 def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
     """One-shot sampling from reference-solution probabilities.
 
-    x_ref is a reference solution, typically the exact optimum; its
-    residual and norm feed the combined leverage/residual probabilities.
-    x_ref=None takes the full problem's optimum, solved here once: its
-    objective then also serves compute_exact, which solves nothing more.
+    x_ref is a reference solution; its residual and norm feed the
+    combined leverage/residual probabilities on inst.basis.  x_ref=None
+    takes inst.optimum's minimizer, the same optimum compute_exact reads.
     """
     if inst.is_generalized:
         raise InvalidConfigError("oracle sampling expects a vector right-hand side")
-    exact = None
-    if x_ref is None:
-        exact = solve_lp_regression(inst.A, inst.b, inst.p)
-        x_ref = exact.x
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
+    if x_ref is None:
+        x_ref = inst.optimum[0]
     rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
     Z_ref = vec_p_norm(rho_ref, inst.p)
-    step = _one_shot(inst, lambda basis: oracle_probabilities(basis, rho_ref, Z_ref, float(r)))
-    return _run_stages(
-        report, inst, seed, inst.A, [("oracle", step)], compute_exact, exact=exact
-    )
+    with _timed(report, "conditioning"):
+        basis = inst.basis
+    step = _one_shot(inst, lambda: oracle_probabilities(basis, rho_ref, Z_ref, float(r)))
+    return _run_stages(report, inst, seed, [("oracle", step)], compute_exact)
 
 
 def single_stage_augmented_solve(inst, cfg, r, seed, compute_exact=False):
     """One-shot sampling by row norms of a basis for the stacked [A b].
 
     Conditioning the augmented matrix folds the right-hand side's
-    positional information into a single sampling pass.
+    positional information into a single sampling pass.  Each call
+    conditions [A b] afresh; A alone is never conditioned here.
     """
     if inst.is_generalized:
         raise InvalidConfigError("augmented sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "augmented", {"r": float(r)})
-    aug = np.column_stack([inst.A, inst.b])
-    step = _one_shot(inst, lambda basis: stage1_probabilities(basis, float(r)))
-    return _run_stages(report, inst, seed, aug, [("augmented", step)], compute_exact)
+    with _timed(report, "conditioning"):
+        basis = well_conditioned_basis(np.column_stack([inst.A, inst.b]), inst.p)
+    step = _one_shot(inst, lambda: stage1_probabilities(basis, float(r)))
+    return _run_stages(report, inst, seed, [("augmented", step)], compute_exact)
 
 
 GUARANTEE_LEGEND = {
@@ -393,46 +401,38 @@ GUARANTEE_LEGEND = {
 }
 
 
-def guarantee_statistics(inst, cfg, n_seeds, master_seed=0, basis=None):
+def guarantee_statistics(inst, cfg, n_seeds, master_seed=0):
     """Empirical frequencies of the stagewise approximation guarantees.
 
-    Runs the two-stage pipeline for n_seeds independent seeds on one
-    instance (basis and exact solution computed once) and records how
-    often each of the events in GUARANTEE_LEGEND holds.  Requires the
-    instance to be small enough to solve exactly.  basis, when given, is
-    the well-conditioned basis of inst.A and A is not conditioned again.
+    Runs two_stage_solve for n_seeds seeds derived from master_seed on
+    one instance, so inst.basis and inst.optimum are each computed once,
+    and records how often each of the events in GUARANTEE_LEGEND holds.
+    Requires the instance to be small enough to solve exactly.  A run
+    whose report failed raises StageFailureError.
     """
     if inst.is_generalized:
         raise InvalidConfigError("guarantee statistics expect a vector right-hand side")
     if n_seeds < 1:
         raise InvalidConfigError(f"guarantee statistics need n_seeds >= 1, got {n_seeds}")
-    if basis is None:
-        basis = well_conditioned_basis(inst.A, inst.p, factors=inst.factors)
-    exact = solve_lp_regression(inst.A, inst.b, inst.p)
-    Z = exact.objective
-    rho_opt = inst.A @ exact.x - inst.b
-    probs1 = stage1_probabilities(basis, r1_default(cfg))
+    x_opt, Z = inst.optimum
+    rho_opt = inst.A @ x_opt - inst.b
     pad = 1.0 + 1e-12
 
     def run(k):
-        s = derive_seed(master_seed, f"seed:{k}")
-        st1 = _sample_and_solve(inst, probs1, 1, derive_seed(s, "stage1"))
+        rep = two_stage_solve(inst, cfg, derive_seed(master_seed, f"seed:{k}"))
+        if rep.status != "ok":
+            raise StageFailureError(f"guarantee statistics, seed {k}: {rep.error}")
+        st1, st2 = rep.stage1, rep.stage2
         ev_a = vec_p_norm(apply_plan(st1.plan, rho_opt), inst.p) <= 3.0 * Z * pad
         ev_b = st1.full_objective <= 8.0 * Z * pad
-        st2 = stage_two(inst, st1, cfg, derive_seed(s, "stage2"))
-        if st2.plan is None:
-            ev_c = True
-        else:
-            ev_c = (
-                vec_p_norm(apply_plan(st2.plan, rho_opt), inst.p)
-                <= (1.0 + cfg.epsilon) * Z * pad
-            )
+        ev_c = st2.plan is None or (
+            vec_p_norm(apply_plan(st2.plan, rho_opt), inst.p) <= (1.0 + cfg.epsilon) * Z * pad
+        )
         drift = vec_p_norm(inst.A @ (st2.x_hat - st1.x_hat), inst.p)
         ev_d = drift <= 12.0 * Z * pad
         ev_e = st2.full_objective <= (1.0 + 7.0 * cfg.epsilon) * Z * pad
         return {
             "events": (ev_a, ev_b, ev_c, ev_d, ev_e),
-            "ratio1": _ratio(st1.full_objective, Z),
             "ratio2": _ratio(st2.full_objective, Z),
             "count1": st1.plan.actual_count,
             "count2": 0 if st2.plan is None else st2.plan.actual_count,

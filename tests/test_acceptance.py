@@ -176,18 +176,17 @@ def test_criterion_2_subspace_preservation(p):
 @pytest.fixture(scope="module")
 def reference_2000():
     inst = lc.reference_instance(n=2000, d=4, p=1.0, corruption_rho=0.1, seed=42)
-    basis = lc.well_conditioned_basis(inst.A, 1.0)
     exact = solve_lp_regression(inst.A, inst.b, 1.0)
-    return inst, basis, exact
+    return inst, exact
 
 
 def test_criterion_3_constant_factor(reference_2000):
     t0 = time.perf_counter()
-    inst, basis, exact = reference_2000
+    inst, exact = reference_2000
     cfg = scaled_config(1.0, 4, 0.5, stage1_target=400.0, stage2_target=600.0)
     hits = 0
     for seed in range(100):
-        out = lc.stage_one(inst, cfg, lc.derive_seed(seed, "c3"), basis=basis)
+        out = lc.stage_one(inst, cfg, lc.derive_seed(seed, "c3"))
         if out.full_objective <= 8.0 * exact.objective:
             hits += 1
     elapsed = time.perf_counter() - t0
@@ -203,11 +202,11 @@ def test_criterion_3_constant_factor(reference_2000):
 
 def test_criterion_4_relative_error(reference_2000):
     t0 = time.perf_counter()
-    inst, basis, exact = reference_2000
+    inst, exact = reference_2000
     cfg = scaled_config(1.0, 4, 0.5, stage1_target=400.0, stage2_target=600.0)
     ratios = []
     for seed in range(100):
-        rep = lc.two_stage_solve(inst, cfg, seed=lc.derive_seed(seed, "c4"), basis=basis)
+        rep = lc.two_stage_solve(inst, cfg, seed=lc.derive_seed(seed, "c4"))
         assert rep.status == "ok"
         ratios.append(rep.final_objective / exact.objective)
     hits = int(np.sum(np.asarray(ratios) <= 1.5))
@@ -410,9 +409,9 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_sample_size_accounting(reference_2000):
     t0 = time.perf_counter()
-    inst, basis, _ = reference_2000
+    inst, _ = reference_2000
     cfg = scaled_config(1.0, 4, 0.5, stage1_target=400.0, stage2_target=600.0)
-    probs = lc.stage1_probabilities(basis, r1_default(cfg))
+    probs = lc.stage1_probabilities(inst.basis, r1_default(cfg))
     expected = probs.sum()
     assert expected <= r1_default(cfg) + 1e-9  # E[sample] never exceeds r1
     counts = [

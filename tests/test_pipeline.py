@@ -155,10 +155,13 @@ class TestReportInvariants:
         assert res.objective == pytest.approx(rep.stage2.sampled_objective, abs=1e-10)
         np.testing.assert_allclose(res.x, rep.stage2.x_hat, atol=1e-8)
 
-    def test_scale_equivariance(self, ref300):
+    # tiny factors put ||b||_p far below 1, where the zero-residual
+    # shortcut must stay relative to ||b||_p and stage 2 still sample
+    @pytest.mark.parametrize("factor", [3.7, 1e-16, 2**-60], ids=["3.7", "1e-16", "2**-60"])
+    def test_scale_equivariance(self, ref300, factor):
         cfg = small_cfg(1.5)
         base = lc.two_stage_solve(ref300, cfg, seed=11)
-        scaled_inst = lc.RegressionInstance(A=3.7 * ref300.A, b=3.7 * ref300.b, p=1.5)
+        scaled_inst = lc.RegressionInstance(A=factor * ref300.A, b=factor * ref300.b, p=1.5)
         scaled = lc.two_stage_solve(scaled_inst, cfg, seed=11)
         np.testing.assert_array_equal(
             base.stage1.plan.realized_indices, scaled.stage1.plan.realized_indices
@@ -166,8 +169,9 @@ class TestReportInvariants:
         np.testing.assert_array_equal(
             base.stage2.plan.realized_indices, scaled.stage2.plan.realized_indices
         )
+        assert not scaled.stage2.exact_passthrough
         assert scaled.stage2.full_objective == pytest.approx(
-            3.7 * base.stage2.full_objective, rel=1e-9
+            factor * base.stage2.full_objective, rel=1e-9
         )
         np.testing.assert_allclose(scaled.stage2.x_hat, base.stage2.x_hat, atol=1e-6)
 
@@ -175,13 +179,12 @@ class TestReportInvariants:
         # dense-noise family so subsampling has a visible accuracy cost
         A, b, _ = lc.make_instance_arrays(600, 3, noise_model="gaussian", seed=2)
         inst = lc.RegressionInstance(A=A, b=b, p=1.0)
-        basis = lc.well_conditioned_basis(inst.A, 1.0)
         medians = []
         for s2 in (0.001, 0.01, 0.1):
             cfg = lc.SamplerConfig(p=1.0, d=3, epsilon=0.5, r1_scale=1e-4, r2_scale=s2)
             ratios = []
             for seed in range(20):
-                rep = lc.two_stage_solve(inst, cfg, seed=seed, compute_exact=True, basis=basis)
+                rep = lc.two_stage_solve(inst, cfg, seed=seed, compute_exact=True)
                 ratios.append(rep.approx_ratio)
             medians.append(float(np.median(ratios)))
         # non-increasing up to Monte Carlo noise of one adjacent rank swap
@@ -370,6 +373,34 @@ class TestGuaranteeStatistics:
         with pytest.raises(lc.InvalidConfigError, match="n_seeds >= 1"):
             lc.guarantee_statistics(inst, full_cfg(2.0, d=2), n_seeds=n_seeds)
 
+    def test_failed_stage_raises(self):
+        g = np.random.default_rng(3)
+        A = g.standard_normal((40, 3))
+        inst = lc.RegressionInstance(A=A, b=g.standard_normal(40), p=2.0)
+        cfg = small_cfg(2.0, s1=1e-12, s2=1e-12)
+        with pytest.raises(lc.StageFailureError, match="seed 0: .*rank-deficient"):
+            lc.guarantee_statistics(inst, cfg, n_seeds=3)
+
+
+class TestMismatchedConfig:
+    """A SamplerConfig sized for another p or d is refused, not run."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda inst, cfg: lc.two_stage_solve(inst, cfg, seed=0),
+            lambda inst, cfg: lc.single_stage_oracle_solve(inst, None, cfg, r=100.0, seed=0),
+            lambda inst, cfg: lc.single_stage_augmented_solve(inst, cfg, r=100.0, seed=0),
+            lambda inst, cfg: lc.guarantee_statistics(inst, cfg, n_seeds=2),
+        ],
+        ids=["two-stage", "oracle", "augmented", "statistics"],
+    )
+    @pytest.mark.parametrize("p, d", [(1.0, 4), (1.5, 6)])
+    def test_rejected_everywhere(self, solve, p, d):
+        inst = lc.reference_instance(n=2000, d=4, p=1.5, seed=1)
+        with pytest.raises(lc.InvalidConfigError, match="does not match the instance"):
+            solve(inst, small_cfg(p, d=d))
+
 
 class TestInstances:
     def test_corrupted_row_count(self):
@@ -484,18 +515,59 @@ class TestOneFactorization:
             doc.pop("timings_ms")
             return json_dumps(doc)
 
-        fresh = lc.well_conditioned_basis(inst.A, p)
+        # the first run conditions A and solves it in full, the second
+        # reuses both, and neither changes a byte of the report
         for seed in range(2):
-            reused = lc.two_stage_solve(inst, cfg, seed, compute_exact=True)
-            refactored = lc.two_stage_solve(inst, cfg, seed, compute_exact=True, basis=fresh)
-            assert reused.status == "ok"
-            assert payload(reused) == payload(refactored)
+            first = lc.two_stage_solve(inst, cfg, seed, compute_exact=True)
+            second = lc.two_stage_solve(inst, cfg, seed, compute_exact=True)
+            assert first.status == "ok"
+            assert payload(first) == payload(second)
+        # the kept basis, conditioned from the instance's own QR, is
+        # bitwise the basis of a fresh QR of A
+        fresh = lc.well_conditioned_basis(inst.A, p)
+        for name in ("U", "G", "tau"):
+            np.testing.assert_array_equal(getattr(inst.basis, name), getattr(fresh, name))
+        for name in ("alpha_cert", "beta_cert", "kappa_cert", "slack_cert"):
+            assert getattr(inst.basis, name) == getattr(fresh, name)
+
+    def test_one_basis_and_one_optimum_per_instance(self, monkeypatch):
+        inst = lc.reference_instance(n=2000, d=4, p=1.5, seed=1)
+        bases, full_solves = [], []
+        condition = lc.pipeline.well_conditioned_basis
+        solve = lc.pipeline.solve_lp_regression
+
+        def counted_basis(M, *args, **kwargs):
+            bases.append(M.shape)
+            return condition(M, *args, **kwargs)
+
+        def counted_solve(A, b, p, *args, **kwargs):
+            if A.shape[0] == inst.n:
+                full_solves.append(A.shape)
+            return solve(A, b, p, *args, **kwargs)
+
+        monkeypatch.setattr(lc.pipeline, "well_conditioned_basis", counted_basis)
+        monkeypatch.setattr(lc.pipeline, "solve_lp_regression", counted_solve)
+        cfg = small_cfg(1.5, d=4)
+        for seed in range(2):
+            rep = lc.two_stage_solve(inst, cfg, seed, compute_exact=True)
+            assert rep.status == "ok" and rep.approx_ratio is not None
+        rep = lc.single_stage_oracle_solve(
+            inst, None, cfg, r=300.0, seed=0, compute_exact=True
+        )
+        assert rep.status == "ok" and rep.Z_exact == inst.optimum[1]
+        lc.guarantee_statistics(inst, cfg, n_seeds=2)
+        assert bases == [(inst.n, inst.m)] and full_solves == [(inst.n, inst.m)]
+        # the augmented solve conditions [A b] alone, on every call
+        for seed in range(2):
+            lc.single_stage_augmented_solve(inst, cfg, r=300.0, seed=seed, compute_exact=True)
+        assert bases[1:] == [(inst.n, inst.m + 1)] * 2
+        assert full_solves == [(inst.n, inst.m)]
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(lc.InvalidConfigError, match="rank >= 1"):
             lc.RegressionInstance(A=np.zeros((10, 2)), b=np.ones(10), p=1.5)
 
-    @pytest.mark.parametrize("name", ["d", "factors"])
+    @pytest.mark.parametrize("name", ["d", "factors", "basis", "optimum"])
     def test_derived_fields_are_not_arguments(self, name):
         A = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(TypeError):
