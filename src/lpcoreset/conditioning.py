@@ -23,20 +23,23 @@ importance with the library's own sampler.  Two passes over Q then give
 every row its weight from the proxy's M and compute the exact M, c and S,
 so the certificates hold on Q itself, whatever the proxy missed.
 
-At p != 2 the basis U = Q G^-1 is one matrix product with the inverse of
-the d x d triangular G, written column-major (F-order): the row-norm
-pass that turns U into stage-1 probabilities took 2.1 to 3.4 times as
-long on a row-major n x d U (20,000 and 200,000 rows, d = 8, p in
-{1, 1.5, 3}, one BLAS thread, 2 vCPUs).
+At p != 2 the basis U = Q G^-1 comes from the rounding's last pass over
+Q: that pass forms Q G^-1 for the unscaled G, one matrix product with
+the inverse of the d x d triangular G written column-major (F-order),
+and U is that product divided by the scalar that scales G.  Row passes
+over U took 2.1 to 3.4 times as long on a row-major n x d U (20,000 and
+200,000 rows, d = 8, p in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).  The
+basis keeps U's normalized row sums of |u_ij|^p, its lp leverage, which
+is all that stage-1 sampling reads of it.
 """
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import pnorm, powsum_ratios, row_pnorms
+from .kernels import pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
 from .linalg import as_matrix, dual_exponent, qr_thin, vec_p_norm
 from .sampling import apply_plan, realize_sample
 
@@ -72,6 +75,7 @@ class RoundingResult:
             ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
             so that it is 1 + tol.
     iterations: Lewis-weight sweeps on the row-sample proxy.
+    U:      Q G^-1 for the returned G, column-major; Q itself at p = 2.
     Both factors follow in closed form from the row weights (module
     docstring) and hold on Q itself, converged or not.
     """
@@ -81,6 +85,7 @@ class RoundingResult:
     kappa_slack: float
     iterations: int
     converged: bool
+    U: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,9 @@ class WellConditionedBasis:
 
     tau = G R reconstructs A = U tau.  alpha_cert bounds the entrywise
     p-norm of U; beta_cert bounds ||z||_q / ||Uz||_p (q dual to p).
+    leverage holds the n row shares ||u_i||_p^p / |||U|||_p^p that
+    stage-1 sampling reads, computed once with the basis: one n-vector
+    kept next to the n x d U.
     """
 
     U: np.ndarray
@@ -99,6 +107,7 @@ class WellConditionedBasis:
     beta_cert: float
     kappa_cert: float
     slack_cert: float
+    leverage: np.ndarray = field(repr=False)
 
     @property
     def d(self):
@@ -185,7 +194,9 @@ def _search_proxy(Q, p):
     would keep every row or would lose rank.
     """
     d = Q.shape[1]
-    probs = np.minimum(1.0, _PROXY_ROWS * d * powsum_ratios(row_pnorms(Q, p), p))
+    probs = powsum_shares(Q, p, row_powsums(Q, p))
+    probs *= _PROXY_ROWS * d
+    np.minimum(probs, 1.0, out=probs)
     if np.all(probs >= 1.0):
         return Q
     Qs = apply_plan(realize_sample(probs, p, _PROBE_SEED), Q)
@@ -203,10 +214,26 @@ def _lewis_factor(Q, w, p):
     return scipy.linalg.cholesky(X.T @ X, lower=False)
 
 
-def _leverages(Q, G):
-    """tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||q_i^T G^-1||_2^2."""
-    Y = Q @ scipy.linalg.solve_triangular(G, np.eye(G.shape[0]))
-    return np.einsum("ij,ij->i", Y, Y)
+def _leverages(Q, G, keep_product=False):
+    """(tau, T): tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||t_i||_2^2
+    for T = Q G^-1, taken block by block.  With keep_product, T is
+    returned, written column-major; else T is None.
+
+    tau is summed on row-major rows of T, because einsum adds a row's
+    squares in another order on a column-major array, and the
+    certificates read tau's last bits.
+    """
+    n, d = Q.shape
+    Ginv = scipy.linalg.solve_triangular(G, np.eye(d))
+    T = None
+    if keep_product:
+        T = np.empty((n, d), order="F")
+        np.matmul(Q, Ginv, out=T)
+    tau = np.empty(n)
+    for blk in row_blocks(n):
+        Y = Q[blk] @ Ginv if T is None else np.ascontiguousarray(T[blk])
+        np.einsum("ij,ij->i", Y, Y, out=tau[blk])
+    return tau, T
 
 
 def lowner_john_round(Q, p, tol=0.05):
@@ -226,14 +253,19 @@ def lowner_john_round(Q, p, tol=0.05):
         # G = I rounds the 2-norm ball of an orthonormal Q exactly; Q's
         # entries are never read, so they are not checked either
         return RoundingResult(
-            G=np.eye(np.shape(Q)[1]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
+            G=np.eye(np.shape(Q)[1]),
+            kappa=1.0,
+            kappa_slack=1.0,
+            iterations=0,
+            converged=True,
+            U=np.asarray(Q),
         )
     Q = as_matrix(Q)
     d = Q.shape[1]
     if d == 1:
         g = pnorm(Q[:, 0], p)
         return RoundingResult(
-            G=np.array([[g]]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True
+            G=np.array([[g]]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, U=Q / g
         )
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
@@ -244,7 +276,7 @@ def lowner_john_round(Q, p, tol=0.05):
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
         Gs = _lewis_factor(Qs, w, p)
-        tau = _leverages(Qs, Gs)
+        tau = _leverages(Qs, Gs)[0]
         new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
         pos = w > 0.0
         change = float(np.max(np.abs(new[pos] - w[pos]) / w[pos]))
@@ -256,18 +288,21 @@ def lowner_john_round(Q, p, tol=0.05):
     # every row of Q weighted from the last sweep's M (uniformly when no
     # sweep ran), then the exact M on Q
     n = Q.shape[0]
-    w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs) ** (p / 2.0)
+    w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs)[0] ** (p / 2.0)
     G = _lewis_factor(Q, w, p)
-    tau = _leverages(Q, G)
+    tau, U = _leverages(Q, G, keep_product=True)
     pos = w > 0.0
     c = float(np.max(tau[pos] / w[pos] ** (2.0 / p)))
     S = float(w.sum())
 
     # with N(z) = ||Gz||_2, Hoelder and Cauchy-Schwarz give, for p <= 2,
     # ||Qz||_p <= S^e N(z) and N(z) <= c^e ||Qz||_p, and for p >= 2 the
-    # same with S and c swapped; G is scaled to put 1 + tol on the slack
+    # same with S and c swapped; G is scaled to put 1 + tol on the slack,
+    # and Q G^-1 by the inverse scalar
     e = abs(1.0 / p - 0.5)
-    G *= (1.0 + tol) / (c if p < 2.0 else S) ** e
+    scale = (1.0 + tol) / (c if p < 2.0 else S) ** e
+    G *= scale
+    U /= scale
     kappa = (S * c) ** e / (1.0 + tol)
     return RoundingResult(
         G=G,
@@ -275,16 +310,16 @@ def lowner_john_round(Q, p, tol=0.05):
         kappa_slack=1.0 + tol,
         iterations=sweeps,
         converged=kappa <= math.sqrt(d) * (1.0 + tol),
+        U=U,
     )
 
 
 def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
     """Construct U = Q G^-1 and tau = G R with conditioning certificates.
 
-    At p != 2, U is formed as (G^-T Q^T)^T, one matrix product with the
-    triangular inverse of G, so it comes out column-major (F-order): the
-    row p-norms that stage1_probabilities takes of it run two to three
-    times slower on a row-major U of the same shape.
+    U is the rounding's column-major product (see the module docstring),
+    and leverage its normalized row sums of |u_ij|^p from one
+    kernels.row_powsums pass.
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
     beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
@@ -309,15 +344,12 @@ def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    G = rounding.G
+    G, U = rounding.G, rounding.U
     if p == 2.0:
-        U = factors.Q
         tau = factors.R
         alpha = math.sqrt(d)
         beta = 1.0
     else:
-        Ginv = scipy.linalg.solve_triangular(G, np.eye(d))
-        U = (Ginv.T @ factors.Q.T).T
         tau = G @ factors.R
         alpha = rounding.kappa * d ** (1.0 / p)
         q = dual_exponent(p)
@@ -333,6 +365,7 @@ def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
         beta_cert=float(beta),
         kappa_cert=float(rounding.kappa),
         slack_cert=float(rounding.kappa_slack),
+        leverage=powsum_shares(U, p, row_powsums(U, p)),
     )
 
 

@@ -1,17 +1,24 @@
-"""Hot kernels: row p-norms, probability ratios, counter RNG, smoothed power weights.
+"""Hot kernels: row p-norms and p-th power sums, probability ratios, counter
+RNG and its Bernoulli draws, blocked residual norms, smoothed power weights.
 
 Each kernel allocates one working array (the ``np.abs`` result, the
 scaled ratios, ``r*r``) and does the rest of its work in place on it, so
 callers' arrays are never modified.  A step that needs a second operand
 of full size (the power chain at 1.5) uses one temporary array.  The
-counter mix is the exception: it works on chunk-sized counter and
-temporary arrays and writes each chunk's uniforms into the output.
+counter mix, ``row_powsums`` and ``residual_pnorm`` are the exceptions:
+they work on buffers of one block of rows (``_COUNTER_CHUNK`` draws, or
+a block of ``row_blocks``) and write each block's result into the
+output.
 
 The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
 take the unscaled sum of squares in one pass over the input, with no
 ``np.abs`` copy.  Only a sum outside ``[_SQ_LO, _SQ_HI]`` (overflowed,
 possibly underflowed, zero or NaN) is redone by the max-scaled code the
 other exponents use, so the result is as exact as the scaled one.
+``row_powsums`` applies the same guard at every p: each row's unscaled
+``sum_j |m_ij|^p`` is kept when it lies in that range, and only the
+other rows are redone as their max-scaled p-norms raised to p.
+``residual_pnorm`` guards the total of its blocks the same way.
 
 Non-finite input follows ``math.hypot`` at every p: an infinity gives
 inf, else a NaN gives NaN.  Only a row whose max (at p=1, its sum) is not
@@ -36,11 +43,26 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
 # whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
 _COUNTER_CHUNK = 16384
-# A p=2 sum of squares s needs no scaling when _SQ_LO <= s <= _SQ_HI: a
-# finite s had no square overflow, and each square that underflowed is
-# below 2^-1022 = 2^-122 * _SQ_LO, far below the last bit of s.
+# Rows per block of row_powsums and residual_pnorm, the block height of
+# the TSQR in linalg: a 16,384 x 10 block of doubles (1.3 MB) stays in the
+# L2 cache while the block's passes run.  Keep it a multiple of 4: OpenBLAS
+# computed each row of the block products A[blk] @ x bitwise as in A @ x
+# at heights 16,384, 256 and 100, but not at 7 (1,000,000 x 10 and
+# 200,000 x 8).
+_ROW_BLOCK = 16384
+# A sum s of p-th powers (at p=2, of squares) needs no scaling when
+# _SQ_LO <= s <= _SQ_HI: a finite s had no power overflow, and each power
+# that underflowed is below 2^-1022 = 2^-122 * _SQ_LO, far below the last
+# bit of s.
 _SQ_LO = 2.0 ** -900
 _SQ_HI = float(np.finfo(np.float64).max)
+
+
+def row_blocks(n):
+    """Slices of _ROW_BLOCK rows covering n rows, the tail below one block
+    joined to the last block, as the TSQR in linalg splits A."""
+    k = max(1, n // _ROW_BLOCK)
+    return [slice(i * _ROW_BLOCK, n if i == k - 1 else (i + 1) * _ROW_BLOCK) for i in range(k)]
 
 
 def _pow_inplace(a, e):
@@ -138,6 +160,57 @@ def _nonfinite_norms(R):
     return np.where(np.isnan(R).any(axis=1) & ~np.isinf(R).any(axis=1), np.nan, np.inf)
 
 
+def row_powsums(M, p):
+    """Per-row sums sum_j |m_ij|^p of a 2-D array, for a finite p >= 1.
+
+    The sums are taken unscaled in the blocks of row_blocks (at p=2 one
+    einsum per block, so the last bits may depend on M's memory order);
+    a sum outside [_SQ_LO, _SQ_HI] is redone as the row's max-scaled
+    p-norm raised to p (see the module docstring).
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError("row_powsums expects a 2-D array")
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"row_powsums needs a finite p >= 1, got {p}")
+    n, k = M.shape
+    out = np.zeros(n)
+    if k == 0:
+        return out
+    blocks = row_blocks(n)
+    buf = None if p == 2.0 else np.empty((n - blocks[-1].start, k), order="F")
+    with np.errstate(over="ignore"):
+        for blk in blocks:
+            m, s = M[blk], out[blk]
+            if p == 2.0:
+                np.einsum("ij,ij->i", m, m, out=s)
+            else:
+                np.sum(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), axis=1, out=s)
+    if out.min(initial=_SQ_LO) >= _SQ_LO and out.max(initial=0.0) <= _SQ_HI:
+        return out
+    bad = np.flatnonzero(~((out >= _SQ_LO) & (out <= _SQ_HI)))
+    with np.errstate(over="ignore"):
+        out[bad] = _scaled_row_pnorms(np.abs(M[bad]), p) ** p
+    return out
+
+
+def powsum_shares(M, p, sums, scale=1.0):
+    """Each row's share scale * sums_i / sum_j sums_j of sums =
+    row_powsums(M, p), computed in place on sums.
+
+    A total outside [_SQ_LO, _SQ_HI] (at large p, or at extreme scales)
+    means rows were lost to under- or overflow; the shares are then the
+    max-scaled scale * powsum_ratios(row_pnorms(M, p), p) instead.
+    """
+    total = float(sums.sum())
+    if _SQ_LO <= total <= _SQ_HI:
+        sums /= total / scale
+        return sums
+    shares = powsum_ratios(row_pnorms(M, p), p)
+    shares *= scale
+    return shares
+
+
 def powsum_ratios(vals, p):
     """Normalized powers vals_i^p / sum_j vals_j^p.
 
@@ -153,14 +226,10 @@ def powsum_ratios(vals, p):
     return r
 
 
-def counter_uniforms(seed, n):
-    """n uniforms in [0,1) from a splitmix64 counter stream keyed by seed.
-
-    Draw i depends only on (seed, i), so plans are reproducible and
-    row-parallel.  The stream is mixed in chunks of _COUNTER_CHUNK draws
-    written into the one output array.
-    """
-    u = np.empty(n)
+def _counter_chunks(seed, n):
+    """Yield (lo, u) for each chunk of the first n draws keyed by seed:
+    u holds draws lo, lo + 1, ... in one buffer that the next chunk
+    overwrites."""
     size = min(n, _COUNTER_CHUNK)
     # state of draw lo + j + 1 is (j + 1) * golden + seed + lo * golden
     first = np.arange(1, size + 1, dtype=np.uint64)
@@ -168,6 +237,7 @@ def counter_uniforms(seed, n):
     first += _U64(seed & _MASK64)
     x = np.empty_like(first)
     t = np.empty_like(first)
+    u = np.empty(size)
     for lo in range(0, n, _COUNTER_CHUNK):
         h = min(n - lo, size)
         xs, ts = x[:h], t[:h]
@@ -177,8 +247,68 @@ def counter_uniforms(seed, n):
         xs ^= np.right_shift(xs, _S27, out=ts)
         xs *= _MIX2
         xs ^= np.right_shift(xs, _S31, out=ts)
-        np.multiply(np.right_shift(xs, _S11, out=xs), _INV53, out=u[lo:lo + h])
+        np.multiply(np.right_shift(xs, _S11, out=xs), _INV53, out=u[:h])
+        yield lo, u[:h]
+
+
+def counter_uniforms(seed, n):
+    """n uniforms in [0,1) from a splitmix64 counter stream keyed by seed.
+
+    Draw i depends only on (seed, i), so plans are reproducible and
+    row-parallel.  The stream is mixed in chunks of _COUNTER_CHUNK draws
+    copied into the one output array.
+    """
+    u = np.empty(n)
+    for lo, chunk in _counter_chunks(seed, n):
+        u[lo:lo + chunk.size] = chunk
     return u
+
+
+def counter_bernoulli(seed, probs):
+    """Indices i with u_i < probs[i], u = counter_uniforms(seed, n).
+
+    Each chunk of draws is compared with its probabilities as it is
+    mixed, so no n-length array of uniforms is built; the indices are
+    bitwise np.flatnonzero(counter_uniforms(seed, n) < probs).
+    """
+    hits = [
+        np.flatnonzero(u < probs[lo:lo + u.size]) + lo
+        for lo, u in _counter_chunks(seed, probs.shape[0])
+    ]
+    return np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+
+
+def residual_pnorm(A, x, b, p, out=None):
+    """||A x - b||_p, the entrywise norm when x and b are matrices,
+    computed in the blocks of row_blocks for a finite p >= 1.
+
+    Each block's residual A[blk] @ x - b[blk] is bitwise that block of
+    A @ x - b (see _ROW_BLOCK) and is written into out[blk] when out is
+    given; otherwise no n-length array is built.  The blocks' sums of
+    |r|^p are added unscaled, and a total outside [_SQ_LO, _SQ_HI] is
+    redone by pnorm on the whole residual (formed again if out is None).
+    """
+    blocks = row_blocks(A.shape[0])
+    rows = A.shape[0] - blocks[-1].start
+    buf = np.empty((rows,) + b.shape[1:]) if out is None else None
+    tmp = np.empty(rows * (b.shape[1] if b.ndim == 2 else 1)) if p != 2.0 else None
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for blk in blocks:
+            r = buf[:blk.stop - blk.start] if out is None else out[blk]
+            np.matmul(A[blk], x, out=r)
+            r -= b[blk]
+            v = r.reshape(-1)
+            if p == 2.0:
+                total += float(v @ v)
+            else:
+                total += float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
+    if _SQ_LO <= total <= _SQ_HI:
+        return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+    if out is None:
+        out = A @ x
+        out -= b
+    return pnorm(out, p)
 
 
 def smoothed_power_weights(residuals, mu, p):

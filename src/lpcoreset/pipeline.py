@@ -9,9 +9,14 @@ w_i^(1/p), so it is a plain instance to every stage, and a matrix
 right-hand side changes only the residual norm.  The single-stage
 variants (oracle probabilities, augmented-matrix sampling) run on the
 same machinery.  Each RegressionInstance keeps what every stage and
-statistic of it shares: the QR of A, the well-conditioned basis and the
-full problem's optimum, each made once; so neither A nor b may be
-changed after construction.
+statistic of it shares: the QR of A, the well-conditioned basis (with
+its leverage) and the full problem's optimum, each made once; so
+neither A nor b may be changed after construction.
+
+A stage's work over all n rows runs block by block: the full residual
+A x - b, whose blocks give the full objective (kernels.residual_pnorm),
+and the draws of its plan (kernels.counter_bernoulli).  Only stage 1
+keeps its n-length residual, because stage 2 samples by it.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -27,6 +32,7 @@ import numpy as np
 
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
+from .kernels import residual_pnorm
 from .linalg import (
     QRFactors,
     _qr_factors,
@@ -76,7 +82,10 @@ class RegressionInstance:
     full problem's (x, objective)) are computed on first use and then
     kept, so every solve and statistic of the instance shares them.  The
     instance holds Q (and, once conditioned at p != 2, U), n x d doubles
-    each, and neither A nor b may be changed after construction.
+    each, and once conditioned the basis's leverage, one n-vector; its
+    reports hold stage 1's residual and each stage's probabilities, n
+    entries each, but no stage-2 residual.  Neither A nor b may be
+    changed after construction.
     """
 
     A: np.ndarray
@@ -126,12 +135,14 @@ class RegressionInstance:
 @dataclass(eq=False)
 class StageOutcome:
     """One sampling stage: the realized plan, the subproblem solution,
-    and its residual/objective evaluated on the full data."""
+    and its objective evaluated on the full data.  residual, A x_hat - b
+    on the full data, is kept by stage 1 only, for stage 2 to sample by;
+    it is None on every other outcome."""
 
     stage: int
     plan: object
     x_hat: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None
     sampled_objective: float
     full_objective: float
     exact_passthrough: bool = False
@@ -173,9 +184,10 @@ def _solve_subproblem(SA, Sb, p):
     return res.x, res.objective
 
 
-def _sample_and_solve(inst, probs, stage, seed):
+def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
     """Realize a plan (retrying on rank-deficient samples), solve it, and
-    evaluate the solution on the full data."""
+    evaluate the solution on the full data, keeping the full residual
+    only when keep_residual is set."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
     for attempt in range(_MAX_SAMPLE_ATTEMPTS):
         plan_seed = seed if attempt == 0 else derive_seed(seed, f"retry:{attempt}")
@@ -189,15 +201,15 @@ def _sample_and_solve(inst, probs, stage, seed):
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
         x, sampled_obj = _solve_subproblem(SA, Sb, inst.p)
-        residual = inst.A @ x
-        residual -= inst.b
+        residual = np.empty(inst.b.shape) if keep_residual else None
+        full_obj = residual_pnorm(inst.A, x, inst.b, inst.p, out=residual)
         return StageOutcome(
             stage=stage,
             plan=plan,
             x_hat=x,
             residual=residual,
             sampled_objective=sampled_obj,
-            full_objective=vec_p_norm(residual, inst.p),
+            full_objective=full_obj,
             attempts=attempt + 1,
         )
     raise StageFailureError(
@@ -214,7 +226,7 @@ def stage_one(inst, cfg, seed):
     (the default formula at desk scale) degenerates to full sampling.
     """
     probs = stage1_probabilities(inst.basis, r1_default(cfg))
-    return _sample_and_solve(inst, probs, 1, seed)
+    return _sample_and_solve(inst, probs, 1, seed, keep_residual=True)
 
 
 def stage_two(inst, stage1_out, cfg, seed):
@@ -230,7 +242,7 @@ def stage_two(inst, stage1_out, cfg, seed):
             stage=2,
             plan=None,
             x_hat=stage1_out.x_hat,
-            residual=rho,
+            residual=None,
             sampled_objective=stage1_out.full_objective,
             full_objective=stage1_out.full_objective,
             exact_passthrough=True,

@@ -5,6 +5,14 @@ Row i is kept independently with probability p_i and, when kept, its row
 ||S A x||_p^p an unbiased estimator of ||A x||_p^p.  Draws come from a
 counter-based generator keyed by (seed, row), so plans are reproducible
 and the draw at row i never depends on the probability at row j.
+
+Stage 1 reads the basis's leverage, the row shares
+||u_i||_p^p / |||U|||_p^p that well_conditioned_basis computes once per
+basis, so its probabilities are one pass over an n-vector.  Stage 2 takes
+the p-th powers of the stage-1 residual with kernels.row_powsums and
+mixes them with the stage-1 probabilities in one clip pass, and a
+plan's draws are compared with their probabilities chunk by chunk as the
+counter stream is mixed.
 """
 import math
 from dataclasses import dataclass, field
@@ -12,7 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, ZeroRankError
-from .kernels import counter_uniforms, powsum_ratios, row_pnorms
+from .kernels import counter_bernoulli, powsum_shares, row_pnorms, row_powsums
+# kept only as bindings that perfbench's tracer counts kernel calls at;
+# no code of this module calls them
+from .kernels import counter_uniforms, powsum_ratios
 from .linalg import as_matrix
 
 EPSILON_GUARANTEE_LIMIT = 1.0 / 7.0
@@ -104,32 +115,34 @@ class SamplingPlan:
 
 
 def stage1_probabilities(basis, r1):
-    """p_i = min(1, r1 * ||row_i(U)||_p^p / |||U|||_p^p); zero rows get 0."""
+    """p_i = min(1, r1 * ||row_i(U)||_p^p / |||U|||_p^p); zero rows get 0.
+
+    The shares are basis.leverage, kept with the basis, so this is one
+    pass over an n-vector.
+    """
     if r1 < 0.0:
         raise ValueError("r1 must be nonnegative")
-    rn = row_pnorms(basis.U, basis.p)
-    ratios = powsum_ratios(rn, basis.p)
-    ratios *= r1
-    return np.minimum(ratios, 1.0, out=ratios)
+    probs = np.multiply(basis.leverage, r1)
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def stage2_probabilities(p1, residual, p, r2):
     """q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)).
 
-    residual may be a matrix, in which case row p-norms replace the
-    absolute values (the multi-column generalization); the single-column
-    case reduces bitwise to the vector case.  A zero residual is a caller
-    contract violation (the pipeline short-circuits it first).
+    residual may be a matrix, in which case the row sums of |rho_ij|^p
+    replace |rho_i|^p (the multi-column generalization); the
+    single-column case reduces bitwise to the vector case.  A zero
+    residual is a caller contract violation (the pipeline short-circuits
+    it first).
     """
     p1 = np.asarray(p1, dtype=np.float64)
     rho = np.asarray(residual, dtype=np.float64)
-    mags = row_pnorms(rho, p) if rho.ndim == 2 else np.abs(rho)
-    if mags.max(initial=0.0) <= 0.0:
+    rho = rho.reshape(rho.shape[0], -1)
+    sums = row_powsums(rho, p)
+    if sums.max(initial=0.0) <= 0.0 and not np.any(rho):
         raise ValueError("stage-2 probabilities are undefined for a zero residual")
-    ratios = powsum_ratios(mags, p)
-    ratios *= r2
-    np.maximum(ratios, p1, out=ratios)
-    return np.minimum(ratios, 1.0, out=ratios)
+    q = powsum_shares(rho, p, sums, r2)
+    return np.clip(q, p1, 1.0, out=q)
 
 
 def oracle_probabilities(basis, rho_opt, Z, r):
@@ -140,14 +153,13 @@ def oracle_probabilities(basis, rho_opt, Z, r):
     """
     if Z < 0.0:
         raise ValueError("Z must be nonnegative")
-    p = basis.p
-    lev = powsum_ratios(row_pnorms(basis.U, p), p)
+    lev = basis.leverage
     if Z == 0.0:
         combined = lev
     else:
         mags = np.abs(np.asarray(rho_opt, dtype=np.float64))
         with np.errstate(over="ignore"):
-            res = (mags / Z) ** p
+            res = (mags / Z) ** basis.p
         combined = np.maximum(lev, res)
     return np.minimum(1.0, combined * r)
 
@@ -164,8 +176,7 @@ def realize_sample(probs, p, seed):
     # NaN fails both comparisons, since min and max propagate it
     if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    u = counter_uniforms(int(seed), probs.shape[0])
-    idx = np.nonzero(u < probs)[0]
+    idx = counter_bernoulli(int(seed), probs)
     scales = probs[idx] ** (-1.0 / p)
     return SamplingPlan(
         probs=probs,

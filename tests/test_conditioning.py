@@ -120,9 +120,10 @@ class TestProxySearch:
 
     def test_full_size_work(self, monkeypatch):
         # one unit per n-vector and k units per k x n block handed to the
-        # norm kernels; the Lewis rounding hands them Q once (8 units), for
-        # the proxy's importance probabilities; the cutting scheme it
-        # replaced took about 720 units here, or 4,900 searching on Q itself
+        # norm and power-sum kernels; the Lewis rounding hands them Q once
+        # (8 units), for the proxy's importance probabilities; the cutting
+        # scheme it replaced took about 720 units here, or 4,900 searching
+        # on Q itself
         A, _, _ = make_instance_arrays(20_000, 8, seed=1)
         Q = qr_thin(A).Q
         n = Q.shape[0]
@@ -139,9 +140,10 @@ class TestProxySearch:
 
         monkeypatch.setattr(conditioning, "pnorm", counted(conditioning.pnorm))
         monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
+        monkeypatch.setattr(conditioning, "row_powsums", counted(conditioning.row_powsums))
         res = lowner_john_round(Q, 1.5, tol=TOL)
         assert res.converged
-        assert sum(work) <= 8
+        assert 0 < sum(work) <= 8
 
 
 def _rows(kind, rng, n, d):
@@ -252,9 +254,13 @@ class TestWellConditionedBasis:
         Q = qr_thin(A).Q
         ref = np.linalg.solve(W.G.T, Q.T).T
         assert np.abs(W.U - ref).max() <= 1e-14 * np.abs(ref).max()
-        # the layout is pinned: stage1_probabilities takes row p-norms of U,
-        # and that pass runs two to three times slower on a row-major n x d U
+        # the layout is pinned: the leverage pass takes row sums of U, and
+        # row passes run two to three times slower on a row-major n x d U
         assert W.U.flags.f_contiguous
+        # U is the rounding's own product, scaled with G
+        R = conditioning.lowner_john_round(Q, p)
+        np.testing.assert_array_equal(R.G, W.G)
+        np.testing.assert_array_equal(R.U, W.U)
 
     def test_scale_equivariance_of_basis(self, rng):
         A = rng.standard_normal((50, 3))

@@ -242,3 +242,113 @@ def test_nonfinite_norms_match_hypot(rng, p):
     _assert_ulps(got[picks], [math.hypot(*r) for r in NONFINITE_ROWS])
     # the finite rows keep the values they have without their neighbours
     np.testing.assert_array_equal(got[plain], kernels.row_pnorms(M[plain], p))
+
+
+def _guarded(M, p):
+    """Rows whose unscaled sum of |m_ij|^p lies outside the safe range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sum(np.abs(M) ** p, axis=1)
+    return ~((s >= kernels._SQ_LO) & (s <= kernels._SQ_HI))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_powsums_match_powered_row_pnorms(rng, p, order):
+    # ordinary rows, rows scaled by 1e+-200, zero rows and the non-finite
+    # rows; the guarded rows take the max-scaled code and read bitwise
+    # what row_pnorms gives them, raised to p
+    M = rng.standard_normal((300, 3))
+    M[:40] *= 1e200
+    M[40:80] *= 1e-200
+    M[80:90] = 0.0
+    M[90:90 + len(NONFINITE_ROWS), :2] = NONFINITE_ROWS
+    M = np.asarray(M, order=order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.row_powsums(M, p)
+    with np.errstate(over="ignore"):
+        want = kernels.row_pnorms(M, p) ** p
+    bad = _guarded(M, p)
+    assert bad[80:90].all() and not bad[100:].any()
+    np.testing.assert_array_equal(got[bad], want[bad])
+    np.testing.assert_allclose(got[~bad], want[~bad], rtol=1e-13)
+    np.testing.assert_allclose(got[~bad], np.sum(np.abs(M[~bad]) ** p, axis=1), rtol=1e-14)
+    _assert_ulps(got[90:90 + len(NONFINITE_ROWS)], [math.hypot(*r) for r in NONFINITE_ROWS])
+
+
+def test_row_blocks_join_the_tail_to_the_last_block(monkeypatch):
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 4)
+    assert kernels.row_blocks(0) == [slice(0, 0)]
+    assert kernels.row_blocks(7) == [slice(0, 7)]
+    assert kernels.row_blocks(8) == [slice(0, 4), slice(4, 8)]
+    assert kernels.row_blocks(11) == [slice(0, 4), slice(4, 11)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_row_powsums_blocks_do_not_change_a_row(rng, monkeypatch, p):
+    M = np.asfortranarray(rng.standard_normal((1000, 4)))
+    whole = kernels.row_powsums(M, p)
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
+    np.testing.assert_array_equal(kernels.row_powsums(M, p), whole)
+
+
+def test_row_powsums_edge_shapes():
+    assert kernels.row_powsums(np.zeros((0, 3)), 1.5).shape == (0,)
+    np.testing.assert_array_equal(kernels.row_powsums(np.ones((2, 0)), 1.5), [0.0, 0.0])
+    with pytest.raises(ValueError):
+        kernels.row_powsums(np.ones(3), 2.0)
+    with pytest.raises(ValueError):
+        kernels.row_powsums(np.ones((3, 2)), np.inf)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_powsum_shares(rng, p):
+    M = rng.standard_normal((200, 4))
+    sums = kernels.row_powsums(M, p)
+    shares = kernels.powsum_shares(M, p, sums, 7.0)
+    assert shares is sums  # in place
+    np.testing.assert_allclose(shares, 7.0 * kernels.powsum_ratios(kernels.row_pnorms(M, p), p),
+                               rtol=1e-13)
+    assert shares.sum() == pytest.approx(7.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_powsum_shares_fall_back_when_the_total_is_not_safe(rng, scale):
+    # the squares underflow (1e-200) or overflow (1e200), and at p=1000
+    # every power of an orthonormal basis underflows: the shares then come
+    # from the scaled ratios, bitwise
+    Q = np.linalg.qr(rng.standard_normal((500, 3)))[0]
+    for M, p in ((rng.standard_normal((50, 3)) * scale, 2.0), (Q, 1000.0)):
+        want = kernels.powsum_ratios(kernels.row_pnorms(M, p), p)
+        with np.errstate(under="ignore"):
+            got = kernels.powsum_shares(M, p, kernels.row_powsums(M, p))
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_residual_pnorm_blocks(rng, monkeypatch, p, cols, order):
+    # blocks of 256 rows, the last of 467: each block's residual is
+    # bitwise that block of A @ x - b, and the norm is the whole residual's
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
+    assert kernels.row_blocks(2003)[-1] == slice(1536, 2003)
+    A = np.asarray(rng.standard_normal((2003, 4)), order=order)
+    shape = (4,) if cols is None else (4, cols)
+    x = rng.standard_normal(shape)
+    b = rng.standard_normal((2003,) + shape[1:])
+    whole = A @ x - b
+    out = np.empty(b.shape)
+    got = kernels.residual_pnorm(A, x, b, p, out=out)
+    np.testing.assert_array_equal(out, whole)
+    assert got == pytest.approx(kernels.pnorm(whole, p), rel=1e-13)
+    assert kernels.residual_pnorm(A, x, b, p) == got
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_residual_pnorm_guarded_total(rng, p):
+    # a residual whose powers overflow or vanish takes pnorm's scaled path
+    A = rng.standard_normal((50, 2))
+    x = np.ones(2)
+    for b in (A @ x + 1e300, A @ x):
+        assert kernels.residual_pnorm(A, x, b, p) == kernels.pnorm(A @ x - b, p)

@@ -572,3 +572,76 @@ class TestOneFactorization:
         A = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(TypeError):
             lc.RegressionInstance(A=A, b=np.ones(20), p=1.5, **{name: None})
+
+
+class TestBlockedStages:
+    """A stage's work over all n rows runs in row blocks, and a report keeps
+    only the n-length arrays that a later stage reads or a plan holds."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("cols", [None, 2])
+    def test_multi_block_run_matches_one_block(self, monkeypatch, p, cols):
+        # blocks of 256 rows for the residuals, the power sums and the
+        # draws, against one block of all 2,000: the same plans and
+        # solutions, the stage-1 residual bitwise A @ x - b, and the
+        # objectives equal up to the order of their sums
+        A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
+        if cols is not None:
+            b = np.column_stack([b, 2.0 * b + A[:, 0]])
+        cfg = small_cfg(p, d=4)
+        one = lc.two_stage_solve(lc.RegressionInstance(A=A, b=b, p=p), cfg, seed=3)
+        monkeypatch.setattr(lc.kernels, "_ROW_BLOCK", 256)
+        monkeypatch.setattr(lc.kernels, "_COUNTER_CHUNK", 256)
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        many = lc.two_stage_solve(inst, cfg, seed=3)
+        assert one.status == many.status == "ok"
+        st1 = many.stage1
+        np.testing.assert_array_equal(st1.residual, inst.A @ st1.x_hat - inst.b)
+        for k in ("stage1", "stage2"):
+            a, z = getattr(one, k), getattr(many, k)
+            assert 0 < a.plan.actual_count < inst.n
+            np.testing.assert_array_equal(a.plan.realized_indices, z.plan.realized_indices)
+            np.testing.assert_array_equal(a.x_hat, z.x_hat)
+            assert z.full_objective == pytest.approx(a.full_objective, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_one_leverage_pass_per_instance(self, monkeypatch, p):
+        # solves, an oracle solve and guarantee statistics on one instance
+        # take the leverage of its basis once; no stage takes norms of U
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        passes = []
+        for module in (lc.conditioning, lc.sampling):
+            for name in ("row_powsums", "row_pnorms"):
+
+                def counted(M, q, _real=getattr(module, name), _name=name):
+                    passes.append((_name, M))
+                    return _real(M, q)
+
+                monkeypatch.setattr(module, name, counted)
+        cfg = small_cfg(p, d=4)
+        for seed in range(3):
+            assert lc.two_stage_solve(inst, cfg, seed, compute_exact=True).status == "ok"
+        assert lc.single_stage_oracle_solve(inst, None, cfg, r=300.0, seed=0).status == "ok"
+        lc.guarantee_statistics(inst, cfg, n_seeds=2)
+        U = inst.basis.U
+        assert [name for name, M in passes if np.shares_memory(M, U)] == ["row_powsums"]
+        assert not [M for name, M in passes if name == "row_pnorms" and M.shape[0] == inst.n]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_stage_two_keeps_no_residual(self, p):
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
+        st1, st2 = rep.stage1, rep.stage2
+        assert st1.residual.shape == (inst.n,) and st2.residual is None
+        held = [
+            v
+            for obj in (st2, st2.plan)
+            for v in vars(obj).values()
+            if isinstance(v, np.ndarray) and v.shape[:1] == (inst.n,)
+        ]
+        assert len(held) == 1 and held[0] is st2.plan.probs
+        # a stage 2 that passes stage 1's exact solution through keeps none
+        A = inst.A
+        exact = lc.RegressionInstance(A=A, b=A @ np.ones(4), p=p)
+        rep = lc.two_stage_solve(exact, small_cfg(p, d=4, s1=1e-3), seed=0)
+        assert rep.stage2.exact_passthrough and rep.stage2.residual is None

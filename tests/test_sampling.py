@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpcoreset import kernels
 from lpcoreset.conditioning import well_conditioned_basis
 from lpcoreset.errors import InvalidConfigError, ZeroRankError
 from lpcoreset.linalg import numeric_rank, vec_p_norm
@@ -93,6 +94,17 @@ class TestStage1Probabilities:
         assert probs[7] == 0.0
         assert np.all(probs[np.arange(20) != 7] > 0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_reads_the_kept_leverage(self, rng, p):
+        # the basis keeps ||u_i||_p^p / |||U|||_p^p, and stage 1 is one
+        # min(1, r1 * leverage) pass over it
+        W = well_conditioned_basis(rng.standard_normal((300, 3)), p)
+        want = np.sum(np.abs(W.U) ** p, axis=1)
+        np.testing.assert_allclose(W.leverage, want / want.sum(), rtol=1e-13)
+        np.testing.assert_array_equal(
+            stage1_probabilities(W, 40.0), np.minimum(1.0, 40.0 * W.leverage)
+        )
+
     def test_p2_is_clamped_leverage(self, rng):
         # at p=2 the basis is the thin Q and p_i = min(1, r1 * tau_i / d)
         # with tau_i = ||q_i||_2^2 the leverage scores, which sum to d
@@ -143,6 +155,7 @@ class TestStage2Probabilities:
         np.testing.assert_array_equal(qv, qm)
 
 
+
 class TestOracleProbabilities:
     def test_zero_Z_reduces_to_leverage(self, basis):
         rho = np.zeros(50)
@@ -190,6 +203,21 @@ class TestRealize:
         ia = set(a.realized_indices.tolist()) - {50}
         ib = set(b.realized_indices.tolist()) - {50}
         assert ia == ib
+
+    @pytest.mark.parametrize("chunk", [7, kernels._COUNTER_CHUNK])
+    def test_chunked_draws_match_the_whole_stream(self, rng, monkeypatch, chunk):
+        # below one chunk, whole chunks and a partial last chunk: the plan
+        # keeps exactly the rows whose uniform lies below their probability
+        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+        for n in (1, chunk - 3, chunk, 2 * chunk + 5):
+            probs = rng.uniform(0.0, 1.0, n) ** 3
+            probs[::7] = 0.0
+            probs[3::11] = 1.0
+            for seed in (0, 91):
+                plan = realize_sample(probs, 1.5, seed)
+                want = np.flatnonzero(kernels.counter_uniforms(seed, n) < probs)
+                np.testing.assert_array_equal(plan.realized_indices, want)
+                assert plan.probs is probs
 
     def test_scale_values(self, rng):
         probs = rng.uniform(0.1, 1.0, 50)
