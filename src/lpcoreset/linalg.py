@@ -10,12 +10,25 @@ block's Q is multiplied by its slice of that small Q.  It is as backward
 stable as one Householder QR of A, and its R has the same singular values
 up to rounding, which the rank rule reads.  An A with fewer than two
 blocks of rows takes one Householder QR.
+
+Every least-squares solve of the library, min ||M x - c||_2, goes through
+BlockedLstsq: a Householder QR of the augmented matrix [M | c], split
+into row blocks as the TSQR splits A.  Each block is written into one
+reused Fortran-ordered buffer and factored in place by LAPACK's geqrf;
+the (m+1) x (m+1) triangles of several blocks are stacked and factored
+once more, so no Q is ever formed.  The last column of the final
+triangle is Q^T c (its last entry is the residual norm up to sign), so c
+needs no pass of its own.  The m x m triangle and the top m entries of
+that column then go to LAPACK's pivoted-QR driver gelsy with cond =
+DEFAULT_RANK_TOL (_lstsq), which keeps gelsy's rank rule and its
+minimum-norm answer on rank-deficient or underdetermined systems.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from . import kernels
 from .errors import InvalidExponentError, ZeroRankError
@@ -122,15 +135,23 @@ def _qr_factors(A):
     return QRFactors(Q=Q, R=R, rank=d)
 
 
+def _tsqr_blocks(n, m):
+    """Slices of the TSQR's row blocks of an n x m matrix: _TSQR_ROWS rows
+    each but at least m, so that each block has an m x m R, and the tail
+    below one block joined to the last block."""
+    rows = max(_TSQR_ROWS, m)
+    k = max(1, n // rows)
+    return [slice(i * rows, n if i == k - 1 else (i + 1) * rows) for i in range(k)]
+
+
 def _economic_qr(A):
     """(Q, R) of A: one scipy.linalg.qr call below two blocks of rows,
     else a TSQR that writes Q into one Fortran-ordered n x m array."""
     n, m = A.shape
-    rows = max(_TSQR_ROWS, m)  # a block needs m rows for an m x m R
-    k = n // rows
+    blocks = _tsqr_blocks(n, m)
+    k = len(blocks)
     if k < 2:
         return scipy.linalg.qr(A, mode="economic", check_finite=False)
-    blocks = [slice(i * rows, n if i == k - 1 else (i + 1) * rows) for i in range(k)]
     Q = np.empty((n, m), order="F")
     stacked = np.empty((k * m, m))
     for i, blk in enumerate(blocks):
@@ -149,3 +170,120 @@ def numeric_rank(A):
         return qr_thin(A).rank
     except ZeroRankError:
         return 0
+
+
+_GEQRF, _GEQRF_LWORK, _GELSY, _GELSY_LWORK = get_lapack_funcs(
+    ("geqrf", "geqrf_lwork", "gelsy", "gelsy_lwork"), dtype=np.float64
+)
+
+
+def _gelsy_workspace(n, m):
+    """Optimal gelsy workspace length for an n x m system with one
+    right-hand side."""
+    work, info = _GELSY_LWORK(n, m, 1, DEFAULT_RANK_TOL)
+    if info != 0:
+        raise ValueError(f"gelsy workspace query failed: info={info}")
+    return int(work)
+
+
+def _lstsq(A, b, lwork=None, overwrite=False):
+    """min ||Ax - b||_2 by gelsy with cond = DEFAULT_RANK_TOL: the triangle
+    solve of BlockedLstsq, which calls it on its min(n, m) x m triangle
+    only.
+
+    For a given A and b it returns bitwise what
+    scipy.linalg.lstsq(lapack_driver="gelsy") does, but without that
+    wrapper's validation and copies.  A (n x m) and b (n) must be finite
+    float64.  lwork defaults to a fresh workspace query.
+    overwrite lets gelsy factor A and b in place (A must then be
+    F-ordered to avoid a copy).  The returned x may be a view of b's
+    storage.
+    """
+    n, m = A.shape
+    if lwork is None:
+        lwork = _gelsy_workspace(n, m)
+    if n < m:
+        # gelsy writes the m-entry solution into b's storage
+        b = np.concatenate([b, np.zeros(m - n)])
+    _, x, _, _, info = _GELSY(
+        A,
+        b,
+        np.zeros(m, dtype=np.int32),
+        DEFAULT_RANK_TOL,
+        lwork,
+        overwrite_a=overwrite,
+        overwrite_b=overwrite,
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    return x[:m]
+
+
+class BlockedLstsq:
+    """min ||M x - c||_2 for an n x m M, by a blocked QR of [M | c] (see
+    the module docstring).
+
+    Buffers and LAPACK workspace sizes are made once, at construction, so
+    one instance serves every solve of the same shape.  solve(fill) lets
+    fill(blk, out) write [M[blk] | c[blk]] into the F-ordered buffer out
+    (rows x (m+1)); out is checked for finiteness and then overwritten by
+    its QR, so fill may read it first.  solve_rows(M, c) copies the rows
+    of given arrays.  Neither modifies M or c, and both raise ValueError
+    on non-finite entries.
+    """
+
+    def __init__(self, n, m):
+        self.m = m
+        m1 = m + 1
+        self.blocks = _tsqr_blocks(n, m1)
+        rows = [blk.stop - blk.start for blk in self.blocks]
+        buf = np.empty(max(rows) * m1)
+        # each block's F-ordered view of the one buffer
+        self._outs = [buf[:r * m1].reshape(m1, r).T for r in rows]
+        k = len(self.blocks)
+        self._stacked = np.empty((k * m1, m1), order="F") if k > 1 else None
+        work, info = _GEQRF_LWORK(max(max(rows), k * m1), m1)
+        if info != 0:
+            raise ValueError(f"geqrf workspace query failed: info={info}")
+        self._geqrf_lwork = int(work)
+        # the triangle gelsy solves: min(n, m) rows of the final R
+        t = min(n, m)
+        self._tri = np.empty((t, m), order="F")
+        self._below = np.tri(t, m, -1, dtype=bool)
+        self._rhs = np.empty(t)
+        self._gelsy_lwork = _gelsy_workspace(t, m)
+
+    def _factor(self, a):
+        """a, F-ordered, overwritten by its geqrf QR (R on and above the
+        diagonal)."""
+        qr, _, _, info = _GEQRF(a, lwork=self._geqrf_lwork, overwrite_a=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of geqrf")
+        return qr
+
+    def solve(self, fill):
+        m1 = self.m + 1
+        for i, (blk, out) in enumerate(zip(self.blocks, self._outs)):
+            fill(blk, out)
+            if not np.isfinite(out).all():
+                raise ValueError("least-squares system contains non-finite entries")
+            R = self._factor(out)
+            if self._stacked is not None:
+                self._stacked[i * m1:(i + 1) * m1] = np.triu(R[:m1])
+        if self._stacked is not None:
+            R = self._factor(self._stacked)
+        tri, rhs = self._tri, self._rhs
+        t = tri.shape[0]
+        np.copyto(tri, R[:t, :self.m])
+        tri[self._below] = 0.0
+        np.copyto(rhs, R[:t, self.m])
+        return _lstsq(tri, rhs, self._gelsy_lwork, overwrite=True).copy()
+
+    def solve_rows(self, M, c):
+        m = self.m
+
+        def copy_rows(blk, out):
+            out[:, :m] = M[blk]
+            out[:, m] = c[blk]
+
+        return self.solve(copy_rows)

@@ -13,23 +13,25 @@ The ladder's ends and the step cap on each rung are fixed constants
 (_MU_FIRST, _MU_LAST, _MAX_ITERS).
 
 Every least-squares solve, the p = 2 one, the warm start and each Newton
-step, calls LAPACK's pivoted-QR driver gelsy directly (_lstsq), as
-scipy.linalg.lstsq(lapack_driver="gelsy") would, so the results are
-bitwise the same, but without that wrapper's per-call validation,
-workspace query and argument copies: the Newton loop queries the
-workspace once per solve and lets gelsy factor its own working arrays in
-place, and it checks their finiteness itself.  The caller's A and b are
-never overwritten.
+step, is one linalg.BlockedLstsq solve: a Householder QR of the augmented
+system [A | b] in row blocks, whose m x m triangle goes to gelsy with
+cond = DEFAULT_RANK_TOL, so gelsy's rank rule and minimum-norm answer
+hold.  Its buffers and workspace sizes are made once per solve.  A Newton
+step writes its weighted rows and right-hand side block by block straight
+into the kernel's buffer, read from one Fortran-ordered copy of A, and
+sums the gradient from each block before the QR overwrites it.  The
+caller's A and b are never overwritten.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ZeroRankError
 from .kernels import smoothed_power_weights
-from .linalg import DEFAULT_RANK_TOL, as_matrix, as_vector, vec_p_norm, _check_exponent
+from .linalg import BlockedLstsq, as_matrix, as_vector, vec_p_norm, _check_exponent
+# the triangle solve of BlockedLstsq; tests pin it to scipy's gelsy
+from .linalg import _lstsq  # noqa: F401
 
 _MAX_HALVINGS = 40
 # a rung of the mu ladder ends once the Newton decrement -grad.dx falls
@@ -94,55 +96,14 @@ def _residual(A, x, b, out):
     return out
 
 
-_GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), dtype=np.float64)
-
-
-def _gelsy_workspace(n, m):
-    """Optimal gelsy workspace length for an n x m system with one
-    right-hand side."""
-    work, info = _GELSY_LWORK(n, m, 1, DEFAULT_RANK_TOL)
-    if info != 0:
-        raise ValueError(f"gelsy workspace query failed: info={info}")
-    return int(work)
-
-
-def _lstsq(A, b, lwork=None, overwrite=False):
-    """min ||Ax - b||_2 by gelsy with cond = DEFAULT_RANK_TOL, bitwise
-    what scipy.linalg.lstsq(lapack_driver="gelsy") returns.
-
-    A (n x m) and b (n) must be finite float64; callers pass arrays that
-    as_matrix and as_vector validated, or check them.  lwork defaults to
-    a fresh workspace query.  overwrite lets gelsy factor A and b in
-    place (A must then be F-ordered to avoid a copy); only the solver's
-    own working arrays may be passed so.  The returned x may be a view
-    of b's storage.
-    """
-    n, m = A.shape
-    if lwork is None:
-        lwork = _gelsy_workspace(n, m)
-    if n < m:
-        # gelsy writes the m-entry solution into b's storage
-        b = np.concatenate([b, np.zeros(m - n)])
-    _, x, _, _, info = _GELSY(
-        A,
-        b,
-        np.zeros(m, dtype=np.int32),
-        DEFAULT_RANK_TOL,
-        lwork,
-        overwrite_a=overwrite,
-        overwrite_b=overwrite,
-    )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    return x[:m]
-
-
 def solve_lp_regression(A, b, p, x0=None):
     """Minimize ||Ax - b||_p.
 
-    p = 2 solves in closed form; otherwise damped Newton on the smoothed
-    objective with mu-continuation.  For p = 1 the minimizer may be any
-    point of the optimal face; the objective is what is controlled.
+    p = 2 solves in closed form and ignores x0; otherwise damped Newton on
+    the smoothed objective with mu-continuation, started from x0 (m
+    finite entries) or from the least-squares solution.  For p = 1 the
+    minimizer may be any point of the optimal face; the objective is what
+    is controlled.
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -150,12 +111,19 @@ def solve_lp_regression(A, b, p, x0=None):
     n, m = A.shape
     if b.shape[0] != n:
         raise ValueError(f"A has {n} rows but b has {b.shape[0]} entries")
+    if x0 is not None:
+        try:
+            x0 = as_vector(x0)
+        except ValueError as exc:
+            raise ValueError(f"x0: {exc}") from None
+        if x0.shape[0] != m:
+            raise ValueError(f"x0 has {x0.shape[0]} entries but A has {m} columns")
     if not A.any():
         raise ZeroRankError("coefficient matrix is identically zero")
 
+    ls = BlockedLstsq(n, m)
     if p == 2.0:
-        # copied, so that the result does not keep gelsy's n-entry buffer
-        x = _lstsq(A, b).copy()
+        x = ls.solve_rows(A, b)
         rho = A @ x - b
         grad = A.T @ rho
         scale = max(1.0, float(np.linalg.norm(A.T @ b)))
@@ -184,20 +152,29 @@ def solve_lp_regression(A, b, p, x0=None):
         while ladder[-1] > mu_min:
             ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
 
-    lwork = _gelsy_workspace(n, m)
-    x = x0 / s if x0 is not None else _lstsq(A, bs, lwork)
-    x = np.asarray(x, dtype=np.float64)
+    # the weighted rows are read column by column, from a copy of A made
+    # once per solve (none if A is F-ordered already)
+    AF = np.asfortranarray(A)
+    x = x0 / s if x0 is not None else ls.solve_rows(AF, bs)
     best_x = x.copy()
     best_true = vec_p_norm(A @ x - bs, p)
 
-    # working arrays, allocated once per solve: allocating them afresh on
-    # every iteration costs ~380 minor page faults per iteration at
-    # 20,000 x 8 once glibc hands the freed pages back to the system
-    Aw = np.empty((n, m), order="F")
+    # working arrays, allocated once per solve: allocating n-length arrays
+    # afresh on every iteration costs minor page faults once glibc hands
+    # the freed pages back to the system
     bw = np.empty(n)
     rho = np.empty(n)
     rho_try = np.empty(n)
     scratch = np.empty(n)
+    grad = np.empty(m)
+
+    def weighted_rows(blk, out):
+        # row i is sqrt(phi''/p) a_i (scratch holds sqrt(phi''/p) when the
+        # step solves) with right-hand side (phi'/p) / sqrt(phi''/p) in bw;
+        # their products sum to A^T phi' / p
+        np.multiply(AF[blk], scratch[blk, None], out=out[:, :m])
+        out[:, m] = bw[blk]
+        grad[:] += out[:, :m].T @ out[:, m]
 
     total_iters = 0
     for mu in ladder:
@@ -223,14 +200,9 @@ def solve_lp_regression(A, b, p, x0=None):
             np.multiply(rho, sw, out=bw)
             bw /= scratch  # (phi'/p) / sqrt(phi''/p)
             scratch *= sw  # sqrt(phi''/p)
-            np.multiply(A, scratch[:, None], out=Aw)
-            grad = p * (Aw.T @ bw)  # A^T phi'
-            if not (np.isfinite(Aw).all() and np.isfinite(bw).all()):
-                raise ValueError("array must not contain infs or NaNs")
-            # gelsy factors Aw and bw in place: both are rebuilt above
-            # before the next step, and grad is taken already
-            dx = -_lstsq(Aw, bw, lwork, overwrite=True)
-            decrement = -float(grad @ dx)
+            grad[:] = 0.0
+            dx = -ls.solve(weighted_rows)
+            decrement = -float((p * grad) @ dx)
             if decrement <= _DECREMENT_TOL * f:
                 # the step is solved for already: taking it whole squares
                 # the error the stop leaves, unless rounding makes f rise

@@ -326,3 +326,62 @@ class TestNumericRank:
         A = np.column_stack([base, base[:, 0] + base[:, 1]])
         sv = jacobi_singular_values(A)
         assert numeric_rank(A) == int(np.sum(sv > 1e-10 * sv[0])) == 2
+
+
+class TestBlockedLstsq:
+    """linalg.BlockedLstsq, the QR of [M | c] in TSQR row blocks that
+    every least-squares solve goes through."""
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((40, 5), 5), ((6, 6), 6), ((3, 7), 3), ((40, 6), 4)]
+    )
+    def test_matches_scipy_gelsy(self, rng, shape, rank):
+        # the shapes of test_bitwise_scipy_gelsy: full rank, square,
+        # underdetermined and rank-deficient, where both give the
+        # minimum-norm answer
+        n, m = shape
+        M = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        c = rng.standard_normal(n)
+        ref = scipy.linalg.lstsq(M, c, cond=linalg.DEFAULT_RANK_TOL, lapack_driver="gelsy")[0]
+        x = linalg.BlockedLstsq(n, m).solve_rows(M, c)
+        assert x.shape == (m,)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_multi_block_with_tail_matches_one_block(self, rng, monkeypatch, order):
+        # three blocks of 256 rows, the last with a 100-row tail, and the
+        # stacked triangles factored once, against one block of all rows
+        n, m = 3 * 256 + 100, 5
+        M = np.asarray(rng.standard_normal((n, m)), order=order)
+        c = rng.standard_normal(n)
+        one = linalg.BlockedLstsq(n, m)
+        assert len(one.blocks) == 1
+        x_one = one.solve_rows(M, c)
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        many = linalg.BlockedLstsq(n, m)
+        assert [blk.stop - blk.start for blk in many.blocks] == [256, 256, 356]
+        M0, c0 = M.copy(), c.copy()
+        x_many = many.solve_rows(M, c)
+        assert np.abs(x_many - x_one).max() <= 1e-12 * np.abs(x_one).max()
+        np.testing.assert_array_equal(M, M0)
+        np.testing.assert_array_equal(c, c0)
+        # the buffers are reused: a second solve on the same object agrees
+        np.testing.assert_array_equal(many.solve_rows(M, c), x_many)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["M", "c"])
+    def test_non_finite_raises_and_input_untouched(self, rng, monkeypatch, bad, where):
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        n, m = 600, 3
+        for order in ("C", "F"):
+            M = np.asarray(rng.standard_normal((n, m)), order=order)
+            c = rng.standard_normal(n)
+            if where == "M":
+                M[450, 1] = bad  # in the second block
+            else:
+                c[450] = bad
+            M0, c0 = M.copy(), c.copy()
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.BlockedLstsq(n, m).solve_rows(M, c)
+            np.testing.assert_array_equal(M, M0)
+            np.testing.assert_array_equal(c, c0)

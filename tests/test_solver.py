@@ -104,7 +104,7 @@ class TestBasicSolves:
         np.testing.assert_allclose(res.x, x_star, atol=1e-6)
 
     def test_solution_owns_its_memory(self):
-        # at p = 2, x is copied out of gelsy's n-entry buffer
+        # x is never a view of a working buffer of the solve
         A, b, _ = make_instance_arrays(10000, 10, seed=1)
         for p in (1.0, 1.5, 2.0, 3.0):
             res = solve_lp_regression(A, b, p)
@@ -137,6 +137,32 @@ class TestBasicSolves:
             assert not solve_lp_regression(A, b, p).converged
 
 
+class TestWarmStart:
+    def test_list_start_is_accepted(self, rng):
+        A = rng.standard_normal((40, 3))
+        b = rng.standard_normal(40)
+        x0 = [0.5, -1.0, 2.0]
+        res = solve_lp_regression(A, b, 1.5, x0=x0)
+        ref = solve_lp_regression(A, b, 1.5, x0=np.array(x0))
+        np.testing.assert_array_equal(res.x, ref.x)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize(
+        "x0", [np.ones(2), np.ones(4), np.array([1.0, np.nan, 0.0]), np.ones((3, 1))]
+    )
+    def test_bad_start_raises_naming_x0(self, rng, p, x0):
+        A = rng.standard_normal((40, 3))
+        b = rng.standard_normal(40)
+        with pytest.raises(ValueError, match="x0"):
+            solve_lp_regression(A, b, p, x0=x0)
+
+    def test_p2_ignores_the_start(self, rng):
+        A = rng.standard_normal((40, 3))
+        b = rng.standard_normal(40)
+        res = solve_lp_regression(A, b, 2.0, x0=[5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(res.x, solve_lp_regression(A, b, 2.0).x)
+
+
 class TestLeastSquaresHelper:
     @pytest.mark.parametrize(
         "shape, rank", [((40, 5), 5), ((6, 6), 6), ((3, 7), 3), ((40, 6), 4)]
@@ -165,7 +191,7 @@ class TestLeastSquaresHelper:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_caller_arrays_untouched(self, rng, p):
-        # the Newton steps let gelsy factor their working arrays in place
+        # the least-squares kernel factors its own buffer in place
         for order in ("C", "F"):
             A = np.asarray(rng.standard_normal((50, 4)), order=order)
             b = rng.standard_normal(50)
