@@ -27,9 +27,11 @@ from .errors import (
 from .kernels import BACKEND as KERNEL_BACKEND
 from .linalg import (
     QRFactors,
+    RFactors,
     dual_exponent,
     numeric_rank,
     qr_thin,
+    r_factors,
     vec_p_norm,
 )
 from .pipeline import (

@@ -1,46 +1,60 @@
 """Well-conditioned bases for the column span of A under a p-norm.
 
-Construction: thin QR gives an orthonormal Q, then an ellipsoidal
-rounding of the norm ball C = {z : ||Qz||_p <= 1} produces G such that
-U = Q G^-1 satisfies, for all w,
+Construction: the R-only QR of A (linalg.r_factors) gives R and a column
+map C with T = A C a basis of col(A); for a full-rank A, C = R^-1 and T
+is Householder's Q up to rounding, but no Q is formed or kept.  An
+ellipsoidal rounding of the norm ball C_p = {z : ||Tz||_p <= 1} produces
+G such that U = T G^-1 satisfies, for all w,
 
     ||w||_2 / slack  <=  ||U w||_p  <=  kappa * ||w||_2,
 
 from which the (alpha, beta, p) conditioning certificates follow.  Both
-factors are rigorous, up to floating-point rounding, with no probes.
+factors are rigorous, up to floating-point rounding, with no probes, and
+hold for any T of full column rank.
 
 The rounding uses lp Lewis weights (D. Lewis, Studia Math. 1978; Cohen &
 Peng, arXiv:1412.0588).  For any positive row weights w, with
-M = Q^T W^(1-2/p) Q = G^T G, tau_i = q_i^T M^-1 q_i, c = max_i
+M = T^T W^(1-2/p) T = G^T G, tau_i = t_i^T M^-1 t_i, c = max_i
 tau_i / w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, the Hoelder and
-Cauchy-Schwarz inequalities bound ||Qz||_p against ||Gz||_2 from both
+Cauchy-Schwarz inequalities bound ||Tz||_p against ||Gz||_2 from both
 sides with product (S c)^e.  At the exact Lewis weights c = 1 and S = d,
 so the product is d^e <= sqrt(d).
 
 The weights come from the fixed point w <- tau(w)^(p/2), swept on a
-proxy: a fixed row sample Qs of Q, drawn once per call by p-norm
-importance with the library's own sampler.  Two passes over Q then give
+proxy: a fixed row sample Ts of T, drawn once per call by p-norm
+importance with the library's own sampler.  Two passes over T then give
 every row its weight from the proxy's M and compute the exact M, c and S,
-so the certificates hold on Q itself, whatever the proxy missed.
+so the certificates hold on T itself, whatever the proxy missed.
 
-At p != 2 the basis U = Q G^-1 comes from the rounding's last pass over
-Q: that pass forms Q G^-1 for the unscaled G, one matrix product with
-the inverse of the d x d triangular G written column-major (F-order),
-and U is that product divided by the scalar that scales G.  Row passes
-over U took 2.1 to 3.4 times as long on a row-major n x d U (20,000 and
-200,000 rows, d = 8, p in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).  The
-basis keeps U's normalized row sums of |u_ij|^p, its lp leverage, which
-is all that stage-1 sampling reads of it.
+At p != 2 the basis U = T G^-1 comes from the rounding's last pass over
+T: block by block, that pass forms T G^-1 for the unscaled G, one matrix
+product with the inverse of the d x d triangular G, and writes it over T
+itself, which is column-major (F-order); U is that product divided by
+the scalar that scales G.  So T's storage becomes U's, and conditioning
+holds one n x d array, not two.  Row passes over U took 2.1 to 3.4
+times as long on a row-major n x d U (20,000 and 200,000 rows, d = 8, p
+in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).  The basis keeps U's
+normalized row sums of |u_ij|^p, its lp leverage, which is all that
+stage-1 sampling reads of it.
+
+At p = 2 no rounding runs and the certificates are exactly (sqrt(d), 1).
+The leverage comes from one pass over row blocks of T, and no n x d
+array is formed.  U, when read, is T made orthonormal by one Cholesky
+step, U = T G^-1 with G = chol(T^T T): T's columns are orthonormal only
+up to about cond(A) * eps, and the step brings that to rounding.
 """
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .kernels import pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
-from .linalg import as_matrix, dual_exponent, qr_thin, vec_p_norm
+# no function here calls qr_thin; perfbench/tracing.py wraps the name
+# conditioning.qr_thin, so it stays importable from this module
+from .linalg import _r_factors, as_matrix, dual_exponent, qr_thin, vec_p_norm  # noqa: F401
 from .sampling import apply_plan, realize_sample
 
 _PROBE_SEED = 0x5EEDB0B
@@ -75,7 +89,8 @@ class RoundingResult:
             ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
             so that it is 1 + tol.
     iterations: Lewis-weight sweeps on the row-sample proxy.
-    U:      Q G^-1 for the returned G, column-major; Q itself at p = 2.
+    U:      Q G^-1 for the returned G, column-major (written over Q
+            when the call may overwrite it); Q itself at p = 2.
     Both factors follow in closed form from the row weights (module
     docstring) and hold on Q itself, converged or not.
     """
@@ -88,30 +103,46 @@ class RoundingResult:
     U: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WellConditionedBasis:
-    """U = Q G^-1 spanning col(A), with certified conditioning constants.
+    """U = T G^-1 spanning col(A), T = A C, with certified conditioning
+    constants.
 
-    tau = G R reconstructs A = U tau.  alpha_cert bounds the entrywise
-    p-norm of U; beta_cert bounds ||z||_q / ||Uz||_p (q dual to p).
-    leverage holds the n row shares ||u_i||_p^p / |||U|||_p^p that
-    stage-1 sampling reads, computed once with the basis: one n-vector
-    kept next to the n x d U.
+    tau = G R reconstructs A = U tau (R and C from linalg.r_factors).
+    alpha_cert bounds the entrywise p-norm of U; beta_cert bounds
+    ||z||_q / ||Uz||_p (q dual to p).  leverage holds the n row shares
+    ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads, computed once
+    with the basis.  At p = 2 they are T's shares, which are U's up to T's
+    departure from orthonormal columns, and U, G and tau are formed from
+    A when first read (module docstring), so A must not change before.
+    At p != 2 the basis keeps U, n x d doubles.
     """
 
-    U: np.ndarray
-    G: np.ndarray
-    tau: np.ndarray
     p: float
+    d: int
     alpha_cert: float
     beta_cert: float
     kappa_cert: float
     slack_cert: float
     leverage: np.ndarray = field(repr=False)
+    # () -> (U, G, tau), called once, on the first read of any of them
+    form: object = field(repr=False)
+
+    @cached_property
+    def _formed(self):
+        return self.form()
 
     @property
-    def d(self):
-        return self.U.shape[1]
+    def U(self):
+        return self._formed[0]
+
+    @property
+    def G(self):
+        return self._formed[1]
+
+    @property
+    def tau(self):
+        return self._formed[2]
 
 
 def _row_subgradients(Y, norms, p):
@@ -214,38 +245,45 @@ def _lewis_factor(Q, w, p):
     return scipy.linalg.cholesky(X.T @ X, lower=False)
 
 
-def _leverages(Q, G, keep_product=False):
+def _leverages(Q, G, out=None):
     """(tau, T): tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||t_i||_2^2
-    for T = Q G^-1, taken block by block.  With keep_product, T is
-    returned, written column-major; else T is None.
+    for T = Q G^-1, taken block by block.  With out (n x d, and Q itself
+    allowed), T is written into it block by block and returned; else T
+    is None.
 
-    tau is summed on row-major rows of T, because einsum adds a row's
-    squares in another order on a column-major array, and the
+    tau is summed on each block's row-major product, because einsum adds
+    a row's squares in another order on a column-major array, and the
     certificates read tau's last bits.
     """
     n, d = Q.shape
     Ginv = scipy.linalg.solve_triangular(G, np.eye(d))
-    T = None
-    if keep_product:
-        T = np.empty((n, d), order="F")
-        np.matmul(Q, Ginv, out=T)
     tau = np.empty(n)
     for blk in row_blocks(n):
-        Y = Q[blk] @ Ginv if T is None else np.ascontiguousarray(T[blk])
+        Y = Q[blk] @ Ginv
         np.einsum("ij,ij->i", Y, Y, out=tau[blk])
-    return tau, T
+        if out is not None:
+            out[blk] = Y
+    return tau, out
 
 
-def lowner_john_round(Q, p, tol=0.05):
+def lowner_john_round(Q, p, tol=0.05, *, overwrite=False):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
-    Q must have orthonormal columns.  p = 2 returns G = I immediately;
-    d = 1 is an interval and is rounded exactly.  Otherwise sweeps the
+    Q must have full column rank.  Its columns need not be orthonormal:
+    the factors are closed-form on Q itself, and a Q near orthonormal
+    (A R^-1, say) keeps the proxy's sample representative.  p = 2 returns
+    G = I immediately, which is exact for an orthonormal Q only; d = 1 is
+    an interval and is rounded exactly.  Otherwise sweeps the
     Lewis-weight fixed point on the row-sample proxy for at most
     _MAX_SWEEPS sweeps, weights every row of Q from the proxy's M, and
     takes G from the exact M on Q, scaled so that kappa_slack = 1 + tol.
     Both factors hold for any weights; converged says that
     kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
+
+    overwrite lets the last pass write U = Q G^-1 over Q, a column-major
+    float64 Q that the caller made for the rounding and reads no more;
+    well_conditioned_basis passes its T so, which keeps one n x d array
+    fewer alive.  Otherwise U is a new column-major array.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
@@ -290,7 +328,7 @@ def lowner_john_round(Q, p, tol=0.05):
     n = Q.shape[0]
     w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs)[0] ** (p / 2.0)
     G = _lewis_factor(Q, w, p)
-    tau, U = _leverages(Q, G, keep_product=True)
+    tau, U = _leverages(Q, G, out=Q if overwrite else np.empty((n, d), order="F"))
     pos = w > 0.0
     c = float(np.max(tau[pos] / w[pos] ** (2.0 / p)))
     S = float(w.sum())
@@ -315,28 +353,44 @@ def lowner_john_round(Q, p, tol=0.05):
 
 
 def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
-    """Construct U = Q G^-1 and tau = G R with conditioning certificates.
+    """Construct U = T G^-1 (T = A C) and tau = G R with conditioning
+    certificates.
 
-    U is the rounding's column-major product (see the module docstring),
-    and leverage its normalized row sums of |u_ij|^p from one
-    kernels.row_powsums pass.
+    At p != 2, U is the rounding's column-major product (see the module
+    docstring), and leverage its normalized row sums of |u_ij|^p from one
+    kernels.row_powsums pass.  At p = 2 the rounding is bypassed, the
+    certificates are exactly (sqrt(d), 1), and leverage comes from one
+    pass over row blocks of T; U, G and tau are formed when first read.
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
     beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
-    Both are rigorous.  For p = 2 the rounding is bypassed and the
-    certificates are exactly (sqrt(d), 1).  Non-convergence of the
-    rounding downgrades to a warning; the certificates are then the looser
-    factors it achieved.
+    Both are rigorous.  Non-convergence of the rounding downgrades to a
+    warning; the certificates are then the looser factors it achieved.
 
-    factors, when given, must be qr_thin(A) and A is not factored again.
-    RegressionInstance passes its own: it keeps Q, n x d doubles, for its
-    lifetime, so its A must not be changed after construction.  For p = 2
-    the basis U is factors.Q itself, shared with the instance.
+    factors, when given, must be linalg.r_factors(A), and A is then
+    neither validated nor factored again.  RegressionInstance passes its
+    own, so its A must not be changed after construction.
     """
     if factors is None:
-        factors = qr_thin(A)
-    d = factors.rank
-    rounding = lowner_john_round(factors.Q, p, tol)
+        A = as_matrix(A)
+        factors = _r_factors(A)
+    d, R = factors.rank, factors.R
+    if p == 2.0:
+        # T's columns are orthonormal up to rounding, so the total is
+        # about d, far from where powsum_shares would need to rescale
+        sums = row_powsums(A, 2.0, factors.C)
+        sums /= sums.sum()
+        return WellConditionedBasis(
+            p=2.0,
+            d=d,
+            alpha_cert=math.sqrt(d),
+            beta_cert=1.0,
+            kappa_cert=1.0,
+            slack_cert=1.0,
+            leverage=sums,
+            form=lambda: _orthonormal_basis(A, factors),
+        )
+    rounding = lowner_john_round(_column_basis(A, factors.C), p, tol, overwrite=True)
     if not rounding.converged:
         warnings.warn(
             "ellipsoidal rounding did not converge; certificates inflated "
@@ -345,28 +399,38 @@ def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
             stacklevel=2,
         )
     G, U = rounding.G, rounding.U
-    if p == 2.0:
-        tau = factors.R
-        alpha = math.sqrt(d)
-        beta = 1.0
-    else:
-        tau = G @ factors.R
-        alpha = rounding.kappa * d ** (1.0 / p)
-        q = dual_exponent(p)
-        beta = rounding.kappa_slack
-        if p > 2.0:
-            beta *= d ** (1.0 / q - 0.5)
+    alpha = rounding.kappa * d ** (1.0 / p)
+    beta = rounding.kappa_slack
+    if p > 2.0:
+        beta *= d ** (1.0 / dual_exponent(p) - 0.5)
+    tau = G @ R
     return WellConditionedBasis(
-        U=U,
-        G=G,
-        tau=tau,
         p=float(p),
+        d=d,
         alpha_cert=float(alpha),
         beta_cert=float(beta),
         kappa_cert=float(rounding.kappa),
         slack_cert=float(rounding.kappa_slack),
         leverage=powsum_shares(U, p, row_powsums(U, p)),
+        form=lambda: (U, G, tau),
     )
+
+
+def _column_basis(A, C):
+    """T = A C, written column-major as the transpose of the row-major
+    C^T A^T: at 1,000,000 x 10 that took 34 ms, and np.matmul into an
+    F-ordered out 37 ms (medians of 9, one BLAS thread)."""
+    return (C.T @ A.T).T
+
+
+def _orthonormal_basis(A, factors):
+    """(U, G, tau) of the p = 2 basis: T = A C made orthonormal by one
+    Cholesky step, G = chol(T^T T) (_lewis_factor at w = 1), U = T G^-1
+    written column-major, and tau = G R."""
+    T = _column_basis(A, factors.C)
+    G = scipy.linalg.cholesky(T.T @ T, lower=False)
+    U = _column_basis(T, scipy.linalg.solve_triangular(G, np.eye(factors.rank)))
+    return U, G, G @ factors.R
 
 
 def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):

@@ -160,9 +160,11 @@ def _nonfinite_norms(R):
     return np.where(np.isnan(R).any(axis=1) & ~np.isinf(R).any(axis=1), np.nan, np.inf)
 
 
-def row_powsums(M, p):
+def row_powsums(M, p, cols=None):
     """Per-row sums sum_j |m_ij|^p of a 2-D array, for a finite p >= 1.
 
+    With cols (k x d), the sums are those of the rows of M @ cols, whose
+    blocks M[blk] @ cols are formed one at a time and never as a whole.
     The sums are taken unscaled in the blocks of row_blocks (at p=2 one
     einsum per block, so the last bits may depend on M's memory order);
     a sum outside [_SQ_LO, _SQ_HI] is redone as the row's max-scaled
@@ -173,7 +175,11 @@ def row_powsums(M, p):
         raise ValueError("row_powsums expects a 2-D array")
     if not (1.0 <= p < math.inf):
         raise ValueError(f"row_powsums needs a finite p >= 1, got {p}")
-    n, k = M.shape
+
+    def rows(idx):
+        return M[idx] if cols is None else M[idx] @ cols
+
+    n, k = M.shape[0], M.shape[1] if cols is None else cols.shape[1]
     out = np.zeros(n)
     if k == 0:
         return out
@@ -181,7 +187,7 @@ def row_powsums(M, p):
     buf = None if p == 2.0 else np.empty((n - blocks[-1].start, k), order="F")
     with np.errstate(over="ignore"):
         for blk in blocks:
-            m, s = M[blk], out[blk]
+            m, s = rows(blk), out[blk]
             if p == 2.0:
                 np.einsum("ij,ij->i", m, m, out=s)
             else:
@@ -190,7 +196,7 @@ def row_powsums(M, p):
         return out
     bad = np.flatnonzero(~((out >= _SQ_LO) & (out <= _SQ_HI)))
     with np.errstate(over="ignore"):
-        out[bad] = _scaled_row_pnorms(np.abs(M[bad]), p) ** p
+        out[bad] = _scaled_row_pnorms(np.abs(rows(bad)), p) ** p
     return out
 
 

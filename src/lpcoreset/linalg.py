@@ -9,19 +9,26 @@ factored on its own, then the stacked block R factors once, and each
 block's Q is multiplied by its slice of that small Q.  It is as backward
 stable as one Householder QR of A, and its R has the same singular values
 up to rounding, which the rank rule reads.  An A with fewer than two
-blocks of rows takes one Householder QR.
+blocks of rows takes one Householder QR.  qr_thin is the library's
+Q-and-R QR; no pipeline path calls it.
+
+The pipeline needs only R.  BlockedR is the R-only half of the TSQR: each
+block is written into one reused Fortran-ordered buffer and factored in
+place by LAPACK's geqrf, and the triangles of several blocks are stacked
+and factored once more, so no Q is ever formed.  r_factors reads A's
+numeric rank from that R by qr_thin's rule, and a column map C with
+A C = T, a basis of col(A): C = R^-1, or V_d / s_d from the SVD of R
+when A is rank-deficient.  numeric_rank and every RegressionInstance
+factor A this way.
 
 Every least-squares solve of the library, min ||M x - c||_2, goes through
-BlockedLstsq: a Householder QR of the augmented matrix [M | c], split
-into row blocks as the TSQR splits A.  Each block is written into one
-reused Fortran-ordered buffer and factored in place by LAPACK's geqrf;
-the (m+1) x (m+1) triangles of several blocks are stacked and factored
-once more, so no Q is ever formed.  The last column of the final
-triangle is Q^T c (its last entry is the residual norm up to sign), so c
-needs no pass of its own.  The m x m triangle and the top m entries of
-that column then go to LAPACK's pivoted-QR driver gelsy with cond =
-DEFAULT_RANK_TOL (_lstsq), which keeps gelsy's rank rule and its
-minimum-norm answer on rank-deficient or underdetermined systems.
+BlockedLstsq: the BlockedR pass over the augmented matrix [M | c].  The
+last column of the final triangle is Q^T c (its last entry is the
+residual norm up to sign), so c needs no pass of its own.  The m x m
+triangle and the top m entries of that column then go to LAPACK's
+pivoted-QR driver gelsy with cond = DEFAULT_RANK_TOL (_lstsq), which
+keeps gelsy's rank rule and its minimum-norm answer on rank-deficient or
+underdetermined systems.
 """
 import math
 from dataclasses import dataclass
@@ -119,20 +126,22 @@ def qr_thin(A):
     factorization of A serves every case.  Raises ZeroRankError for an
     all-zero matrix.
     """
-    return _qr_factors(as_matrix(A))
-
-
-def _qr_factors(A):
-    """qr_thin of an A that as_matrix has already validated."""
+    A = as_matrix(A)
     Q, R = _economic_qr(A)
     U_R, sv, _ = np.linalg.svd(R, full_matrices=False)
-    if sv[0] == 0.0:
-        raise ZeroRankError("matrix has numeric rank 0")
-    d = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+    d = _rank(sv)
     if d < min(A.shape):
         Q = Q @ U_R[:, :d]
         R = Q.T @ A
     return QRFactors(Q=Q, R=R, rank=d)
+
+
+def _rank(sv):
+    """Count of the singular values sv (descending) above DEFAULT_RANK_TOL
+    * sv[0]; ZeroRankError when sv[0] is 0."""
+    if sv[0] == 0.0:
+        raise ZeroRankError("matrix has numeric rank 0")
+    return int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
 def _tsqr_blocks(n, m):
@@ -164,17 +173,104 @@ def _economic_qr(A):
     return Q, R
 
 
-def numeric_rank(A):
-    """Numeric rank as read by qr_thin; 0 for an all-zero matrix."""
-    try:
-        return qr_thin(A).rank
-    except ZeroRankError:
-        return 0
-
-
 _GEQRF, _GEQRF_LWORK, _GELSY, _GELSY_LWORK = get_lapack_funcs(
     ("geqrf", "geqrf_lwork", "gelsy", "gelsy_lwork"), dtype=np.float64
 )
+
+
+class BlockedR:
+    """The R factor of an n x k matrix by a Householder QR in TSQR row
+    blocks, with no Q formed (see the module docstring).
+
+    The block buffer and geqrf's workspace size are made once, at
+    construction, so one instance serves every factorization of the same
+    shape.  factor(fill) lets fill(blk, out) write rows blk of the matrix
+    into the F-ordered buffer out (rows x k), which its QR then
+    overwrites, so fill may read it first.  It returns geqrf's output for
+    the whole matrix: R on and above the diagonal of its first min(n, k)
+    rows, Householder vectors below.
+    """
+
+    def __init__(self, n, k):
+        self.k = k
+        self.blocks = _tsqr_blocks(n, k)
+        rows = [blk.stop - blk.start for blk in self.blocks]
+        buf = np.empty(max(rows) * k)
+        # each block's F-ordered view of the one buffer
+        self._outs = [buf[:r * k].reshape(k, r).T for r in rows]
+        b = len(self.blocks)
+        self._stacked = np.empty((b * k, k), order="F") if b > 1 else None
+        work, info = _GEQRF_LWORK(max(max(rows), b * k), k)
+        if info != 0:
+            raise ValueError(f"geqrf workspace query failed: info={info}")
+        self._lwork = int(work)
+
+    def _geqrf(self, a):
+        """a, F-ordered, overwritten by its geqrf QR."""
+        qr, _, _, info = _GEQRF(a, lwork=self._lwork, overwrite_a=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of geqrf")
+        return qr
+
+    def factor(self, fill):
+        k = self.k
+        for i, (blk, out) in enumerate(zip(self.blocks, self._outs)):
+            fill(blk, out)
+            R = self._geqrf(out)
+            if self._stacked is not None:
+                self._stacked[i * k:(i + 1) * k] = np.triu(R[:k])
+        if self._stacked is not None:
+            R = self._geqrf(self._stacked)
+        return R
+
+
+@dataclass(frozen=True)
+class RFactors:
+    """R factor of A with numeric rank detection, and a column map.
+
+    R is d x m and C is m x d, d = rank, with T = A C a basis of col(A)
+    and T R ~= A.  For a full-rank A, R is BlockedR's upper-triangular R
+    and C = R^-1, so T = Q up to rounding.  For a rank-deficient A, with
+    R's SVD U_R S V^T, C = V_d / s_d and R = S_d V_d^T over the d leading
+    singular triplets, so T is A's top d left singular vectors.
+    """
+
+    R: np.ndarray
+    C: np.ndarray
+    rank: int
+
+
+def r_factors(A):
+    """R factor, numeric rank and column map of A (see RFactors), from one
+    R-only QR by BlockedR.
+
+    rank reads R's singular values by qr_thin's rule.  Raises
+    ZeroRankError for an all-zero matrix.
+    """
+    return _r_factors(as_matrix(A))
+
+
+def _r_factors(A):
+    """r_factors of an A that as_matrix has already validated."""
+    n, m = A.shape
+
+    def copy_rows(blk, out):
+        out[:] = A[blk]
+
+    R = np.triu(BlockedR(n, m).factor(copy_rows)[:min(n, m)])
+    _, sv, Vt = np.linalg.svd(R, full_matrices=False)
+    d = _rank(sv)
+    if d == m:
+        return RFactors(R=R, C=scipy.linalg.solve_triangular(R, np.eye(m)), rank=d)
+    return RFactors(R=sv[:d, None] * Vt[:d], C=Vt[:d].T / sv[:d], rank=d)
+
+
+def numeric_rank(A):
+    """Numeric rank as read by r_factors; 0 for an all-zero matrix."""
+    try:
+        return r_factors(A).rank
+    except ZeroRankError:
+        return 0
 
 
 def _gelsy_workspace(n, m):
@@ -234,18 +330,8 @@ class BlockedLstsq:
 
     def __init__(self, n, m):
         self.m = m
-        m1 = m + 1
-        self.blocks = _tsqr_blocks(n, m1)
-        rows = [blk.stop - blk.start for blk in self.blocks]
-        buf = np.empty(max(rows) * m1)
-        # each block's F-ordered view of the one buffer
-        self._outs = [buf[:r * m1].reshape(m1, r).T for r in rows]
-        k = len(self.blocks)
-        self._stacked = np.empty((k * m1, m1), order="F") if k > 1 else None
-        work, info = _GEQRF_LWORK(max(max(rows), k * m1), m1)
-        if info != 0:
-            raise ValueError(f"geqrf workspace query failed: info={info}")
-        self._geqrf_lwork = int(work)
+        self._qr = BlockedR(n, m + 1)
+        self.blocks = self._qr.blocks
         # the triangle gelsy solves: min(n, m) rows of the final R
         t = min(n, m)
         self._tri = np.empty((t, m), order="F")
@@ -253,25 +339,13 @@ class BlockedLstsq:
         self._rhs = np.empty(t)
         self._gelsy_lwork = _gelsy_workspace(t, m)
 
-    def _factor(self, a):
-        """a, F-ordered, overwritten by its geqrf QR (R on and above the
-        diagonal)."""
-        qr, _, _, info = _GEQRF(a, lwork=self._geqrf_lwork, overwrite_a=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of geqrf")
-        return qr
-
     def solve(self, fill):
-        m1 = self.m + 1
-        for i, (blk, out) in enumerate(zip(self.blocks, self._outs)):
+        def checked(blk, out):
             fill(blk, out)
             if not np.isfinite(out).all():
                 raise ValueError("least-squares system contains non-finite entries")
-            R = self._factor(out)
-            if self._stacked is not None:
-                self._stacked[i * m1:(i + 1) * m1] = np.triu(R[:m1])
-        if self._stacked is not None:
-            R = self._factor(self._stacked)
+
+        R = self._qr.factor(checked)
         tri, rhs = self._tri, self._rhs
         t = tri.shape[0]
         np.copyto(tri, R[:t, :self.m])

@@ -9,9 +9,9 @@ w_i^(1/p), so it is a plain instance to every stage, and a matrix
 right-hand side changes only the residual norm.  The single-stage
 variants (oracle probabilities, augmented-matrix sampling) run on the
 same machinery.  Each RegressionInstance keeps what every stage and
-statistic of it shares: the QR of A, the well-conditioned basis (with
-its leverage) and the full problem's optimum, each made once; so
-neither A nor b may be changed after construction.
+statistic of it shares: the R factor of A (no Q), the well-conditioned
+basis (with its leverage) and the full problem's optimum, each made
+once; so neither A nor b may be changed after construction.
 
 A stage's work over all n rows runs block by block: the full residual
 A x - b, whose blocks give the full objective (kernels.residual_pnorm),
@@ -33,14 +33,7 @@ import numpy as np
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
 from .kernels import residual_pnorm
-from .linalg import (
-    QRFactors,
-    _qr_factors,
-    as_matrix,
-    as_vector,
-    numeric_rank,
-    vec_p_norm,
-)
+from .linalg import RFactors, _r_factors, as_matrix, as_vector, numeric_rank, vec_p_norm
 from .sampling import (
     apply_plan,
     oracle_probabilities,
@@ -76,16 +69,17 @@ class RegressionInstance:
     and A and b are then stored row-scaled by w_i^(1/p) (see
     solver.row_scaled), so every solve and report of the instance is of
     the weighted problem.
-    A is factored once, at construction: factors is its thin QR (see
-    linalg.qr_thin) and d = factors.rank its numeric rank.  basis (A's
-    well-conditioned basis, conditioned from factors) and optimum (the
-    full problem's (x, objective)) are computed on first use and then
-    kept, so every solve and statistic of the instance shares them.  The
-    instance holds Q (and, once conditioned at p != 2, U), n x d doubles
-    each, and once conditioned the basis's leverage, one n-vector; its
-    reports hold stage 1's residual and each stage's probabilities, n
-    entries each, but no stage-2 residual.  Neither A nor b may be
-    changed after construction.
+    A is factored once, at construction, by one R-only blocked QR:
+    factors holds R, the numeric rank d = factors.rank and the m x d
+    column map C (see linalg.r_factors); no Q is formed or kept.  basis
+    (A's well-conditioned basis, which reads A through C) and optimum
+    (the full problem's (x, objective)) are computed on first use and
+    then kept, so every solve and statistic of the instance shares them.
+    Once conditioned, the instance holds the basis's leverage, one
+    n-vector, and at p != 2 its U, n x d doubles; at p = 2 it holds no
+    n x d array until basis.U is read.  Its reports hold stage 1's
+    residual and each stage's probabilities, n entries each, but no
+    stage-2 residual.  Neither A nor b may be changed after construction.
     """
 
     A: np.ndarray
@@ -93,7 +87,7 @@ class RegressionInstance:
     p: float
     weights: np.ndarray | None = None
     d: int = field(init=False)
-    factors: QRFactors = field(init=False, repr=False)
+    factors: RFactors = field(init=False, repr=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
@@ -106,7 +100,7 @@ class RegressionInstance:
             self.weights = as_vector(self.weights)
             self.A, self.b = row_scaled(self.A, self.b, self.weights, self.p)
         try:
-            self.factors = _qr_factors(self.A)
+            self.factors = _r_factors(self.A)
         except ZeroRankError:
             raise InvalidConfigError("A must have numeric rank >= 1") from None
         self.d = self.factors.rank
@@ -503,7 +497,7 @@ def make_instance_arrays(n, d, noise_model="sparse-gross", corruption_rho=0.1, s
         "corruption_rho": corruption_rho,
         "seed": int(seed),
         "x_star": x_star.tolist(),
-        "corrupted_rows": [int(i) for i in corrupted],
+        "corrupted_rows": corrupted.tolist(),
     }
     return A, b, meta
 

@@ -13,7 +13,7 @@ from lpcoreset.conditioning import (
     well_conditioned_basis,
 )
 from lpcoreset.kernels import row_pnorms
-from lpcoreset.linalg import dual_exponent, qr_thin, vec_p_norm
+from lpcoreset.linalg import dual_exponent, qr_thin, r_factors, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays, reference_instance
 
 TOL = 0.05
@@ -251,15 +251,26 @@ class TestWellConditionedBasis:
     def test_basis_is_q_times_g_inverse_column_major(self, rng, p):
         A = rng.standard_normal((300, 5))
         W = well_conditioned_basis(A, p)
+        # T = A R^-1 from the R-only QR is Householder's Q up to rounding
+        T = conditioning._column_basis(A, r_factors(A).C)
         Q = qr_thin(A).Q
-        ref = np.linalg.solve(W.G.T, Q.T).T
-        assert np.abs(W.U - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(T - Q).max() <= 1e-13
+        for basis in (T, Q):
+            ref = np.linalg.solve(W.G.T, basis.T).T
+            assert np.abs(W.U - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(W.U - np.linalg.solve(W.G.T, T.T).T).max() <= 1e-14 * np.abs(W.U).max()
         # the layout is pinned: the leverage pass takes row sums of U, and
         # row passes run two to three times slower on a row-major n x d U
         assert W.U.flags.f_contiguous
-        # U is the rounding's own product, scaled with G
-        R = conditioning.lowner_john_round(Q, p)
+        # U is the rounding's own product on T, scaled with G, written over
+        # T when the rounding may overwrite it and into a new array if not
+        T0 = T.copy(order="F")
+        R = conditioning.lowner_john_round(T, p)
+        np.testing.assert_array_equal(T, T0)
         np.testing.assert_array_equal(R.G, W.G)
+        np.testing.assert_array_equal(R.U, W.U)
+        R = conditioning.lowner_john_round(T, p, overwrite=True)
+        assert R.U is T
         np.testing.assert_array_equal(R.U, W.U)
 
     def test_scale_equivariance_of_basis(self, rng):
@@ -276,6 +287,41 @@ class TestWellConditionedBasis:
         alpha_m, beta_m = certify_basis(W, n_probes=2000)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
+
+
+    @staticmethod
+    def ill_conditioned(n=2000, m=6, cond=1e9, seed=11):
+        # singular values from 1 to 1 / cond: full rank under the 1e-10
+        # relative tolerance
+        g = np.random.default_rng(seed)
+        U = np.linalg.qr(g.standard_normal((n, m)))[0]
+        V = np.linalg.qr(g.standard_normal((m, m)))[0]
+        return (U * np.logspace(0, -np.log10(cond), m)) @ V.T
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_ill_conditioned_certificates_hold(self, p):
+        A = self.ill_conditioned()
+        W = well_conditioned_basis(A, p, tol=TOL)
+        assert W.d == 6
+        alpha_m, beta_m = certify_basis(W)
+        assert alpha_m <= W.alpha_cert * CERT_SLACK
+        assert beta_m <= W.beta_cert * CERT_SLACK
+        assert np.abs(A - W.U @ W.tau).max() <= 1e-12 * np.abs(A).max()
+
+    def test_ill_conditioned_p2_basis_is_orthonormal(self):
+        A = self.ill_conditioned()
+        W = well_conditioned_basis(A, 2.0)
+        # T = A R^-1 is orthonormal only to about cond(A) * eps; the
+        # Cholesky step on its Gram brings U to rounding
+        T = conditioning._column_basis(A, r_factors(A).C)
+        assert np.abs(T.T @ T - np.eye(6)).max() > 1e-12
+        np.testing.assert_allclose(W.U.T @ W.U, np.eye(6), rtol=0, atol=1e-12)
+        assert (W.alpha_cert, W.beta_cert) == (math.sqrt(6.0), 1.0)
+        # the leverage, taken from T without the step, is Householder Q's
+        # up to the cond(A) * eps by which either basis can miss col(A)
+        Q = qr_thin(A).Q
+        want = np.sum(Q * Q, axis=1) / np.sum(Q * Q)
+        assert np.abs(W.leverage - want).max() <= 1e-6 * want.max()
 
 
 class TestCertify:

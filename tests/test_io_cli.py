@@ -549,13 +549,18 @@ class TestCli:
         assert code == 0
         assert bases == [n] and full_solves == [1.5]
 
-    def test_certify_output(self, instance_files, capsys):
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_certify_output(self, instance_files, capsys, p):
+        # at p=2 certify is what reads the basis's U, formed on demand
         code = run_cli(
-            ["certify", "--input", str(instance_files / "A.csv"), "--p", "1"]
+            ["certify", "--input", str(instance_files / "A.csv"), "--p", p]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "certificates_hold = true" in out
+        if p == "2":
+            # d = 2: the certificates are exactly (sqrt(2), 1)
+            assert f"alpha_cert = {math.sqrt(2.0):.12g}\n" in out and "beta_cert = 1\n" in out
 
     def test_bench_writes_statistics(self, tmp_path):
         out = str(tmp_path / "bench")

@@ -292,6 +292,25 @@ def test_row_powsums_blocks_do_not_change_a_row(rng, monkeypatch, p):
     np.testing.assert_array_equal(kernels.row_powsums(M, p), whole)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_row_powsums_of_a_product_in_blocks(rng, monkeypatch, p):
+    # the sums of the rows of M @ cols, formed 64 rows at a time, against
+    # those of the whole product; rows whose sums are near 1e-290 take the
+    # guarded path
+    M = rng.standard_normal((1000, 5))
+    M[:30] *= 1e100
+    M[30:60] *= 1e-290 ** (1.0 / p)
+    M[60:70] = 0.0
+    cols = rng.standard_normal((5, 3))
+    want = kernels.row_powsums(M @ cols, p)
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
+    got = kernels.row_powsums(M, p, cols)
+    assert _guarded(M[30:60] @ cols, p).all()
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert np.all(got[60:70] == 0.0) and np.all(np.isfinite(got[:60]))
+    assert np.all(got[:60] > 0.0)
+
+
 def test_row_powsums_edge_shapes():
     assert kernels.row_powsums(np.zeros((0, 3)), 1.5).shape == (0,)
     np.testing.assert_array_equal(kernels.row_powsums(np.ones((2, 0)), 1.5), [0.0, 0.0])

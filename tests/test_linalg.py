@@ -12,6 +12,7 @@ from lpcoreset.linalg import (
     dual_exponent,
     numeric_rank,
     qr_thin,
+    r_factors,
     vec_p_norm,
 )
 
@@ -326,6 +327,64 @@ class TestNumericRank:
         A = np.column_stack([base, base[:, 0] + base[:, 1]])
         sv = jacobi_singular_values(A)
         assert numeric_rank(A) == int(np.sum(sv > 1e-10 * sv[0])) == 2
+
+
+def _design(rng, kind, n=2000, m=6):
+    if kind == "gaussian":
+        return rng.standard_normal((n, m))
+    if kind == "rank-deficient":
+        base = rng.standard_normal((n, m - 1))
+        return np.column_stack([base, base[:, 0] - 2.0 * base[:, 2]])
+    # singular values from 1 to 1e-9: full rank under the 1e-10 tolerance
+    U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (U * np.logspace(0, -9, m)) @ V.T
+
+
+class TestRFactors:
+    """linalg.r_factors: the R-only blocked QR, its rank and its column
+    map, against qr_thin and against one block of all rows."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cond-1e9", "rank-deficient"])
+    def test_multi_block_matches_one_block(self, rng, monkeypatch, kind):
+        A = _design(rng, kind)
+        one = r_factors(A)
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        assert len(linalg._tsqr_blocks(*A.shape)) == 7
+        many = r_factors(A)
+        assert many.rank == one.rank == qr_thin(A).rank
+        scale = np.abs(one.R).max()
+        assert np.abs(np.abs(many.R) - np.abs(one.R)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cond-1e9", "rank-deficient"])
+    def test_column_map_spans_a(self, rng, kind):
+        A = _design(rng, kind)
+        f = r_factors(A)
+        d = f.rank
+        assert f.R.shape == (d, 6) and f.C.shape == (6, d)
+        T = A @ f.C
+        assert np.abs(T @ f.R - A).max() <= 1e-12 * np.abs(A).max()
+        # T is Q up to cond(A) * eps: the same column span as qr_thin's Q
+        Q = qr_thin(A).Q
+        assert np.abs(Q @ (Q.T @ T) - T).max() <= 1e-6
+        if kind == "gaussian":
+            assert np.abs(T - Q).max() <= 1e-13
+            assert np.all(np.tril(f.R, -1) == 0.0)
+
+    def test_underdetermined(self, rng):
+        A = rng.standard_normal((3, 5))
+        f = r_factors(A)
+        assert f.rank == 3 and f.C.shape == (5, 3)
+        np.testing.assert_allclose((A @ f.C) @ f.R, A, atol=1e-12)
+
+    def test_rank_forms_no_q(self, rng, monkeypatch):
+        def no_q(*args, **kwargs):
+            raise AssertionError("a Q was formed")
+
+        monkeypatch.setattr(scipy.linalg, "qr", no_q)
+        assert numeric_rank(rng.standard_normal((50, 3))) == 3
+        with pytest.raises(ZeroRankError):
+            r_factors(np.zeros((4, 2)))
 
 
 class TestBlockedLstsq:

@@ -443,60 +443,77 @@ class TestInstances:
 
 
 class TestOneFactorization:
-    """The instance factors A once; every consumer of its A reuses that."""
+    """The instance factors A once, by the R-only blocked QR; every
+    consumer of its A reuses that, and no pipeline path forms a Q."""
 
     @pytest.fixture
-    def qr_heights(self, monkeypatch):
-        heights = []
+    def factorizations(self, monkeypatch):
+        # (rows, columns) of every R-only QR made, and the height of every
+        # Q-and-R QR (scipy.linalg.qr, which qr_thin calls)
+        made = {"r_only": [], "q_and_r": []}
+        real_init = lc.linalg.BlockedR.__init__
         real_qr = scipy.linalg.qr
 
+        def counting_init(self, n, k):
+            made["r_only"].append((n, k))
+            real_init(self, n, k)
+
         def counting_qr(a, *args, **kwargs):
-            heights.append(np.shape(a)[0])
+            made["q_and_r"].append(np.shape(a)[0])
             return real_qr(a, *args, **kwargs)
 
+        monkeypatch.setattr(lc.linalg.BlockedR, "__init__", counting_init)
         monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
-        return heights
+        return made
+
+    @staticmethod
+    def check_factored_once(made, inst):
+        # the least-squares solves factor [M | c], m + 1 columns, and the
+        # sampled rank checks fewer than n rows
+        assert made["r_only"].count((inst.n, inst.m)) == 1
+        assert made["q_and_r"] == []
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_build_and_solve_factor_a_once(self, qr_heights, p):
+    def test_build_and_solve_factor_a_once(self, factorizations, p):
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
         rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
         assert rep.status == "ok" and rep.stage2.plan.actual_count < inst.n
-        assert qr_heights.count(inst.n) == 1
+        self.check_factored_once(factorizations, inst)
 
-    def test_guarantee_statistics_factor_a_once(self, qr_heights):
+    def test_guarantee_statistics_factor_a_once(self, factorizations):
         inst = lc.reference_instance(n=2000, d=4, p=1.5, seed=1)
         lc.guarantee_statistics(inst, small_cfg(1.5, d=4), n_seeds=2)
-        assert qr_heights.count(inst.n) == 1
+        self.check_factored_once(factorizations, inst)
 
-    def test_weighted_factors_scaled_a_once(self, qr_heights):
+    def test_weighted_factors_scaled_a_once(self, factorizations):
         A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
         w = np.random.default_rng(2).uniform(0.5, 2.0, 2000)
         inst = lc.RegressionInstance(A=A, b=b, p=1.5, weights=w)
         rep = lc.two_stage_solve(inst, small_cfg(1.5, d=4), seed=0)
         assert rep.status == "ok"
-        assert qr_heights.count(inst.n) == 1
+        self.check_factored_once(factorizations, inst)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_multi_block_instance_factors_a_once(self, monkeypatch, p):
-        # the instance's QR factors six blocks of 256 rows and one of 464
-        # (the last block with the tail), and nothing factors A again
+    def test_multi_block_instance_factors_a_once(self, monkeypatch, factorizations, p):
+        # the instance's QR factors six blocks of 256 rows, one of 464 (the
+        # last block with the tail) and the 28-row stack of their
+        # triangles, and nothing factors A again
         monkeypatch.setattr(lc.linalg, "_TSQR_ROWS", 256)
         A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
-        blocks_of_a = []
-        real_qr = scipy.linalg.qr
+        heights = []
+        real_geqrf = lc.linalg._GEQRF
 
-        def counting_qr(a, *args, **kwargs):
-            if np.may_share_memory(a, A):
-                blocks_of_a.append(a.shape[0])
-            return real_qr(a, *args, **kwargs)
+        def counting_geqrf(a, *args, **kwargs):
+            heights.append(a.shape)
+            return real_geqrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(lc.linalg, "_GEQRF", counting_geqrf)
         inst = lc.RegressionInstance(A=A, b=b, p=p)
         assert inst.A is A
+        assert heights == [(256, 4)] * 6 + [(464, 4), (28, 4)]
         rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
         assert rep.status == "ok" and rep.stage2.plan.actual_count < inst.n
-        assert blocks_of_a == [256] * 6 + [464]
+        self.check_factored_once(factorizations, inst)
 
     @pytest.mark.parametrize(
         "p, rank_deficient",
@@ -613,9 +630,11 @@ class TestBlockedStages:
         for module in (lc.conditioning, lc.sampling):
             for name in ("row_powsums", "row_pnorms"):
 
-                def counted(M, q, _real=getattr(module, name), _name=name):
-                    passes.append((_name, M))
-                    return _real(M, q)
+                def counted(M, q, *args, _real=getattr(module, name), _name=name):
+                    # the rounding writes U over its T, so keep what the
+                    # pass saw of the first row
+                    passes.append((_name, M, np.array(M[:1])))
+                    return _real(M, q, *args)
 
                 monkeypatch.setattr(module, name, counted)
         cfg = small_cfg(p, d=4)
@@ -623,9 +642,19 @@ class TestBlockedStages:
             assert lc.two_stage_solve(inst, cfg, seed, compute_exact=True).status == "ok"
         assert lc.single_stage_oracle_solve(inst, None, cfg, r=300.0, seed=0).status == "ok"
         lc.guarantee_statistics(inst, cfg, n_seeds=2)
+        if p == 2.0:
+            # one pass over the row blocks of T = A C, U never formed
+            assert "_formed" not in vars(inst.basis)
+            assert [name for name, M, _ in passes if M is inst.A] == ["row_powsums"]
         U = inst.basis.U
-        assert [name for name, M in passes if np.shares_memory(M, U)] == ["row_powsums"]
-        assert not [M for name, M in passes if name == "row_pnorms" and M.shape[0] == inst.n]
+        if p != 2.0:
+            on_u = [
+                name
+                for name, M, first in passes
+                if np.shares_memory(M, U) and np.array_equal(first, U[:1])
+            ]
+            assert on_u == ["row_powsums"]
+        assert not [M for name, M, _ in passes if name == "row_pnorms" and M.shape[0] == inst.n]
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_stage_two_keeps_no_residual(self, p):
