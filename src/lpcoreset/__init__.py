@@ -14,7 +14,6 @@ from .conditioning import (
     WellConditionedBasis,
     certify_basis,
     lowner_john_round,
-    spanner_coefficients,
     well_conditioned_basis,
 )
 from .errors import (
@@ -52,7 +51,6 @@ from .sampling import (
     SamplerConfig,
     SamplingPlan,
     apply_plan,
-    measure_distortion,
     oracle_probabilities,
     r1_default,
     r2_default,
@@ -62,11 +60,8 @@ from .sampling import (
 )
 from .solver import (
     SolveResult,
-    objective_gradient_check,
-    solve_constrained,
     solve_lp_regression,
     solve_multi_rhs,
-    solve_weighted,
 )
 
 __version__ = "0.1.0"

@@ -52,9 +52,10 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
+from .linalg import _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
 # no function here calls qr_thin; perfbench/tracing.py wraps the name
 # conditioning.qr_thin, so it stays importable from this module
-from .linalg import _r_factors, as_matrix, dual_exponent, qr_thin, vec_p_norm  # noqa: F401
+from .linalg import qr_thin  # noqa: F401
 from .sampling import apply_plan, realize_sample
 
 _PROBE_SEED = 0x5EEDB0B
@@ -77,6 +78,8 @@ _PROBE_BLOCK = 256
 # _MAX_SWEEPS sweeps.
 _SWEEP_RTOL = 1e-3
 _MAX_SWEEPS = 100
+# The rounding scales G so that the slack is 1 + _TOL.
+_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,13 @@ class RoundingResult:
     """Ellipsoidal rounding of {z : ||Qz||_p <= 1}.
 
     kappa:  rigorous factor with ||Q G^-1 w||_p <= kappa ||w||_2 for all w
-            (<= sqrt(d)*(1+tol) when converged).
+            (<= sqrt(d)*(1+_TOL) when converged).
     kappa_slack: rigorous factor for the reverse direction,
             ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
-            so that it is 1 + tol.
+            so that it is 1 + _TOL.
     iterations: Lewis-weight sweeps on the row-sample proxy.
     U:      Q G^-1 for the returned G, column-major (written over Q
-            when the call may overwrite it); Q itself at p = 2.
+            when the call may overwrite it).
     Both factors follow in closed form from the row weights (module
     docstring) and hold on Q itself, converged or not.
     """
@@ -222,7 +225,8 @@ def _search_proxy(Q, p):
     count of at most _PROXY_ROWS * d, with the library's own sampler under
     _PROBE_SEED and the usual p_i^(-1/p) rescaling, so ||Qs u||_p^p
     estimates ||Q u||_p^p without bias.  Returns Q itself when the sample
-    would keep every row or would lose rank.
+    would keep every row or would lose rank by the library's rank rule
+    (linalg.numeric_rank).
     """
     d = Q.shape[1]
     probs = powsum_shares(Q, p, row_powsums(Q, p))
@@ -231,7 +235,7 @@ def _search_proxy(Q, p):
     if np.all(probs >= 1.0):
         return Q
     Qs = apply_plan(realize_sample(probs, p, _PROBE_SEED), Q)
-    if np.linalg.matrix_rank(Qs) < d:
+    if numeric_rank(Qs) < d:
         return Q
     return Qs
 
@@ -266,38 +270,25 @@ def _leverages(Q, G, out=None):
     return tau, out
 
 
-def lowner_john_round(Q, p, tol=0.05, *, overwrite=False):
+def lowner_john_round(Q, p, *, overwrite=False):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
     Q must have full column rank.  Its columns need not be orthonormal:
     the factors are closed-form on Q itself, and a Q near orthonormal
-    (A R^-1, say) keeps the proxy's sample representative.  p = 2 returns
-    G = I immediately, which is exact for an orthonormal Q only; d = 1 is
-    an interval and is rounded exactly.  Otherwise sweeps the
-    Lewis-weight fixed point on the row-sample proxy for at most
-    _MAX_SWEEPS sweeps, weights every row of Q from the proxy's M, and
-    takes G from the exact M on Q, scaled so that kappa_slack = 1 + tol.
-    Both factors hold for any weights; converged says that
-    kappa * kappa_slack <= sqrt(d) * (1+tol)^2.
+    (A R^-1, say) keeps the proxy's sample representative.  d = 1 is an
+    interval and is rounded exactly.  Otherwise sweeps the Lewis-weight
+    fixed point on the row-sample proxy for at most _MAX_SWEEPS sweeps,
+    weights every row of Q from the proxy's M, and takes G from the exact
+    M on Q, scaled so that kappa_slack = 1 + _TOL.  Both factors hold for
+    any weights; converged says that
+    kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the weights
+    leave M = Q^T Q, so the sweeps stop after two and kappa = 1 / (1+_TOL).
 
     overwrite lets the last pass write U = Q G^-1 over Q, a column-major
     float64 Q that the caller made for the rounding and reads no more;
     well_conditioned_basis passes its T so, which keeps one n x d array
     fewer alive.  Otherwise U is a new column-major array.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    if p == 2.0 and np.ndim(Q) == 2 and np.shape(Q)[1] > 0:
-        # G = I rounds the 2-norm ball of an orthonormal Q exactly; Q's
-        # entries are never read, so they are not checked either
-        return RoundingResult(
-            G=np.eye(np.shape(Q)[1]),
-            kappa=1.0,
-            kappa_slack=1.0,
-            iterations=0,
-            converged=True,
-            U=np.asarray(Q),
-        )
     Q = as_matrix(Q)
     d = Q.shape[1]
     if d == 1:
@@ -335,24 +326,24 @@ def lowner_john_round(Q, p, tol=0.05, *, overwrite=False):
 
     # with N(z) = ||Gz||_2, Hoelder and Cauchy-Schwarz give, for p <= 2,
     # ||Qz||_p <= S^e N(z) and N(z) <= c^e ||Qz||_p, and for p >= 2 the
-    # same with S and c swapped; G is scaled to put 1 + tol on the slack,
-    # and Q G^-1 by the inverse scalar
+    # same with S and c swapped; G is scaled to put 1 + _TOL on the
+    # slack, and Q G^-1 by the inverse scalar
     e = abs(1.0 / p - 0.5)
-    scale = (1.0 + tol) / (c if p < 2.0 else S) ** e
+    scale = (1.0 + _TOL) / (c if p < 2.0 else S) ** e
     G *= scale
     U /= scale
-    kappa = (S * c) ** e / (1.0 + tol)
+    kappa = (S * c) ** e / (1.0 + _TOL)
     return RoundingResult(
         G=G,
         kappa=kappa,
-        kappa_slack=1.0 + tol,
+        kappa_slack=1.0 + _TOL,
         iterations=sweeps,
-        converged=kappa <= math.sqrt(d) * (1.0 + tol),
+        converged=kappa <= math.sqrt(d) * (1.0 + _TOL),
         U=U,
     )
 
 
-def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
+def well_conditioned_basis(A, p, *, factors=None):
     """Construct U = T G^-1 (T = A C) and tau = G R with conditioning
     certificates.
 
@@ -390,7 +381,7 @@ def well_conditioned_basis(A, p, tol=0.05, *, factors=None):
             leverage=sums,
             form=lambda: _orthonormal_basis(A, factors),
         )
-    rounding = lowner_john_round(_column_basis(A, factors.C), p, tol, overwrite=True)
+    rounding = lowner_john_round(_column_basis(A, factors.C), p, overwrite=True)
     if not rounding.converged:
         warnings.warn(
             "ellipsoidal rounding did not converge; certificates inflated "
@@ -453,28 +444,3 @@ def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):
     top = dirs[np.argsort(ratios)[::-1][:_REFINE_TOP]]
     refined, _ = _ratio_ascent(top, np.eye(d), q, U, p)
     return alpha_measured, max(float(ratios.max()), float(refined.max()))
-
-
-def spanner_coefficients(basis, A, z_samples=1000, seed=_PROBE_SEED):
-    """Max l2 coefficient norm when expressing sampled z with ||Az||_p <= 1.
-
-    Samples directions g, rescales to the boundary z = g / ||Ag||_p, maps
-    to coefficients nu = tau z (so that U nu = A z), and returns the
-    largest ||nu||_2 observed.  Contract: <= sqrt(d) * slack_cert.
-    """
-    A = as_matrix(A)
-    m = A.shape[1]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    remaining = int(z_samples)
-    while remaining > 0:
-        k = min(remaining, 512)
-        Gd = rng.standard_normal((k, m))
-        norms = row_pnorms(Gd @ A.T, basis.p)
-        ok = norms > 0
-        Z = Gd[ok] / norms[ok][:, None]
-        if Z.size:
-            coef = np.linalg.norm(Z @ basis.tau.T, axis=1)
-            worst = max(worst, float(coef.max()))
-        remaining -= k
-    return worst

@@ -3,23 +3,17 @@
 All operations are pure functions of immutable inputs; p is a runtime
 real with fast paths for p=1 and p=2.
 
-The thin QR of a tall A is a tall-skinny QR (TSQR; Demmel, Grigori,
-Hoemmen & Langou, arXiv:0808.2664): each cache-sized row block is
-factored on its own, then the stacked block R factors once, and each
-block's Q is multiplied by its slice of that small Q.  It is as backward
-stable as one Householder QR of A, and its R has the same singular values
-up to rounding, which the rank rule reads.  An A with fewer than two
-blocks of rows takes one Householder QR.  qr_thin is the library's
-Q-and-R QR; no pipeline path calls it.
-
-The pipeline needs only R.  BlockedR is the R-only half of the TSQR: each
-block is written into one reused Fortran-ordered buffer and factored in
-place by LAPACK's geqrf, and the triangles of several blocks are stacked
-and factored once more, so no Q is ever formed.  r_factors reads A's
-numeric rank from that R by qr_thin's rule, and a column map C with
+The library factors A by an R-only QR.  BlockedR is the R half of a
+tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
+arXiv:0808.2664): each cache-sized row block is written into one reused
+Fortran-ordered buffer and factored in place by LAPACK's geqrf, and the
+triangles of several blocks are stacked and factored once more, so no Q
+is ever formed.  Its R has A's singular values up to rounding.
+r_factors reads A's numeric rank from them, and a column map C with
 A C = T, a basis of col(A): C = R^-1, or V_d / s_d from the SVD of R
 when A is rank-deficient.  numeric_rank and every RegressionInstance
-factor A this way.
+factor A this way.  qr_thin, one Householder QR that forms Q, is the
+tests' reference; no library path calls it.
 
 Every least-squares solve of the library, min ||M x - c||_2, goes through
 BlockedLstsq: the BlockedR pass over the augmented matrix [M | c].  The
@@ -42,14 +36,14 @@ from .errors import InvalidExponentError, ZeroRankError
 
 DEFAULT_RANK_TOL = 1e-10
 # Rows per TSQR block; the tail below one block joins the last block.
-# Householder QR took 408 ms at 1,000,000 x 10 and 44 ms at 200,000 x 8;
-# TSQR took 166, 169, 165 and 185 ms there, and 28, 26, 27 and 29 ms, at
-# 2,048, 4,096, 8,192 and 16,384 rows per block.  An A that fits in the
-# L2 cache (2 MB per core) gains nothing from blocks and pays two more
-# passes over Q: at 20,000 x 8 Householder took 3.8-4.3 ms, blocks of
-# 2,048 rows 3.9-4.6 ms and of 4,096 rows 4.2-5.3 ms.  At 16,384 rows such
-# an A stays one block.  (Medians of alternating runs on fresh arrays,
-# one BLAS thread, 2 vCPUs.)
+# Measured on a Q-and-R TSQR: Householder QR took 408 ms at 1,000,000 x 10
+# and 44 ms at 200,000 x 8; TSQR took 166, 169, 165 and 185 ms there, and
+# 28, 26, 27 and 29 ms, at 2,048, 4,096, 8,192 and 16,384 rows per block.
+# An A that fits in the L2 cache (2 MB per core) gains nothing from
+# blocks: at 20,000 x 8 Householder took 3.8-4.3 ms, blocks of 2,048 rows
+# 3.9-4.6 ms and of 4,096 rows 4.2-5.3 ms.  At 16,384 rows such an A stays
+# one block.  (Medians of alternating runs on fresh arrays, one BLAS
+# thread, 2 vCPUs.)
 _TSQR_ROWS = 16384
 
 
@@ -116,18 +110,16 @@ class QRFactors:
 
 
 def qr_thin(A):
-    """Economic QR with numeric rank detection.
+    """Economic QR with numeric rank detection: the tests' reference QR.
 
-    A has one Householder QR, or a TSQR of its row blocks when it has at
-    least two blocks of _TSQR_ROWS rows (see the module docstring).
-    rank = number of singular values of the small factor R (which are
-    those of A) exceeding DEFAULT_RANK_TOL * sigma_1.  A rank-deficient
-    Q is rotated onto the leading left singular vectors of R, so one
-    factorization of A serves every case.  Raises ZeroRankError for an
-    all-zero matrix.
+    One Householder QR of A (scipy.linalg.qr).  rank = number of singular
+    values of R (which are those of A) exceeding DEFAULT_RANK_TOL *
+    sigma_1.  A rank-deficient Q is rotated onto the leading left
+    singular vectors of R, so one factorization of A serves every case.
+    Raises ZeroRankError for an all-zero matrix.
     """
     A = as_matrix(A)
-    Q, R = _economic_qr(A)
+    Q, R = scipy.linalg.qr(A, mode="economic", check_finite=False)
     U_R, sv, _ = np.linalg.svd(R, full_matrices=False)
     d = _rank(sv)
     if d < min(A.shape):
@@ -151,26 +143,6 @@ def _tsqr_blocks(n, m):
     rows = max(_TSQR_ROWS, m)
     k = max(1, n // rows)
     return [slice(i * rows, n if i == k - 1 else (i + 1) * rows) for i in range(k)]
-
-
-def _economic_qr(A):
-    """(Q, R) of A: one scipy.linalg.qr call below two blocks of rows,
-    else a TSQR that writes Q into one Fortran-ordered n x m array."""
-    n, m = A.shape
-    blocks = _tsqr_blocks(n, m)
-    k = len(blocks)
-    if k < 2:
-        return scipy.linalg.qr(A, mode="economic", check_finite=False)
-    Q = np.empty((n, m), order="F")
-    stacked = np.empty((k * m, m))
-    for i, blk in enumerate(blocks):
-        Q[blk], stacked[i * m:(i + 1) * m] = scipy.linalg.qr(
-            A[blk], mode="economic", check_finite=False
-        )
-    Q_s, R = scipy.linalg.qr(stacked, mode="economic", check_finite=False)
-    for i, blk in enumerate(blocks):
-        Q[blk] = Q[blk] @ Q_s[i * m:(i + 1) * m]
-    return Q, R
 
 
 _GEQRF, _GEQRF_LWORK, _GELSY, _GELSY_LWORK = get_lapack_funcs(

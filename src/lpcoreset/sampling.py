@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, ZeroRankError
-from .kernels import counter_bernoulli, powsum_shares, row_pnorms, row_powsums
+from .errors import InvalidConfigError
+from .kernels import counter_bernoulli, powsum_shares, row_powsums
 # kept only as bindings that perfbench's tracer counts kernel calls at;
 # no code of this module calls them
-from .kernels import counter_uniforms, powsum_ratios
-from .linalg import as_matrix
+from .kernels import counter_uniforms, powsum_ratios, row_pnorms
 
 EPSILON_GUARANTEE_LIMIT = 1.0 / 7.0
 
@@ -209,31 +208,3 @@ def apply_plan(plan, M, v=None):
         raise ValueError("right-hand side length does not match the plan")
     Sv = v[idx] * (plan.scales[:, None] if v.ndim == 2 else plan.scales)
     return SM, Sv
-
-
-def measure_distortion(A, plan, p, x_samples=100, seed=0):
-    """max_x | ||SAx||_p - ||Ax||_p | / ||Ax||_p over random directions x.
-
-    Raises ZeroRankError for an identically zero A, where every direction
-    has ||Ax||_p = 0 and the ratio is undefined.
-    """
-    A = as_matrix(A)
-    if not np.any(A):
-        raise ZeroRankError("coefficient matrix is identically zero")
-    rng = np.random.default_rng(seed)
-    SA = apply_plan(plan, A)
-    worst = 0.0
-    drawn = 0
-    while drawn < x_samples:
-        k = min(x_samples - drawn, 256)
-        X = rng.standard_normal((k, A.shape[1]))
-        full = row_pnorms(X @ A.T, p)
-        ok = full > 0.0
-        if not np.all(ok):
-            X, full = X[ok], full[ok]  # measure-zero draws: redraw
-        if X.shape[0] == 0:
-            continue
-        sampled = row_pnorms(X @ SA.T, p) if SA.shape[0] else np.zeros(X.shape[0])
-        worst = max(worst, float(np.max(np.abs(sampled - full) / full)))
-        drawn += X.shape[0]
-    return worst

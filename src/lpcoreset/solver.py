@@ -37,13 +37,11 @@ _MAX_HALVINGS = 40
 # a rung of the mu ladder ends once the Newton decrement -grad.dx falls
 # to this share of the smoothed objective
 _DECREMENT_TOL = 2e-12
-# sets the converged flag of a p = 2 solve and the stall test of
-# solve_constrained
+# sets the converged flag of a p = 2 solve
 _GRAD_TOL = 1e-8
 # ratio between successive rungs of the mu ladder
 _SMOOTHING_SHRINK = 0.1
-# cap on the Newton steps of one rung of the mu ladder at p != 2;
-# solve_constrained takes 20 times as many subgradient steps
+# cap on the Newton steps of one rung of the mu ladder at p != 2
 _MAX_ITERS = 500
 # first and last rung of the mu ladder, in units of ||b||_p / sqrt(n);
 # p >= 2 runs the last rung alone
@@ -63,16 +61,6 @@ class SolveResult:
     iterations: int
     converged: bool
     kkt_residual: float
-
-
-def _residual_subgradient(rho, p):
-    """Subgradient of ||rho||_p with respect to rho (zero at p=1 kinks)."""
-    nrm = vec_p_norm(rho, p)
-    if nrm == 0.0:
-        return np.zeros_like(rho)
-    if p == 1.0:
-        return np.sign(rho)
-    return np.sign(rho) * (np.abs(rho) / nrm) ** (p - 1.0)
 
 
 def _smoothed_objective(rho, mu, p, out=None):
@@ -257,12 +245,6 @@ def row_scaled(A, b, weights, p):
     return A * scale[:, None], b * (scale[:, None] if b.ndim == 2 else scale)
 
 
-def solve_weighted(A, b, p, weights):
-    """Minimize the weighted norm (sum_i w_i |rho_i|^p)^(1/p) by solving
-    the row-scaled problem (see row_scaled)."""
-    return solve_lp_regression(*row_scaled(as_matrix(A), as_vector(b), weights, p), p)
-
-
 def solve_multi_rhs(A, B, p):
     """Minimize the entrywise p-norm of AX - B, column by column.
 
@@ -275,89 +257,3 @@ def solve_multi_rhs(A, B, p):
         raise ValueError("A and B row counts differ")
     cols = [solve_lp_regression(A, B[:, j], p).x for j in range(B.shape[1])]
     return np.column_stack(cols)
-
-
-def solve_constrained(A, b, p, project):
-    """Minimize ||Ax - b||_p over a convex set given by its projection map.
-
-    Projected subgradient descent with adaptively diminishing steps from a
-    projected warm start; returns the best feasible point found.  The
-    projection must be idempotent (checked) and non-expansive (assumed).
-    """
-    A = as_matrix(A)
-    b = as_vector(b)
-    _check_exponent(p)
-
-    x = project(np.asarray(solve_lp_regression(A, b, p).x, dtype=np.float64))
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(project(x), dtype=np.float64)
-    if np.linalg.norm(x2 - x) > 1e-8 * (1.0 + np.linalg.norm(x)):
-        raise ValueError("projection map is not idempotent")
-    x = x2
-
-    best_x = x.copy()
-    best_f = vec_p_norm(A @ x - b, p)
-    step = 0.5 * max(1.0, float(np.linalg.norm(x)))
-    window = []
-    converged = False
-    iters = 0
-    budget = 20 * _MAX_ITERS
-    for iters in range(1, budget + 1):
-        rho = A @ x - b
-        g = A.T @ _residual_subgradient(rho, p)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            converged = True
-            break
-        x_try = np.asarray(project(x - (step / gn) * g), dtype=np.float64)
-        f_try = vec_p_norm(A @ x_try - b, p)
-        if f_try < best_f:
-            best_f, best_x = f_try, x_try.copy()
-            x = x_try
-            step *= 1.2
-        else:
-            x = x_try  # subgradient steps may pass through worse points
-            step *= 0.7
-        window.append(best_f)
-        if len(window) > 20:
-            window.pop(0)
-            if window[0] - window[-1] <= _GRAD_TOL * max(1.0, best_f):
-                converged = True
-                break
-        if step < 1e-15 * max(1.0, np.linalg.norm(best_x)):
-            converged = True
-            break
-    return SolveResult(
-        x=best_x,
-        objective=best_f,
-        iterations=iters,
-        converged=converged,
-        kkt_residual=0.0 if converged else math.inf,
-    )
-
-
-def objective_gradient_check(A, b, p, x, h=1e-5, mu=0.0):
-    """Max relative error between the analytic smoothed gradient and
-    central finite differences at step h.
-
-    Requires p > 1; for p < 2 a positive smoothing mu must be supplied.
-    Errors are measured relative to the gradient's max magnitude.
-    """
-    A = as_matrix(A)
-    b = as_vector(b)
-    x = as_vector(x)
-    if not p > 1.0:
-        raise ValueError("gradient check requires p > 1")
-    if p < 2.0 and mu <= 0.0:
-        raise ValueError("p < 2 requires a positive smoothing mu")
-    rho = A @ x - b
-    g = _smoothed_gradient(A, rho, mu, p)
-    fd = np.empty_like(g)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        f_plus = _smoothed_objective(A @ (x + e) - b, mu, p)
-        f_minus = _smoothed_objective(A @ (x - e) - b, mu, p)
-        fd[i] = (f_plus - f_minus) / (2.0 * h)
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    return float(np.max(np.abs(g - fd)) / scale)

@@ -6,17 +6,13 @@ import pytest
 
 from conftest import circle_directions
 from lpcoreset import conditioning
-from lpcoreset.conditioning import (
-    certify_basis,
-    lowner_john_round,
-    spanner_coefficients,
-    well_conditioned_basis,
-)
+from lpcoreset.conditioning import certify_basis, lowner_john_round, well_conditioned_basis
 from lpcoreset.kernels import row_pnorms
 from lpcoreset.linalg import dual_exponent, qr_thin, r_factors, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays, reference_instance
+from oracles import spanner_coefficients
 
-TOL = 0.05
+TOL = conditioning._TOL
 CERT_SLACK = 1.0 + 1e-8
 
 
@@ -25,11 +21,18 @@ def orthonormal(rng, n, d):
 
 
 class TestRounding:
-    def test_p2_bypass(self, rng):
-        Q = orthonormal(rng, 30, 3)
-        res = lowner_john_round(Q, 2.0)
-        np.testing.assert_array_equal(res.G, np.eye(3))
-        assert res.kappa == 1.0 and res.converged
+    def test_p2_certificates_match_singular_values(self, rng):
+        # at p=2 both factors are the extreme singular values of Q G^-1,
+        # whether or not Q's columns are orthonormal or equally scaled
+        scaled = rng.standard_normal((200, 3)) * np.array([1.0, 1e3, 1e-3])
+        for Q in (scaled, 2.0 * orthonormal(rng, 200, 3)):
+            res = lowner_john_round(Q, 2.0)
+            sv = np.linalg.svd(np.linalg.solve(res.G.T, Q.T).T, compute_uv=False)
+            for factor, true in ((res.kappa, sv[0]), (res.kappa_slack, 1.0 / sv[-1])):
+                assert true <= factor * CERT_SLACK and factor <= true * CERT_SLACK
+            assert res.converged and res.iterations == 2
+        with pytest.raises(ValueError, match="non-finite"):
+            lowner_john_round(np.full((30, 3), np.nan), 2.0)
 
     def test_1d_interval_exact(self, rng):
         for p in (1.0, 1.5, 3.0):
@@ -42,7 +45,7 @@ class TestRounding:
         # brute-force 0.5-degree net over the circle checks both certificate
         # sides of the rounded basis
         Q = orthonormal(rng, 50, 2)
-        res = lowner_john_round(Q, 1.0, tol=TOL)
+        res = lowner_john_round(Q, 1.0)
         assert res.converged
         assert res.kappa <= math.sqrt(2.0) * (1.0 + TOL) * CERT_SLACK
 
@@ -55,14 +58,14 @@ class TestRounding:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
     def test_upper_factor_below_sqrt_d(self, rng, p):
         Q = orthonormal(rng, 120, 4)
-        res = lowner_john_round(Q, p, tol=TOL)
+        res = lowner_john_round(Q, p)
         assert res.converged
         assert res.kappa <= math.sqrt(4.0) * (1.0 + TOL) * CERT_SLACK
 
     def test_exhausted_budget_reports_nonconvergence(self, rng, monkeypatch):
         Q = orthonormal(rng, 60, 3)
         monkeypatch.setattr(conditioning, "_MAX_SWEEPS", 0)
-        res = lowner_john_round(Q, 1.0, tol=TOL)
+        res = lowner_john_round(Q, 1.0)
         assert not res.converged
         assert res.kappa > 0.0 and res.kappa_slack >= 1.0 + TOL
 
@@ -70,7 +73,7 @@ class TestRounding:
         A = rng.standard_normal((60, 3))
         monkeypatch.setattr(conditioning, "_MAX_SWEEPS", 0)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            W = well_conditioned_basis(A, 1.0, tol=TOL)
+            W = well_conditioned_basis(A, 1.0)
         # certificates stay sound even without convergence
         alpha_m, beta_m = certify_basis(W, n_probes=1500)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
@@ -91,16 +94,16 @@ class TestProxySearch:
         assert proxy.shape[1] == d and proxy.shape[0] < n
 
         ascent = conditioning._ratio_ascent
-        res = lowner_john_round(Q, p, tol=TOL)
+        res = lowner_john_round(Q, p)
         assert res.converged
         assert res.kappa <= math.sqrt(d) * (1.0 + TOL) * CERT_SLACK
-        np.testing.assert_array_equal(lowner_john_round(Q, p, tol=TOL).G, res.G)
+        np.testing.assert_array_equal(lowner_john_round(Q, p).G, res.G)
 
         # the slack holds on the exact norm: ascents on Q from random starts
         ratios, _ = ascent(rng.standard_normal((16, d)), res.G, 2.0, Q, p)
         assert ratios.max() <= res.kappa_slack * CERT_SLACK
 
-        W = well_conditioned_basis(A, p, tol=TOL)
+        W = well_conditioned_basis(A, p)
         alpha_m, beta_m = certify_basis(W, n_probes=200)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
@@ -114,9 +117,18 @@ class TestProxySearch:
         Q[:4, 0] = 0.5
         Q[4:, 1] = 1.0 / math.sqrt(n - 4)
         assert conditioning._search_proxy(Q, 4.0) is Q
-        res = lowner_john_round(Q, 4.0, tol=TOL)
+        res = lowner_john_round(Q, 4.0)
         assert res.converged
         assert res.kappa <= math.sqrt(2.0) * (1.0 + TOL) * CERT_SLACK
+
+    def test_near_rank_deficient_proxy_falls_back_to_q(self, rng, monkeypatch):
+        # sigma_3 / sigma_1 = 1e-11 is rank 2 by the library's 1e-10 rule,
+        # though numpy's matrix_rank, at about 1e-13 for 1,000 rows, reads 3
+        Q = orthonormal(rng, 20_000, 3)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((1000, 3)), full_matrices=False)
+        proxy = (U * [1.0, 0.5, 1e-11]) @ Vt
+        monkeypatch.setattr(conditioning, "apply_plan", lambda plan, M: proxy)
+        assert conditioning._search_proxy(Q, 1.5) is Q
 
     def test_full_size_work(self, monkeypatch):
         # one unit per n-vector and k units per k x n block handed to the
@@ -141,7 +153,7 @@ class TestProxySearch:
         monkeypatch.setattr(conditioning, "pnorm", counted(conditioning.pnorm))
         monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
         monkeypatch.setattr(conditioning, "row_powsums", counted(conditioning.row_powsums))
-        res = lowner_john_round(Q, 1.5, tol=TOL)
+        res = lowner_john_round(Q, 1.5)
         assert res.converged
         assert 0 < sum(work) <= 8
 
@@ -176,14 +188,14 @@ class TestLewisRounding:
     def test_soundness_grid(self, rng, p, kind):
         d = 5
         Q = qr_thin(_rows(kind, rng, 20_000, d)).Q
-        res = lowner_john_round(Q, p, tol=TOL)
+        res = lowner_john_round(Q, p)
         assert res.converged
         assert res.kappa_slack == 1.0 + TOL
         assert 0 < res.iterations <= conditioning._MAX_SWEEPS
         upper, lower = _exact_ascents(res, Q, p, rng)
         assert upper <= res.kappa * CERT_SLACK
         assert lower <= res.kappa_slack * CERT_SLACK
-        np.testing.assert_array_equal(lowner_john_round(Q, p, tol=TOL).G, res.G)
+        np.testing.assert_array_equal(lowner_john_round(Q, p).G, res.G)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
@@ -193,7 +205,7 @@ class TestLewisRounding:
         # itself, on the tall one the zero rows meet only the full passes
         Q = np.zeros((n, 3))
         Q[::3] = orthonormal(rng, Q[::3].shape[0], 3)
-        res = lowner_john_round(Q, p, tol=TOL)
+        res = lowner_john_round(Q, p)
         assert res.converged
         upper, lower = _exact_ascents(res, Q, p, rng)
         assert upper <= res.kappa * CERT_SLACK
@@ -203,9 +215,9 @@ class TestLewisRounding:
     def test_last_bit_noise_stays_last_bit(self, p):
         inst = reference_instance(seed=1)
         Q = qr_thin(np.column_stack([inst.A, inst.b])).Q
-        G = lowner_john_round(Q, p, tol=TOL).G
+        G = lowner_john_round(Q, p).G
         for factor in (1.0 + 2.0**-52, 1.0 - 2.0**-52):
-            G2 = lowner_john_round(Q * factor, p, tol=TOL).G
+            G2 = lowner_john_round(Q * factor, p).G
             assert np.abs(G2 - G).max() <= 1e-12 * np.abs(G).max()
 
 
@@ -229,9 +241,9 @@ class TestWellConditionedBasis:
             assert W.beta_cert <= 1.0 * (1.0 + TOL) + 1e-12
 
     def test_gaussian_l1_matches_theory_bound(self, rng):
-        # alpha for p=1 should come out below (1+tol) * d^(1/p + 1/2)
+        # alpha for p=1 should come out below (1+TOL) * d^(1/p + 1/2)
         A = rng.standard_normal((100, 3))
-        W = well_conditioned_basis(A, 1.0, tol=TOL)
+        W = well_conditioned_basis(A, 1.0)
         assert W.alpha_cert <= (1.0 + TOL) * 3.0 ** (1.0 + 0.5) * CERT_SLACK
         assert vec_p_norm(W.U, 1.0) <= W.alpha_cert * CERT_SLACK
         # condition (2) on 10^4 random directions plus coordinates
@@ -283,7 +295,7 @@ class TestWellConditionedBasis:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_certificates_sound(self, rng, p, d):
         A = rng.standard_normal((80, d))
-        W = well_conditioned_basis(A, p, tol=TOL)
+        W = well_conditioned_basis(A, p)
         alpha_m, beta_m = certify_basis(W, n_probes=2000)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
@@ -301,7 +313,7 @@ class TestWellConditionedBasis:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_ill_conditioned_certificates_hold(self, p):
         A = self.ill_conditioned()
-        W = well_conditioned_basis(A, p, tol=TOL)
+        W = well_conditioned_basis(A, p)
         assert W.d == 6
         alpha_m, beta_m = certify_basis(W)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
@@ -337,7 +349,7 @@ class TestCertify:
         assert beta_m == pytest.approx(1.0, abs=1e-12)
 
     def test_2d_p3_against_net(self, rng):
-        W = well_conditioned_basis(rng.standard_normal((50, 2)), 3.0, tol=TOL)
+        W = well_conditioned_basis(rng.standard_normal((50, 2)), 3.0)
         _, beta_m = certify_basis(W, n_probes=4000)
         q = dual_exponent(3.0)
         dirs = circle_directions(10_000)
@@ -376,6 +388,6 @@ class TestSpanner:
 
     def test_p15_bound_holds(self, rng):
         A = rng.standard_normal((80, 3))
-        W = well_conditioned_basis(A, 1.5, tol=TOL)
+        W = well_conditioned_basis(A, 1.5)
         worst = spanner_coefficients(W, A, z_samples=10_000)
         assert worst <= math.sqrt(3.0) * W.slack_cert * CERT_SLACK

@@ -220,93 +220,32 @@ class TestQR:
         assert np.abs(f.Q @ f.R - A).max() <= 1e-12 * np.abs(A).max()
 
 
-BLOCK = 7  # rows per TSQR block in the tests below
-
-
-def one_call_and_blocked(A):
-    """qr_thin(A) as one Householder QR and as a TSQR of BLOCK-row blocks,
-    checking that the second made one QR per block plus one of the stack."""
-    n, m = A.shape
-    assert n < 2 * linalg._TSQR_ROWS
-    reference = qr_thin(A)
-    heights = []
-    real_qr = scipy.linalg.qr
-
-    def counting_qr(a, *args, **kwargs):
-        heights.append(np.shape(a)[0])
-        return real_qr(a, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_TSQR_ROWS", BLOCK)
-        mp.setattr(scipy.linalg, "qr", counting_qr)
-        blocked = qr_thin(A)
-    rows = max(BLOCK, m)
-    k = n // rows
-    assert heights == [rows] * (k - 1) + [n - (k - 1) * rows, k * m]
-    return reference, blocked
-
-
 class TestBlockedQR:
-    """The TSQR of an A with at least two blocks of rows, against one
-    Householder QR of the same A."""
+    """The R-only QR of an A with at least two blocks of 7 rows, or of m
+    rows when m is larger, against one Householder QR of the same A."""
 
     @staticmethod
-    def check_factors(f, A):
-        d = f.rank
-        scale = np.abs(A).max()
-        assert np.abs(f.Q.T @ f.Q - np.eye(d)).max() <= 1e-12
-        assert np.abs(f.Q @ f.R - A).max() <= 1e-12 * scale
+    def one_and_blocked(A, monkeypatch):
+        one = r_factors(A)
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 7)
+        assert len(linalg._tsqr_blocks(*A.shape)) > 1
+        return one, r_factors(A)
 
-    @pytest.mark.parametrize(
-        "n, m",
-        [
-            (14, 3),
-            (29, 1),
-            (50, 5),
-            (200, 7),
-            (40, 9),
-            (1000, 4),
-            # three blocks and a 2-row tail, which joins the last block
-            pytest.param(3 * BLOCK + 2, 5, id="tail-shorter-than-m"),
-        ],
-    )
-    def test_random_tall(self, rng, n, m):
+    @pytest.mark.parametrize("n, m", [(14, 3), (29, 1), (50, 5), (200, 7), (40, 9), (1000, 4)])
+    def test_random_tall(self, rng, monkeypatch, n, m):
         A = rng.standard_normal((n, m))
-        ref, f = one_call_and_blocked(A)
-        assert f.rank == ref.rank == m
-        self.check_factors(f, A)
+        one, f = self.one_and_blocked(A, monkeypatch)
+        assert f.rank == one.rank == m
         assert np.all(np.tril(f.R, -1) == 0.0)
-        assert f.Q.flags.f_contiguous
-        assert np.abs(f.Q @ f.Q.T - ref.Q @ ref.Q.T).max() <= 1e-12
+        assert np.abs(np.abs(f.R) - np.abs(one.R)).max() <= 1e-12 * np.abs(one.R).max()
 
-    def test_rank_deficient_columns(self, rng):
+    def test_rank_deficient_columns(self, rng, monkeypatch):
         base = rng.standard_normal((60, 3))
         A = np.column_stack([base[:, 0], base, 2.0 * base[:, 1] - base[:, 2]])
-        ref, f = one_call_and_blocked(A)
-        assert f.rank == ref.rank == 3
-        assert f.Q.shape == (60, 3) and f.R.shape == (3, 5)
-        self.check_factors(f, A)
-        assert np.abs(f.Q @ f.Q.T - ref.Q @ ref.Q.T).max() <= 1e-12
-
-    def test_condition_1e12_reads_the_same_rank(self, rng):
-        # singular values 1, 4e-3, 1.6e-5, 6.3e-8, 2.5e-10, 1e-12: rank 5
-        # at the 1e-10 relative tolerance, with a margin of 2.5 on each side
-        n, m = 200, 6
-        U = np.linalg.qr(rng.standard_normal((n, m)))[0]
-        V = np.linalg.qr(rng.standard_normal((m, m)))[0]
-        A = (U * np.logspace(0, -12, m)) @ V.T
-        ref, f = one_call_and_blocked(A)
-        assert f.rank == ref.rank == 5
-        assert np.abs(f.Q.T @ f.Q - np.eye(5)).max() <= 1e-12
-        # Q @ R drops the sixth singular value, 1e-12 of ||A||_2 = 1
-        assert np.linalg.norm(f.Q @ f.R - A, 2) <= 2e-12
-
-    def test_all_zero_matrix(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", BLOCK)
-        A = np.zeros((5 * BLOCK, 3))
-        with pytest.raises(ZeroRankError):
-            qr_thin(A)
-        assert numeric_rank(A) == 0
+        one, f = self.one_and_blocked(A, monkeypatch)
+        assert f.rank == one.rank == 3
+        assert f.R.shape == (3, 5) and f.C.shape == (5, 3)
+        assert np.abs((A @ f.C) @ f.R - A).max() <= 1e-12 * np.abs(A).max()
 
 
 class TestNumericRank:
@@ -329,30 +268,50 @@ class TestNumericRank:
         assert numeric_rank(A) == int(np.sum(sv > 1e-10 * sv[0])) == 2
 
 
+BLOCK = 256  # rows per TSQR block in the multi-block tests below
+
+
 def _design(rng, kind, n=2000, m=6):
     if kind == "gaussian":
         return rng.standard_normal((n, m))
     if kind == "rank-deficient":
         base = rng.standard_normal((n, m - 1))
         return np.column_stack([base, base[:, 0] - 2.0 * base[:, 2]])
-    # singular values from 1 to 1e-9: full rank under the 1e-10 tolerance
+    if kind == "tail-shorter-than-m":
+        # three blocks and a 2-row tail, which joins the last block
+        return rng.standard_normal((3 * BLOCK + 2, 5))
+    if kind == "all-zero":
+        return np.zeros((5 * BLOCK, 3))
+    # singular values from 1 to 1e-9: full rank under the 1e-10 tolerance;
+    # or 1, 4e-3, 1.6e-5, 6.3e-8, 2.5e-10, 1e-12: rank 5, with a margin of
+    # 2.5 on each side of it
     U = np.linalg.qr(rng.standard_normal((n, m)))[0]
     V = np.linalg.qr(rng.standard_normal((m, m)))[0]
-    return (U * np.logspace(0, -9, m)) @ V.T
+    return (U * np.logspace(0, -9 if kind == "cond-1e9" else -12, m)) @ V.T
 
 
 class TestRFactors:
     """linalg.r_factors: the R-only blocked QR, its rank and its column
     map, against qr_thin and against one block of all rows."""
 
-    @pytest.mark.parametrize("kind", ["gaussian", "cond-1e9", "rank-deficient"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["gaussian", "cond-1e9", "rank-deficient", "tail-shorter-than-m", "cond-1e12", "all-zero"],
+    )
     def test_multi_block_matches_one_block(self, rng, monkeypatch, kind):
         A = _design(rng, kind)
-        one = r_factors(A)
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
-        assert len(linalg._tsqr_blocks(*A.shape)) == 7
+        one = r_factors(A) if A.any() else None
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", BLOCK)
+        assert len(linalg._tsqr_blocks(*A.shape)) == A.shape[0] // BLOCK > 1
+        if one is None:
+            with pytest.raises(ZeroRankError):
+                r_factors(A)
+            assert numeric_rank(A) == 0
+            return
         many = r_factors(A)
         assert many.rank == one.rank == qr_thin(A).rank
+        if kind == "cond-1e12":
+            assert many.rank == 5
         scale = np.abs(one.R).max()
         assert np.abs(np.abs(many.R) - np.abs(one.R)).max() <= 1e-12 * scale
 

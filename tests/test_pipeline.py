@@ -275,7 +275,7 @@ class TestVariants:
     def test_weighted_instance_on_every_pipeline(self, ref300):
         w = np.random.default_rng(4).uniform(0.0, 5.0, ref300.n)
         winst = lc.RegressionInstance(A=ref300.A, b=ref300.b, p=1.5, weights=w)
-        exact = lc.solve_weighted(ref300.A, ref300.b, 1.5, w)
+        exact = lc.solve_lp_regression(*lc.solver.row_scaled(ref300.A, ref300.b, w, 1.5), 1.5)
         cfg = small_cfg(1.5)
         reports = [
             lc.two_stage_solve(winst, cfg, seed=2, compute_exact=True),

@@ -10,7 +10,6 @@ from lpcoreset.linalg import numeric_rank, vec_p_norm
 from lpcoreset.sampling import (
     SamplerConfig,
     apply_plan,
-    measure_distortion,
     oracle_probabilities,
     r1_default,
     r2_default,
@@ -18,6 +17,7 @@ from lpcoreset.sampling import (
     stage1_probabilities,
     stage2_probabilities,
 )
+from oracles import measure_distortion
 
 
 class TestConfig:

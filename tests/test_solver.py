@@ -15,13 +15,8 @@ from lpcoreset import solver
 from lpcoreset.errors import ZeroRankError
 from lpcoreset.linalg import DEFAULT_RANK_TOL, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays
-from lpcoreset.solver import (
-    objective_gradient_check,
-    solve_constrained,
-    solve_lp_regression,
-    solve_multi_rhs,
-    solve_weighted,
-)
+from lpcoreset.solver import row_scaled, solve_lp_regression, solve_multi_rhs
+from oracles import objective_gradient_check
 
 
 def grid_scan_1d(A, b, p, lo, hi, step):
@@ -284,6 +279,11 @@ class TestAgainstOracles:
         assert full.objective <= coarse.objective + 1e-12
 
 
+def solve_weighted(A, b, p, weights):
+    """The weighted full solve: the row-scaled problem (solver.row_scaled)."""
+    return solve_lp_regression(*row_scaled(A, b, weights, p), p)
+
+
 class TestWeighted:
     def test_unit_weights_reduce_exactly(self, rng):
         A = rng.standard_normal((20, 3))
@@ -341,44 +341,6 @@ class TestMultiRhs:
             solve_lp_regression(A, B[:, j], p).objective ** p for j in range(2)
         )
         assert total == pytest.approx(per_col, rel=1e-10)
-
-
-class TestConstrained:
-    def test_identity_projection_matches_unconstrained(self, rng):
-        A = rng.standard_normal((20, 3))
-        b = rng.standard_normal(20)
-        res = solve_constrained(A, b, 2.0, lambda x: x)
-        ref = solve_lp_regression(A, b, 2.0)
-        assert res.objective <= ref.objective * (1.0 + 1e-4)
-
-    def test_nonnegative_bound_active(self):
-        # unconstrained optimum is negative, so x = 0 under x >= 0
-        A = np.array([[1.0], [1.0]])
-        b = np.array([-3.0, -1.0])
-        res = solve_constrained(A, b, 2.0, lambda x: np.maximum(x, 0.0))
-        assert res.x[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_box_against_grid(self, rng):
-        A = rng.standard_normal((10, 2))
-        b = 3.0 * rng.standard_normal(10)
-
-        def box(x):
-            return np.clip(x, -1.0, 1.0)
-
-        res = solve_constrained(A, b, 2.0, box)
-        axis = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
-        best = math.inf
-        for x0 in axis:
-            resid = (A[:, [0]] * x0 + np.outer(A[:, 1], axis)) - b[:, None]
-            best = min(best, float(np.min(np.sum(resid**2, axis=0))))
-        z_grid = math.sqrt(best)
-        assert abs(res.objective - z_grid) <= 1e-3 * (1.0 + z_grid)
-
-    def test_non_idempotent_projection_rejected(self, rng):
-        A = rng.standard_normal((6, 2))
-        b = rng.standard_normal(6)
-        with pytest.raises(ValueError):
-            solve_constrained(A, b, 2.0, lambda x: x + 1.0)
 
 
 class TestGradientCheck:
