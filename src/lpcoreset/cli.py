@@ -103,6 +103,7 @@ def _cmd_solve(args):
         b = load_vector(args.rhs)
     weights = load_vector(args.weights) if args.variant == "weighted" else None
     inst = RegressionInstance(A=A, b=b, p=args.p, weights=weights)
+    del A  # the instance solves from its own column-major copy
     cfg = SamplerConfig(
         p=args.p,
         d=inst.d,

@@ -52,7 +52,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
-from .linalg import _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
+from .linalg import _as_2d, _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
 # no function here calls qr_thin; perfbench/tracing.py wraps the name
 # conditioning.qr_thin, so it stays importable from this module
 from .linalg import qr_thin  # noqa: F401
@@ -360,10 +360,10 @@ def well_conditioned_basis(A, p, *, factors=None):
 
     factors, when given, must be linalg.r_factors(A), and A is then
     neither validated nor factored again.  RegressionInstance passes its
-    own, so its A must not be changed after construction.
+    own, with its own column-major copy of A, which nothing changes.
     """
     if factors is None:
-        A = as_matrix(A)
+        A = _as_2d(A)
         factors = _r_factors(A)
     d, R = factors.rank, factors.R
     if p == 2.0:

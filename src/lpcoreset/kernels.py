@@ -5,10 +5,13 @@ Each kernel allocates one working array (the ``np.abs`` result, the
 scaled ratios, ``r*r``) and does the rest of its work in place on it, so
 callers' arrays are never modified.  A step that needs a second operand
 of full size (the power chain at 1.5) uses one temporary array.  The
-counter mix, ``row_powsums`` and ``residual_pnorm`` are the exceptions:
-they work on buffers of one block of rows (``_COUNTER_CHUNK`` draws, or
-a block of ``row_blocks``) and write each block's result into the
-output.
+counter mix, ``row_powsums``, ``clipped_shares`` and ``residual_pnorm``
+are the exceptions: they work on buffers of one block of rows
+(``_COUNTER_CHUNK`` draws, or a block of ``row_blocks``) and write each
+block's result into the output.  Whatever else such a loop needs of a
+block (the draws' range check and expected count, the stage-2 scaling
+and clipping) it does while the block is in cache, not in a pass of its
+own.
 
 The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
 take the unscaled sum of squares in one pass over the input, with no
@@ -43,11 +46,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
 # whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
 _COUNTER_CHUNK = 16384
-# Rows per block of row_powsums and residual_pnorm, the block height of
-# the TSQR in linalg: a 16,384 x 10 block of doubles (1.3 MB) stays in the
-# L2 cache while the block's passes run.  Keep it a multiple of 4: OpenBLAS
-# computed each row of the block products A[blk] @ x bitwise as in A @ x
-# at heights 16,384, 256 and 100, but not at 7 (1,000,000 x 10 and
+# Rows per block of row_powsums, clipped_shares and residual_pnorm, the
+# block height of the TSQR in linalg: a 16,384 x 10 block of doubles
+# (1.3 MB) stays in the L2 cache while the block's passes run.  Keep it a
+# multiple of 4: OpenBLAS computed each row of the block products
+# A[blk] @ x bitwise as in A @ x at heights 16,384, 256 and 100, but not
+# at 7, on row-major and on column-major A (1,000,000 x 10 and
 # 200,000 x 8).
 _ROW_BLOCK = 16384
 # A sum s of p-th powers (at p=2, of squares) needs no scaling when
@@ -184,19 +188,74 @@ def row_powsums(M, p, cols=None):
     if k == 0:
         return out
     blocks = row_blocks(n)
-    buf = None if p == 2.0 else np.empty((n - blocks[-1].start, k), order="F")
+    buf = _powsum_buffer(blocks, k, p)
     with np.errstate(over="ignore"):
         for blk in blocks:
-            m, s = rows(blk), out[blk]
-            if p == 2.0:
-                np.einsum("ij,ij->i", m, m, out=s)
-            else:
-                np.sum(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), axis=1, out=s)
+            _block_powsums(rows(blk), p, out[blk], buf)
     if out.min(initial=_SQ_LO) >= _SQ_LO and out.max(initial=0.0) <= _SQ_HI:
         return out
     bad = np.flatnonzero(~((out >= _SQ_LO) & (out <= _SQ_HI)))
     with np.errstate(over="ignore"):
         out[bad] = _scaled_row_pnorms(np.abs(rows(bad)), p) ** p
+    return out
+
+
+def _powsum_buffer(blocks, k, p):
+    """_block_powsums' work array for blocks of k columns (None at p=2)."""
+    return None if p == 2.0 else np.empty((blocks[-1].stop - blocks[-1].start, k), order="F")
+
+
+def _block_powsums(m, p, out, buf):
+    """The unscaled row sums of |m_ij|^p of the 2-D block m, written into
+    out; at p != 2 and more than one column, |m| is raised to p in buf.
+    A single column's powers are formed in out itself: the same values,
+    where einsum over rows of one entry took 15 times as long."""
+    if m.shape[1] == 1:
+        v = m[:, 0]
+        if p == 2.0:
+            np.multiply(v, v, out=out)
+        else:
+            _pow_inplace(np.abs(v, out=out), p)
+    elif p == 2.0:
+        np.einsum("ij,ij->i", m, m, out=out)
+    else:
+        np.sum(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), axis=1, out=out)
+
+
+def clipped_shares(M, p, scale, floor):
+    """min(1, max(floor_i, scale * s_i / sum_j s_j)), s = row_powsums(M, p),
+    for a finite p >= 1; a vector M's rows are its entries.
+
+    Two passes in the blocks of row_blocks, with no n-length array but
+    the result: the first writes each block's unscaled row sums into the
+    result, and the second scales and clips each block in place.  Their
+    total is the whole result's sum, as powsum_shares takes it, so the
+    shares do not depend on the block height.  A total outside
+    [_SQ_LO, _SQ_HI] gives powsum_shares' max-scaled shares, clipped the
+    same way.  With the total inside it, no row is redone: a row whose
+    sum underflowed has a share below 2^-122.  An all-zero M raises
+    ValueError.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    M = M.reshape(M.shape[0], -1)
+    blocks = row_blocks(M.shape[0])
+    buf = _powsum_buffer(blocks, M.shape[1], p)
+    out = np.empty(M.shape[0])
+    with np.errstate(over="ignore"):
+        for blk in blocks:
+            _block_powsums(M[blk], p, out[blk], buf)
+    total = float(out.sum())
+    if not (_SQ_LO <= total <= _SQ_HI):
+        if not M.any():
+            raise ValueError("clipped_shares: all rows are zero")
+        out = powsum_shares(M, p, out, scale)
+        return np.clip(out, floor, 1.0, out=out)
+    div = total / scale
+    for blk in blocks:
+        s = out[blk]
+        s /= div
+        np.maximum(s, floor[blk], out=s)
+        np.minimum(s, 1.0, out=s)
     return out
 
 
@@ -271,17 +330,27 @@ def counter_uniforms(seed, n):
 
 
 def counter_bernoulli(seed, probs):
-    """Indices i with u_i < probs[i], u = counter_uniforms(seed, n).
+    """(idx, total): the indices i with u_i < probs[i], u =
+    counter_uniforms(seed, n), and the sum of probs.
 
     Each chunk of draws is compared with its probabilities as it is
-    mixed, so no n-length array of uniforms is built; the indices are
-    bitwise np.flatnonzero(counter_uniforms(seed, n) < probs).
+    mixed, and those probabilities are checked and added to the total
+    while they are in cache, so probs is read once and no n-length array
+    of uniforms is built.  The indices are bitwise
+    np.flatnonzero(counter_uniforms(seed, n) < probs).  A probability
+    that is NaN or outside [0, 1] raises ValueError.
     """
-    hits = [
-        np.flatnonzero(u < probs[lo:lo + u.size]) + lo
-        for lo, u in _counter_chunks(seed, probs.shape[0])
-    ]
-    return np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    hits = []
+    total = 0.0
+    for lo, u in _counter_chunks(seed, probs.shape[0]):
+        chunk = probs[lo:lo + u.size]
+        # NaN fails both comparisons, since min and max propagate it
+        if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
+            raise ValueError("probabilities must lie in [0, 1]")
+        total += float(chunk.sum())
+        hits.append(np.flatnonzero(u < chunk) + lo)
+    idx = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    return idx, total
 
 
 def residual_pnorm(A, x, b, p, out=None):
@@ -293,6 +362,9 @@ def residual_pnorm(A, x, b, p, out=None):
     given; otherwise no n-length array is built.  The blocks' sums of
     |r|^p are added unscaled, and a total outside [_SQ_LO, _SQ_HI] is
     redone by pnorm on the whole residual (formed again if out is None).
+    Pass a column-major A: at 1,000,000 x 10, p=2, the pass took 7.7-9.6
+    ms on one, against 15-16 ms on a row-major A, whose block GEMVs
+    OpenBLAS runs at half the speed (one BLAS thread, 2 vCPUs).
     """
     blocks = row_blocks(A.shape[0])
     rows = A.shape[0] - blocks[-1].start

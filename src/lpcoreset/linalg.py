@@ -12,8 +12,10 @@ is ever formed.  Its R has A's singular values up to rounding.
 r_factors reads A's numeric rank from them, and a column map C with
 A C = T, a basis of col(A): C = R^-1, or V_d / s_d from the SVD of R
 when A is rank-deficient.  numeric_rank and every RegressionInstance
-factor A this way.  qr_thin, one Householder QR that forms Q, is the
-tests' reference; no library path calls it.
+factor A this way; the pass checks each block finite as it reads it, and
+for an instance also writes the block into the instance's column-major
+copy of A.  qr_thin, one Householder QR that forms Q, is the tests'
+reference; no library path calls it.
 
 Every least-squares solve of the library, min ||M x - c||_2, goes through
 BlockedLstsq: the BlockedR pass over the augmented matrix [M | c].  The
@@ -22,7 +24,9 @@ residual norm up to sign), so c needs no pass of its own.  The m x m
 triangle and the top m entries of that column then go to LAPACK's
 pivoted-QR driver gelsy with cond = DEFAULT_RANK_TOL (_lstsq), which
 keeps gelsy's rank rule and its minimum-norm answer on rank-deficient or
-underdetermined systems.
+underdetermined systems.  The M-columns of that R are M's R, so
+BlockedLstsq.rank reads M's numeric rank by r_factors' rule without a
+QR of M alone.
 """
 import math
 from dataclasses import dataclass
@@ -54,12 +58,22 @@ def _check_exponent(p):
 
 def as_matrix(M):
     """Validate and return a finite 2-D float64 array (n >= 1, m >= 1)."""
+    A = _as_2d(M)
+    _check_finite(A)
+    return A
+
+
+def _as_2d(M):
+    """M as a 2-D float64 array (n >= 1, m >= 1), not checked finite."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
     return A
+
+
+def _check_finite(A):
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
 
 
 def as_vector(v):
@@ -160,16 +174,21 @@ class BlockedR:
     into the F-ordered buffer out (rows x k), which its QR then
     overwrites, so fill may read it first.  It returns geqrf's output for
     the whole matrix: R on and above the diagonal of its first min(n, k)
-    rows, Householder vectors below.
+    rows, Householder vectors below.  buffer, an F-ordered n x k array,
+    serves a matrix of one block (n below 2 * _TSQR_ROWS) as its block
+    buffer.
     """
 
-    def __init__(self, n, k):
+    def __init__(self, n, k, buffer=None):
         self.k = k
         self.blocks = _tsqr_blocks(n, k)
         rows = [blk.stop - blk.start for blk in self.blocks]
-        buf = np.empty(max(rows) * k)
-        # each block's F-ordered view of the one buffer
-        self._outs = [buf[:r * k].reshape(k, r).T for r in rows]
+        if buffer is not None:
+            self._outs = [buffer]
+        else:
+            buf = np.empty(max(rows) * k)
+            # each block's F-ordered view of the one buffer
+            self._outs = [buf[:r * k].reshape(k, r).T for r in rows]
         b = len(self.blocks)
         self._stacked = np.empty((b * k, k), order="F") if b > 1 else None
         work, info = _GEQRF_LWORK(max(max(rows), b * k), k)
@@ -219,17 +238,34 @@ def r_factors(A):
     rank reads R's singular values by qr_thin's rule.  Raises
     ZeroRankError for an all-zero matrix.
     """
-    return _r_factors(as_matrix(A))
+    return _r_factors(_as_2d(A))
 
 
-def _r_factors(A):
-    """r_factors of an A that as_matrix has already validated."""
+def _r_factors(A, copy=None):
+    """r_factors of a 2-D float64 A (n >= 1, m >= 1), whose row blocks are
+    checked finite, as as_matrix checks a whole A, while the QR pass
+    reads them.
+
+    copy, an n x m F-ordered array, receives each block as well, so it
+    ends a column-major copy of A with no second pass over A.  An A of
+    one block is factored in copy itself, which is then filled from A
+    again: at 20,000 x 8 that second copy took 0.15 ms, where the fresh
+    pages of a block buffer as large as A took about 1 ms (313 minor
+    faults).
+    """
     n, m = A.shape
+    in_copy = copy is not None and len(_tsqr_blocks(n, m)) == 1
 
     def copy_rows(blk, out):
         out[:] = A[blk]
+        _check_finite(out)
+        if copy is not None and not in_copy:
+            copy[blk] = out
 
-    R = np.triu(BlockedR(n, m).factor(copy_rows)[:min(n, m)])
+    qr = BlockedR(n, m, buffer=copy if in_copy else None)
+    R = np.triu(qr.factor(copy_rows)[:min(n, m)])
+    if in_copy:
+        copy[:] = A
     _, sv, Vt = np.linalg.svd(R, full_matrices=False)
     d = _rank(sv)
     if d == m:
@@ -297,7 +333,8 @@ class BlockedLstsq:
     (rows x (m+1)); out is checked for finiteness and then overwritten by
     its QR, so fill may read it first.  solve_rows(M, c) copies the rows
     of given arrays.  Neither modifies M or c, and both raise ValueError
-    on non-finite entries.
+    on non-finite entries.  rank() reads M's numeric rank from the R of
+    the last solve, so the rank costs no QR of its own.
     """
 
     def __init__(self, n, m):
@@ -317,13 +354,19 @@ class BlockedLstsq:
             if not np.isfinite(out).all():
                 raise ValueError("least-squares system contains non-finite entries")
 
-        R = self._qr.factor(checked)
+        R = self._R = self._qr.factor(checked)
         tri, rhs = self._tri, self._rhs
         t = tri.shape[0]
         np.copyto(tri, R[:t, :self.m])
         tri[self._below] = 0.0
         np.copyto(rhs, R[:t, self.m])
         return _lstsq(tri, rhs, self._gelsy_lwork, overwrite=True).copy()
+
+    def rank(self):
+        """Numeric rank of the last solve's M, by r_factors' rule on the
+        M-columns of its R, which are M's R: 0 for an all-zero M."""
+        sv = np.linalg.svd(np.triu(self._R[:self._tri.shape[0], :self.m]), compute_uv=False)
+        return 0 if sv[0] == 0.0 else _rank(sv)
 
     def solve_rows(self, M, c):
         m = self.m

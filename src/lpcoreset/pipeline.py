@@ -9,14 +9,22 @@ w_i^(1/p), so it is a plain instance to every stage, and a matrix
 right-hand side changes only the residual norm.  The single-stage
 variants (oracle probabilities, augmented-matrix sampling) run on the
 same machinery.  Each RegressionInstance keeps what every stage and
-statistic of it shares: the R factor of A (no Q), the well-conditioned
-basis (with its leverage) and the full problem's optimum, each made
-once; so neither A nor b may be changed after construction.
+statistic of it shares: its own column-major copy of A, the R factor of
+A (no Q), the well-conditioned basis (with its leverage), ||b||_p and
+the full problem's optimum, each made once; the copy is written by the
+same pass that factors A.  So the caller may change A after
+construction, but not b, which the instance keeps as given.
 
-A stage's work over all n rows runs block by block: the full residual
-A x - b, whose blocks give the full objective (kernels.residual_pnorm),
-and the draws of its plan (kernels.counter_bernoulli).  Only stage 1
-keeps its n-length residual, because stage 2 samples by it.
+Past conditioning, a stage reads A once, in row blocks: its
+probabilities (stage 1 from the basis's leverage; stage 2 from one pass
+over the stage-1 residual, then the sum and one scale-and-clip pass
+over the result, kernels.clipped_shares), the draws of its plan, which
+check the probabilities and sum the expected count as they go
+(kernels.counter_bernoulli), and the full residual A x - b, one GEMV
+per block of the column-major A, whose blocks give the full objective
+(kernels.residual_pnorm).  The sampled rows are factored once: the
+solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1 keeps its
+n-length residual, because stage 2 samples by it.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -33,7 +41,10 @@ import numpy as np
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
 from .kernels import residual_pnorm
-from .linalg import RFactors, _r_factors, as_matrix, as_vector, numeric_rank, vec_p_norm
+from .linalg import RFactors, _as_2d, _r_factors, as_matrix, as_vector, vec_p_norm
+# kept only as a binding that perfbench's tracer wraps; no code of this
+# module calls it, since each sample's rank comes from its solve's QR
+from .linalg import numeric_rank  # noqa: F401
 from .sampling import (
     apply_plan,
     oracle_probabilities,
@@ -43,7 +54,7 @@ from .sampling import (
     stage1_probabilities,
     stage2_probabilities,
 )
-from .solver import row_scaled, solve_lp_regression, solve_multi_rhs
+from .solver import _column_solves, row_scaled, solve_lp_regression
 
 _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
@@ -71,15 +82,19 @@ class RegressionInstance:
     the weighted problem.
     A is factored once, at construction, by one R-only blocked QR:
     factors holds R, the numeric rank d = factors.rank and the m x d
-    column map C (see linalg.r_factors); no Q is formed or kept.  basis
-    (A's well-conditioned basis, which reads A through C) and optimum
-    (the full problem's (x, objective)) are computed on first use and
-    then kept, so every solve and statistic of the instance shares them.
-    Once conditioned, the instance holds the basis's leverage, one
-    n-vector, and at p != 2 its U, n x d doubles; at p = 2 it holds no
-    n x d array until basis.U is read.  Its reports hold stage 1's
-    residual and each stage's probabilities, n entries each, but no
-    stage-2 residual.  Neither A nor b may be changed after construction.
+    column map C (see linalg.r_factors); no Q is formed or kept.  The
+    same pass checks A finite and writes the instance's A, a
+    column-major (F-ordered) copy, so every pass over all rows reads A
+    column by column and the caller's A may change afterwards.  b is
+    kept as given (row-scaled when weighted), so it must not change.
+    basis (A's well-conditioned basis, which reads A through C), b_norm
+    (||b||_p) and optimum (the full problem's (x, objective)) are
+    computed on first use and then kept, so every solve and statistic
+    of the instance shares them.  Once conditioned, the instance holds
+    the basis's leverage, one n-vector, and at p != 2 its U, n x d
+    doubles; at p = 2 it holds no n x d array besides A until basis.U
+    is read.  Its reports hold stage 1's residual and each stage's
+    probabilities, n entries each, but no stage-2 residual.
     """
 
     A: np.ndarray
@@ -90,20 +105,26 @@ class RegressionInstance:
     factors: RFactors = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.A = as_matrix(self.A)
+        A = _as_2d(self.A)
         self.b = as_matrix(self.b) if np.ndim(self.b) == 2 else as_vector(self.b)
-        if self.b.shape[0] != self.A.shape[0]:
+        if self.b.shape[0] != A.shape[0]:
             raise ValueError("A and b row counts differ")
         if not (self.p >= 1.0):
             raise InvalidConfigError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             self.weights = as_vector(self.weights)
-            self.A, self.b = row_scaled(self.A, self.b, self.weights, self.p)
+            A, self.b = row_scaled(A, self.b, self.weights, self.p)
+        # the QR pass checks A finite and copies it column-major block by block
+        self.A = np.empty(A.shape, order="F")
         try:
-            self.factors = _r_factors(self.A)
+            self.factors = _r_factors(A, copy=self.A)
         except ZeroRankError:
             raise InvalidConfigError("A must have numeric rank >= 1") from None
         self.d = self.factors.rank
+
+    @cached_property
+    def b_norm(self):
+        return vec_p_norm(self.b, self.p)
 
     @cached_property
     def basis(self):
@@ -111,7 +132,7 @@ class RegressionInstance:
 
     @cached_property
     def optimum(self):
-        return _solve_subproblem(self.A, self.b, self.p)
+        return _solve_subproblem(self.A, self.b, self.p)[:2]
 
     @property
     def n(self):
@@ -171,17 +192,25 @@ class SolveReport:
 
 
 def _solve_subproblem(SA, Sb, p):
-    if Sb.ndim == 2:
-        X = solve_multi_rhs(SA, Sb, p)
-        return X, vec_p_norm(SA @ X - Sb, p)
-    res = solve_lp_regression(SA, Sb, p)
-    return res.x, res.objective
+    """(x, objective, rank): the solution, its objective on (SA, Sb) and
+    SA's numeric rank, read from the solve's own QR of [SA | Sb] (of its
+    first column when Sb is a matrix); rank 0 for an all-zero SA."""
+    try:
+        if Sb.ndim == 2:
+            cols = _column_solves(SA, Sb, p)
+            X = np.column_stack([res.x for res in cols])
+            return X, vec_p_norm(SA @ X - Sb, p), cols[0].rank
+        res = solve_lp_regression(SA, Sb, p)
+    except ZeroRankError:
+        return None, None, 0
+    return res.x, res.objective, res.rank
 
 
 def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
     """Realize a plan (retrying on rank-deficient samples), solve it, and
     evaluate the solution on the full data, keeping the full residual
-    only when keep_residual is set."""
+    only when keep_residual is set.  A sample's rank comes from its own
+    solve, so a rank-deficient sample is solved before it is retried."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
     for attempt in range(_MAX_SAMPLE_ATTEMPTS):
         plan_seed = seed if attempt == 0 else derive_seed(seed, f"retry:{attempt}")
@@ -190,11 +219,10 @@ def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
             diag["attempts"].append({"count": plan.actual_count, "rank": 0})
             continue
         SA, Sb = apply_plan(plan, inst.A, inst.b)
-        rank = numeric_rank(SA)
+        x, sampled_obj, rank = _solve_subproblem(SA, Sb, inst.p)
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
-        x, sampled_obj = _solve_subproblem(SA, Sb, inst.p)
         residual = np.empty(inst.b.shape) if keep_residual else None
         full_obj = residual_pnorm(inst.A, x, inst.b, inst.p, out=residual)
         return StageOutcome(
@@ -230,8 +258,7 @@ def stage_two(inst, stage1_out, cfg, seed):
     solution is already exact and no sampling is performed.
     """
     rho = stage1_out.residual
-    threshold = _ZERO_RESIDUAL_RTOL * vec_p_norm(inst.b, inst.p)
-    if stage1_out.full_objective <= threshold:
+    if stage1_out.full_objective <= _ZERO_RESIDUAL_RTOL * inst.b_norm:
         return StageOutcome(
             stage=2,
             plan=None,

@@ -8,11 +8,13 @@ and the draw at row i never depends on the probability at row j.
 
 Stage 1 reads the basis's leverage, the row shares
 ||u_i||_p^p / |||U|||_p^p that well_conditioned_basis computes once per
-basis, so its probabilities are one pass over an n-vector.  Stage 2 takes
-the p-th powers of the stage-1 residual with kernels.row_powsums and
-mixes them with the stage-1 probabilities in one clip pass, and a
-plan's draws are compared with their probabilities chunk by chunk as the
-counter stream is mixed.
+basis, so its probabilities are one pass over an n-vector.  Stage 2
+makes one row-block pass over the stage-1 residual, writing its p-th
+power row sums into the result, sums the result, and makes one more
+over it and the stage-1 probabilities, scaling and clipping it
+(kernels.clipped_shares).  A plan's draws are compared with their
+probabilities chunk by chunk as the counter stream is mixed, and the
+same loop checks the probabilities and sums the expected count.
 """
 import math
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import counter_bernoulli, powsum_shares, row_powsums
+from .kernels import clipped_shares, counter_bernoulli
 # kept only as bindings that perfbench's tracer counts kernel calls at;
 # no code of this module calls them
 from .kernels import counter_uniforms, powsum_ratios, row_pnorms
@@ -130,18 +132,12 @@ def stage2_probabilities(p1, residual, p, r2):
 
     residual may be a matrix, in which case the row sums of |rho_ij|^p
     replace |rho_i|^p (the multi-column generalization); the
-    single-column case reduces bitwise to the vector case.  A zero
-    residual is a caller contract violation (the pipeline short-circuits
-    it first).
+    single-column case reduces bitwise to the vector case.  One
+    kernels.clipped_shares call forms q in row blocks.  A zero residual
+    is a caller contract violation (ValueError; the pipeline
+    short-circuits it first).
     """
-    p1 = np.asarray(p1, dtype=np.float64)
-    rho = np.asarray(residual, dtype=np.float64)
-    rho = rho.reshape(rho.shape[0], -1)
-    sums = row_powsums(rho, p)
-    if sums.max(initial=0.0) <= 0.0 and not np.any(rho):
-        raise ValueError("stage-2 probabilities are undefined for a zero residual")
-    q = powsum_shares(rho, p, sums, r2)
-    return np.clip(q, p1, 1.0, out=q)
+    return clipped_shares(residual, p, r2, np.asarray(p1, dtype=np.float64))
 
 
 def oracle_probabilities(basis, rho_opt, Z, r):
@@ -167,22 +163,21 @@ def realize_sample(probs, p, seed):
     """Independent Bernoulli draws at the given probabilities.
 
     Deterministic in (probs, seed); the draw at row i is a pure function
-    of (seed, i).
+    of (seed, i).  Probabilities must lie in [0, 1] (ValueError
+    otherwise); kernels.counter_bernoulli checks them and sums the
+    expected count chunk by chunk as it draws.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("probs must be a vector")
-    # NaN fails both comparisons, since min and max propagate it
-    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    idx = counter_bernoulli(int(seed), probs)
+    idx, expected = counter_bernoulli(int(seed), probs)
     scales = probs[idx] ** (-1.0 / p)
     return SamplingPlan(
         probs=probs,
         realized_indices=idx,
         scales=scales,
         seed=int(seed),
-        expected_count=float(probs.sum()),
+        expected_count=expected,
         actual_count=int(idx.shape[0]),
         p=float(p),
     )
@@ -192,7 +187,9 @@ def apply_plan(plan, M, v=None):
     """Extract and rescale the realized rows; never materializes n x n.
 
     M may be a matrix or a vector; v (vector or matrix) is transformed
-    alongside when given.
+    alongside when given.  A column-major M, as a RegressionInstance's A,
+    gives column-major rows, so that a plan keeping every row at scale 1
+    hands the solver the very array, layout included, of the full solve.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != len(plan):
@@ -200,7 +197,13 @@ def apply_plan(plan, M, v=None):
             f"plan built for {len(plan)} rows, got {M.shape[0]}"
         )
     idx = plan.realized_indices
-    SM = M[idx] * (plan.scales[:, None] if M.ndim == 2 else plan.scales)
+    if M.ndim == 2:
+        # gathered straight into the layout of M: a column-major M's rows
+        # are taken along the columns of its row-major transpose
+        SM = np.take(M.T, idx, axis=1).T if M.flags.f_contiguous else M[idx]
+        SM *= plan.scales[:, None]
+    else:
+        SM = M[idx] * plan.scales
     if v is None:
         return SM
     v = np.asarray(v, dtype=np.float64)

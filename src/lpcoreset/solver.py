@@ -18,9 +18,12 @@ system [A | b] in row blocks, whose m x m triangle goes to gelsy with
 cond = DEFAULT_RANK_TOL, so gelsy's rank rule and minimum-norm answer
 hold.  Its buffers and workspace sizes are made once per solve.  A Newton
 step writes its weighted rows and right-hand side block by block straight
-into the kernel's buffer, read from one Fortran-ordered copy of A, and
+into the kernel's buffer, read from A when it is Fortran-ordered (a
+RegressionInstance's A is) and else from one Fortran-ordered copy, and
 sums the gradient from each block before the QR overwrites it.  The
-caller's A and b are never overwritten.
+caller's A and b are never overwritten.  The first QR, of [A | b], also
+gives A's numeric rank (SolveResult.rank), which the pipeline reads to
+reject a rank-deficient sample.
 """
 import math
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import ZeroRankError
 from .kernels import smoothed_power_weights
-from .linalg import BlockedLstsq, as_matrix, as_vector, vec_p_norm, _check_exponent
+from .linalg import BlockedLstsq, as_matrix, as_vector, numeric_rank, vec_p_norm, _check_exponent
 # the triangle solve of BlockedLstsq; tests pin it to scipy's gelsy
 from .linalg import _lstsq  # noqa: F401
 
@@ -54,13 +57,17 @@ class SolveResult:
     """converged: at p != 2, the last rung of the mu ladder ended by the
     Newton decrement test; kkt_residual is the smoothed gradient norm at
     that rung's last point, relative to max(1, ||A^T b||) after
-    normalizing b."""
+    normalizing b.  rank: A's numeric rank, read by linalg's rank rule
+    from the solver's first QR, of [A | b], so the rank costs no QR of
+    its own; None when a solve at p != 2 starts from x0 and so makes no
+    QR of [A | b]."""
 
     x: np.ndarray
     objective: float
     iterations: int
     converged: bool
     kkt_residual: float
+    rank: int | None
 
 
 def _smoothed_objective(rho, mu, p, out=None):
@@ -112,6 +119,7 @@ def solve_lp_regression(A, b, p, x0=None):
     ls = BlockedLstsq(n, m)
     if p == 2.0:
         x = ls.solve_rows(A, b)
+        rank = ls.rank()
         rho = A @ x - b
         grad = A.T @ rho
         scale = max(1.0, float(np.linalg.norm(A.T @ b)))
@@ -122,12 +130,18 @@ def solve_lp_regression(A, b, p, x0=None):
             iterations=1,
             converged=kkt <= _GRAD_TOL,
             kkt_residual=kkt,
+            rank=rank,
         )
 
     s = vec_p_norm(b, p)
     if s == 0.0:
         return SolveResult(
-            x=np.zeros(m), objective=0.0, iterations=0, converged=True, kkt_residual=0.0
+            x=np.zeros(m),
+            objective=0.0,
+            iterations=0,
+            converged=True,
+            kkt_residual=0.0,
+            rank=numeric_rank(A),
         )
     bs = b / s
     gscale = max(1.0, float(np.linalg.norm(A.T @ bs)))
@@ -143,7 +157,11 @@ def solve_lp_regression(A, b, p, x0=None):
     # the weighted rows are read column by column, from a copy of A made
     # once per solve (none if A is F-ordered already)
     AF = np.asfortranarray(A)
-    x = x0 / s if x0 is not None else ls.solve_rows(AF, bs)
+    if x0 is None:
+        x = ls.solve_rows(AF, bs)
+        rank = ls.rank()
+    else:
+        x, rank = x0 / s, None
     best_x = x.copy()
     best_true = vec_p_norm(A @ x - bs, p)
 
@@ -223,6 +241,7 @@ def solve_lp_regression(A, b, p, x0=None):
         iterations=total_iters,
         converged=converged,
         kkt_residual=kkt,
+        rank=rank,
     )
 
 
@@ -255,5 +274,9 @@ def solve_multi_rhs(A, B, p):
     B = as_matrix(B)
     if B.shape[0] != A.shape[0]:
         raise ValueError("A and B row counts differ")
-    cols = [solve_lp_regression(A, B[:, j], p).x for j in range(B.shape[1])]
-    return np.column_stack(cols)
+    return np.column_stack([res.x for res in _column_solves(A, B, p)])
+
+
+def _column_solves(A, B, p):
+    """The SolveResult of each column of B, in order."""
+    return [solve_lp_regression(A, B[:, j], p) for j in range(B.shape[1])]

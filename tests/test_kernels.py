@@ -371,3 +371,76 @@ def test_residual_pnorm_guarded_total(rng, p):
     x = np.ones(2)
     for b in (A @ x + 1e300, A @ x):
         assert kernels.residual_pnorm(A, x, b, p) == kernels.pnorm(A @ x - b, p)
+
+
+@pytest.mark.parametrize("chunk", [5, 256, kernels._COUNTER_CHUNK])
+def test_counter_bernoulli_matches_the_whole_stream(rng, monkeypatch, chunk):
+    # the draws are bitwise those of the whole stream, and the total, added
+    # chunk by chunk, is the sum of the probabilities up to its order
+    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+    for n in (0, 1, chunk - 1, chunk, 2 * chunk + 3):
+        probs = rng.uniform(0.0, 1.0, n) ** 4
+        probs[::5] = 0.0
+        probs[2::9] = 1.0
+        for seed in (0, 91, 2**64 - 1):
+            idx, total = kernels.counter_bernoulli(seed, probs)
+            want = np.flatnonzero(kernels.counter_uniforms(seed, n) < probs)
+            np.testing.assert_array_equal(idx, want)
+            assert idx.dtype == want.dtype
+            assert total == pytest.approx(float(probs.sum()), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2**-52, np.inf])
+def test_counter_bernoulli_checks_every_chunk(monkeypatch, bad):
+    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 5)
+    probs = np.full(23, 0.5)
+    probs[21] = bad
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        kernels.counter_bernoulli(3, probs)
+
+
+def _shares_then_clip(M, p, scale, floor):
+    """Stage-2 probabilities as row_powsums, powsum_shares and one clip
+    pass formed them."""
+    M = M.reshape(M.shape[0], -1)
+    q = kernels.powsum_shares(M, p, kernels.row_powsums(M, p), scale)
+    return np.clip(q, floor, 1.0, out=q)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
+    # bitwise in one block and in blocks of 256 rows
+    n = 2003
+    M = rng.standard_normal((n,) if cols is None else (n, cols))
+    M[:7] = 0.0
+    floor = rng.uniform(0.0, 0.2, n)
+    floor[::40] = 1.0
+    want = _shares_then_clip(M, p, 300.0, floor)
+    assert 0 < np.count_nonzero(want == floor) < n and np.any((want > floor) & (want < 1.0))
+    np.testing.assert_array_equal(kernels.clipped_shares(M, p, 300.0, floor), want)
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
+    np.testing.assert_array_equal(kernels.clipped_shares(M, p, 300.0, floor), want)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("cols", [None, 2])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_clipped_shares_fall_back_when_the_total_is_not_safe(rng, monkeypatch, p, cols, scale):
+    # the powers overflow (1e200) or underflow (1e-200): the shares are the
+    # max-scaled ones, bitwise, in one block or in many
+    n = 600
+    M = rng.standard_normal((n,) if cols is None else (n, cols)) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        total = np.sum(np.abs(M) ** p)
+        assert not (kernels._SQ_LO <= total <= kernels._SQ_HI)
+        floor = rng.uniform(0.0, 0.01, n)
+        want = _shares_then_clip(M, p, 50.0, floor)
+        np.testing.assert_array_equal(kernels.clipped_shares(M, p, 50.0, floor), want)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
+        np.testing.assert_array_equal(kernels.clipped_shares(M, p, 50.0, floor), want)
+
+
+def test_clipped_shares_reject_a_zero_array():
+    with pytest.raises(ValueError, match="all rows are zero"):
+        kernels.clipped_shares(np.zeros((5, 2)), 1.5, 1.0, np.zeros(5))

@@ -336,6 +336,25 @@ class TestRFactors:
         assert f.rank == 3 and f.C.shape == (5, 3)
         np.testing.assert_allclose((A @ f.C) @ f.R, A, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rows", [BLOCK, linalg._TSQR_ROWS])
+    def test_blocks_checked_finite_and_copied(self, rng, monkeypatch, bad, rows):
+        # the pass that factors A checks each block and can copy it
+        # column-major (one block of 2,000 rows is factored in the copy,
+        # which is then filled again); the same R either way, and a
+        # non-finite entry in the last block still raises
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", rows)
+        A = _design(rng, "gaussian")
+        copy = np.empty(A.shape, order="F")
+        got, want = linalg._r_factors(A, copy=copy), r_factors(A)
+        np.testing.assert_array_equal(got.R, want.R)
+        np.testing.assert_array_equal(copy, A)
+        A[-3, 2] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            r_factors(A)
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            linalg._r_factors(A, copy=copy)
+
     def test_rank_forms_no_q(self, rng, monkeypatch):
         def no_q(*args, **kwargs):
             raise AssertionError("a Q was formed")
@@ -385,6 +404,21 @@ class TestBlockedLstsq:
         np.testing.assert_array_equal(c, c0)
         # the buffers are reused: a second solve on the same object agrees
         np.testing.assert_array_equal(many.solve_rows(M, c), x_many)
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((40, 5), 5), ((6, 6), 6), ((3, 7), 3), ((40, 6), 4), ((600, 4), 2)]
+    )
+    def test_rank_of_the_last_solve(self, rng, monkeypatch, shape, rank):
+        # read from the M-columns of the QR of [M | c], by numeric_rank's
+        # rule; the 600-row system is factored in blocks of 256 rows
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        n, m = shape
+        M = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        ls = linalg.BlockedLstsq(n, m)
+        ls.solve_rows(M, rng.standard_normal(n))
+        assert ls.rank() == numeric_rank(M) == rank
+        ls.solve_rows(np.zeros((n, m)), rng.standard_normal(n))
+        assert ls.rank() == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["M", "c"])

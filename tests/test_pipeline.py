@@ -96,6 +96,31 @@ class TestRetries:
         assert diag["stage"] == 1
         assert len(diag["attempts"]) == 6
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_rank_deficient_samples_are_recorded_and_retried(self, p):
+        # rows 0-29 lie on e1 and are always kept, rows 30-39 on e2 are
+        # kept with probability 0.08, and the one row with e3 never: every
+        # sample has at least 3 rows but rank 1 or 2.  The attempts record
+        # each derived seed's count and rank, read from the solve's QR,
+        # as a separate rank of each sample reads them.
+        g = np.random.default_rng(4)
+        A = np.zeros((41, 3))
+        A[:30, 0] = g.uniform(1.0, 2.0, 30)
+        A[30:40, 1] = g.uniform(1.0, 2.0, 10)
+        A[40] = g.standard_normal(3)
+        inst = lc.RegressionInstance(A=A, b=g.standard_normal(41), p=p)
+        probs = np.concatenate([np.ones(30), np.full(10, 0.08), [0.0]])
+        with pytest.raises(lc.StageFailureError) as exc_info:
+            _sample_and_solve(inst, probs, 1, 5)
+        want = []
+        for attempt in range(6):
+            seed = 5 if attempt == 0 else derive_seed(5, f"retry:{attempt}")
+            plan = lc.realize_sample(probs, p, seed)
+            rank = lc.numeric_rank(lc.apply_plan(plan, A))
+            want.append({"count": plan.actual_count, "rank": rank})
+        assert exc_info.value.diagnostics["attempts"] == want
+        assert {r["rank"] for r in want} == {1, 2}
+
     @pytest.mark.parametrize(
         "solve",
         [
@@ -434,6 +459,17 @@ class TestInstances:
             lc.RegressionInstance(A=A, b=B, p=1.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rejects_non_finite_a(self, bad, weighted):
+        # checked block by block as the instance's QR pass reads A: here
+        # in the second of two blocks
+        A, b, _ = lc.make_instance_arrays(40_000, 4, seed=1)
+        A[35_000, 2] = bad
+        w = np.full(40_000, 2.0) if weighted else None
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            lc.RegressionInstance(A=A, b=b, p=1.5, weights=w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, bad):
         A, b, _ = lc.make_instance_arrays(200, 3, seed=1)
         w = np.ones(200)
@@ -454,9 +490,9 @@ class TestOneFactorization:
         real_init = lc.linalg.BlockedR.__init__
         real_qr = scipy.linalg.qr
 
-        def counting_init(self, n, k):
+        def counting_init(self, n, k, **kwargs):
             made["r_only"].append((n, k))
-            real_init(self, n, k)
+            real_init(self, n, k, **kwargs)
 
         def counting_qr(a, *args, **kwargs):
             made["q_and_r"].append(np.shape(a)[0])
@@ -509,11 +545,53 @@ class TestOneFactorization:
 
         monkeypatch.setattr(lc.linalg, "_GEQRF", counting_geqrf)
         inst = lc.RegressionInstance(A=A, b=b, p=p)
-        assert inst.A is A
+        # the same pass leaves the instance its own column-major copy of A
+        np.testing.assert_array_equal(inst.A, A)
+        assert inst.A.flags.f_contiguous and not np.shares_memory(inst.A, A)
         assert heights == [(256, 4)] * 6 + [(464, 4), (28, 4)]
         rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
         assert rep.status == "ok" and rep.stage2.plan.actual_count < inst.n
         self.check_factored_once(factorizations, inst)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_each_sample_is_factored_once(self, monkeypatch, factorizations, p):
+        # each stage's sample gets one R-only QR, of [SA | Sb], which gives
+        # both its rank and its least-squares solve; no QR of SA alone.  At
+        # p = 2 that QR is the whole solve, one geqrf per stage.
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        cfg = small_cfg(p, d=4)
+        assert lc.two_stage_solve(inst, cfg, seed=0).status == "ok"
+        shapes = []
+        real_geqrf = lc.linalg._GEQRF
+
+        def counting_geqrf(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_geqrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(lc.linalg, "_GEQRF", counting_geqrf)
+        factorizations["r_only"].clear()
+        rep = lc.two_stage_solve(inst, cfg, seed=1)
+        counts = [rep.stage1.plan.actual_count, rep.stage2.plan.actual_count]
+        assert rep.status == "ok" and counts[0] != counts[1]
+        assert factorizations["r_only"] == [(c, inst.m + 1) for c in counts]
+        if p == 2.0:
+            assert shapes == [(c, inst.m + 1) for c in counts]
+        else:
+            assert set(shapes) == {(c, inst.m + 1) for c in counts}
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_caller_may_change_a_after_construction(self, p):
+        # the instance solves from its own copy of A; b stays the caller's
+        A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
+        cfg = small_cfg(p, d=4)
+        fresh = lc.RegressionInstance(A=A.copy(), b=b, p=p)
+        want = report_payload(lc.two_stage_solve(fresh, cfg, seed=2, compute_exact=True))
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        A *= -3.0
+        A[::3] = 0.0
+        got = report_payload(lc.two_stage_solve(inst, cfg, seed=2, compute_exact=True))
+        assert json_dumps(got) == json_dumps(want)
+        assert inst.b is b
 
     @pytest.mark.parametrize(
         "p, rank_deficient",
@@ -625,18 +703,24 @@ class TestBlockedStages:
     def test_one_leverage_pass_per_instance(self, monkeypatch, p):
         # solves, an oracle solve and guarantee statistics on one instance
         # take the leverage of its basis once; no stage takes norms of U
+        # (stage 2's row sums are clipped_shares' pass over its residual)
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
         passes = []
-        for module in (lc.conditioning, lc.sampling):
-            for name in ("row_powsums", "row_pnorms"):
+        watched = [
+            (lc.conditioning, "row_powsums"),
+            (lc.conditioning, "row_pnorms"),
+            (lc.sampling, "row_pnorms"),
+            (lc.sampling, "clipped_shares"),
+        ]
+        for module, name in watched:
 
-                def counted(M, q, *args, _real=getattr(module, name), _name=name):
-                    # the rounding writes U over its T, so keep what the
-                    # pass saw of the first row
-                    passes.append((_name, M, np.array(M[:1])))
-                    return _real(M, q, *args)
+            def counted(M, q, *args, _real=getattr(module, name), _name=name):
+                # the rounding writes U over its T, so keep what the pass
+                # saw of the first row
+                passes.append((_name, M, np.array(M[:1])))
+                return _real(M, q, *args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = small_cfg(p, d=4)
         for seed in range(3):
             assert lc.two_stage_solve(inst, cfg, seed, compute_exact=True).status == "ok"

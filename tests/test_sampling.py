@@ -218,6 +218,7 @@ class TestRealize:
                 want = np.flatnonzero(kernels.counter_uniforms(seed, n) < probs)
                 np.testing.assert_array_equal(plan.realized_indices, want)
                 assert plan.probs is probs
+                assert plan.expected_count == pytest.approx(probs.sum(), rel=1e-15)
 
     def test_scale_values(self, rng):
         probs = rng.uniform(0.1, 1.0, 50)
@@ -255,6 +256,16 @@ class TestApplyPlan:
         SM, Sv = apply_plan(plan, M, v)
         np.testing.assert_array_equal(SM, M)
         np.testing.assert_array_equal(Sv, v)
+
+    def test_column_major_rows_keep_the_layout(self, rng):
+        M = rng.standard_normal((200, 3))
+        probs = rng.uniform(0.1, 0.9, 200)
+        plan = realize_sample(probs, 1.5, seed=3)
+        SM = apply_plan(plan, M)
+        SF = apply_plan(plan, np.asfortranarray(M))
+        assert SF.flags.f_contiguous and SM.flags.c_contiguous
+        np.testing.assert_array_equal(SF, SM)
+        np.testing.assert_array_equal(apply_plan(plan, M[:, 0]), SM[:, 0])
 
     def test_empty_plan(self, rng):
         M = rng.standard_normal((9, 3))

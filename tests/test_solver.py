@@ -158,6 +158,21 @@ class TestWarmStart:
         np.testing.assert_array_equal(res.x, solve_lp_regression(A, b, 2.0).x)
 
 
+class TestRank:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_rank_read_from_the_solve(self, rng, p, rank):
+        # from the first QR, of [A | b]; a start x0 skips that QR at
+        # p != 2 and leaves the rank unread; a zero b takes no QR and
+        # ranks A alone
+        A = rng.standard_normal((60, rank)) @ rng.standard_normal((rank, 4))
+        b = rng.standard_normal(60)
+        assert solve_lp_regression(A, b, p).rank == rank
+        started = solve_lp_regression(A, b, p, x0=np.ones(4)).rank
+        assert started == (rank if p == 2.0 else None)
+        assert solve_lp_regression(A, np.zeros(60), p).rank == rank
+
+
 class TestLeastSquaresHelper:
     @pytest.mark.parametrize(
         "shape, rank", [((40, 5), 5), ((6, 6), 6), ((3, 7), 3), ((40, 6), 4)]
