@@ -78,11 +78,17 @@ def _check_finite(A):
 
 def as_vector(v):
     """Validate and return a finite 1-D float64 array."""
+    x = _as_1d(v)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector contains non-finite entries")
+    return x
+
+
+def _as_1d(v):
+    """v as a 1-D float64 array, not checked finite."""
     x = np.asarray(v, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains non-finite entries")
     return x
 
 

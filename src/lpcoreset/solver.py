@@ -20,10 +20,22 @@ hold.  Its buffers and workspace sizes are made once per solve.  A Newton
 step writes its weighted rows and right-hand side block by block straight
 into the kernel's buffer, read from A when it is Fortran-ordered (a
 RegressionInstance's A is) and else from one Fortran-ordered copy, and
-sums the gradient from each block before the QR overwrites it.  The
-caller's A and b are never overwritten.  The first QR, of [A | b], also
-gives A's numeric rank (SolveResult.rank), which the pipeline reads to
-reject a rank-deficient sample.
+sums the gradient from each block before the QR overwrites it.  Every
+other product with A at p != 2 (residuals, line-search trials, the
+gradient) reads that column-major A too, so a row-major A and its
+column-major copy give bitwise the same result.  The caller's A and b
+are never overwritten.  The first QR, of [A | b], also gives A's numeric
+rank (SolveResult.rank), which the pipeline reads to reject a
+rank-deficient sample.
+
+At p = 2 the solve reads A twice: the QR pass, then one pass of
+kernels.residual_pnorm that forms each row block's residual while the
+block is in cache and sums from it the objective, the gradient
+A^T (Ax - b) and A^T b, with no n-length array built.  No pass over A
+exists only to validate it, at any p: the QR's block check finds a
+non-finite entry of A or b (ValueError) and its R's rank 0 an all-zero A
+(ZeroRankError).  A solve started from x0 makes no first QR, so its
+first residual pass over A makes both checks block by block.
 """
 import math
 from dataclasses import dataclass
@@ -31,8 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroRankError
-from .kernels import smoothed_power_weights
-from .linalg import BlockedLstsq, as_matrix, as_vector, numeric_rank, vec_p_norm, _check_exponent
+from .kernels import residual_pnorm, row_blocks, smoothed_power_weights
+from .linalg import (
+    BlockedLstsq,
+    _as_1d,
+    _as_2d,
+    _check_exponent,
+    _check_finite,
+    as_vector,
+    numeric_rank,
+    vec_p_norm,
+)
 # the triangle solve of BlockedLstsq; tests pin it to scipy's gelsy
 from .linalg import _lstsq  # noqa: F401
 
@@ -57,7 +78,11 @@ class SolveResult:
     """converged: at p != 2, the last rung of the mu ladder ended by the
     Newton decrement test; kkt_residual is the smoothed gradient norm at
     that rung's last point, relative to max(1, ||A^T b||) after
-    normalizing b.  rank: A's numeric rank, read by linalg's rank rule
+    normalizing b.  At p = 2, kkt_residual is ||A^T (Ax - b)|| relative
+    to max(1, ||A^T b||), both read from the data A and b by the
+    objective's blocked pass, not from the QR's R, so converged
+    (kkt_residual <= _GRAD_TOL) checks the QR's answer.  rank: A's
+    numeric rank, read by linalg's rank rule
     from the solver's first QR, of [A | b], so the rank costs no QR of
     its own; None when a solve at p != 2 starts from x0 and so makes no
     QR of [A | b]."""
@@ -91,6 +116,32 @@ def _residual(A, x, b, out):
     return out
 
 
+def _checked_residual(A, x, b, out):
+    """A @ x - b written into out in the blocks of row_blocks, each bitwise
+    that block of A @ x - b (see kernels._ROW_BLOCK), with A's checks made
+    on each block while it is in cache: ValueError for a non-finite entry,
+    ZeroRankError when every block is zero.  The first pass over A of a
+    solve started from x0, which makes no QR of [A | b] to check A."""
+    nonzero = False
+    for blk in row_blocks(A.shape[0]):
+        a = A[blk]
+        _check_finite(a)
+        nonzero = nonzero or bool(a.any())
+        r = out[blk]
+        np.matmul(a, x, out=r)
+        r -= b[blk]
+    if not nonzero:
+        raise ZeroRankError("coefficient matrix is identically zero")
+
+
+def _nonzero_rank(rank):
+    """rank, a numeric rank of A; ZeroRankError when it is 0, for A is then
+    identically zero."""
+    if rank == 0:
+        raise ZeroRankError("coefficient matrix is identically zero")
+    return rank
+
+
 def solve_lp_regression(A, b, p, x0=None):
     """Minimize ||Ax - b||_p.
 
@@ -99,9 +150,13 @@ def solve_lp_regression(A, b, p, x0=None):
     finite entries) or from the least-squares solution.  For p = 1 the
     minimizer may be any point of the optimal face; the objective is what
     is controlled.
+
+    A non-finite entry of A or b raises ValueError and an all-zero A
+    ZeroRankError, both before any result; the blocked passes that read
+    A anyway make these checks (see the module docstring).
     """
-    A = as_matrix(A)
-    b = as_vector(b)
+    A = _as_2d(A)
+    b = _as_1d(b)
     _check_exponent(p)
     n, m = A.shape
     if b.shape[0] != n:
@@ -113,20 +168,20 @@ def solve_lp_regression(A, b, p, x0=None):
             raise ValueError(f"x0: {exc}") from None
         if x0.shape[0] != m:
             raise ValueError(f"x0 has {x0.shape[0]} entries but A has {m} columns")
-    if not A.any():
-        raise ZeroRankError("coefficient matrix is identically zero")
 
     ls = BlockedLstsq(n, m)
     if p == 2.0:
         x = ls.solve_rows(A, b)
-        rank = ls.rank()
-        rho = A @ x - b
-        grad = A.T @ rho
-        scale = max(1.0, float(np.linalg.norm(A.T @ b)))
-        kkt = float(np.linalg.norm(grad)) / scale
+        rank = _nonzero_rank(ls.rank())
+        # columns A^T (Ax - b) and A^T b, summed by the residual's pass;
+        # hypot's norms do not overflow where the squares of data near
+        # 1e200 would
+        at = np.zeros((m, 2))
+        objective = residual_pnorm(A, x, b, 2.0, at=at)
+        kkt = math.hypot(*at[:, 0]) / max(1.0, math.hypot(*at[:, 1]))
         return SolveResult(
             x=x,
-            objective=vec_p_norm(rho, 2.0),
+            objective=objective,
             iterations=1,
             converged=kkt <= _GRAD_TOL,
             kkt_residual=kkt,
@@ -134,6 +189,9 @@ def solve_lp_regression(A, b, p, x0=None):
         )
 
     s = vec_p_norm(b, p)
+    if not math.isfinite(s):
+        # b holds inf or NaN, or its finite entries' norm overflowed
+        as_vector(b)
     if s == 0.0:
         return SolveResult(
             x=np.zeros(m),
@@ -141,10 +199,9 @@ def solve_lp_regression(A, b, p, x0=None):
             iterations=0,
             converged=True,
             kkt_residual=0.0,
-            rank=numeric_rank(A),
+            rank=_nonzero_rank(numeric_rank(A)),
         )
     bs = b / s
-    gscale = max(1.0, float(np.linalg.norm(A.T @ bs)))
 
     mu_min = _MU_LAST / math.sqrt(n)
     if p >= 2.0:
@@ -154,17 +211,10 @@ def solve_lp_regression(A, b, p, x0=None):
         while ladder[-1] > mu_min:
             ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
 
-    # the weighted rows are read column by column, from a copy of A made
-    # once per solve (none if A is F-ordered already)
+    # every product with A reads a column-major A: a copy made once per
+    # solve (none if A is F-ordered already), which the weighted rows are
+    # read from column by column
     AF = np.asfortranarray(A)
-    if x0 is None:
-        x = ls.solve_rows(AF, bs)
-        rank = ls.rank()
-    else:
-        x, rank = x0 / s, None
-    best_x = x.copy()
-    best_true = vec_p_norm(A @ x - bs, p)
-
     # working arrays, allocated once per solve: allocating n-length arrays
     # afresh on every iteration costs minor page faults once glibc hands
     # the freed pages back to the system
@@ -173,6 +223,17 @@ def solve_lp_regression(A, b, p, x0=None):
     rho_try = np.empty(n)
     scratch = np.empty(n)
     grad = np.empty(m)
+
+    if x0 is None:
+        x = ls.solve_rows(AF, bs)
+        rank = _nonzero_rank(ls.rank())
+        _residual(AF, x, bs, rho)
+    else:
+        x, rank = x0 / s, None
+        _checked_residual(AF, x, bs, rho)
+    gscale = max(1.0, float(np.linalg.norm(AF.T @ bs)))
+    best_x = x.copy()
+    best_true = vec_p_norm(rho, p)
 
     def weighted_rows(blk, out):
         # row i is sqrt(phi''/p) a_i (scratch holds sqrt(phi''/p) when the
@@ -184,8 +245,9 @@ def solve_lp_regression(A, b, p, x0=None):
 
     total_iters = 0
     for mu in ladder:
+        # rho holds A x - bs throughout: each accepted step swaps in its
+        # trial residual
         mu2 = mu * mu
-        _residual(A, x, bs, rho)
         f = _smoothed_objective(rho, mu, p, scratch)
         converged = False
         for _ in range(_MAX_ITERS):
@@ -213,7 +275,7 @@ def solve_lp_regression(A, b, p, x0=None):
                 # the step is solved for already: taking it whole squares
                 # the error the stop leaves, unless rounding makes f rise
                 x_try = x + dx
-                if _smoothed_objective(_residual(A, x_try, bs, rho_try), mu, p, scratch) <= f:
+                if _smoothed_objective(_residual(AF, x_try, bs, rho_try), mu, p, scratch) <= f:
                     x = x_try
                     rho, rho_try = rho_try, rho
                 converged = True
@@ -221,7 +283,7 @@ def solve_lp_regression(A, b, p, x0=None):
             t = 1.0
             for _ in range(_MAX_HALVINGS):
                 x_try = x + t * dx
-                f_try = _smoothed_objective(_residual(A, x_try, bs, rho_try), mu, p, scratch)
+                f_try = _smoothed_objective(_residual(AF, x_try, bs, rho_try), mu, p, scratch)
                 if f_try <= f - 0.25 * t * decrement:
                     x, f = x_try, f_try
                     rho, rho_try = rho_try, rho
@@ -232,12 +294,12 @@ def solve_lp_regression(A, b, p, x0=None):
         true_obj = vec_p_norm(rho, p)
         if true_obj < best_true:
             best_true, best_x = true_obj, x.copy()
-    kkt = float(np.linalg.norm(_smoothed_gradient(A, rho, mu, p))) / gscale
+    kkt = float(np.linalg.norm(_smoothed_gradient(AF, rho, mu, p))) / gscale
 
     x_out = s * best_x
     return SolveResult(
         x=x_out,
-        objective=vec_p_norm(A @ x_out - b, p),
+        objective=vec_p_norm(AF @ x_out - b, p),
         iterations=total_iters,
         converged=converged,
         kkt_residual=kkt,
@@ -270,8 +332,8 @@ def solve_multi_rhs(A, B, p):
     The objective decouples: |||AX - B|||_p^p is the sum over columns of
     ||A X_j - B_j||_p^p, so each column is an independent vector solve.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A = _as_2d(A)
+    B = _as_2d(B)
     if B.shape[0] != A.shape[0]:
         raise ValueError("A and B row counts differ")
     return np.column_stack([res.x for res in _column_solves(A, B, p)])

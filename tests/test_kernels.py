@@ -2,9 +2,12 @@
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcoreset import kernels
 
@@ -371,6 +374,49 @@ def test_residual_pnorm_guarded_total(rng, p):
     x = np.ones(2)
     for b in (A @ x + 1e300, A @ x):
         assert kernels.residual_pnorm(A, x, b, p) == kernels.pnorm(A @ x - b, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=1200),
+    m=st.integers(min_value=1, max_value=6),
+    order=st.sampled_from(["C", "F"]),
+    block=st.sampled_from([256, kernels._ROW_BLOCK]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_residual_pnorm_normal_columns(n, m, order, block, seed):
+    # the p=2 pass's objective, A^T r and A^T b, summed block by block, are
+    # the whole arrays' to 1e-12 relative; a sum's rounding scales with the
+    # sum of its terms' magnitudes, so each column is held to that
+    g = np.random.default_rng(seed)
+    A = np.asarray(g.standard_normal((n, m)), order=order)
+    x, b = g.standard_normal(m), g.standard_normal(n)
+    at, at_out, out = np.zeros((m, 2)), np.zeros((m, 2)), np.empty(n)
+    with mock.patch.object(kernels, "_ROW_BLOCK", block):
+        got = kernels.residual_pnorm(A, x, b, 2.0, at=at)
+        # with out as well, the residual lands there and at is the same
+        assert kernels.residual_pnorm(A, x, b, 2.0, out=out, at=at_out) == got
+    np.testing.assert_array_equal(at_out, at)
+    r = A @ x - b
+    np.testing.assert_array_equal(out, r)
+    assert got == pytest.approx(kernels.pnorm(r, 2.0), rel=1e-12)
+    for col, v in ((0, r), (1, b)):
+        scale = np.abs(A).T @ np.abs(v)
+        np.testing.assert_allclose(at[:, col], A.T @ v, rtol=0.0, atol=1e-12 * scale.max())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_residual_pnorm_normal_columns_guarded(rng, monkeypatch, scale):
+    # residuals whose squares overflow or vanish take pnorm's scaled path;
+    # the columns of at, whose products stay in range, are unaffected
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
+    A = rng.standard_normal((1000, 3))
+    x, b = scale * rng.standard_normal(3), scale * rng.standard_normal(1000)
+    r = A @ x - b
+    at = np.zeros((3, 2))
+    assert kernels.residual_pnorm(A, x, b, 2.0, at=at) == kernels.pnorm(r, 2.0)
+    assert math.isfinite(kernels.pnorm(r, 2.0)) and kernels.pnorm(r, 2.0) > 0.0
+    np.testing.assert_allclose(at, np.column_stack([A.T @ r, A.T @ b]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [5, 256, kernels._COUNTER_CHUNK])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 import lpcoreset
-from lpcoreset import solver
+from lpcoreset import kernels, linalg, solver
 from lpcoreset.errors import ZeroRankError
 from lpcoreset.linalg import DEFAULT_RANK_TOL, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays
@@ -292,6 +293,141 @@ class TestAgainstOracles:
         monkeypatch.setattr(solver, "_MU_LAST", 0.05)
         coarse = solve_lp_regression(A, b, 1.2)
         assert full.objective <= coarse.objective + 1e-12
+
+
+def _fields(res):
+    return res.x, res.objective, res.iterations, res.converged, res.kkt_residual, res.rank
+
+
+@pytest.fixture(params=["one block", "blocks of 256"])
+def blocks(request, monkeypatch):
+    """2,003 rows as one block, or as blocks of 256 rows with a last block
+    of 467, for both the QR and the residual passes."""
+    if request.param == "blocks of 256":
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
+    return request.param
+
+
+class TestLayouts:
+    """A row-major A and its column-major copy give the same solve: at
+    p != 2 every product reads the one column-major A."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("started", [False, True])
+    def test_bitwise_across_layouts(self, blocks, p, started):
+        A, b, _ = make_instance_arrays(2003, 4, seed=2)
+        x0 = np.full(4, 0.5) if started else None
+        by_rows = solve_lp_regression(np.ascontiguousarray(A), b, p, x0=x0)
+        by_cols = solve_lp_regression(np.asfortranarray(A), b, p, x0=x0)
+        for got, want in zip(_fields(by_rows), _fields(by_cols)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_p2_across_layouts(self, blocks):
+        # the QR copies each block into its own buffer, so x is bitwise; the
+        # residual pass runs the caller's layout, so the objective may move
+        # in its last bit
+        A, b, _ = make_instance_arrays(2003, 4, seed=2)
+        by_rows = solve_lp_regression(np.ascontiguousarray(A), b, 2.0)
+        by_cols = solve_lp_regression(np.asfortranarray(A), b, 2.0)
+        np.testing.assert_array_equal(by_rows.x, by_cols.x)
+        assert by_rows.objective == pytest.approx(by_cols.objective, rel=1e-15)
+        assert by_rows.rank == by_cols.rank == 4
+        assert by_rows.converged and by_cols.converged
+
+
+class TestTwoPasses:
+    """At p = 2 the solve reads A in one QR pass and one residual pass."""
+
+    def test_one_qr_pass_and_one_residual_pass(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
+        A, b, _ = make_instance_arrays(2003, 4, seed=2)
+        heights, passes = [], []
+        real_geqrf, real_blocks = linalg._GEQRF, kernels.row_blocks
+
+        def counting_geqrf(a, *args, **kwargs):
+            heights.append(a.shape)
+            return real_geqrf(a, *args, **kwargs)
+
+        def recording_blocks(n):
+            passes.append(real_blocks(n))
+            return passes[-1]
+
+        monkeypatch.setattr(linalg, "_GEQRF", counting_geqrf)
+        monkeypatch.setattr(kernels, "row_blocks", recording_blocks)
+        res = solve_lp_regression(A, b, 2.0)
+        # one geqrf per block of [A | b] and one of the stacked triangles
+        assert heights == [(256, 5)] * 6 + [(467, 5), (35, 5)]
+        # one pass of the residual kernel, one call per block
+        assert passes == [real_blocks(2003)]
+        assert len(passes[0]) == 7
+        assert res.converged and res.rank == 4
+        rho = A @ res.x - b
+        assert res.objective == pytest.approx(vec_p_norm(rho, 2.0), rel=1e-14)
+        kkt = np.linalg.norm(A.T @ rho) / max(1.0, np.linalg.norm(A.T @ b))
+        assert res.kkt_residual == pytest.approx(kkt, rel=1e-6, abs=1e-15)
+
+    def test_no_n_length_array(self):
+        # the QR's block buffer (19,776 x 9 doubles) is 1.4 MB; an n-length
+        # array (the residual, or a finiteness mask of A) would add 1.6 MB
+        A, b, _ = make_instance_arrays(200_000, 8, seed=1)
+        solve_lp_regression(A, b, 2.0)
+        tracemalloc.start()
+        try:
+            solve_lp_regression(A, b, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
+
+
+class TestInputChecks:
+    """The checks that the QR pass, or a started solve's first residual
+    pass, makes block by block keep the error contract of whole-array
+    checks."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("started", [False, True])
+    @pytest.mark.parametrize("zero_b", [False, True])
+    def test_zero_matrix(self, blocks, p, started, zero_b):
+        b = np.zeros(2003) if zero_b else np.linspace(-1.0, 1.0, 2003)
+        x0 = np.ones(3) if started else None
+        with pytest.raises(ZeroRankError):
+            solve_lp_regression(np.zeros((2003, 3)), b, p, x0=x0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("started", [False, True])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_the_last_block(self, blocks, p, started, where, bad):
+        A, b, _ = make_instance_arrays(2003, 4, seed=2)
+        if where == "A":
+            A[2001, 2] = bad
+        else:
+            b[2001] = bad
+        A0, b0 = A.copy(), b.copy()
+        x0 = np.ones(4) if started else None
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_lp_regression(A, b, p, x0=x0)
+        np.testing.assert_array_equal(A, A0)
+        np.testing.assert_array_equal(b, b0)
+
+    def test_non_finite_rhs_column(self, rng):
+        B = rng.standard_normal((50, 3))
+        B[7, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_multi_rhs(rng.standard_normal((50, 2)), B, 1.5)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales(self, blocks, scale):
+        # residuals whose squares overflow or vanish: the objective takes
+        # the guarded path and scales with the data
+        A, b, _ = make_instance_arrays(2003, 4, seed=2)
+        res = solve_lp_regression(A, b, 2.0)
+        scaled = solve_lp_regression(A, scale * b, 2.0)
+        assert scaled.objective == pytest.approx(scale * res.objective, rel=1e-12)
+        assert scaled.converged
 
 
 def solve_weighted(A, b, p, weights):
