@@ -26,22 +26,23 @@ importance with the library's own sampler.  Two passes over T then give
 every row its weight from the proxy's M and compute the exact M, c and S,
 so the certificates hold on T itself, whatever the proxy missed.
 
-At p != 2 the basis U = T G^-1 comes from the rounding's last pass over
-T: block by block, that pass forms T G^-1 for the unscaled G, one matrix
-product with the inverse of the d x d triangular G, and writes it over T
-itself, which is column-major (F-order); U is that product divided by
-the scalar that scales G.  So T's storage becomes U's, and conditioning
-holds one n x d array, not two.  Row passes over U took 2.1 to 3.4
-times as long on a row-major n x d U (20,000 and 200,000 rows, d = 8, p
-in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).  The basis keeps U's
-normalized row sums of |u_ij|^p, its lp leverage, which is all that
-stage-1 sampling reads of it.
+At p != 2 the rounding's last pass forms T G^-1 block by block, for the
+unscaled G, and takes from each block both tau and each row's sum of
+|t_ij|^p; it keeps no block.  Scaling G scales every row of U = T G^-1
+alike, so the normalized sums are U's lp leverage, all that stage-1
+sampling reads of U.  At p = 2 no rounding runs, the certificates are
+exactly (sqrt(d), 1), and the leverage comes from one pass over row
+blocks of T.
 
-At p = 2 no rounding runs and the certificates are exactly (sqrt(d), 1).
-The leverage comes from one pass over row blocks of T, and no n x d
-array is formed.  U, when read, is T made orthonormal by one Cholesky
-step, U = T G^-1 with G = chol(T^T T): T's columns are orthonormal only
-up to about cond(A) * eps, and the step brings that to rounding.
+At every p, U, G and tau are formed from A when first read (lpcoreset
+certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
+columns are orthonormal only up to about cond(A) * eps, and this
+Cholesky step brings that to rounding), U = T G^-1 and tau = G R.  So a
+basis keeps no n x d array, and A must not change before they are read.
+T and U are column-major (F-order): a row pass, such as the proxy's
+power sums over T, took 2.1 to 3.4 times as long on a row-major n x d
+array (20,000 and 200,000 rows, d = 8, p in {1, 1.5, 3}, one BLAS
+thread, 2 vCPUs).
 """
 import math
 import warnings
@@ -51,8 +52,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .kernels import pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
-from .linalg import _as_2d, _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
+from .kernels import _pow_inplace, pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
+from .linalg import (
+    _as_2d, _check_exponent, _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
+)
 # no function here calls qr_thin; perfbench/tracing.py wraps the name
 # conditioning.qr_thin, so it stays importable from this module
 from .linalg import qr_thin  # noqa: F401
@@ -92,8 +95,8 @@ class RoundingResult:
             ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
             so that it is 1 + _TOL.
     iterations: Lewis-weight sweeps on the row-sample proxy.
-    U:      Q G^-1 for the returned G, column-major (written over Q
-            when the call may overwrite it).
+    leverage: each row's share ||u_i||_p^p / |||U|||_p^p of U = Q G^-1,
+            from the last pass's block products; U itself is not kept.
     Both factors follow in closed form from the row weights (module
     docstring) and hold on Q itself, converged or not.
     """
@@ -103,7 +106,7 @@ class RoundingResult:
     kappa_slack: float
     iterations: int
     converged: bool
-    U: np.ndarray = field(repr=False)
+    leverage: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +118,10 @@ class WellConditionedBasis:
     alpha_cert bounds the entrywise p-norm of U; beta_cert bounds
     ||z||_q / ||Uz||_p (q dual to p).  leverage holds the n row shares
     ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads, computed once
-    with the basis.  At p = 2 they are T's shares, which are U's up to T's
-    departure from orthonormal columns, and U, G and tau are formed from
-    A when first read (module docstring), so A must not change before.
-    At p != 2 the basis keeps U, n x d doubles.
+    with the basis; at p = 2 they are T's shares, which are U's up to T's
+    departure from orthonormal columns.  At every p, U, G and tau are
+    formed from A when first read (module docstring), so A must not
+    change before; the basis keeps no U, nor any other n x d array.
     """
 
     p: float
@@ -249,28 +252,33 @@ def _lewis_factor(Q, w, p):
     return scipy.linalg.cholesky(X.T @ X, lower=False)
 
 
-def _leverages(Q, G, out=None):
-    """(tau, T): tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||t_i||_2^2
-    for T = Q G^-1, taken block by block.  With out (n x d, and Q itself
-    allowed), T is written into it block by block and returned; else T
-    is None.
+def _leverages(Q, G, p=None):
+    """(tau, sums): tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||t_i||_2^2
+    for T = Q G^-1, taken block by block.  With p, sums holds each row's
+    sum_j |t_ij|^p, taken from the same block products; else sums is
+    None.  No block is kept.
 
     tau is summed on each block's row-major product, because einsum adds
     a row's squares in another order on a column-major array, and the
-    certificates read tau's last bits.
+    certificates read tau's last bits.  The power sums need no such care:
+    |Y|^p is formed in the block itself and summed by one GEMV, which
+    took 10.8 ms of conditioning against 12.3 ms for kernels.row_powsums'
+    column-major work array (20,000 x 8, p=1.5, medians of 150 calls,
+    one BLAS thread, 2 vCPUs), mostly in the page faults of that array.
     """
     n, d = Q.shape
     Ginv = scipy.linalg.solve_triangular(G, np.eye(d))
     tau = np.empty(n)
+    sums = None if p is None else np.empty(n)
     for blk in row_blocks(n):
         Y = Q[blk] @ Ginv
         np.einsum("ij,ij->i", Y, Y, out=tau[blk])
-        if out is not None:
-            out[blk] = Y
-    return tau, out
+        if sums is not None:
+            np.matmul(_pow_inplace(np.abs(Y, out=Y), p), np.ones(d), out=sums[blk])
+    return tau, sums
 
 
-def lowner_john_round(Q, p, *, overwrite=False):
+def lowner_john_round(Q, p):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
     Q must have full column rank.  Its columns need not be orthonormal:
@@ -283,18 +291,15 @@ def lowner_john_round(Q, p, *, overwrite=False):
     any weights; converged says that
     kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the weights
     leave M = Q^T Q, so the sweeps stop after two and kappa = 1 / (1+_TOL).
-
-    overwrite lets the last pass write U = Q G^-1 over Q, a column-major
-    float64 Q that the caller made for the rounding and reads no more;
-    well_conditioned_basis passes its T so, which keeps one n x d array
-    fewer alive.  Otherwise U is a new column-major array.
+    The last pass over Q also gives the leverage of U = Q G^-1 (module
+    docstring); U itself is neither formed nor kept.
     """
     Q = as_matrix(Q)
     d = Q.shape[1]
     if d == 1:
-        g = pnorm(Q[:, 0], p)
+        G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, row_powsums(Q, p))
         return RoundingResult(
-            G=np.array([[g]]), kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, U=Q / g
+            G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, leverage=lev
         )
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
@@ -319,7 +324,7 @@ def lowner_john_round(Q, p, *, overwrite=False):
     n = Q.shape[0]
     w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs)[0] ** (p / 2.0)
     G = _lewis_factor(Q, w, p)
-    tau, U = _leverages(Q, G, out=Q if overwrite else np.empty((n, d), order="F"))
+    tau, sums = _leverages(Q, G, p)
     pos = w > 0.0
     c = float(np.max(tau[pos] / w[pos] ** (2.0 / p)))
     S = float(w.sum())
@@ -327,11 +332,12 @@ def lowner_john_round(Q, p, *, overwrite=False):
     # with N(z) = ||Gz||_2, Hoelder and Cauchy-Schwarz give, for p <= 2,
     # ||Qz||_p <= S^e N(z) and N(z) <= c^e ||Qz||_p, and for p >= 2 the
     # same with S and c swapped; G is scaled to put 1 + _TOL on the
-    # slack, and Q G^-1 by the inverse scalar
+    # slack.  The scale multiplies every row of U = Q G^-1 alike, so the
+    # sums' shares are U's; they need no max-scaled fallback, since
+    # |||U|||_p^p lies between d / slack^p and kappa^p d
     e = abs(1.0 / p - 0.5)
-    scale = (1.0 + _TOL) / (c if p < 2.0 else S) ** e
-    G *= scale
-    U /= scale
+    G *= (1.0 + _TOL) / (c if p < 2.0 else S) ** e
+    sums /= sums.sum()
     kappa = (S * c) ** e / (1.0 + _TOL)
     return RoundingResult(
         G=G,
@@ -339,19 +345,18 @@ def lowner_john_round(Q, p, *, overwrite=False):
         kappa_slack=1.0 + _TOL,
         iterations=sweeps,
         converged=kappa <= math.sqrt(d) * (1.0 + _TOL),
-        U=U,
+        leverage=sums,
     )
 
 
 def well_conditioned_basis(A, p, *, factors=None):
     """Construct U = T G^-1 (T = A C) and tau = G R with conditioning
-    certificates.
+    certificates, for a finite p >= 1.
 
-    At p != 2, U is the rounding's column-major product (see the module
-    docstring), and leverage its normalized row sums of |u_ij|^p from one
-    kernels.row_powsums pass.  At p = 2 the rounding is bypassed, the
-    certificates are exactly (sqrt(d), 1), and leverage comes from one
-    pass over row blocks of T; U, G and tau are formed when first read.
+    At p != 2, G and the leverage come from the rounding; at p = 2 the
+    certificates are exactly (sqrt(d), 1), and the leverage comes from
+    one pass over row blocks of T.  U, G and tau are formed when first
+    read (see the module docstring).
 
     alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
     beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
@@ -362,48 +367,39 @@ def well_conditioned_basis(A, p, *, factors=None):
     neither validated nor factored again.  RegressionInstance passes its
     own, with its own column-major copy of A, which nothing changes.
     """
+    _check_exponent(p)
     if factors is None:
         A = _as_2d(A)
         factors = _r_factors(A)
-    d, R = factors.rank, factors.R
+    d = factors.rank
     if p == 2.0:
         # T's columns are orthonormal up to rounding, so the total is
         # about d, far from where powsum_shares would need to rescale
-        sums = row_powsums(A, 2.0, factors.C)
-        sums /= sums.sum()
-        return WellConditionedBasis(
-            p=2.0,
-            d=d,
-            alpha_cert=math.sqrt(d),
-            beta_cert=1.0,
-            kappa_cert=1.0,
-            slack_cert=1.0,
-            leverage=sums,
-            form=lambda: _orthonormal_basis(A, factors),
-        )
-    rounding = lowner_john_round(_column_basis(A, factors.C), p, overwrite=True)
-    if not rounding.converged:
-        warnings.warn(
-            "ellipsoidal rounding did not converge; certificates inflated "
-            f"(kappa={rounding.kappa:.3g}, slack={rounding.kappa_slack:.3g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    G, U = rounding.G, rounding.U
-    alpha = rounding.kappa * d ** (1.0 / p)
-    beta = rounding.kappa_slack
-    if p > 2.0:
-        beta *= d ** (1.0 / dual_exponent(p) - 0.5)
-    tau = G @ R
+        G, kappa, slack, alpha, beta = None, 1.0, 1.0, math.sqrt(d), 1.0
+        leverage = row_powsums(A, 2.0, factors.C)
+        leverage /= leverage.sum()
+    else:
+        rounding = lowner_john_round(_column_basis(A, factors.C), p)
+        if not rounding.converged:
+            warnings.warn(
+                "ellipsoidal rounding did not converge; certificates inflated "
+                f"(kappa={rounding.kappa:.3g}, slack={rounding.kappa_slack:.3g})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        G, kappa, slack = rounding.G, rounding.kappa, rounding.kappa_slack
+        alpha = kappa * d ** (1.0 / p)
+        beta = slack * d ** (1.0 / dual_exponent(p) - 0.5) if p > 2.0 else slack
+        leverage = rounding.leverage
     return WellConditionedBasis(
         p=float(p),
         d=d,
         alpha_cert=float(alpha),
         beta_cert=float(beta),
-        kappa_cert=float(rounding.kappa),
-        slack_cert=float(rounding.kappa_slack),
-        leverage=powsum_shares(U, p, row_powsums(U, p)),
-        form=lambda: (U, G, tau),
+        kappa_cert=float(kappa),
+        slack_cert=float(slack),
+        leverage=leverage,
+        form=lambda: _form_basis(A, factors, G),
     )
 
 
@@ -414,12 +410,13 @@ def _column_basis(A, C):
     return (C.T @ A.T).T
 
 
-def _orthonormal_basis(A, factors):
-    """(U, G, tau) of the p = 2 basis: T = A C made orthonormal by one
-    Cholesky step, G = chol(T^T T) (_lewis_factor at w = 1), U = T G^-1
-    written column-major, and tau = G R."""
+def _form_basis(A, factors, G=None):
+    """(U, G, tau) of a basis, formed from A: T = A C, G = chol(T^T T)
+    when no rounding gave G (p = 2), U = T G^-1 written column-major,
+    and tau = G R."""
     T = _column_basis(A, factors.C)
-    G = scipy.linalg.cholesky(T.T @ T, lower=False)
+    if G is None:
+        G = scipy.linalg.cholesky(T.T @ T, lower=False)
     U = _column_basis(T, scipy.linalg.solve_triangular(G, np.eye(factors.rank)))
     return U, G, G @ factors.R
 

@@ -2,7 +2,8 @@
 
 
 class InvalidExponentError(ValueError):
-    """Raised when a norm exponent p < 1 is requested."""
+    """Raised when a norm exponent p is below 1, or is not finite where a
+    finite p is needed."""
 
 
 class InvalidConfigError(ValueError):

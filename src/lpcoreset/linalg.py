@@ -52,8 +52,8 @@ _TSQR_ROWS = 16384
 
 
 def _check_exponent(p):
-    if not (p >= 1.0):
-        raise InvalidExponentError(f"norm exponent must satisfy p >= 1, got {p}")
+    if not (1.0 <= p < math.inf):
+        raise InvalidExponentError(f"p must be a finite number >= 1, got {p}")
 
 
 def as_matrix(M):
@@ -101,13 +101,16 @@ def vec_p_norm(v, p):
     p = inf is accepted so dual-norm evaluations can dispatch to the
     max-norm; any finite p must satisfy p >= 1.
     """
-    if not math.isinf(p):
+    if p != math.inf:
         _check_exponent(p)
     return kernels.pnorm(np.asarray(v, dtype=np.float64), float(p))
 
 
 def dual_exponent(p):
-    """q with 1/p + 1/q = 1; p = 1 maps to +inf (max-norm dispatch)."""
+    """q with 1/p + 1/q = 1; p = 1 maps to +inf (max-norm dispatch) and
+    p = inf to 1."""
+    if p == math.inf:
+        return 1.0
     _check_exponent(p)
     if p == 1.0:
         return math.inf

@@ -91,10 +91,10 @@ class RegressionInstance:
     (||b||_p) and optimum (the full problem's (x, objective)) are
     computed on first use and then kept, so every solve and statistic
     of the instance shares them.  Once conditioned, the instance holds
-    the basis's leverage, one n-vector, and at p != 2 its U, n x d
-    doubles; at p = 2 it holds no n x d array besides A until basis.U
-    is read.  Its reports hold stage 1's residual and each stage's
-    probabilities, n entries each, but no stage-2 residual.
+    the basis's leverage, one n-vector, and at every p no n x d array
+    besides A, and so no U: the basis forms U, G and tau from A when
+    they are first read.  Its reports hold stage 1's residual and each
+    stage's probabilities, n entries each, but no stage-2 residual.
     """
 
     A: np.ndarray
@@ -109,8 +109,8 @@ class RegressionInstance:
         self.b = as_matrix(self.b) if np.ndim(self.b) == 2 else as_vector(self.b)
         if self.b.shape[0] != A.shape[0]:
             raise ValueError("A and b row counts differ")
-        if not (self.p >= 1.0):
-            raise InvalidConfigError(f"p must be >= 1, got {self.p}")
+        if not (1.0 <= self.p < math.inf):
+            raise InvalidConfigError(f"p must be a finite number >= 1, got {self.p}")
         if self.weights is not None:
             self.weights = as_vector(self.weights)
             A, self.b = row_scaled(A, self.b, self.weights, self.p)

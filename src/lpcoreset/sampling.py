@@ -50,8 +50,8 @@ class SamplerConfig:
     r2_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise InvalidConfigError(f"p must be >= 1, got {self.p}")
+        if not (1.0 <= self.p < math.inf):
+            raise InvalidConfigError(f"p must be a finite number >= 1, got {self.p}")
         if self.d < 1:
             raise InvalidConfigError(f"d must be >= 1, got {self.d}")
         if not (0.0 < self.epsilon < 1.0):

@@ -40,6 +40,9 @@ class TestRounding:
             res = lowner_john_round(Q, p)
             assert res.kappa == 1.0
             assert res.G[0, 0] == pytest.approx(vec_p_norm(Q[:, 0], p), rel=1e-14)
+            # U = Q / g, whose rows' shares of |||U|||_p^p are Q's
+            want = np.abs(Q[:, 0]) ** p / np.sum(np.abs(Q[:, 0]) ** p)
+            np.testing.assert_allclose(res.leverage, want, rtol=1e-13, atol=0)
 
     def test_l1_2d_against_direction_net(self, rng):
         # brute-force 0.5-degree net over the circle checks both certificate
@@ -132,19 +135,20 @@ class TestProxySearch:
 
     def test_full_size_work(self, monkeypatch):
         # one unit per n-vector and k units per k x n block handed to the
-        # norm and power-sum kernels; the Lewis rounding hands them Q once
-        # (8 units), for the proxy's importance probabilities; the cutting
-        # scheme it replaced took about 720 units here, or 4,900 searching
-        # on Q itself
+        # norm and power-sum kernels, a block of rows counting its share of
+        # n; the Lewis rounding hands them Q once (8 units), for the proxy's
+        # importance probabilities, and the last pass's block products once
+        # (8 units), for the leverage; the cutting scheme it replaced took
+        # about 720 units here, or 4,900 searching on Q itself
         A, _, _ = make_instance_arrays(20_000, 8, seed=1)
         Q = qr_thin(A).Q
         n = Q.shape[0]
         work = []
 
-        def counted(kernel):
+        def counted(kernel, blocks=False):
             def wrapper(M, p):
                 M = np.asarray(M)
-                if n in M.shape:
+                if blocks or n in M.shape:
                     work.append(M.size / n)
                 return kernel(M, p)
 
@@ -153,9 +157,12 @@ class TestProxySearch:
         monkeypatch.setattr(conditioning, "pnorm", counted(conditioning.pnorm))
         monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
         monkeypatch.setattr(conditioning, "row_powsums", counted(conditioning.row_powsums))
+        monkeypatch.setattr(
+            conditioning, "_pow_inplace", counted(conditioning._pow_inplace, blocks=True)
+        )
         res = lowner_john_round(Q, 1.5)
         assert res.converged
-        assert 0 < sum(work) <= 8
+        assert 0 < sum(work) <= 16
 
 
 def _rows(kind, rng, n, d):
@@ -271,19 +278,20 @@ class TestWellConditionedBasis:
             ref = np.linalg.solve(W.G.T, basis.T).T
             assert np.abs(W.U - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(W.U - np.linalg.solve(W.G.T, T.T).T).max() <= 1e-14 * np.abs(W.U).max()
-        # the layout is pinned: the leverage pass takes row sums of U, and
-        # row passes run two to three times slower on a row-major n x d U
+        # the layout is pinned: U is formed column-major, as T and the
+        # instance's A are, since row passes run two to three times slower
+        # on a row-major n x d array
         assert W.U.flags.f_contiguous
-        # U is the rounding's own product on T, scaled with G, written over
-        # T when the rounding may overwrite it and into a new array if not
+        # G is the rounding's own on T, which the rounding leaves as it was
         T0 = T.copy(order="F")
         R = conditioning.lowner_john_round(T, p)
         np.testing.assert_array_equal(T, T0)
         np.testing.assert_array_equal(R.G, W.G)
-        np.testing.assert_array_equal(R.U, W.U)
-        R = conditioning.lowner_john_round(T, p, overwrite=True)
-        assert R.U is T
-        np.testing.assert_array_equal(R.U, W.U)
+        np.testing.assert_array_equal(R.leverage, W.leverage)
+        # the leverage, taken from the unscaled block products, is U's
+        want = np.sum(np.abs(W.U) ** p, axis=1)
+        want /= want.sum()
+        assert np.abs(W.leverage - want).max() <= 1e-14 * want.max()
 
     def test_scale_equivariance_of_basis(self, rng):
         A = rng.standard_normal((50, 3))

@@ -549,6 +549,14 @@ class TestCli:
         assert code == 0
         assert bases == [n] and full_solves == [1.5]
 
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_non_finite_p_is_clean_error(self, instance_files, capsys, command):
+        argv = [command, "--input", str(instance_files / "A.csv"), "--p", "inf"]
+        if command == "solve":
+            argv += ["--rhs", str(instance_files / "b.csv")]
+        assert run_cli(argv) == 1
+        assert "error: p must be a finite number >= 1, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", ["1", "2"])
     def test_certify_output(self, instance_files, capsys, p):
         # at p=2 certify is what reads the basis's U, formed on demand

@@ -62,8 +62,9 @@ class TestVectorNorm:
         )
 
     def test_invalid_exponent(self):
-        with pytest.raises(InvalidExponentError):
-            vec_p_norm([1.0], 0.5)
+        for p in (0.5, -math.inf, math.nan):
+            with pytest.raises(InvalidExponentError, match="p must be a finite number >= 1"):
+                vec_p_norm([1.0], p)
 
     def test_overflow_guard(self):
         # raw powering of 1e300^10 would overflow; the scaled path must not
@@ -115,8 +116,12 @@ class TestDualExponent:
         assert dual_exponent(3.0) == pytest.approx(1.5)
 
     def test_invalid(self):
-        with pytest.raises(InvalidExponentError):
-            dual_exponent(0.99)
+        for p in (0.99, -math.inf, math.nan):
+            with pytest.raises(InvalidExponentError):
+                dual_exponent(p)
+
+    def test_inf_gives_one(self):
+        assert dual_exponent(math.inf) == 1.0
 
     def test_holder_identity(self):
         for p in (1.25, 1.5, 2.0, 4.0, 10.0):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -442,6 +444,12 @@ class TestInstances:
         with pytest.raises(lc.InvalidConfigError):
             lc.make_instance_arrays(3, 3)
 
+    @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+    def test_rejects_invalid_p(self, p):
+        A, b, _ = lc.make_instance_arrays(50, 2, seed=0)
+        with pytest.raises(lc.InvalidConfigError, match=f"finite number >= 1, got {p}"):
+            lc.RegressionInstance(A=A, b=b, p=p)
+
     def test_instance_rank_computed(self):
         inst = lc.reference_instance(n=100, d=4, p=2.0, seed=0)
         assert inst.d == 4 and inst.n == 100 and inst.m == 4
@@ -702,22 +710,25 @@ class TestBlockedStages:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_one_leverage_pass_per_instance(self, monkeypatch, p):
         # solves, an oracle solve and guarantee statistics on one instance
-        # take the leverage of its basis once; no stage takes norms of U
-        # (stage 2's row sums are clipped_shares' pass over its residual)
+        # condition it once, and no stage reads U, which stays unformed
+        # (stage 2's row sums are clipped_shares' pass over its residual);
+        # conditioning's only full-size kernel passes are one pass over the
+        # row blocks of T = A C at p = 2, and at p != 2 the proxy's power
+        # sums over T and the rounding's own last pass, whose block
+        # products give the leverage
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
         passes = []
         watched = [
             (lc.conditioning, "row_powsums"),
+            (lc.conditioning, "_pow_inplace"),
             (lc.conditioning, "row_pnorms"),
             (lc.sampling, "row_pnorms"),
             (lc.sampling, "clipped_shares"),
         ]
         for module, name in watched:
 
-            def counted(M, q, *args, _real=getattr(module, name), _name=name):
-                # the rounding writes U over its T, so keep what the pass
-                # saw of the first row
-                passes.append((_name, M, np.array(M[:1])))
+            def counted(M, q, *args, _real=getattr(module, name), _site=(module, name)):
+                passes.append((_site, M))
                 return _real(M, q, *args)
 
             monkeypatch.setattr(module, name, counted)
@@ -726,19 +737,50 @@ class TestBlockedStages:
             assert lc.two_stage_solve(inst, cfg, seed, compute_exact=True).status == "ok"
         assert lc.single_stage_oracle_solve(inst, None, cfg, r=300.0, seed=0).status == "ok"
         lc.guarantee_statistics(inst, cfg, n_seeds=2)
+        assert "_formed" not in vars(inst.basis)
+        conditioning = [
+            (name, M.shape[0]) for (module, name), M in passes if module is lc.conditioning
+        ]
         if p == 2.0:
-            # one pass over the row blocks of T = A C, U never formed
-            assert "_formed" not in vars(inst.basis)
-            assert [name for name, M, _ in passes if M is inst.A] == ["row_powsums"]
-        U = inst.basis.U
-        if p != 2.0:
-            on_u = [
-                name
-                for name, M, first in passes
-                if np.shares_memory(M, U) and np.array_equal(first, U[:1])
-            ]
-            assert on_u == ["row_powsums"]
-        assert not [M for name, M, _ in passes if name == "row_pnorms" and M.shape[0] == inst.n]
+            assert [name for (_, name), M in passes if M is inst.A] == ["row_powsums"]
+            assert conditioning == [("row_powsums", inst.n)]
+        else:
+            assert conditioning[0] == ("row_powsums", inst.n)
+            assert {name for name, _ in conditioning[1:]} == {"_pow_inplace"}
+            assert sum(rows for _, rows in conditioning[1:]) == inst.n
+        assert not [
+            M for (_, name), M in passes if name == "row_pnorms" and M.shape[0] == inst.n
+        ]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("name", ["U", "G", "tau"])
+    def test_basis_forms_u_g_and_tau_when_first_read(self, p, name):
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        assert lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0).status == "ok"
+        basis = inst.basis
+        assert "_formed" not in vars(basis)
+        getattr(basis, name)
+        assert "_formed" in vars(basis)
+        U, G, tau = basis.U, basis.G, basis.tau
+        assert U.shape == (inst.n, inst.d) and U.flags.f_contiguous
+        assert np.abs(U @ tau - inst.A).max() <= 1e-12 * np.abs(inst.A).max()
+        np.testing.assert_array_equal(G @ inst.factors.R, tau)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_conditioned_instance_holds_no_n_by_d_array(self, p):
+        # conditioning leaves the leverage, one n-vector, and no U: held
+        # memory read 1.6 MB here against 14.4 MB with U stored
+        A, b, _ = lc.make_instance_arrays(200_000, 8, seed=1)
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        del A, b
+        tracemalloc.start()
+        try:
+            inst.basis
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < inst.n * inst.d * 8
+        assert "_formed" not in vars(inst.basis)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_stage_two_keeps_no_residual(self, p):

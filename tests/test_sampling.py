@@ -31,8 +31,9 @@ class TestConfig:
         SamplerConfig(p=2.0, d=2, epsilon=0.5)  # experiment regime is allowed
         with pytest.raises(InvalidConfigError):
             SamplerConfig(p=2.0, d=2, epsilon=1.0)
-        with pytest.raises(InvalidConfigError):
-            SamplerConfig(p=0.5, d=2)
+        for p in (0.5, math.inf):
+            with pytest.raises(InvalidConfigError, match=f"finite number >= 1, got {p}"):
+                SamplerConfig(p=p, d=2)
 
 
 class TestSizeFormulas:

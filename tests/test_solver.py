@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 import lpcoreset
 from lpcoreset import kernels, linalg, solver
-from lpcoreset.errors import ZeroRankError
+from lpcoreset.errors import InvalidExponentError, ZeroRankError
 from lpcoreset.linalg import DEFAULT_RANK_TOL, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays
 from lpcoreset.solver import row_scaled, solve_lp_regression, solve_multi_rhs
@@ -395,6 +395,13 @@ class TestInputChecks:
         x0 = np.ones(3) if started else None
         with pytest.raises(ZeroRankError):
             solve_lp_regression(np.zeros((2003, 3)), b, p, x0=x0)
+
+    @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+    def test_rejects_invalid_p(self, p):
+        # inf used to pass the check and fail in the Newton steps
+        A, b, _ = make_instance_arrays(50, 2, seed=0)
+        with pytest.raises(InvalidExponentError, match=f"finite number >= 1, got {p}"):
+            solve_lp_regression(A, b, p)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("started", [False, True])
