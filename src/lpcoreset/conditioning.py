@@ -54,15 +54,14 @@ import scipy.linalg
 
 from .kernels import _pow_inplace, pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
 from .linalg import (
-    _as_2d, _check_exponent, _r_factors, as_matrix, dual_exponent, numeric_rank, vec_p_norm
+    _as_2d, _check_exponent, _check_finite, _r_factors, dual_exponent, numeric_rank, vec_p_norm
 )
 # no function here calls qr_thin; perfbench/tracing.py wraps the name
 # conditioning.qr_thin, so it stays importable from this module
 from .linalg import qr_thin  # noqa: F401
 from .sampling import apply_plan, realize_sample
 
-_PROBE_SEED = 0x5EEDB0B
-_ASCENT_ITERS = 60
+_PROXY_SEED = 0x5EEDB0B
 # Expected rows of the sweep proxy per column of Q.  Rounding the
 # 20,000 x 8 reference instance at p=1.5 took a median of 5.9, 6.3, 6.9,
 # 7.1 and 9.2 ms at 125, 250, 500, 1000 and 2000 rows per column, for a
@@ -72,11 +71,6 @@ _ASCENT_ITERS = 60
 # BLAS thread, 2 vCPUs).  Fewer rows loosen the certificates, more rows
 # cost more per sweep.
 _PROXY_ROWS = 500
-_REFINE_TOP = 6
-# Probe directions scored per block in certify_basis: each block costs
-# about three _PROBE_BLOCK x n arrays (the product and two working copies
-# in row_pnorms), 61 MB at n = 10,000.
-_PROBE_BLOCK = 256
 # Lewis sweeps stop at a relative weight change below _SWEEP_RTOL or after
 # _MAX_SWEEPS sweeps.
 _SWEEP_RTOL = 1e-3
@@ -151,93 +145,23 @@ class WellConditionedBasis:
         return self._formed[2]
 
 
-def _row_subgradients(Y, norms, p):
-    """Subgradients of ||.||_p at the rows of Y, whose p-norms are given.
-
-    p in [1, inf]; zero entries get zero at kinks, zero rows get zero.
-    """
-    if math.isinf(p):
-        g = np.zeros_like(Y)
-        rows = np.arange(Y.shape[0])
-        cols = np.argmax(np.abs(Y), axis=1)
-        g[rows, cols] = np.sign(Y[rows, cols])
-    elif p == 1.0:
-        g = np.sign(Y)
-    else:
-        g = np.abs(Y)
-        g /= np.where(norms > 0.0, norms, 1.0)[:, None]
-        g **= p - 1.0
-        np.copysign(g, Y, out=g)
-    g[norms == 0.0] = 0.0
-    return g
-
-
-def _ratio_ascent(U0, N, a, M, b, iters=_ASCENT_ITERS):
-    """Maximize ||N u||_a / ||M u||_b over unit u from each row of U0.
-
-    All rows move in lockstep, one matrix product per step for the whole
-    block, but each row follows its own subgradient ascent on the log
-    ratio: its own step size (grown by 1.5 on success, halved on failure
-    down to 1e-9), stopping when its projected gradient vanishes, when no
-    step improves it, or after iters steps.  Returns (ratios, U).
-    """
-    U = U0 / np.linalg.norm(U0, axis=1)[:, None]
-    Ym = U @ M.T
-    den = row_pnorms(Ym, b)
-    f = np.log(row_pnorms(U @ N.T, a)) - np.log(den)
-    step = np.full(U.shape[0], 0.5)
-    live = np.ones(U.shape[0], dtype=bool)
-    for _ in range(iters):
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            break
-        Yn = U[idx] @ N.T
-        num = row_pnorms(Yn, a)
-        g = _row_subgradients(Yn, num, a) @ N / num[:, None]
-        g -= _row_subgradients(Ym[idx], den[idx], b) @ M / den[idx, None]
-        g -= np.einsum("ij,ij->i", g, U[idx])[:, None] * U[idx]
-        gn = np.linalg.norm(g, axis=1)
-        flat = gn < 1e-14
-        live[idx[flat]] = False
-        idx, g, gn = idx[~flat], g[~flat], gn[~flat]
-        moved = np.zeros(idx.size, dtype=bool)
-        pending = np.flatnonzero(step[idx] > 1e-9)
-        while pending.size:
-            rows = idx[pending]
-            U2 = U[rows] + (step[rows] / gn[pending])[:, None] * g[pending]
-            U2 /= np.linalg.norm(U2, axis=1)[:, None]
-            Y2 = U2 @ M.T
-            den2 = row_pnorms(Y2, b)
-            f2 = np.log(row_pnorms(U2 @ N.T, a)) - np.log(den2)
-            up = f2 > f[rows] + 1e-15
-            won = rows[up]
-            U[won], Ym[won], den[won], f[won] = U2[up], Y2[up], den2[up], f2[up]
-            step[won] = np.minimum(step[won] * 1.5, 1.0)
-            moved[pending[up]] = True
-            lost = pending[~up]
-            step[idx[lost]] *= 0.5
-            pending = lost[step[idx[lost]] > 1e-9]
-        live[idx[~moved]] = False
-    return np.exp(f), U
-
-
-def _search_proxy(Q, p):
+def _search_proxy(Q, p, sums):
     """Row sample of Q on which the rounding sweeps for Lewis weights.
 
-    Rows are kept by p-norm importance, ||row_i(Q)||_p^p, at an expected
-    count of at most _PROXY_ROWS * d, with the library's own sampler under
-    _PROBE_SEED and the usual p_i^(-1/p) rescaling, so ||Qs u||_p^p
-    estimates ||Q u||_p^p without bias.  Returns Q itself when the sample
-    would keep every row or would lose rank by the library's rank rule
-    (linalg.numeric_rank).
+    Rows are kept by p-norm importance, ||row_i(Q)||_p^p, given as sums =
+    row_powsums(Q, p) and overwritten, at an expected count of at most
+    _PROXY_ROWS * d, with the library's own sampler under _PROXY_SEED and
+    the usual p_i^(-1/p) rescaling, so ||Qs u||_p^p estimates ||Q u||_p^p
+    without bias.  Returns Q itself when the sample would keep every row
+    or would lose rank by the library's rank rule (linalg.numeric_rank).
     """
     d = Q.shape[1]
-    probs = powsum_shares(Q, p, row_powsums(Q, p))
+    probs = powsum_shares(Q, p, sums)
     probs *= _PROXY_ROWS * d
     np.minimum(probs, 1.0, out=probs)
     if np.all(probs >= 1.0):
         return Q
-    Qs = apply_plan(realize_sample(probs, p, _PROBE_SEED), Q)
+    Qs = apply_plan(realize_sample(probs, p, _PROXY_SEED), Q)
     if numeric_rank(Qs) < d:
         return Q
     return Qs
@@ -281,30 +205,35 @@ def _leverages(Q, G, p=None):
 def lowner_john_round(Q, p):
     """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
 
-    Q must have full column rank.  Its columns need not be orthonormal:
-    the factors are closed-form on Q itself, and a Q near orthonormal
-    (A R^-1, say) keeps the proxy's sample representative.  d = 1 is an
-    interval and is rounded exactly.  Otherwise sweeps the Lewis-weight
-    fixed point on the row-sample proxy for at most _MAX_SWEEPS sweeps,
-    weights every row of Q from the proxy's M, and takes G from the exact
-    M on Q, scaled so that kappa_slack = 1 + _TOL.  Both factors hold for
-    any weights; converged says that
-    kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the weights
-    leave M = Q^T Q, so the sweeps stop after two and kappa = 1 / (1+_TOL).
+    Q must be finite, or ValueError is raised, and of full column rank.
+    Its columns need not be orthonormal: the factors are closed-form on Q
+    itself, and a Q near orthonormal (A R^-1, say) keeps the proxy's
+    sample representative.  d = 1 is an interval and is rounded exactly.
+    Otherwise sweeps the Lewis-weight fixed point on the row-sample proxy
+    for at most _MAX_SWEEPS sweeps, weights every row of Q from the
+    proxy's M, and takes G from the exact M on Q, scaled so that
+    kappa_slack = 1 + _TOL.  Both factors hold for any weights; converged
+    says that kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the
+    weights leave M = Q^T Q, so the sweeps stop after two and
+    kappa = 1 / (1+_TOL).
     The last pass over Q also gives the leverage of U = Q G^-1 (module
     docstring); U itself is neither formed nor kept.
     """
-    Q = as_matrix(Q)
+    Q = _as_2d(Q)
     d = Q.shape[1]
+    sums = row_powsums(Q, p)
+    if not math.isfinite(float(sums.sum())):
+        # Q holds inf or NaN, or its finite entries' powers overflowed
+        _check_finite(Q)
     if d == 1:
-        G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, row_powsums(Q, p))
+        G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, sums)
         return RoundingResult(
             G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, leverage=lev
         )
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
     # w <- w^(1-2/p) tau(w), which has the same fixed point
-    Qs = _search_proxy(Q, p)
+    Qs = _search_proxy(Q, p, sums)
     w = np.full(Qs.shape[0], d / Qs.shape[0])
     Gs = None
     sweeps = 0
@@ -421,23 +350,13 @@ def _form_basis(A, factors, G=None):
     return U, G, G @ factors.R
 
 
-def certify_basis(basis, n_probes=2048, seed=_PROBE_SEED):
-    """Measure the conditioning constants actually achieved by a basis.
+def certify_basis(basis):
+    """Measure the conditioning constants a basis achieves, with no probes.
 
     Returns (alpha_measured, beta_measured_lower): the exact entrywise
-    p-norm of U, and a certified lower bound on the true beta obtained by
-    maximizing ||z||_q / ||Uz||_p over random, coordinate, and
-    ascent-refined directions.
+    p-norm of U, and max_j 1 / ||U e_j||_p over U's d columns, an exact
+    lower bound on beta = max_z ||z||_q / ||Uz||_p because every
+    coordinate vector has ||e_j||_q = 1.
     """
     U, p = basis.U, basis.p
-    d = U.shape[1]
-    q = dual_exponent(p)
-    alpha_measured = vec_p_norm(U, p)
-
-    rng = np.random.default_rng(seed)
-    dirs = np.vstack([np.eye(d), rng.standard_normal((max(1, n_probes), d))])
-    blocks = [dirs[i : i + _PROBE_BLOCK] for i in range(0, len(dirs), _PROBE_BLOCK)]
-    ratios = np.concatenate([row_pnorms(B, q) / row_pnorms(B @ U.T, p) for B in blocks])
-    top = dirs[np.argsort(ratios)[::-1][:_REFINE_TOP]]
-    refined, _ = _ratio_ascent(top, np.eye(d), q, U, p)
-    return alpha_measured, max(float(ratios.max()), float(refined.max()))
+    return vec_p_norm(U, p), float(1.0 / row_pnorms(U.T, p).min())

@@ -1,13 +1,13 @@
 """Exception types shared across the package."""
 
 
-class InvalidExponentError(ValueError):
-    """Raised when a norm exponent p is below 1, or is not finite where a
-    finite p is needed."""
-
-
 class InvalidConfigError(ValueError):
     """Raised for sampler/CLI configurations outside their valid range."""
+
+
+class InvalidExponentError(InvalidConfigError):
+    """Raised when a norm exponent p is below 1, or is not finite where a
+    finite p is needed."""
 
 
 class ZeroRankError(ValueError):

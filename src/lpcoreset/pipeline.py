@@ -41,7 +41,9 @@ import numpy as np
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
 from .kernels import residual_pnorm
-from .linalg import RFactors, _as_2d, _r_factors, as_matrix, as_vector, vec_p_norm
+from .linalg import (
+    RFactors, _as_2d, _check_exponent, _r_factors, as_matrix, as_vector, vec_p_norm
+)
 # kept only as a binding that perfbench's tracer wraps; no code of this
 # module calls it, since each sample's rank comes from its solve's QR
 from .linalg import numeric_rank  # noqa: F401
@@ -109,8 +111,7 @@ class RegressionInstance:
         self.b = as_matrix(self.b) if np.ndim(self.b) == 2 else as_vector(self.b)
         if self.b.shape[0] != A.shape[0]:
             raise ValueError("A and b row counts differ")
-        if not (1.0 <= self.p < math.inf):
-            raise InvalidConfigError(f"p must be a finite number >= 1, got {self.p}")
+        _check_exponent(self.p)
         if self.weights is not None:
             self.weights = as_vector(self.weights)
             A, self.b = row_scaled(A, self.b, self.weights, self.p)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .kernels import clipped_shares, counter_bernoulli
+from .linalg import _check_exponent
 # kept only as bindings that perfbench's tracer counts kernel calls at;
 # no code of this module calls them
 from .kernels import counter_uniforms, powsum_ratios, row_pnorms
@@ -50,8 +51,7 @@ class SamplerConfig:
     r2_scale: float = 1.0
 
     def __post_init__(self):
-        if not (1.0 <= self.p < math.inf):
-            raise InvalidConfigError(f"p must be a finite number >= 1, got {self.p}")
+        _check_exponent(self.p)
         if self.d < 1:
             raise InvalidConfigError(f"d must be >= 1, got {self.d}")
         if not (0.0 < self.epsilon < 1.0):

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from conftest import circle_directions
-from lpcoreset import conditioning
+from lpcoreset import conditioning, kernels
 from lpcoreset.conditioning import certify_basis, lowner_john_round, well_conditioned_basis
-from lpcoreset.kernels import row_pnorms
+from lpcoreset.kernels import row_pnorms, row_powsums
 from lpcoreset.linalg import dual_exponent, qr_thin, r_factors, vec_p_norm
 from lpcoreset.pipeline import make_instance_arrays, reference_instance
-from oracles import spanner_coefficients
+from oracles import probe_certificates, spanner_coefficients
 
 TOL = conditioning._TOL
 CERT_SLACK = 1.0 + 1e-8
@@ -33,6 +34,26 @@ class TestRounding:
             assert res.converged and res.iterations == 2
         with pytest.raises(ValueError, match="non-finite"):
             lowner_john_round(np.full((30, 3), np.nan), 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_non_finite_entry_in_last_row_block(self, rng, d, bad):
+        # the rounding checks Q finite only when its first pass's total is
+        # not, so one bad entry past the first row block must still raise
+        Q = orthonormal(rng, 2 * kernels._ROW_BLOCK + 100, d)
+        Q[-1, -1] = bad
+        for p in (1.0, 1.5, 2.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                lowner_john_round(Q, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_powers_of_a_finite_q_are_rounded(self, rng):
+        # |1e120|^3 overflows the first pass's total, but Q is finite, so
+        # the check passes and the rounding goes on
+        Q = orthonormal(rng, 3000, 3)
+        Q[0, 0] = 1e120
+        res = lowner_john_round(Q, 3.0)
+        assert res.converged and np.isfinite(res.leverage).all()
 
     def test_1d_interval_exact(self, rng):
         for p in (1.0, 1.5, 3.0):
@@ -78,7 +99,7 @@ class TestRounding:
         with pytest.warns(RuntimeWarning, match="did not converge"):
             W = well_conditioned_basis(A, 1.0)
         # certificates stay sound even without convergence
-        alpha_m, beta_m = certify_basis(W, n_probes=1500)
+        alpha_m, beta_m = probe_certificates(W, n_probes=1500)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
 
@@ -93,10 +114,10 @@ class TestProxySearch:
         n = 10_000
         A = rng.standard_normal((n, d))
         Q = qr_thin(A).Q
-        proxy = conditioning._search_proxy(Q, p)
+        proxy = conditioning._search_proxy(Q, p, row_powsums(Q, p))
         assert proxy.shape[1] == d and proxy.shape[0] < n
 
-        ascent = conditioning._ratio_ascent
+        ascent = oracles._ratio_ascent
         res = lowner_john_round(Q, p)
         assert res.converged
         assert res.kappa <= math.sqrt(d) * (1.0 + TOL) * CERT_SLACK
@@ -107,7 +128,7 @@ class TestProxySearch:
         assert ratios.max() <= res.kappa_slack * CERT_SLACK
 
         W = well_conditioned_basis(A, p)
-        alpha_m, beta_m = certify_basis(W, n_probes=200)
+        alpha_m, beta_m = probe_certificates(W, n_probes=200)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
 
@@ -119,7 +140,7 @@ class TestProxySearch:
         Q = np.zeros((n, 2))
         Q[:4, 0] = 0.5
         Q[4:, 1] = 1.0 / math.sqrt(n - 4)
-        assert conditioning._search_proxy(Q, 4.0) is Q
+        assert conditioning._search_proxy(Q, 4.0, row_powsums(Q, 4.0)) is Q
         res = lowner_john_round(Q, 4.0)
         assert res.converged
         assert res.kappa <= math.sqrt(2.0) * (1.0 + TOL) * CERT_SLACK
@@ -131,7 +152,7 @@ class TestProxySearch:
         U, _, Vt = np.linalg.svd(rng.standard_normal((1000, 3)), full_matrices=False)
         proxy = (U * [1.0, 0.5, 1e-11]) @ Vt
         monkeypatch.setattr(conditioning, "apply_plan", lambda plan, M: proxy)
-        assert conditioning._search_proxy(Q, 1.5) is Q
+        assert conditioning._search_proxy(Q, 1.5, row_powsums(Q, 1.5)) is Q
 
     def test_full_size_work(self, monkeypatch):
         # one unit per n-vector and k units per k x n block handed to the
@@ -181,8 +202,8 @@ def _exact_ascents(res, Q, p, rng):
     16-start ascents on the exact norm of Q."""
     d = Q.shape[1]
     U = np.linalg.solve(res.G.T, Q.T).T
-    upper, _ = conditioning._ratio_ascent(rng.standard_normal((16, d)), U, p, np.eye(d), 2.0)
-    lower, _ = conditioning._ratio_ascent(rng.standard_normal((16, d)), res.G, 2.0, Q, p)
+    upper, _ = oracles._ratio_ascent(rng.standard_normal((16, d)), U, p, np.eye(d), 2.0)
+    lower, _ = oracles._ratio_ascent(rng.standard_normal((16, d)), res.G, 2.0, Q, p)
     return float(upper.max()), float(lower.max())
 
 
@@ -304,7 +325,7 @@ class TestWellConditionedBasis:
     def test_certificates_sound(self, rng, p, d):
         A = rng.standard_normal((80, d))
         W = well_conditioned_basis(A, p)
-        alpha_m, beta_m = certify_basis(W, n_probes=2000)
+        alpha_m, beta_m = probe_certificates(W, n_probes=2000)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
 
@@ -323,7 +344,7 @@ class TestWellConditionedBasis:
         A = self.ill_conditioned()
         W = well_conditioned_basis(A, p)
         assert W.d == 6
-        alpha_m, beta_m = certify_basis(W)
+        alpha_m, beta_m = probe_certificates(W)
         assert alpha_m <= W.alpha_cert * CERT_SLACK
         assert beta_m <= W.beta_cert * CERT_SLACK
         assert np.abs(A - W.U @ W.tau).max() <= 1e-12 * np.abs(A).max()
@@ -347,18 +368,18 @@ class TestWellConditionedBasis:
 class TestCertify:
     def test_orthonormal_p2(self, rng):
         W = well_conditioned_basis(rng.standard_normal((64, 4)), 2.0)
-        alpha_m, beta_m = certify_basis(W, n_probes=500)
+        alpha_m, beta_m = probe_certificates(W, n_probes=500)
         assert alpha_m == pytest.approx(math.sqrt(4.0), rel=1e-12)
         assert beta_m <= 1.0 + 1e-10
 
     def test_single_column_beta_is_one(self, rng):
         W = well_conditioned_basis(rng.standard_normal((30, 1)), 3.0)
-        _, beta_m = certify_basis(W, n_probes=10)
+        _, beta_m = probe_certificates(W, n_probes=10)
         assert beta_m == pytest.approx(1.0, abs=1e-12)
 
     def test_2d_p3_against_net(self, rng):
         W = well_conditioned_basis(rng.standard_normal((50, 2)), 3.0)
-        _, beta_m = certify_basis(W, n_probes=4000)
+        _, beta_m = probe_certificates(W, n_probes=4000)
         q = dual_exponent(3.0)
         dirs = circle_directions(10_000)
         net_beta = np.max(row_pnorms(dirs, q) / row_pnorms(dirs @ W.U.T, 3.0))
@@ -368,17 +389,30 @@ class TestCertify:
         assert beta_m >= net_beta * (1.0 - 1e-6)
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_closed_form_measures(self, rng, p, d):
+        # alpha is U's exact norm; beta's bound is the best coordinate
+        # direction, which the probes also score, so it is at most theirs
+        W = well_conditioned_basis(rng.standard_normal((200, d)), p)
+        alpha_m, beta_m = certify_basis(W)
+        assert alpha_m == vec_p_norm(W.U, p)
+        columns = max(1.0 / vec_p_norm(W.U[:, j], p) for j in range(d))
+        assert beta_m == pytest.approx(columns, rel=1e-14)
+        assert beta_m <= probe_certificates(W)[1]
+        assert beta_m <= W.beta_cert * CERT_SLACK
+
     def test_probes_scored_in_blocks(self, monkeypatch):
         W = well_conditioned_basis(np.random.default_rng(3).standard_normal((10_000, 4)), 1.5)
         tracemalloc.start()
         try:
-            alpha, beta = certify_basis(W)
+            alpha, beta = probe_certificates(W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100e6
-        monkeypatch.setattr(conditioning, "_PROBE_BLOCK", 1 << 30)
-        alpha_whole, beta_whole = certify_basis(W)
+        monkeypatch.setattr(oracles, "_PROBE_BLOCK", 1 << 30)
+        alpha_whole, beta_whole = probe_certificates(W)
         assert alpha == pytest.approx(alpha_whole, rel=1e-12)
         assert beta == pytest.approx(beta_whole, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -569,6 +570,24 @@ class TestCli:
         if p == "2":
             # d = 2: the certificates are exactly (sqrt(2), 1)
             assert f"alpha_cert = {math.sqrt(2.0):.12g}\n" in out and "beta_cert = 1\n" in out
+
+    @pytest.mark.parametrize("cert", ["alpha_cert", "beta_cert"])
+    def test_certify_reports_a_certificate_below_the_measure(
+        self, instance_files, capsys, monkeypatch, cert
+    ):
+        # certify reports whether the certificates hold; a false one is a
+        # result, not an error, so the exit code stays 0
+        condition = lc.cli.well_conditioned_basis
+
+        def understated(A, p):
+            W = condition(A, p)
+            measured = dict(zip(("alpha_cert", "beta_cert"), lc.certify_basis(W)))
+            return dataclasses.replace(W, **{cert: 0.5 * measured[cert]})
+
+        monkeypatch.setattr(lc.cli, "well_conditioned_basis", understated)
+        code = run_cli(["certify", "--input", str(instance_files / "A.csv"), "--p", "1.5"])
+        assert code == 0
+        assert "certificates_hold = false\n" in capsys.readouterr().out
 
     def test_bench_writes_statistics(self, tmp_path):
         out = str(tmp_path / "bench")

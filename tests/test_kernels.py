@@ -26,8 +26,9 @@ PINNED_DIGESTS = {
 }
 
 
-# 1.5 and 2 take the multiply/sqrt chains; the other exponents, and the
-# IRLS weight exponents (p-2)/2, go through np.power.
+# 1.5 and 2 take the multiply/sqrt chains and 1 leaves its input as it is;
+# the other exponents, and the IRLS weight exponents (p-2)/2, go through
+# np.power.
 @pytest.fixture(params=[1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0])
 def p(request):
     return request.param
@@ -277,6 +278,24 @@ def test_row_powsums_match_powered_row_pnorms(rng, p, order):
     np.testing.assert_allclose(got[~bad], want[~bad], rtol=1e-13)
     np.testing.assert_allclose(got[~bad], np.sum(np.abs(M[~bad]) ** p, axis=1), rtol=1e-14)
     _assert_ulps(got[90:90 + len(NONFINITE_ROWS)], [math.hypot(*r) for r in NONFINITE_ROWS])
+
+
+def test_pow_inplace_makes_no_pass_at_one(rng, monkeypatch):
+    # np.power(a, 1.0) returns a bitwise, so exponent 1 needs no pass, in
+    # _pow_inplace or in the row sums built on it
+    a = np.abs(rng.standard_normal(1000)) * np.logspace(-300, 300, 1000)
+    a[:3] = (0.0, np.inf, np.nan)
+    want = np.power(a, 1.0)
+    M = np.asfortranarray(rng.standard_normal((1000, 4)))
+    sums = kernels.row_powsums(M, 1.0)
+
+    def no_power(*args, **kwargs):
+        raise AssertionError("np.power called at exponent 1")
+
+    monkeypatch.setattr(np, "power", no_power)
+    assert kernels._pow_inplace(a, 1.0) is a
+    np.testing.assert_array_equal(a, want)
+    np.testing.assert_array_equal(kernels.row_powsums(M, 1.0), sums)
 
 
 def test_row_blocks_join_the_tail_to_the_last_block(monkeypatch):

@@ -450,6 +450,19 @@ class TestInstances:
         with pytest.raises(lc.InvalidConfigError, match=f"finite number >= 1, got {p}"):
             lc.RegressionInstance(A=A, b=b, p=p)
 
+    def test_one_exponent_error(self):
+        # instances, configs and the numeric code reject a p by one rule,
+        # with one error that is also a configuration error
+        assert issubclass(lc.InvalidExponentError, lc.InvalidConfigError)
+        A, b, _ = lc.make_instance_arrays(50, 2, seed=0)
+        for make in (
+            lambda: lc.RegressionInstance(A=A, b=b, p=0.5),
+            lambda: lc.SamplerConfig(p=0.5, d=2),
+            lambda: lc.solve_lp_regression(A, b, 0.5),
+        ):
+            with pytest.raises(lc.InvalidExponentError, match="finite number >= 1, got 0.5"):
+                make()
+
     def test_instance_rank_computed(self):
         inst = lc.reference_instance(n=100, d=4, p=2.0, seed=0)
         assert inst.d == 4 and inst.n == 100 and inst.m == 4
