@@ -268,6 +268,8 @@ def _stage_dict(out, with_coreset):
         "actual_count": out.plan.actual_count if out.plan is not None else 0,
         "objective_full": out.full_objective,
         "objective_sampled": out.sampled_objective,
+        "solver_iterations": out.solver_iterations,
+        "solver_converged": out.solver_converged,
     }
     if out.exact_passthrough:
         d["exact_passthrough"] = True

@@ -56,7 +56,7 @@ from .sampling import (
     stage1_probabilities,
     stage2_probabilities,
 )
-from .solver import _column_solves, row_scaled, solve_lp_regression
+from .solver import SolveResult, _column_solves, row_scaled, solve_lp_regression
 
 _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
@@ -133,7 +133,8 @@ class RegressionInstance:
 
     @cached_property
     def optimum(self):
-        return _solve_subproblem(self.A, self.b, self.p)[:2]
+        res = _solve_subproblem(self.A, self.b, self.p)
+        return res.x, res.objective
 
     @property
     def n(self):
@@ -153,7 +154,10 @@ class StageOutcome:
     """One sampling stage: the realized plan, the subproblem solution,
     and its objective evaluated on the full data.  residual, A x_hat - b
     on the full data, is kept by stage 1 only, for stage 2 to sample by;
-    it is None on every other outcome."""
+    it is None on every other outcome.  solver_iterations and
+    solver_converged are the sampled solve's Newton steps and converged
+    flag (summed and and-ed over the columns of a matrix right-hand
+    side); None on a passthrough stage, which solves nothing."""
 
     stage: int
     plan: object
@@ -163,6 +167,8 @@ class StageOutcome:
     full_objective: float
     exact_passthrough: bool = False
     attempts: int = 1
+    solver_iterations: int | None = None
+    solver_converged: bool | None = None
 
 
 @dataclass(eq=False)
@@ -193,18 +199,26 @@ class SolveReport:
 
 
 def _solve_subproblem(SA, Sb, p):
-    """(x, objective, rank): the solution, its objective on (SA, Sb) and
-    SA's numeric rank, read from the solve's own QR of [SA | Sb] (of its
-    first column when Sb is a matrix); rank 0 for an all-zero SA."""
+    """The SolveResult of min ||SA X - Sb||_p, or None for an all-zero SA.
+    Its rank is SA's numeric rank, read from the solve's own QR of
+    [SA | Sb].  A matrix Sb joins its column solves: X column by column,
+    the entrywise objective, the first column's rank, the summed Newton
+    steps, the and of the converged flags and the largest kkt_residual."""
     try:
-        if Sb.ndim == 2:
-            cols = _column_solves(SA, Sb, p)
-            X = np.column_stack([res.x for res in cols])
-            return X, vec_p_norm(SA @ X - Sb, p), cols[0].rank
-        res = solve_lp_regression(SA, Sb, p)
+        if Sb.ndim != 2:
+            return solve_lp_regression(SA, Sb, p)
+        cols = _column_solves(SA, Sb, p)
     except ZeroRankError:
-        return None, None, 0
-    return res.x, res.objective, res.rank
+        return None
+    X = np.column_stack([res.x for res in cols])
+    return SolveResult(
+        x=X,
+        objective=vec_p_norm(SA @ X - Sb, p),
+        iterations=sum(res.iterations for res in cols),
+        converged=all(res.converged for res in cols),
+        kkt_residual=max(res.kkt_residual for res in cols),
+        rank=cols[0].rank,
+    )
 
 
 def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
@@ -220,20 +234,23 @@ def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
             diag["attempts"].append({"count": plan.actual_count, "rank": 0})
             continue
         SA, Sb = apply_plan(plan, inst.A, inst.b)
-        x, sampled_obj, rank = _solve_subproblem(SA, Sb, inst.p)
+        res = _solve_subproblem(SA, Sb, inst.p)
+        rank = 0 if res is None else res.rank
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
         residual = np.empty(inst.b.shape) if keep_residual else None
-        full_obj = residual_pnorm(inst.A, x, inst.b, inst.p, out=residual)
+        full_obj = residual_pnorm(inst.A, res.x, inst.b, inst.p, out=residual)
         return StageOutcome(
             stage=stage,
             plan=plan,
-            x_hat=x,
+            x_hat=res.x,
             residual=residual,
-            sampled_objective=sampled_obj,
+            sampled_objective=res.objective,
             full_objective=full_obj,
             attempts=attempt + 1,
+            solver_iterations=res.iterations,
+            solver_converged=res.converged,
         )
     raise StageFailureError(
         f"stage {stage}: sampled matrix rank-deficient after "

@@ -5,12 +5,18 @@ least-squares solve, everything else minimizes the smoothed objective
 f = sum_i (rho_i^2 + mu^2)^(p/2) by damped Newton steps, driving mu down
 a geometric continuation ladder.  Each step is one weighted least-squares
 solve; a step is accepted by the Armijo test and a rung of the ladder
-ends when the Newton decrement falls below a fixed share of f (Boyd &
+ends when the Newton decrement falls below a share of f (Boyd &
 Vandenberghe, Convex Optimization, 9.5), taking whole the step it has
 just solved for.  The problem is internally
 normalized by ||b||_p so tolerances and smoothing levels are scale-free.
 The ladder's ends and the step cap on each rung are fixed constants
-(_MU_FIRST, _MU_LAST, _MAX_ITERS).
+(_MU_FIRST, _MU_LAST, _MAX_ITERS).  Below p = 2 the ladder has 8 rungs,
+mu = 0.1 down to 1e-8 in units of ||b||_p / sqrt(n), the last exactly
+_MU_LAST; only the last rung's point is returned, so only the last rung
+stops at _DECREMENT_TOL, and every other rung is a centering step that
+stops once the decrement falls to mu * sqrt(n) times f, its own
+smoothing in those units (Boyd & Vandenberghe, 11.3).  p >= 2 runs the
+last rung alone (_mu_ladder).
 
 Every least-squares solve, the p = 2 one, the warm start and each Newton
 step, is one linalg.BlockedLstsq solve: a Householder QR of the augmented
@@ -58,8 +64,8 @@ from .linalg import (
 from .linalg import _lstsq  # noqa: F401
 
 _MAX_HALVINGS = 40
-# a rung of the mu ladder ends once the Newton decrement -grad.dx falls
-# to this share of the smoothed objective
+# the last rung of the mu ladder ends once the Newton decrement -grad.dx
+# falls to this share of the smoothed objective
 _DECREMENT_TOL = 2e-12
 # sets the converged flag of a p = 2 solve
 _GRAD_TOL = 1e-8
@@ -142,6 +148,23 @@ def _nonzero_rank(rank):
     return rank
 
 
+def _mu_ladder(n, p):
+    """The rungs (mu, stop) of the smoothing ladder, in order: a rung ends
+    once the Newton decrement falls to stop * f (see the module
+    docstring).  p >= 2 runs the last rung alone, for its objective is
+    smooth already."""
+    root = math.sqrt(n)
+    rungs = []
+    if p < 2.0:
+        # the rung count is rounded, since 0.1 * 0.1**7 is a hair above 1e-8
+        mu = _MU_FIRST / root
+        for _ in range(round(math.log(_MU_LAST / _MU_FIRST, _SMOOTHING_SHRINK))):
+            rungs.append((mu, mu * root))
+            mu *= _SMOOTHING_SHRINK
+    rungs.append((_MU_LAST / root, _DECREMENT_TOL))
+    return rungs
+
+
 def solve_lp_regression(A, b, p, x0=None):
     """Minimize ||Ax - b||_p.
 
@@ -203,14 +226,6 @@ def solve_lp_regression(A, b, p, x0=None):
         )
     bs = b / s
 
-    mu_min = _MU_LAST / math.sqrt(n)
-    if p >= 2.0:
-        ladder = [mu_min]  # objective already smooth; no continuation needed
-    else:
-        ladder = [_MU_FIRST / math.sqrt(n)]
-        while ladder[-1] > mu_min:
-            ladder.append(max(ladder[-1] * _SMOOTHING_SHRINK, mu_min))
-
     # every product with A reads a column-major A: a copy made once per
     # solve (none if A is F-ordered already), which the weighted rows are
     # read from column by column
@@ -244,7 +259,7 @@ def solve_lp_regression(A, b, p, x0=None):
         grad[:] += out[:, :m].T @ out[:, m]
 
     total_iters = 0
-    for mu in ladder:
+    for mu, stop in _mu_ladder(n, p):
         # rho holds A x - bs throughout: each accepted step swaps in its
         # trial residual
         mu2 = mu * mu
@@ -271,7 +286,7 @@ def solve_lp_regression(A, b, p, x0=None):
             grad[:] = 0.0
             dx = -ls.solve(weighted_rows)
             decrement = -float((p * grad) @ dx)
-            if decrement <= _DECREMENT_TOL * f:
+            if decrement <= stop * f:
                 # the step is solved for already: taking it whole squares
                 # the error the stop leaves, unless rounding makes f rise
                 x_try = x + dx

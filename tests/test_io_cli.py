@@ -287,6 +287,10 @@ class TestReportJson:
         assert doc["approx_ratio"] == report.approx_ratio
         assert doc["stage1"]["objective_full"] == report.stage1.full_objective
         assert doc["stage2"]["objective_sampled"] == report.stage2.sampled_objective
+        for k in ("stage1", "stage2"):
+            out = getattr(report, k)
+            assert doc[k]["solver_iterations"] == out.solver_iterations > 0
+            assert doc[k]["solver_converged"] is out.solver_converged is True
         assert doc["stage2"]["coreset_indices"] == [
             int(i) for i in report.coreset_indices
         ]
@@ -321,6 +325,8 @@ class TestReportJson:
             "actual_count",
             "objective_full",
             "objective_sampled",
+            "solver_iterations",
+            "solver_converged",
         ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,29 @@ class TestStages:
         assert st2.exact_passthrough
         assert st2.plan is None
         np.testing.assert_array_equal(st2.x_hat, st1.x_hat)
+        # a passthrough solves nothing, so it has no solver record
+        assert st2.solver_iterations is None and st2.solver_converged is None
+        doc = report_to_dict(lc.two_stage_solve(inst, small_cfg(2.0, s1=1e-3), seed=9))
+        assert doc["stage2"]["exact_passthrough"]
+        assert doc["stage2"]["solver_iterations"] is doc["stage2"]["solver_converged"] is None
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_stages_record_their_solves(self, ref300, monkeypatch, p):
+        inst = lc.RegressionInstance(A=ref300.A, b=ref300.b, p=p)
+        solves = []
+
+        def recorded(*args):
+            res = solve(*args)
+            solves.append(res)
+            return res
+
+        solve = lc.pipeline.solve_lp_regression
+        monkeypatch.setattr(lc.pipeline, "solve_lp_regression", recorded)
+        rep = lc.two_stage_solve(inst, small_cfg(p), seed=21)
+        assert rep.status == "ok" and len(solves) == 2
+        for out, res in zip((rep.stage1, rep.stage2), solves):
+            assert out.solver_iterations == res.iterations > 1
+            assert out.solver_converged is res.converged is True
 
     def test_stage2_resamples_independently(self, ref300):
         rep = lc.two_stage_solve(ref300, small_cfg(1.5), seed=21)
@@ -239,6 +263,37 @@ class TestVariants:
         )
         assert rm.Z_exact == pytest.approx(rv.Z_exact, rel=1e-12)
         assert (rv.config["variant"], rm.config["variant"]) == ("two-stage", "generalized")
+
+    def test_generalized_sums_its_column_solves(self, rng, monkeypatch):
+        A = rng.standard_normal((400, 3))
+        B = A @ np.ones((3, 2)) + rng.standard_t(2.0, (400, 2))
+        inst = lc.RegressionInstance(A=A, b=B, p=1.5)
+        solves = []
+
+        def recorded(*args):
+            cols = column_solves(*args)
+            solves.append(cols)
+            return cols
+
+        column_solves = lc.pipeline._column_solves
+        monkeypatch.setattr(lc.pipeline, "_column_solves", recorded)
+        rep = lc.two_stage_solve(inst, small_cfg(1.5, s1=6e-4, s2=6e-4), seed=3)
+        assert rep.status == "ok" and len(solves) == 2
+        for out, cols in zip((rep.stage1, rep.stage2), solves):
+            assert len(cols) == 2
+            assert out.solver_iterations == sum(res.iterations for res in cols)
+            assert out.solver_converged is True
+        # one column that failed its decrement test clears the stage's flag
+        monkeypatch.setattr(
+            lc.pipeline,
+            "_column_solves",
+            lambda *args: [
+                dataclasses.replace(res, converged=k == 0)
+                for k, res in enumerate(column_solves(*args))
+            ],
+        )
+        rep = lc.two_stage_solve(inst, small_cfg(1.5, s1=6e-4, s2=6e-4), seed=3)
+        assert rep.stage1.solver_converged is rep.stage2.solver_converged is False
 
     def test_generalized_consistent(self, rng):
         A = rng.standard_normal((120, 3))
