@@ -51,17 +51,12 @@ from .sampling import (
     SamplerConfig,
     SamplingPlan,
     apply_plan,
-    oracle_probabilities,
     r1_default,
     r2_default,
     realize_sample,
     stage1_probabilities,
     stage2_probabilities,
 )
-from .solver import (
-    SolveResult,
-    solve_lp_regression,
-    solve_multi_rhs,
-)
+from .solver import SolveResult, solve_lp_regression
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .pipeline import (
 )
 from .sampling import EPSILON_GUARANTEE_LIMIT, SamplerConfig, r2_default
 
-VARIANTS = ("two-stage", "oracle", "augmented", "generalized", "weighted")
+VARIANTS = ("two-stage", "oracle", "augmented")
 
 
 class _UsageError(Exception):
@@ -43,7 +43,7 @@ def _build_parser():
 
     ps = sub.add_parser("solve", help="solve an instance from files")
     ps.add_argument("--input", required=True, help="matrix A (CSV or MatrixMarket)")
-    ps.add_argument("--rhs", required=True, help="right-hand side b (or B)")
+    ps.add_argument("--rhs", required=True, help="right-hand side b, or B of 2+ columns")
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--epsilon", type=float, default=0.1)
     ps.add_argument("--seed", type=int, default=0)
@@ -51,7 +51,7 @@ def _build_parser():
     ps.add_argument("--r2-scale", type=float, default=1.0)
     ps.add_argument("--stages", type=int, choices=(1, 2), default=2)
     ps.add_argument("--variant", choices=VARIANTS, default="two-stage")
-    ps.add_argument("--weights", help="weights file (weighted variant)")
+    ps.add_argument("--weights", help="weights file (a weighted instance)")
     ps.add_argument("--exact", action="store_true", help="also solve exactly")
     ps.add_argument("--output", help="report path (default: stdout)")
 
@@ -69,7 +69,6 @@ def _build_parser():
     pc.add_argument("--p", type=float, required=True)
 
     pb = sub.add_parser("bench", help="guarantee statistics and ratio sweeps")
-    pb.add_argument("--family", choices=("reference",), default="reference")
     pb.add_argument("--seeds", type=int, default=20)
     pb.add_argument("--p", default="1,2", help="comma-separated exponents")
     pb.add_argument("--n", type=int, default=2000)
@@ -92,17 +91,10 @@ def _check_cli_epsilon(epsilon):
 
 
 def _cmd_solve(args):
-    if args.variant == "weighted" and not args.weights:
-        raise _UsageError("--variant weighted requires --weights")
-    if args.variant != "weighted" and args.weights is not None:
-        raise _UsageError("--weights goes only with --variant weighted")
     A = load_matrix(args.input)
-    if args.variant == "generalized":
-        b = load_matrix(args.rhs)
-    else:
-        b = load_vector(args.rhs)
-    weights = load_vector(args.weights) if args.variant == "weighted" else None
-    inst = RegressionInstance(A=A, b=b, p=args.p, weights=weights)
+    b = load_matrix(args.rhs)
+    weights = None if args.weights is None else load_vector(args.weights)
+    inst = RegressionInstance(A=A, b=b if b.shape[1] > 1 else b[:, 0], p=args.p, weights=weights)
     del A  # the instance solves from its own column-major copy
     cfg = SamplerConfig(
         p=args.p,
@@ -121,7 +113,7 @@ def _cmd_solve(args):
         report = single_stage_augmented_solve(
             inst, cfg, r, args.seed, compute_exact=args.exact
         )
-    else:  # two-stage, generalized or weighted: the instance says which
+    else:  # two-stage: the report names a weighted or generalized instance
         report = two_stage_solve(
             inst, cfg, args.seed, compute_exact=args.exact, stages=args.stages
         )
@@ -164,7 +156,7 @@ def _cmd_bench(args):
         raise _UsageError("--p must name at least one exponent")
     os.makedirs(args.out, exist_ok=True)
     aggregate = {
-        "family": args.family,
+        "family": "reference",
         "n": args.n,
         "d": args.d,
         "rho": args.rho,

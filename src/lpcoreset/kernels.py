@@ -412,10 +412,10 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
     return pnorm(out, p)
 
 
-def smoothed_power_weights(residuals, mu, p):
+def smoothed_power_weights(residuals, mu, p, out=None):
     """Weights (r_i^2 + mu^2)^((p-2)/2) of the smoothed p-th power loss, from
-    which the solver builds its derivatives."""
+    which the solver builds its derivatives; written into out when given."""
     r = np.asarray(residuals, dtype=np.float64)
-    w = r * r
+    w = np.multiply(r, r, out=out)
     w += mu * mu
     return _pow_inplace(w, (p - 2.0) / 2.0)

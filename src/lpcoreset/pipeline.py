@@ -6,9 +6,11 @@ stage 2 resamples using the stage-1 residual and solves again (a
 relative-error approximation).  two_stage_solve is the one entry point
 for the paper's algorithm: a weighted instance is stored row-scaled by
 w_i^(1/p), so it is a plain instance to every stage, and a matrix
-right-hand side changes only the residual norm.  The single-stage
-variants (oracle probabilities, augmented-matrix sampling) run on the
-same machinery.  Each RegressionInstance keeps what every stage and
+right-hand side changes only the residual norm (solve_lp_regression
+solves it column by column).  The single-stage variants run on the same
+machinery: the oracle's probabilities are stage 2's rule with a
+reference solution's residual, and augmented sampling is stage 1's rule
+on a basis for [A b].  Each RegressionInstance keeps what every stage and
 statistic of it shares: its own column-major copy of A, the R factor of
 A (no Q), the well-conditioned basis (with its leverage), ||b||_p and
 the full problem's optimum, each made once; the copy is written by the
@@ -49,14 +51,13 @@ from .linalg import (
 from .linalg import numeric_rank  # noqa: F401
 from .sampling import (
     apply_plan,
-    oracle_probabilities,
     r1_default,
     r2_default,
     realize_sample,
     stage1_probabilities,
     stage2_probabilities,
 )
-from .solver import SolveResult, _column_solves, row_scaled, solve_lp_regression
+from .solver import row_scaled, solve_lp_regression
 
 _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
@@ -133,7 +134,7 @@ class RegressionInstance:
 
     @cached_property
     def optimum(self):
-        res = _solve_subproblem(self.A, self.b, self.p)
+        res = solve_lp_regression(self.A, self.b, self.p)
         return res.x, res.objective
 
     @property
@@ -198,29 +199,6 @@ class SolveReport:
         return None if out is None else out.full_objective
 
 
-def _solve_subproblem(SA, Sb, p):
-    """The SolveResult of min ||SA X - Sb||_p, or None for an all-zero SA.
-    Its rank is SA's numeric rank, read from the solve's own QR of
-    [SA | Sb].  A matrix Sb joins its column solves: X column by column,
-    the entrywise objective, the first column's rank, the summed Newton
-    steps, the and of the converged flags and the largest kkt_residual."""
-    try:
-        if Sb.ndim != 2:
-            return solve_lp_regression(SA, Sb, p)
-        cols = _column_solves(SA, Sb, p)
-    except ZeroRankError:
-        return None
-    X = np.column_stack([res.x for res in cols])
-    return SolveResult(
-        x=X,
-        objective=vec_p_norm(SA @ X - Sb, p),
-        iterations=sum(res.iterations for res in cols),
-        converged=all(res.converged for res in cols),
-        kkt_residual=max(res.kkt_residual for res in cols),
-        rank=cols[0].rank,
-    )
-
-
 def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
     """Realize a plan (retrying on rank-deficient samples), solve it, and
     evaluate the solution on the full data, keeping the full residual
@@ -234,8 +212,12 @@ def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
             diag["attempts"].append({"count": plan.actual_count, "rank": 0})
             continue
         SA, Sb = apply_plan(plan, inst.A, inst.b)
-        res = _solve_subproblem(SA, Sb, inst.p)
-        rank = 0 if res is None else res.rank
+        try:
+            res = solve_lp_regression(SA, Sb, inst.p)
+        except ZeroRankError:  # an all-zero sample
+            rank = 0
+        else:
+            rank = res.rank
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
@@ -410,20 +392,27 @@ def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2):
 def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
     """One-shot sampling from reference-solution probabilities.
 
-    x_ref is a reference solution; its residual and norm feed the
-    combined leverage/residual probabilities on inst.basis.  x_ref=None
-    takes inst.optimum's minimizer, the same optimum compute_exact reads.
+    x_ref is a reference solution, and its residual plays stage 2's
+    residual at size r: row i is kept with probability min(1, r *
+    max(leverage_i, |rho_i|^p / ||rho||_p^p)), by stage1_probabilities
+    and then stage2_probabilities, or by the leverage alone when x_ref's
+    residual is 0.  x_ref=None takes inst.optimum's minimizer, the same
+    optimum compute_exact reads.
     """
     if inst.is_generalized:
         raise InvalidConfigError("oracle sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
-    if x_ref is None:
-        x_ref = inst.optimum[0]
-    rho_ref = inst.A @ np.asarray(x_ref, dtype=np.float64) - inst.b
-    Z_ref = vec_p_norm(rho_ref, inst.p)
+    x_ref = inst.optimum[0] if x_ref is None else np.asarray(x_ref, dtype=np.float64)
+    rho_ref = np.empty(inst.n)
+    Z_ref = residual_pnorm(inst.A, x_ref, inst.b, inst.p, out=rho_ref)
     with _timed(report, "conditioning"):
         basis = inst.basis
-    step = _one_shot(inst, lambda: oracle_probabilities(basis, rho_ref, Z_ref, float(r)))
+
+    def probabilities():
+        lev = stage1_probabilities(basis, float(r))
+        return lev if Z_ref == 0.0 else stage2_probabilities(lev, rho_ref, inst.p, float(r))
+
+    step = _one_shot(inst, probabilities)
     return _run_stages(report, inst, seed, [("oracle", step)], compute_exact)
 
 

@@ -12,9 +12,11 @@ basis, so its probabilities are one pass over an n-vector.  Stage 2
 makes one row-block pass over the stage-1 residual, writing its p-th
 power row sums into the result, sums the result, and makes one more
 over it and the stage-1 probabilities, scaling and clipping it
-(kernels.clipped_shares).  A plan's draws are compared with their
-probabilities chunk by chunk as the counter stream is mixed, and the
-same loop checks the probabilities and sums the expected count.
+(kernels.clipped_shares).  The oracle variant's probabilities are
+these two rules with a reference residual in place of stage 1's.  A
+plan's draws are compared with their probabilities chunk by chunk as
+the counter stream is mixed, and the same loop checks the
+probabilities and sums the expected count.
 """
 import math
 from dataclasses import dataclass, field
@@ -138,25 +140,6 @@ def stage2_probabilities(p1, residual, p, r2):
     short-circuits it first).
     """
     return clipped_shares(residual, p, r2, np.asarray(p1, dtype=np.float64))
-
-
-def oracle_probabilities(basis, rho_opt, Z, r):
-    """Single-stage probabilities mixing leverage and optimal-residual mass.
-
-    p_i = min(1, max(||row_i(U)||_p^p / |||U|||_p^p, |rho_i|^p / Z^p) * r),
-    with the 0/0 = 0 convention: Z = 0 drops the residual term entirely.
-    """
-    if Z < 0.0:
-        raise ValueError("Z must be nonnegative")
-    lev = basis.leverage
-    if Z == 0.0:
-        combined = lev
-    else:
-        mags = np.abs(np.asarray(rho_opt, dtype=np.float64))
-        with np.errstate(over="ignore"):
-            res = (mags / Z) ** basis.p
-        combined = np.maximum(lev, res)
-    return np.minimum(1.0, combined * r)
 
 
 def realize_sample(probs, p, seed):

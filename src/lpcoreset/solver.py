@@ -1,6 +1,7 @@
-"""lp regression subproblem solvers, p in [1, inf).
+"""lp regression subproblem solver, p in [1, inf).
 
-One solver covers all exponents: the p = 2 path is a direct QR
+One solver covers all exponents and both shapes of right-hand side: a
+matrix b is solved one column at a time.  The p = 2 path is a direct QR
 least-squares solve, everything else minimizes the smoothed objective
 f = sum_i (rho_i^2 + mu^2)^(p/2) by damped Newton steps, driving mu down
 a geometric continuation ladder.  Each step is one weighted least-squares
@@ -32,7 +33,8 @@ gradient) reads that column-major A too, so a row-major A and its
 column-major copy give bitwise the same result.  The caller's A and b
 are never overwritten.  The first QR, of [A | b], also gives A's numeric
 rank (SolveResult.rank), which the pipeline reads to reject a
-rank-deficient sample.
+rank-deficient sample; a zero b, whose answer is 0, makes that QR for
+the rank alone.
 
 At p = 2 the solve reads A twice: the QR pass, then one pass of
 kernels.residual_pnorm that forms each row block's residual while the
@@ -40,8 +42,9 @@ block is in cache and sums from it the objective, the gradient
 A^T (Ax - b) and A^T b, with no n-length array built.  No pass over A
 exists only to validate it, at any p: the QR's block check finds a
 non-finite entry of A or b (ValueError) and its R's rank 0 an all-zero A
-(ZeroRankError).  A solve started from x0 makes no first QR, so its
-first residual pass over A makes both checks block by block.
+(ZeroRankError).  A solve started from x0 with a nonzero b makes no
+first QR, so its first residual pass over A makes both checks block by
+block.
 """
 import math
 from dataclasses import dataclass
@@ -57,7 +60,6 @@ from .linalg import (
     _check_exponent,
     _check_finite,
     as_vector,
-    numeric_rank,
     vec_p_norm,
 )
 # the triangle solve of BlockedLstsq; tests pin it to scipy's gelsy
@@ -90,8 +92,8 @@ class SolveResult:
     (kkt_residual <= _GRAD_TOL) checks the QR's answer.  rank: A's
     numeric rank, read by linalg's rank rule
     from the solver's first QR, of [A | b], so the rank costs no QR of
-    its own; None when a solve at p != 2 starts from x0 and so makes no
-    QR of [A | b]."""
+    its own; None when a solve at p != 2 with a nonzero b starts from x0
+    and so makes no QR of [A | b]."""
 
     x: np.ndarray
     objective: float
@@ -177,8 +179,28 @@ def solve_lp_regression(A, b, p, x0=None):
     A non-finite entry of A or b raises ValueError and an all-zero A
     ZeroRankError, both before any result; the blocked passes that read
     A anyway make these checks (see the module docstring).
+
+    A matrix b is solved column by column, since |||AX - B|||_p^p is the
+    sum over columns of ||A X_j - B_j||_p^p, and x0 goes only with a
+    vector b.  The result joins the column solves: X, the entrywise
+    objective, the first column's rank, the summed Newton steps, the and
+    of the converged flags and the largest kkt_residual.
     """
     A = _as_2d(A)
+    if np.ndim(b) == 2:
+        if x0 is not None:
+            raise ValueError("x0 goes only with a vector b")
+        b = _as_2d(b)
+        cols = [solve_lp_regression(A, b[:, j], p) for j in range(b.shape[1])]
+        X = np.column_stack([res.x for res in cols])
+        return SolveResult(
+            x=X,
+            objective=vec_p_norm(A @ X - b, p),
+            iterations=sum(res.iterations for res in cols),
+            converged=all(res.converged for res in cols),
+            kkt_residual=max(res.kkt_residual for res in cols),
+            rank=cols[0].rank,
+        )
     b = _as_1d(b)
     _check_exponent(p)
     n, m = A.shape
@@ -216,13 +238,14 @@ def solve_lp_regression(A, b, p, x0=None):
         # b holds inf or NaN, or its finite entries' norm overflowed
         as_vector(b)
     if s == 0.0:
+        ls.solve_rows(A, b)
         return SolveResult(
             x=np.zeros(m),
             objective=0.0,
             iterations=0,
             converged=True,
             kkt_residual=0.0,
-            rank=_nonzero_rank(numeric_rank(A)),
+            rank=_nonzero_rank(ls.rank()),
         )
     bs = b / s
 
@@ -237,6 +260,7 @@ def solve_lp_regression(A, b, p, x0=None):
     rho = np.empty(n)
     rho_try = np.empty(n)
     scratch = np.empty(n)
+    sw = np.empty(n)
     grad = np.empty(m)
 
     if x0 is None:
@@ -272,7 +296,7 @@ def solve_lp_regression(A, b, p, x0=None):
             # because q - (2-p)*r^2 cancels to 0 at p = 1.  The Newton step
             # solves sqrt(phi'')*A dx = -phi'/sqrt(phi'') in least squares;
             # the common factor p cancels from it.
-            sw = smoothed_power_weights(rho, mu, p)
+            smoothed_power_weights(rho, mu, p, out=sw)
             np.multiply(rho, rho, out=scratch)
             np.add(scratch, mu2, out=rho_try)
             scratch *= p - 1.0
@@ -339,21 +363,3 @@ def row_scaled(A, b, weights, p):
         raise ValueError("at least one weight must be positive")
     scale = w ** (1.0 / p)
     return A * scale[:, None], b * (scale[:, None] if b.ndim == 2 else scale)
-
-
-def solve_multi_rhs(A, B, p):
-    """Minimize the entrywise p-norm of AX - B, column by column.
-
-    The objective decouples: |||AX - B|||_p^p is the sum over columns of
-    ||A X_j - B_j||_p^p, so each column is an independent vector solve.
-    """
-    A = _as_2d(A)
-    B = _as_2d(B)
-    if B.shape[0] != A.shape[0]:
-        raise ValueError("A and B row counts differ")
-    return np.column_stack([res.x for res in _column_solves(A, B, p)])
-
-
-def _column_solves(A, B, p):
-    """The SolveResult of each column of B, in order."""
-    return [solve_lp_regression(A, B[:, j], p) for j in range(B.shape[1])]

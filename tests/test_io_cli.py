@@ -458,7 +458,6 @@ class TestCli:
                 "--input", str(instance_files / "A.csv"),
                 "--rhs", str(instance_files / "b.csv"),
                 "--p", "1.5",
-                "--variant", "weighted",
                 "--weights", w_path,
                 "--r1-scale", "1e-4",
                 "--r2-scale", "1e-4",
@@ -468,22 +467,69 @@ class TestCli:
         assert code == 0
         assert json.loads(pathlib.Path(out).read_text())["config"]["variant"] == "weighted"
 
-    @pytest.mark.parametrize("variant", ["two-stage", "generalized", "oracle", "augmented"])
-    def test_weights_outside_weighted_variant_is_usage_error(self, tmp_path, capsys, variant):
-        # none of the files exists: the flags are rejected before any is read
+    def test_two_column_rhs_is_generalized(self, instance_files, tmp_path):
+        A = load_matrix(str(instance_files / "A.csv"))
+        b = load_vector(str(instance_files / "b.csv"))
+        B_path = str(tmp_path / "B.csv")
+        save_matrix_csv(np.column_stack([b, 2.0 * b + A[:, 0]]), B_path)
+        out = str(tmp_path / "B.json")
         code = run_cli(
             [
                 "solve",
-                "--input", str(tmp_path / "A.csv"),
-                "--rhs", str(tmp_path / "b.csv"),
+                "--input", str(instance_files / "A.csv"),
+                "--rhs", B_path,
+                "--p", "1.5",
+                "--r1-scale", "1e-3",
+                "--r2-scale", "1e-3",
+                "--output", out,
+            ]
+        )
+        assert code == 0
+        assert json.loads(pathlib.Path(out).read_text())["config"]["variant"] == "generalized"
+
+    @pytest.mark.parametrize("variant", ["generalized", "weighted"])
+    def test_instance_kinds_are_not_variants(self, instance_files, capsys, variant):
+        # the rhs column count and --weights name these; --variant does not
+        code = run_cli(
+            [
+                "solve",
+                "--input", str(instance_files / "A.csv"),
+                "--rhs", str(instance_files / "b.csv"),
                 "--p", "1.5",
                 "--variant", variant,
-                "--weights", str(tmp_path / "w.csv"),
             ]
         )
         assert code == 1
-        assert "usage error: --weights goes only with --variant weighted" in (
-            capsys.readouterr().err
+        assert "usage error: argument --variant: invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["oracle", "augmented"])
+    def test_weights_with_single_stage_variants(self, instance_files, tmp_path, variant):
+        A = load_matrix(str(instance_files / "A.csv"))
+        b = load_vector(str(instance_files / "b.csv"))
+        w = np.random.default_rng(3).uniform(0.5, 2.0, 150)
+        w_path = str(tmp_path / "w.csv")
+        save_matrix_csv(w[:, None], w_path)
+        out = str(tmp_path / f"{variant}.json")
+        code = run_cli(
+            [
+                "solve",
+                "--input", str(instance_files / "A.csv"),
+                "--rhs", str(instance_files / "b.csv"),
+                "--p", "1.5",
+                "--variant", variant,
+                "--weights", w_path,
+                "--r2-scale", "2e-4",
+                "--exact",
+                "--output", out,
+            ]
+        )
+        assert code == 0
+        doc = json.loads(pathlib.Path(out).read_text())
+        assert doc["config"]["variant"] == variant
+        weighted = lc.RegressionInstance(A=A, b=b, p=1.5, weights=w)
+        assert doc["Z_exact"] == pytest.approx(weighted.optimum[1], rel=1e-12)
+        assert doc["Z_exact"] != pytest.approx(
+            lc.RegressionInstance(A=A, b=b, p=1.5).optimum[1], rel=1e-3
         )
 
     def test_oracle_and_augmented_variants(self, instance_files, tmp_path):
@@ -612,6 +658,7 @@ class TestCli:
         )
         assert code == 0
         agg = json.loads(pathlib.Path(out, "bench.json").read_text())
+        assert agg["family"] == "reference"
         for key in ("p=1", "p=2"):
             freqs = agg["results"][key]["statistics"]["frequencies"]
             assert set(freqs) == set("abcde")

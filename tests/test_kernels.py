@@ -126,6 +126,10 @@ def test_smoothed_weights_parity(rng, p):
         (r * r + mu * mu) ** ((p - 2.0) / 2.0),
         rtol=1e-13,
     )
+    # written into out, bitwise the fresh array's values
+    out = np.empty(64)
+    assert kernels.smoothed_power_weights(r, mu, p, out=out) is out
+    np.testing.assert_array_equal(out, kernels.smoothed_power_weights(r, mu, p))
 
 
 def test_kernels_leave_inputs_unchanged(rng, p):

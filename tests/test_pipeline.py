@@ -265,33 +265,29 @@ class TestVariants:
         assert (rv.config["variant"], rm.config["variant"]) == ("two-stage", "generalized")
 
     def test_generalized_sums_its_column_solves(self, rng, monkeypatch):
+        # the solver's column loop calls solve_lp_regression once per column
         A = rng.standard_normal((400, 3))
         B = A @ np.ones((3, 2)) + rng.standard_t(2.0, (400, 2))
         inst = lc.RegressionInstance(A=A, b=B, p=1.5)
-        solves = []
+        solve = lc.solver.solve_lp_regression
+        columns, failing = [], []
 
-        def recorded(*args):
-            cols = column_solves(*args)
-            solves.append(cols)
-            return cols
+        def recorded(A, b, p, *args, **kwargs):
+            res = solve(A, b, p, *args, **kwargs)
+            if np.ndim(b) == 1:
+                columns.append(res)
+                if failing and len(columns) % 2 == 0:
+                    res = dataclasses.replace(res, converged=False)
+            return res
 
-        column_solves = lc.pipeline._column_solves
-        monkeypatch.setattr(lc.pipeline, "_column_solves", recorded)
+        monkeypatch.setattr(lc.solver, "solve_lp_regression", recorded)
         rep = lc.two_stage_solve(inst, small_cfg(1.5, s1=6e-4, s2=6e-4), seed=3)
-        assert rep.status == "ok" and len(solves) == 2
-        for out, cols in zip((rep.stage1, rep.stage2), solves):
-            assert len(cols) == 2
+        assert rep.status == "ok" and len(columns) == 4
+        for out, cols in zip((rep.stage1, rep.stage2), (columns[:2], columns[2:])):
             assert out.solver_iterations == sum(res.iterations for res in cols)
             assert out.solver_converged is True
         # one column that failed its decrement test clears the stage's flag
-        monkeypatch.setattr(
-            lc.pipeline,
-            "_column_solves",
-            lambda *args: [
-                dataclasses.replace(res, converged=k == 0)
-                for k, res in enumerate(column_solves(*args))
-            ],
-        )
+        failing.append(True)
         rep = lc.two_stage_solve(inst, small_cfg(1.5, s1=6e-4, s2=6e-4), seed=3)
         assert rep.stage1.solver_converged is rep.stage2.solver_converged is False
 

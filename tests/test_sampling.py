@@ -7,10 +7,15 @@ from lpcoreset import kernels
 from lpcoreset.conditioning import well_conditioned_basis
 from lpcoreset.errors import InvalidConfigError, ZeroRankError
 from lpcoreset.linalg import numeric_rank, vec_p_norm
+from lpcoreset.pipeline import (
+    RegressionInstance,
+    derive_seed,
+    reference_instance,
+    single_stage_oracle_solve,
+)
 from lpcoreset.sampling import (
     SamplerConfig,
     apply_plan,
-    oracle_probabilities,
     r1_default,
     r2_default,
     realize_sample,
@@ -157,23 +162,53 @@ class TestStage2Probabilities:
 
 
 
-class TestOracleProbabilities:
-    def test_zero_Z_reduces_to_leverage(self, basis):
-        rho = np.zeros(50)
-        probs = oracle_probabilities(basis, rho, 0.0, 12.0)
-        np.testing.assert_array_equal(probs, stage1_probabilities(basis, 12.0))
+def oracle_report(inst, x_ref, r, seed=0):
+    report = single_stage_oracle_solve(inst, x_ref, SamplerConfig(p=inst.p, d=inst.d), r, seed)
+    assert report.status == "ok"
+    return report
 
-    def test_pointwise_at_least_leverage(self, basis, rng):
-        rho = rng.standard_normal(50)
-        Z = vec_p_norm(rho, basis.p)
-        combined = oracle_probabilities(basis, rho, Z, 5.0)
-        assert np.all(combined >= stage1_probabilities(basis, 5.0) - 1e-15)
+
+class TestOracleProbabilities:
+    """The probabilities single_stage_oracle_solve samples by: stage 2's
+    rule with the reference solution's residual."""
+
+    def test_zero_Z_reduces_to_leverage(self, rng):
+        # integer data: A x_ref - b is exactly zero in any summation order
+        A = rng.integers(-5, 6, (50, 3)).astype(np.float64)
+        x_ref = np.array([1.0, 2.0, 3.0])
+        inst = RegressionInstance(A=A, b=A @ x_ref, p=1.5)
+        probs = oracle_report(inst, x_ref, 12.0).stage1.plan.probs
+        np.testing.assert_array_equal(probs, stage1_probabilities(inst.basis, 12.0))
+
+    def test_pointwise_at_least_leverage(self, rng):
+        inst = RegressionInstance(
+            A=rng.standard_normal((50, 3)), b=rng.standard_normal(50), p=1.5
+        )
+        probs = oracle_report(inst, rng.standard_normal(3), 5.0).stage1.plan.probs
+        assert np.all(probs >= stage1_probabilities(inst.basis, 5.0))
 
     def test_uniform_case(self):
-        W = well_conditioned_basis(np.eye(8), 2.0)
-        rho = np.full(8, 2.0)
-        probs = oracle_probabilities(W, rho, vec_p_norm(rho, 2.0), 4.0)
+        # equal rows and equal residuals: leverage and residual share are
+        # both 1/8, so r = 4 gives 1/2 everywhere
+        inst = RegressionInstance(A=np.ones((8, 1)), b=np.full(8, -2.0), p=2.0)
+        probs = oracle_report(inst, np.zeros(1), 4.0).stage1.plan.probs
         np.testing.assert_allclose(probs, 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_the_whole_array_formula(self, p):
+        # min(1, r * max(leverage_i, (|rho_i| / Z)^p)), written out whole
+        inst = reference_instance(n=500, d=3, p=p)
+        rho = inst.A @ inst.optimum[0] - inst.b
+        Z = vec_p_norm(rho, p)
+        r = 60.0
+        want = np.minimum(1.0, np.maximum(inst.basis.leverage, (np.abs(rho) / Z) ** p) * r)
+        for seed in range(5):
+            report = oracle_report(inst, None, r, seed)
+            plan = report.stage1.plan
+            np.testing.assert_allclose(plan.probs, want, rtol=2e-15, atol=0.0)
+            assert report.stage1.attempts == 1
+            expected = realize_sample(want, p, derive_seed(seed, "oracle"))
+            np.testing.assert_array_equal(plan.realized_indices, expected.realized_indices)
 
 
 class TestRealize:
