@@ -301,6 +301,8 @@ def report_to_dict(report):
         doc["stage2"] = _stage_dict(report.stage2, with_coreset=True)
     if report.Z_exact is not None:
         doc["Z_exact"] = report.Z_exact
+        doc["exact_solver_iterations"] = report.exact_solver_iterations
+        doc["exact_solver_converged"] = report.exact_solver_converged
         if report.approx_ratio is not None:
             doc["approx_ratio"] = report.approx_ratio
     doc["timings_ms"] = dict(report.timings_ms)

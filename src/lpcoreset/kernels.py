@@ -1,17 +1,21 @@
 """Hot kernels: row p-norms and p-th power sums, probability ratios, counter
-RNG and its Bernoulli draws, blocked residual norms, smoothed power weights.
+RNG and its Bernoulli draws against chunk rules, blocked residual norms,
+smoothed power weights.
 
 Each kernel allocates one working array (the ``np.abs`` result, the
 scaled ratios, ``r*r``) and does the rest of its work in place on it, so
 callers' arrays are never modified.  A step that needs a second operand
 of full size (the power chain at 1.5) uses one temporary array.  The
-counter mix, ``row_powsums``, ``clipped_shares`` and ``residual_pnorm``
-are the exceptions: they work on buffers of one block of rows
-(``_COUNTER_CHUNK`` draws, or a block of ``row_blocks``) and write each
-block's result into the output.  Whatever else such a loop needs of a
-block (the draws' range check and expected count, the stage-2 scaling
-and clipping) it does while the block is in cache, not in a pass of its
-own.
+counter mix, ``row_powsums``, ``counter_bernoulli`` and
+``residual_powsum`` are the exceptions: they work on buffers of one block
+of rows (``_COUNTER_CHUNK`` draws, or a block of ``row_blocks``) and
+write each block's result into the output.  Whatever else such a loop
+needs of a block it does while the block is in cache, not in a pass of
+its own: the draws form each chunk's probabilities by a chunk rule
+(``ScaledShares``, ``ClippedShares``) just before comparing them and sum
+the expected count, and the residual pass sums ``|r|^p``, the total that
+stage 2's shares divide by.  No n-length array of probabilities is made
+unless a caller asks for one (``ChunkRule.whole``).
 
 The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
 take the unscaled sum of squares in one pass over the input, with no
@@ -21,7 +25,8 @@ other exponents use, so the result is as exact as the scaled one.
 ``row_powsums`` applies the same guard at every p: each row's unscaled
 ``sum_j |m_ij|^p`` is kept when it lies in that range, and only the
 other rows are redone as their max-scaled p-norms raised to p.
-``residual_pnorm`` guards the total of its blocks the same way.
+``residual_pnorm`` and ``ClippedShares`` guard the total of
+``residual_powsum``'s blocks the same way.
 
 Non-finite input follows ``math.hypot`` at every p: an infinity gives
 inf, else a NaN gives NaN.  Only a row whose max (at p=1, its sum) is not
@@ -40,13 +45,14 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _INV53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# Draws per chunk of counter_uniforms; its three uint64 working arrays
-# (the first chunk's states, the chunk and a temporary) are 128 KB each.
+# Draws per chunk of counter_uniforms and counter_bernoulli; the three
+# uint64 working arrays of the mix (the first chunk's states, the chunk
+# and a temporary) are 128 KB each, as is a chunk rule's buffer.
 # 1,000,000 draws took 6.4-6.6 ms in chunks of 16,384, against 9.0 ms at
 # 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
 # whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
 _COUNTER_CHUNK = 16384
-# Rows per block of row_powsums, clipped_shares and residual_pnorm, the
+# Rows per block of row_powsums and residual_powsum, the
 # block height of the TSQR in linalg: a 16,384 x 10 block of doubles
 # (1.3 MB) stays in the L2 cache while the block's passes run.  Keep it a
 # multiple of 4: OpenBLAS computed each row of the block products
@@ -227,43 +233,6 @@ def _block_powsums(m, p, out, buf):
         np.sum(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), axis=1, out=out)
 
 
-def clipped_shares(M, p, scale, floor):
-    """min(1, max(floor_i, scale * s_i / sum_j s_j)), s = row_powsums(M, p),
-    for a finite p >= 1; a vector M's rows are its entries.
-
-    Two passes in the blocks of row_blocks, with no n-length array but
-    the result: the first writes each block's unscaled row sums into the
-    result, and the second scales and clips each block in place.  Their
-    total is the whole result's sum, as powsum_shares takes it, so the
-    shares do not depend on the block height.  A total outside
-    [_SQ_LO, _SQ_HI] gives powsum_shares' max-scaled shares, clipped the
-    same way.  With the total inside it, no row is redone: a row whose
-    sum underflowed has a share below 2^-122.  An all-zero M raises
-    ValueError.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    M = M.reshape(M.shape[0], -1)
-    blocks = row_blocks(M.shape[0])
-    buf = _powsum_buffer(blocks, M.shape[1], p)
-    out = np.empty(M.shape[0])
-    with np.errstate(over="ignore"):
-        for blk in blocks:
-            _block_powsums(M[blk], p, out[blk], buf)
-    total = float(out.sum())
-    if not (_SQ_LO <= total <= _SQ_HI):
-        if not M.any():
-            raise ValueError("clipped_shares: all rows are zero")
-        out = powsum_shares(M, p, out, scale)
-        return np.clip(out, floor, 1.0, out=out)
-    div = total / scale
-    for blk in blocks:
-        s = out[blk]
-        s /= div
-        np.maximum(s, floor[blk], out=s)
-        np.minimum(s, 1.0, out=s)
-    return out
-
-
 def powsum_shares(M, p, sums, scale=1.0):
     """Each row's share scale * sums_i / sum_j sums_j of sums =
     row_powsums(M, p), computed in place on sums.
@@ -317,8 +286,13 @@ def _counter_chunks(seed, n):
         xs ^= np.right_shift(xs, _S27, out=ts)
         xs *= _MIX2
         xs ^= np.right_shift(xs, _S31, out=ts)
-        np.multiply(np.right_shift(xs, _S11, out=xs), _INV53, out=u[:h])
-        yield lo, u[:h]
+        # the top 53 bits convert exactly through the signed view: 6.0-7.1
+        # ms per 1,000,000 draws, against 6.6-7.4 ms by the unsigned
+        # conversion (medians of 30 alternating calls, AVX-512 Xeon, 2 vCPUs)
+        uh = u[:h]
+        np.copyto(uh, np.right_shift(xs, _S11, out=xs).view(np.int64), casting="unsafe")
+        uh *= _INV53
+        yield lo, uh
 
 
 def counter_uniforms(seed, n):
@@ -334,39 +308,195 @@ def counter_uniforms(seed, n):
     return u
 
 
-def counter_bernoulli(seed, probs):
-    """(idx, total): the indices i with u_i < probs[i], u =
-    counter_uniforms(seed, n), and the sum of probs.
+class ChunkRule:
+    """Row probabilities formed a chunk of rows at a time.
 
-    Each chunk of draws is compared with its probabilities as it is
-    mixed, and those probabilities are checked and added to the total
-    while they are in cache, so probs is read once and no n-length array
-    of uniforms is built.  The indices are bitwise
-    np.flatnonzero(counter_uniforms(seed, n) < probs).  A probability
-    that is NaN or outside [0, 1] raises ValueError.
+    rule(lo, out) writes the probabilities of rows lo:lo + out.size into
+    out, and len(rule) is the number of rows.  whole() evaluates the
+    same rule over all rows, in chunks of _COUNTER_CHUNK, into a new
+    n-vector: the values counter_bernoulli draws against, bitwise.
     """
-    hits = []
-    total = 0.0
-    for lo, u in _counter_chunks(seed, probs.shape[0]):
-        chunk = probs[lo:lo + u.size]
+
+    def whole(self):
+        out = np.empty(len(self))
+        for lo in range(0, out.size, _COUNTER_CHUNK):
+            self(lo, out[lo:lo + _COUNTER_CHUNK])
+        return out
+
+
+class ArrayRule(ChunkRule):
+    """A caller's probabilities, each chunk checked as it is copied: a
+    probability that is NaN or outside [0, 1] raises ValueError."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def __len__(self):
+        return self.probs.shape[0]
+
+    def __call__(self, lo, out):
+        chunk = self.probs[lo:lo + out.size]
         # NaN fails both comparisons, since min and max propagate it
         if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        total += float(chunk.sum())
-        hits.append(np.flatnonzero(u < chunk) + lo)
-    idx = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
-    return idx, total
+        out[...] = chunk
+
+    def whole(self):
+        return self.probs
+
+
+class ScaledShares(ChunkRule):
+    """min(1, scale * shares_i) for nonnegative shares and scale."""
+
+    def __init__(self, shares, scale):
+        self.shares, self.scale = shares, scale
+
+    def __len__(self):
+        return self.shares.shape[0]
+
+    def __call__(self, lo, out):
+        np.multiply(self.shares[lo:lo + out.size], self.scale, out=out)
+        np.minimum(out, 1.0, out=out)
+
+
+class ClippedShares(ChunkRule):
+    """min(1, max(floor_i, scale * s_i / total)), s = row_powsums(M, p),
+    for a finite p >= 1; a vector M's rows are its entries and floor is a
+    ChunkRule over the same rows.
+
+    total is sum_j s_j as the caller summed it (residual_powsum's blocks
+    give it for a residual); no pass over M is made here.  Each chunk's
+    row sums are formed in a buffer of one chunk, then divided by
+    total / scale and clipped while in cache.  A total outside
+    [_SQ_LO, _SQ_HI] means rows were lost to under- or overflow: the
+    shares are then powsum_shares' max-scaled ones, formed once as an
+    n-vector and clipped the same way.  With the total inside it, no row
+    is redone: a row whose sum underflowed has a share below 2^-122.  An
+    all-zero M raises ValueError.
+    """
+
+    def __init__(self, M, p, scale, floor, total):
+        M = np.asarray(M, dtype=np.float64)
+        self.M = M.reshape(M.shape[0], -1)
+        self.p, self.floor = p, floor
+        self.shares = None
+        if _SQ_LO <= total <= _SQ_HI:
+            self.div = total / scale
+        else:
+            if not self.M.any():
+                raise ValueError("ClippedShares: all rows are zero")
+            self.shares = powsum_ratios(row_pnorms(self.M, p), p)
+            self.shares *= scale
+        self._sums = self._pows = None
+
+    def __len__(self):
+        return self.M.shape[0]
+
+    def __call__(self, lo, out):
+        self.floor(lo, out)
+        h = out.size
+        if self.shares is not None:
+            s = self.shares[lo:lo + h]
+        else:
+            if self._sums is None or self._sums.size < h:
+                self._sums = np.empty(h)
+                if self.M.shape[1] > 1:
+                    self._pows = _powsum_buffer([slice(0, h)], self.M.shape[1], self.p)
+            s = self._sums[:h]
+            with np.errstate(over="ignore"):
+                _block_powsums(self.M[lo:lo + h], self.p, s, self._pows)
+            s /= self.div
+        np.maximum(s, out, out=out)
+        np.minimum(out, 1.0, out=out)
+
+
+def counter_bernoulli(seed, rule):
+    """(idx, kept, total): the indices i with u_i < q_i, where u =
+    counter_uniforms(seed, n) and q is the ChunkRule rule's probabilities
+    over its n rows, their probabilities q[idx], and the sum of q.
+
+    Each chunk's probabilities are formed into a buffer of one chunk just
+    before its draws are compared with them, and added to the total
+    while in cache, so no n-length array of probabilities or uniforms is
+    built.  The indices are bitwise
+    np.flatnonzero(counter_uniforms(seed, n) < rule.whole()).  A rule
+    checks what it does not form itself (ArrayRule checks each chunk); a
+    total that is not finite, as a NaN share gives, raises ValueError.
+    """
+    n = len(rule)
+    hits, kept = [], []
+    total = 0.0
+    buf = np.empty(min(n, _COUNTER_CHUNK))
+    for lo, u in _counter_chunks(seed, n):
+        q = buf[:u.size]
+        rule(lo, q)
+        total += float(q.sum())
+        hit = np.flatnonzero(u < q)
+        kept.append(q[hit])
+        hits.append(hit + lo)
+    if not math.isfinite(total):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not hits:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), total
+    return np.concatenate(hits), np.concatenate(kept), total
+
+
+def _powsum(v, p, tmp):
+    """The unscaled sum of |v_i|^p of the vector v, one BLAS dot at p=2;
+    otherwise |v|^p is formed in tmp."""
+    if p == 2.0:
+        return float(v @ v)
+    return float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
+
+
+def powsum_total(R, p):
+    """The unscaled sum of |r_ij|^p over the entries of R, a vector or a
+    matrix, for a finite p >= 1: the blocks of row_blocks each give one
+    _powsum, added in order, so the total is bitwise residual_powsum's
+    for a residual equal to R."""
+    R = np.asarray(R, dtype=np.float64)
+    blocks = row_blocks(R.shape[0])
+    cols = R.shape[1] if R.ndim == 2 else 1
+    tmp = np.empty((R.shape[0] - blocks[-1].start) * cols) if p != 2.0 else None
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for blk in blocks:
+            total += _powsum(R[blk].reshape(-1), p, tmp)
+    return total
+
+
+def powsum_pnorm(total, p, r):
+    """||r||_p from total, the unscaled sum of |r|^p: its p-th root, or,
+    for a total outside [_SQ_LO, _SQ_HI], pnorm's scaled norm of r."""
+    if _SQ_LO <= total <= _SQ_HI:
+        return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
+    return pnorm(r, p)
 
 
 def residual_pnorm(A, x, b, p, out=None, at=None):
     """||A x - b||_p, the entrywise norm when x and b are matrices,
     computed in the blocks of row_blocks for a finite p >= 1.
 
+    powsum_pnorm of residual_powsum's total, with the residual formed
+    again only when the total is outside [_SQ_LO, _SQ_HI] and out is
+    None.
+    """
+    total = residual_powsum(A, x, b, p, out=out, at=at)
+    if out is None and not _SQ_LO <= total <= _SQ_HI:
+        out = A @ x
+        out -= b
+    return powsum_pnorm(total, p, out)
+
+
+def residual_powsum(A, x, b, p, out=None, at=None):
+    """The unscaled sum of |A x - b|^p over all entries, computed in the
+    blocks of row_blocks for a finite p >= 1; it may be inf, 0 or NaN
+    where the powers over- or underflow (see powsum_pnorm).
+
     Each block's residual A[blk] @ x - b[blk] is bitwise that block of
     A @ x - b (see _ROW_BLOCK) and is written into out[blk] when out is
     given; otherwise no n-length array is built.  The blocks' sums of
-    |r|^p are added unscaled, and a total outside [_SQ_LO, _SQ_HI] is
-    redone by pnorm on the whole residual (formed again if out is None).
+    |r|^p (_powsum) are added unscaled, as powsum_total adds them.
     Pass a column-major A: at 1,000,000 x 10, p=2, the pass took 7.7-9.6
     ms on one, against 15-16 ms on a row-major A, whose block GEMVs
     OpenBLAS runs at half the speed (one BLAS thread, 2 vCPUs).
@@ -394,22 +524,13 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
             r = res[:h] if out is None else out[blk]
             np.matmul(a, x, out=r)
             r -= b[blk]
-            v = r.reshape(-1)
-            if p == 2.0:
-                total += float(v @ v)
-            else:
-                total += float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
+            total += _powsum(r.reshape(-1), p, tmp)
             if at is not None:
                 if out is not None:
                     buf[:h, 0] = r
                 buf[:h, 1] = b[blk]
                 at += a.T @ buf[:h]
-    if _SQ_LO <= total <= _SQ_HI:
-        return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
-    if out is None:
-        out = A @ x
-        out -= b
-    return pnorm(out, p)
+    return total
 
 
 def smoothed_power_weights(residuals, mu, p, out=None):

@@ -17,16 +17,17 @@ the full problem's optimum, each made once; the copy is written by the
 same pass that factors A.  So the caller may change A after
 construction, but not b, which the instance keeps as given.
 
-Past conditioning, a stage reads A once, in row blocks: its
-probabilities (stage 1 from the basis's leverage; stage 2 from one pass
-over the stage-1 residual, then the sum and one scale-and-clip pass
-over the result, kernels.clipped_shares), the draws of its plan, which
-check the probabilities and sum the expected count as they go
-(kernels.counter_bernoulli), and the full residual A x - b, one GEMV
-per block of the column-major A, whose blocks give the full objective
-(kernels.residual_pnorm).  The sampled rows are factored once: the
-solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1 keeps its
-n-length residual, because stage 2 samples by it.
+Past conditioning, a stage reads A once, in row blocks.  Its plan is
+drawn against its chunk rule (sampling.stage1_rule, stage2_rule): each
+chunk's probabilities are formed just before its draws and summed into
+the expected count as they go (kernels.counter_bernoulli), through the
+realize_sample binding.  Then the full residual A x - b is formed, one
+GEMV per block of the column-major A, whose blocks give the full
+objective (kernels.residual_powsum).  The sampled rows are factored
+once: the solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1
+keeps its n-length residual and the sum of its p-th powers, because
+stage 2's rule reads both; no stage keeps an n-length array of
+probabilities.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -42,21 +43,17 @@ import numpy as np
 
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
-from .kernels import residual_pnorm
+from .kernels import powsum_pnorm, residual_pnorm, residual_powsum
 from .linalg import (
     RFactors, _as_2d, _check_exponent, _r_factors, as_matrix, as_vector, vec_p_norm
 )
 # kept only as a binding that perfbench's tracer wraps; no code of this
 # module calls it, since each sample's rank comes from its solve's QR
 from .linalg import numeric_rank  # noqa: F401
-from .sampling import (
-    apply_plan,
-    r1_default,
-    r2_default,
-    realize_sample,
-    stage1_probabilities,
-    stage2_probabilities,
-)
+from .sampling import apply_plan, r1_default, r2_default, realize_sample, stage1_rule, stage2_rule
+# kept only as bindings that perfbench's tracer wraps; no code of this
+# module calls them, since each stage draws against its chunk rule
+from .sampling import stage1_probabilities, stage2_probabilities  # noqa: F401
 from .solver import row_scaled, solve_lp_regression
 
 _MASK64 = (1 << 64) - 1
@@ -91,13 +88,16 @@ class RegressionInstance:
     column by column and the caller's A may change afterwards.  b is
     kept as given (row-scaled when weighted), so it must not change.
     basis (A's well-conditioned basis, which reads A through C), b_norm
-    (||b||_p) and optimum (the full problem's (x, objective)) are
+    (||b||_p) and exact_result (the full problem's solve) are
     computed on first use and then kept, so every solve and statistic
     of the instance shares them.  Once conditioned, the instance holds
     the basis's leverage, one n-vector, and at every p no n x d array
     besides A, and so no U: the basis forms U, G and tau from A when
-    they are first read.  Its reports hold stage 1's residual and each
-    stage's probabilities, n entries each, but no stage-2 residual.
+    they are first read.  Its reports hold stage 1's residual, n
+    entries, but no stage-2 residual and no probabilities: each plan
+    forms its n probabilities from its rule when they are first read.
+    exact_result, the full problem's SolveResult, is kept the same way;
+    optimum is its (x, objective).
     """
 
     A: np.ndarray
@@ -133,9 +133,14 @@ class RegressionInstance:
         return well_conditioned_basis(self.A, self.p, factors=self.factors)
 
     @cached_property
+    def exact_result(self):
+        """The full problem's SolveResult, with its Newton steps and
+        converged flag."""
+        return solve_lp_regression(self.A, self.b, self.p)
+
+    @property
     def optimum(self):
-        res = solve_lp_regression(self.A, self.b, self.p)
-        return res.x, res.objective
+        return self.exact_result.x, self.exact_result.objective
 
     @property
     def n(self):
@@ -154,8 +159,10 @@ class RegressionInstance:
 class StageOutcome:
     """One sampling stage: the realized plan, the subproblem solution,
     and its objective evaluated on the full data.  residual, A x_hat - b
-    on the full data, is kept by stage 1 only, for stage 2 to sample by;
-    it is None on every other outcome.  solver_iterations and
+    on the full data, and residual_powsum, the unscaled sum of its p-th
+    powers that the same pass added, are kept by stage 1 only, for stage
+    2 to sample by; they are None on every other outcome.
+    solver_iterations and
     solver_converged are the sampled solve's Newton steps and converged
     flag (summed and and-ed over the columns of a matrix right-hand
     side); None on a passthrough stage, which solves nothing."""
@@ -168,13 +175,17 @@ class StageOutcome:
     full_objective: float
     exact_passthrough: bool = False
     attempts: int = 1
+    residual_powsum: float | None = None
     solver_iterations: int | None = None
     solver_converged: bool | None = None
 
 
 @dataclass(eq=False)
 class SolveReport:
-    """End-to-end record of one pipeline run."""
+    """End-to-end record of one pipeline run.  With compute_exact,
+    Z_exact is the full problem's optimum, and exact_solver_iterations
+    and exact_solver_converged are its solve's Newton steps and
+    converged flag; all three are None otherwise."""
 
     n: int
     m: int
@@ -187,6 +198,8 @@ class SolveReport:
     coreset_indices: np.ndarray | None = None
     coreset_scales: np.ndarray | None = None
     Z_exact: float | None = None
+    exact_solver_iterations: int | None = None
+    exact_solver_converged: bool | None = None
     approx_ratio: float | None = None
     timings_ms: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
@@ -199,15 +212,16 @@ class SolveReport:
         return None if out is None else out.full_objective
 
 
-def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
-    """Realize a plan (retrying on rank-deficient samples), solve it, and
-    evaluate the solution on the full data, keeping the full residual
-    only when keep_residual is set.  A sample's rank comes from its own
-    solve, so a rank-deficient sample is solved before it is retried."""
+def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
+    """Realize a plan against the chunk rule (retrying on rank-deficient
+    samples), solve it, and evaluate the solution on the full data,
+    keeping the full residual and its power sum only when keep_residual
+    is set.  A sample's rank comes from its own solve, so a
+    rank-deficient sample is solved before it is retried."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
     for attempt in range(_MAX_SAMPLE_ATTEMPTS):
         plan_seed = seed if attempt == 0 else derive_seed(seed, f"retry:{attempt}")
-        plan = realize_sample(probs, inst.p, plan_seed)
+        plan = realize_sample(rule, inst.p, plan_seed)
         if plan.actual_count < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": 0})
             continue
@@ -221,8 +235,13 @@ def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
-        residual = np.empty(inst.b.shape) if keep_residual else None
-        full_obj = residual_pnorm(inst.A, res.x, inst.b, inst.p, out=residual)
+        if keep_residual:
+            residual = np.empty(inst.b.shape)
+            total = residual_powsum(inst.A, res.x, inst.b, inst.p, out=residual)
+            full_obj = powsum_pnorm(total, inst.p, residual)
+        else:
+            residual = total = None
+            full_obj = residual_pnorm(inst.A, res.x, inst.b, inst.p)
         return StageOutcome(
             stage=stage,
             plan=plan,
@@ -231,6 +250,7 @@ def _sample_and_solve(inst, probs, stage, seed, keep_residual=False):
             sampled_objective=res.objective,
             full_objective=full_obj,
             attempts=attempt + 1,
+            residual_powsum=total,
             solver_iterations=res.iterations,
             solver_converged=res.converged,
         )
@@ -247,17 +267,18 @@ def stage_one(inst, cfg, seed):
     The min(1, .) clamp already bounds every probability, so oversized r1
     (the default formula at desk scale) degenerates to full sampling.
     """
-    probs = stage1_probabilities(inst.basis, r1_default(cfg))
-    return _sample_and_solve(inst, probs, 1, seed, keep_residual=True)
+    rule = stage1_rule(inst.basis, r1_default(cfg))
+    return _sample_and_solve(inst, rule, 1, seed, keep_residual=True)
 
 
 def stage_two(inst, stage1_out, cfg, seed):
     """Residual-refined resampling stage at size r2 (capped at n).
 
-    A stage-1 objective at most 1e-12 ||b||_p short-circuits: the stage-1
-    solution is already exact and no sampling is performed.
+    The rule reads stage 1's rule, residual and power sum, so stage 2
+    makes no pass of its own over the residual.  A stage-1 objective at
+    most 1e-12 ||b||_p short-circuits: the stage-1 solution is already
+    exact and no sampling is performed.
     """
-    rho = stage1_out.residual
     if stage1_out.full_objective <= _ZERO_RESIDUAL_RTOL * inst.b_norm:
         return StageOutcome(
             stage=2,
@@ -269,16 +290,18 @@ def stage_two(inst, stage1_out, cfg, seed):
             exact_passthrough=True,
         )
     r2 = r2_default(cfg, strict=False)
-    probs = stage2_probabilities(stage1_out.plan.probs, rho, inst.p, r2)
-    return _sample_and_solve(inst, probs, 2, seed)
+    rule = stage2_rule(
+        stage1_out.plan.rule, stage1_out.residual, inst.p, r2, stage1_out.residual_powsum
+    )
+    return _sample_and_solve(inst, rule, 2, seed)
 
 
-def _exact_objective(inst):
-    """The full problem's optimum, or None above _EXACT_CELL_CAP cells."""
+def _exact_result(inst):
+    """The full problem's SolveResult, or None above _EXACT_CELL_CAP cells."""
     cols = inst.b.shape[1] if inst.is_generalized else 1
     if inst.n * inst.m * cols > _EXACT_CELL_CAP:
         return None
-    return inst.optimum[1]
+    return inst.exact_result
 
 
 def _ratio(final_obj, Z):
@@ -347,16 +370,18 @@ def _run_stages(report, inst, seed, stages, compute_exact):
         report.coreset_scales = np.array([])
     if compute_exact:
         with _timed(report, "exact"):
-            Z = _exact_objective(inst)
-        if Z is not None:
-            report.Z_exact = Z
-            report.approx_ratio = _ratio(out.full_objective, Z)
+            exact = _exact_result(inst)
+        if exact is not None:
+            report.Z_exact = exact.objective
+            report.exact_solver_iterations = exact.iterations
+            report.exact_solver_converged = exact.converged
+            report.approx_ratio = _ratio(out.full_objective, exact.objective)
     return report
 
 
-def _one_shot(inst, probabilities):
-    """A single-stage step: sample by probabilities() and solve."""
-    return lambda _, seed: _sample_and_solve(inst, probabilities(), 1, seed)
+def _one_shot(inst, rule):
+    """A single-stage step: sample against the chunk rule and solve."""
+    return lambda _, seed: _sample_and_solve(inst, rule, 1, seed)
 
 
 def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2):
@@ -366,8 +391,9 @@ def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2):
     alike; config["variant"] names which ("weighted", "generalized" or
     "two-stage").  stages=1 stops after the constant-factor stage.  Both
     stages sample from inst.basis, so only an instance's first run
-    conditions A.  compute_exact adds inst.optimum's objective and the
-    approximation ratio when the instance is small enough
+    conditions A.  compute_exact adds inst.exact_result's objective,
+    Newton steps and converged flag and the approximation ratio when the
+    instance is small enough
     (n*m*columns <= 10^7).  cfg must have the instance's p and d.  Stage
     failures produce a status="failed" report, never an exception.
     """
@@ -394,25 +420,23 @@ def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
 
     x_ref is a reference solution, and its residual plays stage 2's
     residual at size r: row i is kept with probability min(1, r *
-    max(leverage_i, |rho_i|^p / ||rho||_p^p)), by stage1_probabilities
-    and then stage2_probabilities, or by the leverage alone when x_ref's
-    residual is 0.  x_ref=None takes inst.optimum's minimizer, the same
-    optimum compute_exact reads.
+    max(leverage_i, |rho_i|^p / ||rho||_p^p)), by stage1_rule and then
+    stage2_rule, or by the leverage alone when x_ref's residual is 0.
+    x_ref=None takes inst.optimum's minimizer, the same optimum
+    compute_exact reads.
     """
     if inst.is_generalized:
         raise InvalidConfigError("oracle sampling expects a vector right-hand side")
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
     x_ref = inst.optimum[0] if x_ref is None else np.asarray(x_ref, dtype=np.float64)
     rho_ref = np.empty(inst.n)
-    Z_ref = residual_pnorm(inst.A, x_ref, inst.b, inst.p, out=rho_ref)
+    total = residual_powsum(inst.A, x_ref, inst.b, inst.p, out=rho_ref)
     with _timed(report, "conditioning"):
         basis = inst.basis
-
-    def probabilities():
-        lev = stage1_probabilities(basis, float(r))
-        return lev if Z_ref == 0.0 else stage2_probabilities(lev, rho_ref, inst.p, float(r))
-
-    step = _one_shot(inst, probabilities)
+    rule = stage1_rule(basis, float(r))
+    if powsum_pnorm(total, inst.p, rho_ref) > 0.0:
+        rule = stage2_rule(rule, rho_ref, inst.p, float(r), total)
+    step = _one_shot(inst, rule)
     return _run_stages(report, inst, seed, [("oracle", step)], compute_exact)
 
 
@@ -428,7 +452,7 @@ def single_stage_augmented_solve(inst, cfg, r, seed, compute_exact=False):
     report = _base_report(inst, cfg, seed, "augmented", {"r": float(r)})
     with _timed(report, "conditioning"):
         basis = well_conditioned_basis(np.column_stack([inst.A, inst.b]), inst.p)
-    step = _one_shot(inst, lambda: stage1_probabilities(basis, float(r)))
+    step = _one_shot(inst, stage1_rule(basis, float(r)))
     return _run_stages(report, inst, seed, [("augmented", step)], compute_exact)
 
 

@@ -6,25 +6,32 @@ Row i is kept independently with probability p_i and, when kept, its row
 counter-based generator keyed by (seed, row), so plans are reproducible
 and the draw at row i never depends on the probability at row j.
 
-Stage 1 reads the basis's leverage, the row shares
-||u_i||_p^p / |||U|||_p^p that well_conditioned_basis computes once per
-basis, so its probabilities are one pass over an n-vector.  Stage 2
-makes one row-block pass over the stage-1 residual, writing its p-th
-power row sums into the result, sums the result, and makes one more
-over it and the stage-1 probabilities, scaling and clipping it
-(kernels.clipped_shares).  The oracle variant's probabilities are
-these two rules with a reference residual in place of stage 1's.  A
-plan's draws are compared with their probabilities chunk by chunk as
-the counter stream is mixed, and the same loop checks the
-probabilities and sums the expected count.
+Each stage's probabilities are a chunk rule (kernels.ChunkRule), formed
+a chunk of rows at a time inside the loop that draws against them
+(kernels.counter_bernoulli), so no stage makes an n-length array of
+probabilities.  Stage 1's rule scales the basis's leverage, the row
+shares ||u_i||_p^p / |||U|||_p^p that well_conditioned_basis computes
+once per basis.  Stage 2's rule forms each chunk's p-th power row sums
+of the stage-1 residual, divides them by the total that the residual's
+own pass summed, and takes the max with stage 1's rule
+(kernels.ClippedShares), so it makes no pass over the residual of its
+own.  The oracle variant's probabilities are these two rules with a
+reference residual in place of stage 1's.  A plan keeps its rule and the
+probabilities of its realized rows; all n probabilities are formed when
+first read.  stage1_probabilities and stage2_probabilities evaluate the
+same rules over all rows, and realize_sample also draws against a
+caller's n-vector, which is checked chunk by chunk.
 """
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import clipped_shares, counter_bernoulli
+from .kernels import (
+    ArrayRule, ChunkRule, ClippedShares, ScaledShares, counter_bernoulli, powsum_total
+)
 from .linalg import _check_exponent
 # kept only as bindings that perfbench's tracer counts kernel calls at;
 # no code of this module calls them
@@ -99,14 +106,18 @@ def r2_default(cfg, strict=True):
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """A realized Bernoulli row sample.
+    """A realized Bernoulli row sample of n rows, drawn against rule.
 
-    scales[j] = probs[realized_indices[j]]^(-1/p); rows with probability 1
-    are always present.
+    realized_probs[j] is the probability of row realized_indices[j], and
+    scales[j] = realized_probs[j]^(-1/p); rows with probability 1 are
+    always present.  probs, the probabilities of all n rows, is formed
+    from the rule when first read, and only then kept.
     """
 
-    probs: np.ndarray
+    n: int
+    rule: ChunkRule = field(repr=False)
     realized_indices: np.ndarray
+    realized_probs: np.ndarray
     scales: np.ndarray
     seed: int
     expected_count: float
@@ -114,51 +125,77 @@ class SamplingPlan:
     p: float = field(default=2.0)
 
     def __len__(self):
-        return self.probs.shape[0]
+        return self.n
+
+    @cached_property
+    def probs(self):
+        return self.rule.whole()
 
 
-def stage1_probabilities(basis, r1):
-    """p_i = min(1, r1 * ||row_i(U)||_p^p / |||U|||_p^p); zero rows get 0.
-
-    The shares are basis.leverage, kept with the basis, so this is one
-    pass over an n-vector.
-    """
+def stage1_rule(basis, r1):
+    """The chunk rule p_i = min(1, r1 * ||row_i(U)||_p^p / |||U|||_p^p);
+    zero rows get 0.  The shares are basis.leverage, kept with the basis."""
     if r1 < 0.0:
         raise ValueError("r1 must be nonnegative")
-    probs = np.multiply(basis.leverage, r1)
-    return np.minimum(probs, 1.0, out=probs)
+    return ScaledShares(basis.leverage, r1)
 
 
-def stage2_probabilities(p1, residual, p, r2):
-    """q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)).
+def stage2_rule(floor, residual, p, r2, total):
+    """The chunk rule q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)),
+    with p_i from the chunk rule floor and total = ||rho||_p^p, the
+    unscaled sum of |rho|^p that the residual's own pass added
+    (kernels.residual_powsum), so the rule makes no pass over rho.
 
     residual may be a matrix, in which case the row sums of |rho_ij|^p
     replace |rho_i|^p (the multi-column generalization); the
-    single-column case reduces bitwise to the vector case.  One
-    kernels.clipped_shares call forms q in row blocks.  A zero residual
-    is a caller contract violation (ValueError; the pipeline
+    single-column case reduces bitwise to the vector case.  A zero
+    residual is a caller contract violation (ValueError; the pipeline
     short-circuits it first).
     """
-    return clipped_shares(residual, p, r2, np.asarray(p1, dtype=np.float64))
+    return ClippedShares(residual, p, r2, floor, total)
 
 
-def realize_sample(probs, p, seed):
-    """Independent Bernoulli draws at the given probabilities.
+def stage1_probabilities(basis, r1):
+    """stage1_rule's probabilities of all n rows, as an n-vector."""
+    return stage1_rule(basis, r1).whole()
 
-    Deterministic in (probs, seed); the draw at row i is a pure function
-    of (seed, i).  Probabilities must lie in [0, 1] (ValueError
-    otherwise); kernels.counter_bernoulli checks them and sums the
-    expected count chunk by chunk as it draws.
-    """
+
+def stage2_probabilities(p1, residual, p, r2):
+    """stage2_rule's probabilities of all n rows, as an n-vector, with the
+    stage-1 probabilities p1 as the floor and kernels.powsum_total's sum
+    of |residual|^p, bitwise the total of the residual pass that formed
+    residual."""
+    return stage2_rule(_as_rule(p1), residual, p, r2, powsum_total(residual, p)).whole()
+
+
+def _as_rule(probs):
+    """probs itself if it is a ChunkRule, else a checked kernels.ArrayRule
+    over the vector probs."""
+    if isinstance(probs, ChunkRule):
+        return probs
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("probs must be a vector")
-    idx, expected = counter_bernoulli(int(seed), probs)
-    scales = probs[idx] ** (-1.0 / p)
+    return ArrayRule(probs)
+
+
+def realize_sample(probs, p, seed):
+    """Independent Bernoulli draws at the given probabilities: a chunk
+    rule (stage1_rule, stage2_rule) or an n-vector.
+
+    Deterministic in (probabilities, seed); the draw at row i is a pure
+    function of (seed, i).  kernels.counter_bernoulli forms each chunk's
+    probabilities just before its draws and sums the expected count as it
+    goes.  A probability that is NaN or outside [0, 1] raises ValueError.
+    """
+    rule = _as_rule(probs)
+    idx, kept, expected = counter_bernoulli(int(seed), rule)
     return SamplingPlan(
-        probs=probs,
+        n=len(rule),
+        rule=rule,
         realized_indices=idx,
-        scales=scales,
+        realized_probs=kept,
+        scales=kept ** (-1.0 / p),
         seed=int(seed),
         expected_count=expected,
         actual_count=int(idx.shape[0]),

@@ -1,10 +1,12 @@
 """Verification oracles that only the tests run: probe-based checks of a
 basis's certificates and spanning coefficients, of a sampling plan's
-subspace distortion and of the solver's analytic gradient."""
+subspace distortion and of the solver's analytic gradient, and the
+whole-array sampling path that the chunked draws must reproduce."""
 import math
 
 import numpy as np
 
+from lpcoreset import kernels
 from lpcoreset.errors import ZeroRankError
 from lpcoreset.kernels import row_pnorms
 from lpcoreset.linalg import as_matrix, as_vector, dual_exponent, vec_p_norm
@@ -190,3 +192,36 @@ def objective_gradient_check(A, b, p, x, h=1e-5, mu=0.0):
         fd[i] = (f_plus - f_minus) / (2.0 * h)
     scale = max(float(np.max(np.abs(g))), 1e-300)
     return float(np.max(np.abs(g - fd)) / scale)
+
+
+def whole_array_stage1(leverage, r1):
+    """Stage-1 probabilities formed over all rows at once:
+    min(1, r1 * leverage)."""
+    probs = np.multiply(leverage, r1)
+    return np.minimum(probs, 1.0, out=probs)
+
+
+def whole_array_stage2(p1, residual, p, r2, total):
+    """Stage-2 probabilities formed over all rows at once, as
+    clipped_shares formed them before the draws took chunk rules, with
+    the power sum total given (the residual pass's own): every row's
+    unscaled sum of |rho_ij|^p into one n-vector, divided by total / r2
+    and clipped to [p1_i, 1]; a total outside [_SQ_LO, _SQ_HI] takes the
+    max-scaled shares instead."""
+    M = np.asarray(residual, dtype=np.float64)
+    M = M.reshape(M.shape[0], -1)
+    if kernels._SQ_LO <= total <= kernels._SQ_HI:
+        s = np.empty(M.shape[0])
+        with np.errstate(over="ignore"):
+            kernels._block_powsums(M, p, s, np.empty(M.shape, order="F"))
+        s /= total / r2
+    else:
+        s = kernels.powsum_ratios(row_pnorms(M, p), p) * r2
+    return np.clip(s, p1, 1.0, out=s)
+
+
+def whole_array_draws(probs, p, seed):
+    """(indices, scales, expected count) of a Bernoulli plan drawn over the
+    whole counter stream at once."""
+    idx = np.flatnonzero(kernels.counter_uniforms(seed, probs.shape[0]) < probs)
+    return idx, probs[idx] ** (-1.0 / p), float(probs.sum())

@@ -296,6 +296,17 @@ class TestReportJson:
         ]
         np.testing.assert_array_equal(doc["stage2"]["scales"], report.coreset_scales)
 
+    def test_exact_baseline_record_follows_z_exact(self, report):
+        # the exact solve's Newton steps and converged flag, next to Z_exact
+        doc = json.loads(emit_report(report))
+        keys = list(doc)
+        at = keys.index("Z_exact")
+        assert keys[at:at + 4] == [
+            "Z_exact", "exact_solver_iterations", "exact_solver_converged", "approx_ratio"
+        ]
+        assert doc["exact_solver_iterations"] == report.exact_solver_iterations > 1
+        assert doc["exact_solver_converged"] is report.exact_solver_converged is True
+
     def test_seventeen_digit_floats_roundtrip(self):
         vals = [0.1, 1 / 3, math.pi, 1e-300, 123456.789]
         text = json_dumps({"vals": vals})
@@ -307,6 +318,8 @@ class TestReportJson:
         rep = lc.two_stage_solve(inst, cfg, seed=5, compute_exact=False)
         doc = json.loads(emit_report(rep))
         assert "Z_exact" not in doc and "approx_ratio" not in doc
+        assert "exact_solver_converged" not in doc
+        assert rep.exact_solver_iterations is rep.exact_solver_converged is None
 
     def test_failed_report_has_status(self, rng):
         A = rng.standard_normal((40, 3))

@@ -444,28 +444,40 @@ def test_residual_pnorm_normal_columns_guarded(rng, monkeypatch, scale):
 
 @pytest.mark.parametrize("chunk", [5, 256, kernels._COUNTER_CHUNK])
 def test_counter_bernoulli_matches_the_whole_stream(rng, monkeypatch, chunk):
-    # the draws are bitwise those of the whole stream, and the total, added
-    # chunk by chunk, is the sum of the probabilities up to its order
+    # the draws are bitwise those of the whole stream, the kept
+    # probabilities those of the drawn rows, and the total, added chunk by
+    # chunk, is the sum of the probabilities up to its order
     monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
     for n in (0, 1, chunk - 1, chunk, 2 * chunk + 3):
         probs = rng.uniform(0.0, 1.0, n) ** 4
         probs[::5] = 0.0
         probs[2::9] = 1.0
         for seed in (0, 91, 2**64 - 1):
-            idx, total = kernels.counter_bernoulli(seed, probs)
+            idx, kept, total = kernels.counter_bernoulli(seed, kernels.ArrayRule(probs))
             want = np.flatnonzero(kernels.counter_uniforms(seed, n) < probs)
             np.testing.assert_array_equal(idx, want)
             assert idx.dtype == want.dtype
+            np.testing.assert_array_equal(kept, probs[want])
             assert total == pytest.approx(float(probs.sum()), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2**-52, np.inf])
 def test_counter_bernoulli_checks_every_chunk(monkeypatch, bad):
+    # a caller's array is checked chunk by chunk as its rule copies it
     monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 5)
     probs = np.full(23, 0.5)
     probs[21] = bad
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        kernels.counter_bernoulli(3, probs)
+        kernels.counter_bernoulli(3, kernels.ArrayRule(probs))
+
+
+def test_counter_bernoulli_rejects_a_rule_with_a_nan(monkeypatch):
+    # a library rule is not range-checked; a NaN share makes the total NaN
+    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 5)
+    shares = np.full(23, 0.01)
+    shares[21] = np.nan
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        kernels.counter_bernoulli(3, kernels.ScaledShares(shares, 10.0))
 
 
 def _shares_then_clip(M, p, scale, floor):
@@ -476,10 +488,16 @@ def _shares_then_clip(M, p, scale, floor):
     return np.clip(q, floor, 1.0, out=q)
 
 
+def _clipped_shares(M, p, scale, floor):
+    """ClippedShares over all rows, given powsum_shares' whole-array total."""
+    total = float(kernels.row_powsums(M.reshape(M.shape[0], -1), p).sum())
+    return kernels.ClippedShares(M, p, scale, kernels.ArrayRule(floor), total).whole()
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("cols", [None, 2])
 def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
-    # bitwise in one block and in blocks of 256 rows
+    # bitwise in one chunk and in chunks of 256 rows, given the same total
     n = 2003
     M = rng.standard_normal((n,) if cols is None else (n, cols))
     M[:7] = 0.0
@@ -487,9 +505,9 @@ def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
     floor[::40] = 1.0
     want = _shares_then_clip(M, p, 300.0, floor)
     assert 0 < np.count_nonzero(want == floor) < n and np.any((want > floor) & (want < 1.0))
-    np.testing.assert_array_equal(kernels.clipped_shares(M, p, 300.0, floor), want)
-    monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
-    np.testing.assert_array_equal(kernels.clipped_shares(M, p, 300.0, floor), want)
+    np.testing.assert_array_equal(_clipped_shares(M, p, 300.0, floor), want)
+    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 256)
+    np.testing.assert_array_equal(_clipped_shares(M, p, 300.0, floor), want)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -497,7 +515,7 @@ def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_clipped_shares_fall_back_when_the_total_is_not_safe(rng, monkeypatch, p, cols, scale):
     # the powers overflow (1e200) or underflow (1e-200): the shares are the
-    # max-scaled ones, bitwise, in one block or in many
+    # max-scaled ones, bitwise, in one chunk or in many
     n = 600
     M = rng.standard_normal((n,) if cols is None else (n, cols)) * scale
     with np.errstate(over="ignore", under="ignore"):
@@ -505,11 +523,30 @@ def test_clipped_shares_fall_back_when_the_total_is_not_safe(rng, monkeypatch, p
         assert not (kernels._SQ_LO <= total <= kernels._SQ_HI)
         floor = rng.uniform(0.0, 0.01, n)
         want = _shares_then_clip(M, p, 50.0, floor)
-        np.testing.assert_array_equal(kernels.clipped_shares(M, p, 50.0, floor), want)
-        monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
-        np.testing.assert_array_equal(kernels.clipped_shares(M, p, 50.0, floor), want)
+        np.testing.assert_array_equal(_clipped_shares(M, p, 50.0, floor), want)
+        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 64)
+        np.testing.assert_array_equal(_clipped_shares(M, p, 50.0, floor), want)
 
 
 def test_clipped_shares_reject_a_zero_array():
     with pytest.raises(ValueError, match="all rows are zero"):
-        kernels.clipped_shares(np.zeros((5, 2)), 1.5, 1.0, np.zeros(5))
+        kernels.ClippedShares(np.zeros((5, 2)), 1.5, 1.0, kernels.ArrayRule(np.zeros(5)), 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("cols", [None, 2])
+@pytest.mark.parametrize("block", [256, kernels._ROW_BLOCK])
+def test_powsum_total_is_the_residual_pass_total(rng, monkeypatch, p, cols, block):
+    # the residual pass's unscaled total, which stage 2 divides by, is
+    # bitwise powsum_total of the residual it wrote, with or without out,
+    # and the whole-array sum up to the order of its terms
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
+    A = np.asfortranarray(rng.standard_normal((2003, 3)))
+    x = rng.standard_normal((3,) if cols is None else (3, cols))
+    b = rng.standard_normal((2003,) if cols is None else (2003, cols))
+    out = np.empty(b.shape)
+    total = kernels.residual_powsum(A, x, b, p, out=out)
+    np.testing.assert_array_equal(out, A @ x - b)
+    assert kernels.residual_powsum(A, x, b, p) == total == kernels.powsum_total(out, p)
+    assert total == pytest.approx(float(np.sum(np.abs(out) ** p)), rel=1e-13)
+    assert kernels.residual_pnorm(A, x, b, p) == kernels.powsum_pnorm(total, p, out)

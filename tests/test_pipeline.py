@@ -8,6 +8,7 @@ import scipy.linalg
 import lpcoreset as lc
 from lpcoreset.io import json_dumps, report_to_dict
 from lpcoreset.pipeline import _sample_and_solve, derive_seed
+from oracles import whole_array_stage1, whole_array_stage2
 
 
 def small_cfg(p, d=3, eps=0.5, s1=1e-4, s2=1e-4):
@@ -85,6 +86,31 @@ class TestStages:
         for out, res in zip((rep.stage1, rep.stage2), solves):
             assert out.solver_iterations == res.iterations > 1
             assert out.solver_converged is res.converged is True
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_exact_baseline_records_its_solve(self, monkeypatch, p):
+        # the report carries the exact solve's steps and flag, which the
+        # instance keeps with its optimum: one full solve for both
+        inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
+        full = []
+        solve = lc.pipeline.solve_lp_regression
+
+        def counted(A, b, q, *args):
+            res = solve(A, b, q, *args)
+            if A.shape[0] == inst.n:
+                full.append(res)
+            return res
+
+        monkeypatch.setattr(lc.pipeline, "solve_lp_regression", counted)
+        rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=3, compute_exact=True)
+        assert rep.status == "ok" and len(full) == 1
+        assert inst.exact_result is full[0]
+        assert rep.Z_exact == full[0].objective == inst.optimum[1]
+        np.testing.assert_array_equal(inst.optimum[0], full[0].x)
+        assert rep.exact_solver_iterations == full[0].iterations >= 1
+        assert rep.exact_solver_converged is full[0].converged is True
+        assert lc.two_stage_solve(inst, small_cfg(p, d=4), seed=3).exact_solver_converged is None
+        assert len(full) == 1
 
     def test_stage2_resamples_independently(self, ref300):
         rep = lc.two_stage_solve(ref300, small_cfg(1.5), seed=21)
@@ -775,7 +801,7 @@ class TestBlockedStages:
     def test_one_leverage_pass_per_instance(self, monkeypatch, p):
         # solves, an oracle solve and guarantee statistics on one instance
         # condition it once, and no stage reads U, which stays unformed
-        # (stage 2's row sums are clipped_shares' pass over its residual);
+        # (stage 2's row sums are formed chunk by chunk by its rule);
         # conditioning's only full-size kernel passes are one pass over the
         # row blocks of T = A C at p = 2, and at p != 2 the proxy's power
         # sums over T and the rounding's own last pass, whose block
@@ -787,7 +813,7 @@ class TestBlockedStages:
             (lc.conditioning, "_pow_inplace"),
             (lc.conditioning, "row_pnorms"),
             (lc.sampling, "row_pnorms"),
-            (lc.sampling, "clipped_shares"),
+            (lc.sampling, "ClippedShares"),
         ]
         for module, name in watched:
 
@@ -847,20 +873,64 @@ class TestBlockedStages:
         assert "_formed" not in vars(inst.basis)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_stage_two_keeps_no_residual(self, p):
+    def test_stage_two_keeps_no_residual(self, monkeypatch, p):
+        # no plan holds an n-length array until its probs are read: each
+        # rule reads only the basis's leverage and stage 1's residual, and
+        # its scratch is one chunk of rows
+        monkeypatch.setattr(lc.kernels, "_COUNTER_CHUNK", 256)
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
-        rep = lc.two_stage_solve(inst, small_cfg(p, d=4), seed=0)
+        cfg = small_cfg(p, d=4)
+        rep = lc.two_stage_solve(inst, cfg, seed=0)
         st1, st2 = rep.stage1, rep.stage2
         assert st1.residual.shape == (inst.n,) and st2.residual is None
-        held = [
-            v
-            for obj in (st2, st2.plan)
-            for v in vars(obj).values()
-            if isinstance(v, np.ndarray) and v.shape[:1] == (inst.n,)
-        ]
-        assert len(held) == 1 and held[0] is st2.plan.probs
+
+        def held(obj):
+            return [
+                v
+                for v in vars(obj).values()
+                if isinstance(v, np.ndarray) and v.shape[:1] == (inst.n,)
+            ]
+
+        assert not held(st2) and not held(st1.plan) and not held(st2.plan)
+        for rule in (st1.plan.rule, st2.plan.rule, st2.plan.rule.floor):
+            for v in held(rule):
+                assert v is inst.basis.leverage or np.shares_memory(v, st1.residual)
+        # once read, probs is the whole-array formula's, bitwise, and kept
+        p1 = st1.plan.probs
+        np.testing.assert_array_equal(p1, whole_array_stage1(inst.basis.leverage, lc.r1_default(cfg)))
+        q = whole_array_stage2(
+            p1, st1.residual, p, lc.r2_default(cfg, strict=False), st1.residual_powsum
+        )
+        np.testing.assert_array_equal(st2.plan.probs, q)
+        assert held(st1.plan) == [p1] and held(st2.plan) == [st2.plan.probs]
         # a stage 2 that passes stage 1's exact solution through keeps none
         A = inst.A
         exact = lc.RegressionInstance(A=A, b=A @ np.ones(4), p=p)
         rep = lc.two_stage_solve(exact, small_cfg(p, d=4, s1=1e-3), seed=0)
         assert rep.stage2.exact_passthrough and rep.stage2.residual is None
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_report_holds_no_probabilities(self, p):
+        # a report holds stage 1's residual and no n-length probabilities:
+        # reading both plans' probs adds the two n-vectors the report kept
+        # before the draws took chunk rules
+        A, b, _ = lc.make_instance_arrays(200_000, 8, seed=1)
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        del A, b
+        inst.basis
+        vector = inst.n * 8
+        unit = lc.SamplerConfig(p=p, d=8, epsilon=0.5)
+        cfg = small_cfg(
+            p, d=8, s1=1000.0 / lc.r1_default(unit), s2=2000.0 / lc.r2_default(unit, strict=False)
+        )
+        tracemalloc.start()
+        try:
+            rep = lc.two_stage_solve(inst, cfg, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+            rep.stage1.plan.probs, rep.stage2.plan.probs
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rep.status == "ok"
+        assert vector <= held < 1.5 * vector
+        assert 2 * vector <= read - held < 2 * vector + 4096

@@ -9,9 +9,13 @@ from lpcoreset.errors import InvalidConfigError, ZeroRankError
 from lpcoreset.linalg import numeric_rank, vec_p_norm
 from lpcoreset.pipeline import (
     RegressionInstance,
+    _sample_and_solve,
     derive_seed,
+    make_instance_arrays,
     reference_instance,
+    single_stage_augmented_solve,
     single_stage_oracle_solve,
+    two_stage_solve,
 )
 from lpcoreset.sampling import (
     SamplerConfig,
@@ -20,9 +24,17 @@ from lpcoreset.sampling import (
     r2_default,
     realize_sample,
     stage1_probabilities,
+    stage1_rule,
     stage2_probabilities,
+    stage2_rule,
 )
-from oracles import measure_distortion
+from lpcoreset.errors import StageFailureError
+from oracles import (
+    measure_distortion,
+    whole_array_draws,
+    whole_array_stage1,
+    whole_array_stage2,
+)
 
 
 class TestConfig:
@@ -402,3 +414,138 @@ class TestDistortion:
         counts = [realize_sample(probs, 2.0, seed=s).actual_count for s in range(100)]
         sigma_mean = math.sqrt(np.sum(probs * (1 - probs))) / 10.0
         assert abs(np.mean(counts) - probs.sum()) <= 3.0 * sigma_mean
+
+
+def chunk_instance(n, p, rhs):
+    """A 3-column sparse-gross instance with a vector, two-column or
+    weighted right-hand side."""
+    A, b, _ = make_instance_arrays(n, 3, seed=1)
+    if rhs == "two-column":
+        return RegressionInstance(A=A, b=np.column_stack([b, 2.0 * b + A[:, 0]]), p=p)
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, n) if rhs == "weighted" else None
+    return RegressionInstance(A=A, b=b, p=p, weights=weights)
+
+
+def assert_plan_is_whole_array(plan, probs, p):
+    idx, scales, expected = whole_array_draws(probs, p, plan.seed)
+    np.testing.assert_array_equal(plan.realized_indices, idx)
+    np.testing.assert_array_equal(plan.scales, scales)
+    assert plan.expected_count == pytest.approx(expected, rel=1e-15, abs=0.0)
+    np.testing.assert_array_equal(plan.probs, probs)
+
+
+# _COUNTER_CHUNK and n: below, at and above one chunk
+CHUNK_SIZES = [(7, 6), (7, 7), (7, 300), (None, 2000), (None, 16384), (None, 20000)]
+
+
+class TestChunkedDraws:
+    """Every stage draws against its chunk rule, and every plan is the one
+    the whole-array path (tests/oracles.py) draws: the probabilities of
+    all rows formed first, then compared with the whole counter stream."""
+
+    @pytest.mark.parametrize("chunk, n", CHUNK_SIZES)
+    @pytest.mark.parametrize("rhs", ["vector", "two-column", "weighted"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_two_stage_plans(self, monkeypatch, chunk, n, rhs, p):
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+        inst = chunk_instance(n, p, rhs)
+        unit = SamplerConfig(p=p, d=3, epsilon=0.5)
+        cfg = SamplerConfig(
+            p=p,
+            d=3,
+            epsilon=0.5,
+            r1_scale=min(0.8 * n, 300.0) / r1_default(unit),
+            r2_scale=min(0.8 * n, 600.0) / r2_default(unit, strict=False),
+        )
+        rep = two_stage_solve(inst, cfg, seed=11)
+        assert rep.status == "ok"
+        p1 = whole_array_stage1(inst.basis.leverage, r1_default(cfg))
+        assert_plan_is_whole_array(rep.stage1.plan, p1, p)
+        rho = rep.stage1.residual
+        total = kernels.powsum_total(rho, p)
+        assert rep.stage1.residual_powsum == total
+        q = whole_array_stage2(p1, rho, p, r2_default(cfg, strict=False), total)
+        assert_plan_is_whole_array(rep.stage2.plan, q, p)
+
+    @pytest.mark.parametrize("chunk, n", CHUNK_SIZES)
+    @pytest.mark.parametrize("rhs", ["vector", "weighted"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_single_stage_plans(self, monkeypatch, chunk, n, rhs, p):
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+        inst = chunk_instance(n, p, rhs)
+        cfg = SamplerConfig(p=p, d=3, epsilon=0.5)
+        r = min(0.8 * n, 300.0)
+        rep = single_stage_oracle_solve(inst, None, cfg, r, seed=5)
+        assert rep.status == "ok"
+        rho = inst.A @ inst.optimum[0] - inst.b
+        lev = whole_array_stage1(inst.basis.leverage, r)
+        q = whole_array_stage2(lev, rho, p, r, kernels.powsum_total(rho, p))
+        assert_plan_is_whole_array(rep.stage1.plan, q, p)
+        rep = single_stage_augmented_solve(inst, cfg, r, seed=5)
+        assert rep.status == "ok"
+        basis = well_conditioned_basis(np.column_stack([inst.A, inst.b]), p)
+        assert_plan_is_whole_array(rep.stage1.plan, whole_array_stage1(basis.leverage, r), p)
+
+
+class TestRuleEdges:
+    @pytest.mark.parametrize("p, scale", [(2.0, 1e160), (3.0, 1e110)])
+    def test_unsafe_stage2_total_takes_the_max_scaled_shares(self, p, scale):
+        # the residual's powers overflow, so the residual pass's total is
+        # inf and stage 2 samples by the max-scaled shares
+        A, b, _ = make_instance_arrays(2000, 3, seed=1)
+        inst = RegressionInstance(A=A, b=b * scale, p=p)
+        cfg = SamplerConfig(p=p, d=3, epsilon=0.5, r1_scale=1e-4, r2_scale=1e-4)
+        rep = two_stage_solve(inst, cfg, seed=2)
+        assert rep.status == "ok"
+        rho = rep.stage1.residual
+        assert rep.stage1.residual_powsum == math.inf
+        assert math.isfinite(rep.stage1.full_objective)
+        p1 = whole_array_stage1(inst.basis.leverage, r1_default(cfg))
+        r2 = r2_default(cfg, strict=False)
+        q = np.clip(kernels.powsum_ratios(kernels.row_pnorms(rho[:, None], p), p) * r2, p1, 1.0)
+        np.testing.assert_array_equal(q, whole_array_stage2(p1, rho, p, r2, math.inf))
+        assert 0 < rep.stage2.plan.actual_count < inst.n
+        assert_plan_is_whole_array(rep.stage2.plan, q, p)
+
+    def test_nan_leverage_raises(self, rng):
+        leverage = rng.uniform(0.0, 0.01, 100)
+        leverage[57] = np.nan
+        rule = stage1_rule(type("Basis", (), {"leverage": leverage}), 10.0)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            realize_sample(rule, 2.0, 0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_nan_residual_raises(self, rng, p):
+        rho = rng.standard_normal(100)
+        floor = stage1_rule(type("Basis", (), {"leverage": np.full(100, 0.01)}), 5.0)
+        total = kernels.powsum_total(rho, p)
+        rho[57] = np.nan
+        # a NaN after the total was summed, and a NaN total
+        for t in (total, kernels.powsum_total(rho, p)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                realize_sample(stage2_rule(floor, rho, p, 10.0, t), p, 0)
+
+    def test_saturated_probabilities_keep_every_row(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 7)
+        inst = reference_instance(n=50, d=3, p=1.5, seed=2)
+        rule = stage1_rule(inst.basis, 1e300)
+        plan = realize_sample(rule, 1.5, 4)
+        np.testing.assert_array_equal(plan.realized_indices, np.arange(50))
+        np.testing.assert_array_equal(plan.scales, np.ones(50))
+        assert plan.expected_count == 50.0
+        rho = np.random.default_rng(0).standard_normal(50)
+        rule2 = stage2_rule(rule, rho, 1.5, 1e300, kernels.powsum_total(rho, 1.5))
+        assert realize_sample(rule2, 1.5, 4).actual_count == 50
+
+    def test_zero_r1_keeps_no_rows_and_retries(self):
+        inst = reference_instance(n=200, d=3, p=1.5, seed=2)
+        plan = realize_sample(stage1_rule(inst.basis, 0.0), 1.5, 4)
+        assert plan.actual_count == 0 and plan.expected_count == 0.0
+        with pytest.raises(StageFailureError) as exc_info:
+            _sample_and_solve(inst, stage1_rule(inst.basis, 0.0), 1, 4)
+        assert exc_info.value.diagnostics["attempts"] == [{"count": 0, "rank": 0}] * 6
+        cfg = SamplerConfig(p=1.5, d=3, r1_scale=0.0)
+        rep = two_stage_solve(inst, cfg, seed=4)
+        assert rep.status == "failed" and "after 6 attempts" in rep.error
