@@ -202,12 +202,11 @@ def whole_array_stage1(leverage, r1):
 
 
 def whole_array_stage2(p1, residual, p, r2, total):
-    """Stage-2 probabilities formed over all rows at once, as
-    clipped_shares formed them before the draws took chunk rules, with
-    the power sum total given (the residual pass's own): every row's
-    unscaled sum of |rho_ij|^p into one n-vector, divided by total / r2
-    and clipped to [p1_i, 1]; a total outside [_SQ_LO, _SQ_HI] takes the
-    max-scaled shares instead."""
+    """Stage-2 probabilities formed over all rows at once, with the power
+    sum total given (the residual pass's own): every row's unscaled sum
+    of |rho_ij|^p into one n-vector, divided by total / r2 and clipped to
+    [p1_i, 1]; a total outside [_SQ_LO, _SQ_HI] takes the max-scaled
+    shares instead."""
     M = np.asarray(residual, dtype=np.float64)
     M = M.reshape(M.shape[0], -1)
     if kernels._SQ_LO <= total <= kernels._SQ_HI:

@@ -912,8 +912,7 @@ class TestBlockedStages:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_report_holds_no_probabilities(self, p):
         # a report holds stage 1's residual and no n-length probabilities:
-        # reading both plans' probs adds the two n-vectors the report kept
-        # before the draws took chunk rules
+        # reading both plans' probs adds two n-vectors
         A, b, _ = lc.make_instance_arrays(200_000, 8, seed=1)
         inst = lc.RegressionInstance(A=A, b=b, p=p)
         del A, b
