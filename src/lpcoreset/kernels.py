@@ -7,7 +7,7 @@ scaled ratios, ``r*r``) and does the rest of its work in place on it, so
 callers' arrays are never modified.  A step that needs a second operand
 of full size (the power chain at 1.5) uses one temporary array.  The
 counter mix, ``row_powsums``, ``counter_bernoulli`` and
-``residual_powsum`` are the exceptions: they work on buffers of one block
+``residual_pnorm`` are the exceptions: they work on buffers of one block
 of rows (``_COUNTER_CHUNK`` draws, or a block of ``row_blocks``) and
 write each block's result into the output.  Whatever else such a loop
 needs of a block it does while the block is in cache, not in a pass of
@@ -25,8 +25,8 @@ other exponents use, so the result is as exact as the scaled one.
 ``row_powsums`` applies the same guard at every p: each row's unscaled
 ``sum_j |m_ij|^p`` is kept when it lies in that range, and only the
 other rows are redone as their max-scaled p-norms raised to p.
-``residual_pnorm`` and ``ClippedShares`` guard the total of
-``residual_powsum``'s blocks the same way.
+``residual_pnorm`` and ``ClippedShares`` guard the total of the
+residual's blocks the same way.
 
 Non-finite input follows ``math.hypot`` at every p: an infinity gives
 inf, else a NaN gives NaN.  Only a row whose max (at p=1, its sum) is not
@@ -47,15 +47,15 @@ _INV53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Draws per chunk of counter_uniforms and counter_bernoulli; the three
 # uint64 working arrays of the mix (the first chunk's states, the chunk
-# and a temporary) are 128 KB each, as is a chunk rule's buffer.
+# and a temporary) are 128 KB each, as is the buffer of a chunk's
+# probabilities.
 # 1,000,000 draws took 6.4-6.6 ms in chunks of 16,384, against 9.0 ms at
 # 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
 # whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
 _COUNTER_CHUNK = 16384
-# Rows per block of row_powsums and residual_powsum, the
-# block height of the TSQR in linalg: a 16,384 x 10 block of doubles
-# (1.3 MB) stays in the L2 cache while the block's passes run.  Keep it a
-# multiple of 4: OpenBLAS computed each row of the block products
+# Rows per block of row_powsums and residual_pnorm, the block height of
+# the TSQR in linalg: a 16,384 x 10 block of doubles (1.3 MB) stays in
+# the L2 cache while the block's passes run.  Keep it a multiple of 4: OpenBLAS computed each row of the block products
 # A[blk] @ x bitwise as in A @ x at heights 16,384, 256 and 100, but not
 # at 7, on row-major and on column-major A (1,000,000 x 10 and
 # 200,000 x 8).
@@ -311,16 +311,23 @@ def counter_uniforms(seed, n):
 class ChunkRule:
     """Row probabilities formed a chunk of rows at a time.
 
-    rule(lo, out) writes the probabilities of rows lo:lo + out.size into
-    out, and len(rule) is the number of rows.  whole() evaluates the
-    same rule over all rows, in chunks of _COUNTER_CHUNK, into a new
-    n-vector: the values counter_bernoulli draws against, bitwise.
+    rule(lo, out, work) writes the probabilities of rows lo:lo + out.size
+    into out, and len(rule) is the number of rows.  work is
+    rule.workspace(h), the scratch a chunk of at most h rows needs, made
+    by the loop over the chunks, once, so that no rule keeps state
+    between calls.  whole() evaluates the same rule over all rows, in
+    chunks of _COUNTER_CHUNK, into a new n-vector: the values
+    counter_bernoulli draws against, bitwise.
     """
+
+    def workspace(self, h):
+        return None
 
     def whole(self):
         out = np.empty(len(self))
+        work = self.workspace(min(out.size, _COUNTER_CHUNK))
         for lo in range(0, out.size, _COUNTER_CHUNK):
-            self(lo, out[lo:lo + _COUNTER_CHUNK])
+            self(lo, out[lo:lo + _COUNTER_CHUNK], work)
         return out
 
 
@@ -334,7 +341,7 @@ class ArrayRule(ChunkRule):
     def __len__(self):
         return self.probs.shape[0]
 
-    def __call__(self, lo, out):
+    def __call__(self, lo, out, work):
         chunk = self.probs[lo:lo + out.size]
         # NaN fails both comparisons, since min and max propagate it
         if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
@@ -354,7 +361,7 @@ class ScaledShares(ChunkRule):
     def __len__(self):
         return self.shares.shape[0]
 
-    def __call__(self, lo, out):
+    def __call__(self, lo, out, work):
         np.multiply(self.shares[lo:lo + out.size], self.scale, out=out)
         np.minimum(out, 1.0, out=out)
 
@@ -364,15 +371,15 @@ class ClippedShares(ChunkRule):
     for a finite p >= 1; a vector M's rows are its entries and floor is a
     ChunkRule over the same rows.
 
-    total is sum_j s_j as the caller summed it (residual_powsum's blocks
+    total is sum_j s_j as the caller summed it (residual_pnorm's blocks
     give it for a residual); no pass over M is made here.  Each chunk's
-    row sums are formed in a buffer of one chunk, then divided by
-    total / scale and clipped while in cache.  A total outside
-    [_SQ_LO, _SQ_HI] means rows were lost to under- or overflow: the
-    shares are then powsum_shares' max-scaled ones, formed once as an
-    n-vector and clipped the same way.  With the total inside it, no row
-    is redone: a row whose sum underflowed has a share below 2^-122.  An
-    all-zero M raises ValueError.
+    row sums are formed in the workspace, then divided by total / scale
+    and clipped while in cache.  A total outside [_SQ_LO, _SQ_HI] means
+    rows were lost to under- or overflow: the shares are then
+    powsum_shares' max-scaled ones, formed once as an n-vector and
+    clipped the same way.  With the total inside it, no row is redone: a
+    row whose sum underflowed has a share below 2^-122.  An all-zero M
+    raises ValueError.
     """
 
     def __init__(self, M, p, scale, floor, total):
@@ -387,24 +394,26 @@ class ClippedShares(ChunkRule):
                 raise ValueError("ClippedShares: all rows are zero")
             self.shares = powsum_ratios(row_pnorms(self.M, p), p)
             self.shares *= scale
-        self._sums = self._pows = None
 
     def __len__(self):
         return self.M.shape[0]
 
-    def __call__(self, lo, out):
-        self.floor(lo, out)
+    def workspace(self, h):
+        """(the floor's workspace, row sums, _block_powsums' work array)."""
+        if self.shares is not None:
+            return self.floor.workspace(h), None, None
+        return self.floor.workspace(h), np.empty(h), _powsum_buffer([slice(0, h)], self.M.shape[1], self.p)
+
+    def __call__(self, lo, out, work):
+        floor_work, sums, pows = work
+        self.floor(lo, out, floor_work)
         h = out.size
         if self.shares is not None:
             s = self.shares[lo:lo + h]
         else:
-            if self._sums is None or self._sums.size < h:
-                self._sums = np.empty(h)
-                if self.M.shape[1] > 1:
-                    self._pows = _powsum_buffer([slice(0, h)], self.M.shape[1], self.p)
-            s = self._sums[:h]
+            s = sums[:h]
             with np.errstate(over="ignore"):
-                _block_powsums(self.M[lo:lo + h], self.p, s, self._pows)
+                _block_powsums(self.M[lo:lo + h], self.p, s, pows)
             s /= self.div
         np.maximum(s, out, out=out)
         np.minimum(out, 1.0, out=out)
@@ -418,7 +427,8 @@ def counter_bernoulli(seed, rule):
     Each chunk's probabilities are formed into a buffer of one chunk just
     before its draws are compared with them, and added to the total
     while in cache, so no n-length array of probabilities or uniforms is
-    built.  The indices are bitwise
+    built; the buffer and the rule's workspace are made once per call.
+    The indices are bitwise
     np.flatnonzero(counter_uniforms(seed, n) < rule.whole()).  A rule
     checks what it does not form itself (ArrayRule checks each chunk); a
     total that is not finite, as a NaN share gives, raises ValueError.
@@ -426,10 +436,11 @@ def counter_bernoulli(seed, rule):
     n = len(rule)
     hits, kept = [], []
     total = 0.0
-    buf = np.empty(min(n, _COUNTER_CHUNK))
+    h = min(n, _COUNTER_CHUNK)
+    buf, work = np.empty(h), rule.workspace(h)
     for lo, u in _counter_chunks(seed, n):
         q = buf[:u.size]
-        rule(lo, q)
+        rule(lo, q, work)
         total += float(q.sum())
         hit = np.flatnonzero(u < q)
         kept.append(q[hit])
@@ -441,62 +452,20 @@ def counter_bernoulli(seed, rule):
     return np.concatenate(hits), np.concatenate(kept), total
 
 
-def _powsum(v, p, tmp):
-    """The unscaled sum of |v_i|^p of the vector v, one BLAS dot at p=2;
-    otherwise |v|^p is formed in tmp."""
-    if p == 2.0:
-        return float(v @ v)
-    return float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
-
-
-def powsum_total(R, p):
-    """The unscaled sum of |r_ij|^p over the entries of R, a vector or a
-    matrix, for a finite p >= 1: the blocks of row_blocks each give one
-    _powsum, added in order, so the total is bitwise residual_powsum's
-    for a residual equal to R."""
-    R = np.asarray(R, dtype=np.float64)
-    blocks = row_blocks(R.shape[0])
-    cols = R.shape[1] if R.ndim == 2 else 1
-    tmp = np.empty((R.shape[0] - blocks[-1].start) * cols) if p != 2.0 else None
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for blk in blocks:
-            total += _powsum(R[blk].reshape(-1), p, tmp)
-    return total
-
-
-def powsum_pnorm(total, p, r):
-    """||r||_p from total, the unscaled sum of |r|^p: its p-th root, or,
-    for a total outside [_SQ_LO, _SQ_HI], pnorm's scaled norm of r."""
-    if _SQ_LO <= total <= _SQ_HI:
-        return math.sqrt(total) if p == 2.0 else total ** (1.0 / p)
-    return pnorm(r, p)
-
-
 def residual_pnorm(A, x, b, p, out=None, at=None):
-    """||A x - b||_p, the entrywise norm when x and b are matrices,
-    computed in the blocks of row_blocks for a finite p >= 1.
-
-    powsum_pnorm of residual_powsum's total, with the residual formed
-    again only when the total is outside [_SQ_LO, _SQ_HI] and out is
-    None.
-    """
-    total = residual_powsum(A, x, b, p, out=out, at=at)
-    if out is None and not _SQ_LO <= total <= _SQ_HI:
-        out = A @ x
-        out -= b
-    return powsum_pnorm(total, p, out)
-
-
-def residual_powsum(A, x, b, p, out=None, at=None):
-    """The unscaled sum of |A x - b|^p over all entries, computed in the
-    blocks of row_blocks for a finite p >= 1; it may be inf, 0 or NaN
-    where the powers over- or underflow (see powsum_pnorm).
+    """(||A x - b||_p, total): the entrywise norm when x and b are
+    matrices, and total, the unscaled sum of |A x - b|^p over all
+    entries, both from one pass in the blocks of row_blocks, for a finite
+    p >= 1.
 
     Each block's residual A[blk] @ x - b[blk] is bitwise that block of
     A @ x - b (see _ROW_BLOCK) and is written into out[blk] when out is
     given; otherwise no n-length array is built.  The blocks' sums of
-    |r|^p (_powsum) are added unscaled, as powsum_total adds them.
+    |r|^p (one BLAS dot at p=2) are added unscaled into total, which
+    stage 2's shares divide by; it may be inf, 0 or NaN where the powers
+    over- or underflow.  The norm is total's p-th root, or, for a total
+    outside [_SQ_LO, _SQ_HI], pnorm's scaled norm of out, or of the
+    residual formed again when out is None.
     Pass a column-major A: at 1,000,000 x 10, p=2, the pass took 7.7-9.6
     ms on one, against 15-16 ms on a row-major A, whose block GEMVs
     OpenBLAS runs at half the speed (one BLAS thread, 2 vCPUs).
@@ -524,13 +493,22 @@ def residual_powsum(A, x, b, p, out=None, at=None):
             r = res[:h] if out is None else out[blk]
             np.matmul(a, x, out=r)
             r -= b[blk]
-            total += _powsum(r.reshape(-1), p, tmp)
+            v = r.reshape(-1)
+            if p == 2.0:
+                total += float(v @ v)
+            else:
+                total += float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
             if at is not None:
                 if out is not None:
                     buf[:h, 0] = r
                 buf[:h, 1] = b[blk]
                 at += a.T @ buf[:h]
-    return total
+    if _SQ_LO <= total <= _SQ_HI:
+        return (math.sqrt(total) if p == 2.0 else total ** (1.0 / p)), total
+    if out is None:
+        out = A @ x
+        out -= b
+    return pnorm(out, p), total
 
 
 def smoothed_power_weights(residuals, mu, p, out=None):

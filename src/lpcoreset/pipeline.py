@@ -17,17 +17,17 @@ the full problem's optimum, each made once; the copy is written by the
 same pass that factors A.  So the caller may change A after
 construction, but not b, which the instance keeps as given.
 
-Past conditioning, a stage reads A once, in row blocks.  Its plan is
-drawn against its chunk rule (sampling.stage1_rule, stage2_rule): each
-chunk's probabilities are formed just before its draws and summed into
-the expected count as they go (kernels.counter_bernoulli), through the
-realize_sample binding.  Then the full residual A x - b is formed, one
-GEMV per block of the column-major A, whose blocks give the full
-objective (kernels.residual_powsum).  The sampled rows are factored
-once: the solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1
-keeps its n-length residual and the sum of its p-th powers, because
-stage 2's rule reads both; no stage keeps an n-length array of
-probabilities.
+Past conditioning, a stage reads A once, in row blocks.  Its
+probabilities are a chunk rule (sampling.stage1_rule, stage2_rule), and
+its plan is drawn against it: each chunk's probabilities are formed just
+before its draws and summed into the expected count as they go
+(kernels.counter_bernoulli).  Then the full residual A x - b is formed,
+one GEMV per block of the column-major A, whose blocks give the full
+objective and the sum of the residual's p-th powers
+(kernels.residual_pnorm).  The sampled rows are factored once: the
+solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1 keeps its
+n-length residual, because stage 2's rule reads it and the sum; no
+stage keeps an n-length array of probabilities.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -43,17 +43,20 @@ import numpy as np
 
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
-from .kernels import powsum_pnorm, residual_pnorm, residual_powsum
+from .kernels import residual_pnorm
 from .linalg import (
     RFactors, _as_2d, _check_exponent, _r_factors, as_matrix, as_vector, vec_p_norm
 )
 # kept only as a binding that perfbench's tracer wraps; no code of this
 # module calls it, since each sample's rank comes from its solve's QR
 from .linalg import numeric_rank  # noqa: F401
-from .sampling import apply_plan, r1_default, r2_default, realize_sample, stage1_rule, stage2_rule
-# kept only as bindings that perfbench's tracer wraps; no code of this
-# module calls them, since each stage draws against its chunk rule
-from .sampling import stage1_probabilities, stage2_probabilities  # noqa: F401
+from .sampling import apply_plan, r1_default, r2_default, realize_sample
+# A stage's probabilities are its chunk rule, so this module builds them
+# by the rule builders, under the names that perfbench's tracer wraps to
+# time them and to learn each draw's stage.  sampling's own functions of
+# these names form all n probabilities instead.
+from .sampling import stage1_rule as stage1_probabilities
+from .sampling import stage2_rule as stage2_probabilities
 from .solver import row_scaled, solve_lp_regression
 
 _MASK64 = (1 << 64) - 1
@@ -159,13 +162,13 @@ class RegressionInstance:
 class StageOutcome:
     """One sampling stage: the realized plan, the subproblem solution,
     and its objective evaluated on the full data.  residual, A x_hat - b
-    on the full data, and residual_powsum, the unscaled sum of its p-th
-    powers that the same pass added, are kept by stage 1 only, for stage
-    2 to sample by; they are None on every other outcome.
-    solver_iterations and
-    solver_converged are the sampled solve's Newton steps and converged
-    flag (summed and and-ed over the columns of a matrix right-hand
-    side); None on a passthrough stage, which solves nothing."""
+    on the full data, is kept by stage 1 only, for stage 2 to sample by;
+    it is None on every other outcome.  residual_powsum is the unscaled
+    sum of the residual's p-th powers that the objective's pass added,
+    which stage 2 divides by.  solver_iterations and solver_converged
+    are the sampled solve's Newton steps and converged flag (summed and
+    and-ed over the columns of a matrix right-hand side).  The last
+    three are None on a passthrough stage, which solves nothing."""
 
     stage: int
     plan: object
@@ -215,9 +218,9 @@ class SolveReport:
 def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
     """Realize a plan against the chunk rule (retrying on rank-deficient
     samples), solve it, and evaluate the solution on the full data,
-    keeping the full residual and its power sum only when keep_residual
-    is set.  A sample's rank comes from its own solve, so a
-    rank-deficient sample is solved before it is retried."""
+    keeping the full residual only when keep_residual is set.  A sample's
+    rank comes from its own solve, so a rank-deficient sample is solved
+    before it is retried."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
     for attempt in range(_MAX_SAMPLE_ATTEMPTS):
         plan_seed = seed if attempt == 0 else derive_seed(seed, f"retry:{attempt}")
@@ -235,13 +238,8 @@ def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
-        if keep_residual:
-            residual = np.empty(inst.b.shape)
-            total = residual_powsum(inst.A, res.x, inst.b, inst.p, out=residual)
-            full_obj = powsum_pnorm(total, inst.p, residual)
-        else:
-            residual = total = None
-            full_obj = residual_pnorm(inst.A, res.x, inst.b, inst.p)
+        residual = np.empty(inst.b.shape) if keep_residual else None
+        full_obj, total = residual_pnorm(inst.A, res.x, inst.b, inst.p, out=residual)
         return StageOutcome(
             stage=stage,
             plan=plan,
@@ -267,7 +265,7 @@ def stage_one(inst, cfg, seed):
     The min(1, .) clamp already bounds every probability, so oversized r1
     (the default formula at desk scale) degenerates to full sampling.
     """
-    rule = stage1_rule(inst.basis, r1_default(cfg))
+    rule = stage1_probabilities(inst.basis, r1_default(cfg))
     return _sample_and_solve(inst, rule, 1, seed, keep_residual=True)
 
 
@@ -290,7 +288,7 @@ def stage_two(inst, stage1_out, cfg, seed):
             exact_passthrough=True,
         )
     r2 = r2_default(cfg, strict=False)
-    rule = stage2_rule(
+    rule = stage2_probabilities(
         stage1_out.plan.rule, stage1_out.residual, inst.p, r2, stage1_out.residual_powsum
     )
     return _sample_and_solve(inst, rule, 2, seed)
@@ -430,12 +428,12 @@ def single_stage_oracle_solve(inst, x_ref, cfg, r, seed, compute_exact=False):
     report = _base_report(inst, cfg, seed, "oracle", {"r": float(r)})
     x_ref = inst.optimum[0] if x_ref is None else np.asarray(x_ref, dtype=np.float64)
     rho_ref = np.empty(inst.n)
-    total = residual_powsum(inst.A, x_ref, inst.b, inst.p, out=rho_ref)
+    norm, total = residual_pnorm(inst.A, x_ref, inst.b, inst.p, out=rho_ref)
     with _timed(report, "conditioning"):
         basis = inst.basis
-    rule = stage1_rule(basis, float(r))
-    if powsum_pnorm(total, inst.p, rho_ref) > 0.0:
-        rule = stage2_rule(rule, rho_ref, inst.p, float(r), total)
+    rule = stage1_probabilities(basis, float(r))
+    if norm > 0.0:
+        rule = stage2_probabilities(rule, rho_ref, inst.p, float(r), total)
     step = _one_shot(inst, rule)
     return _run_stages(report, inst, seed, [("oracle", step)], compute_exact)
 
@@ -452,7 +450,7 @@ def single_stage_augmented_solve(inst, cfg, r, seed, compute_exact=False):
     report = _base_report(inst, cfg, seed, "augmented", {"r": float(r)})
     with _timed(report, "conditioning"):
         basis = well_conditioned_basis(np.column_stack([inst.A, inst.b]), inst.p)
-    step = _one_shot(inst, stage1_rule(basis, float(r)))
+    step = _one_shot(inst, stage1_probabilities(basis, float(r)))
     return _run_stages(report, inst, seed, [("augmented", step)], compute_exact)
 
 

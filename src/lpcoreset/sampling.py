@@ -16,11 +16,12 @@ of the stage-1 residual, divides them by the total that the residual's
 own pass summed, and takes the max with stage 1's rule
 (kernels.ClippedShares), so it makes no pass over the residual of its
 own.  The oracle variant's probabilities are these two rules with a
-reference residual in place of stage 1's.  A plan keeps its rule and the
-probabilities of its realized rows; all n probabilities are formed when
-first read.  stage1_probabilities and stage2_probabilities evaluate the
-same rules over all rows, and realize_sample also draws against a
-caller's n-vector, which is checked chunk by chunk.
+reference residual in place of stage 1's.  A plan keeps its rule, and
+its scales are formed from the probabilities of its realized rows; all
+n probabilities are formed when first read.  stage1_probabilities and
+stage2_probabilities evaluate the same rules over all rows, and
+realize_sample also draws against a caller's n-vector, which is checked
+chunk by chunk.
 """
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .kernels import (
-    ArrayRule, ChunkRule, ClippedShares, ScaledShares, counter_bernoulli, powsum_total
+    ArrayRule, ChunkRule, ClippedShares, ScaledShares, counter_bernoulli, row_powsums
 )
 from .linalg import _check_exponent
 # kept only as bindings that perfbench's tracer counts kernel calls at;
@@ -108,16 +109,15 @@ def r2_default(cfg, strict=True):
 class SamplingPlan:
     """A realized Bernoulli row sample of n rows, drawn against rule.
 
-    realized_probs[j] is the probability of row realized_indices[j], and
-    scales[j] = realized_probs[j]^(-1/p); rows with probability 1 are
-    always present.  probs, the probabilities of all n rows, is formed
-    from the rule when first read, and only then kept.
+    scales[j] = q^(-1/p), where q is the probability of row
+    realized_indices[j]; rows with probability 1 are always present.
+    probs, the probabilities of all n rows, is formed from the rule when
+    first read, and only then kept.
     """
 
     n: int
     rule: ChunkRule = field(repr=False)
     realized_indices: np.ndarray
-    realized_probs: np.ndarray
     scales: np.ndarray
     seed: int
     expected_count: float
@@ -144,7 +144,7 @@ def stage2_rule(floor, residual, p, r2, total):
     """The chunk rule q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)),
     with p_i from the chunk rule floor and total = ||rho||_p^p, the
     unscaled sum of |rho|^p that the residual's own pass added
-    (kernels.residual_powsum), so the rule makes no pass over rho.
+    (kernels.residual_pnorm), so the rule makes no pass over rho.
 
     residual may be a matrix, in which case the row sums of |rho_ij|^p
     replace |rho_i|^p (the multi-column generalization); the
@@ -162,10 +162,13 @@ def stage1_probabilities(basis, r1):
 
 def stage2_probabilities(p1, residual, p, r2):
     """stage2_rule's probabilities of all n rows, as an n-vector, with the
-    stage-1 probabilities p1 as the floor and kernels.powsum_total's sum
-    of |residual|^p, bitwise the total of the residual pass that formed
-    residual."""
-    return stage2_rule(_as_rule(p1), residual, p, r2, powsum_total(residual, p)).whole()
+    stage-1 probabilities p1 as the floor.  The total is the sum of
+    row_powsums over the whole residual, where a stage divides by its
+    residual pass's total, summed block by block, so the two may differ
+    in the last bit."""
+    M = np.asarray(residual, dtype=np.float64)
+    total = float(row_powsums(M.reshape(M.shape[0], -1), p).sum())
+    return stage2_rule(_as_rule(p1), M, p, r2, total).whole()
 
 
 def _as_rule(probs):
@@ -194,7 +197,6 @@ def realize_sample(probs, p, seed):
         n=len(rule),
         rule=rule,
         realized_indices=idx,
-        realized_probs=kept,
         scales=kept ** (-1.0 / p),
         seed=int(seed),
         expected_count=expected,

@@ -222,7 +222,7 @@ def solve_lp_regression(A, b, p, x0=None):
         # hypot's norms do not overflow where the squares of data near
         # 1e200 would
         at = np.zeros((m, 2))
-        objective = residual_pnorm(A, x, b, 2.0, at=at)
+        objective, _ = residual_pnorm(A, x, b, 2.0, at=at)
         kkt = math.hypot(*at[:, 0]) / max(1.0, math.hypot(*at[:, 1]))
         return SolveResult(
             x=x,

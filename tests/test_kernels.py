@@ -386,7 +386,7 @@ def test_residual_pnorm_blocks(rng, monkeypatch, p, cols, order):
     out = np.empty(b.shape)
     got = kernels.residual_pnorm(A, x, b, p, out=out)
     np.testing.assert_array_equal(out, whole)
-    assert got == pytest.approx(kernels.pnorm(whole, p), rel=1e-13)
+    assert got[0] == pytest.approx(kernels.pnorm(whole, p), rel=1e-13)
     assert kernels.residual_pnorm(A, x, b, p) == got
 
 
@@ -396,7 +396,7 @@ def test_residual_pnorm_guarded_total(rng, p):
     A = rng.standard_normal((50, 2))
     x = np.ones(2)
     for b in (A @ x + 1e300, A @ x):
-        assert kernels.residual_pnorm(A, x, b, p) == kernels.pnorm(A @ x - b, p)
+        assert kernels.residual_pnorm(A, x, b, p)[0] == kernels.pnorm(A @ x - b, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,9 +416,9 @@ def test_residual_pnorm_normal_columns(n, m, order, block, seed):
     x, b = g.standard_normal(m), g.standard_normal(n)
     at, at_out, out = np.zeros((m, 2)), np.zeros((m, 2)), np.empty(n)
     with mock.patch.object(kernels, "_ROW_BLOCK", block):
-        got = kernels.residual_pnorm(A, x, b, 2.0, at=at)
+        got, _ = kernels.residual_pnorm(A, x, b, 2.0, at=at)
         # with out as well, the residual lands there and at is the same
-        assert kernels.residual_pnorm(A, x, b, 2.0, out=out, at=at_out) == got
+        assert kernels.residual_pnorm(A, x, b, 2.0, out=out, at=at_out)[0] == got
     np.testing.assert_array_equal(at_out, at)
     r = A @ x - b
     np.testing.assert_array_equal(out, r)
@@ -437,7 +437,7 @@ def test_residual_pnorm_normal_columns_guarded(rng, monkeypatch, scale):
     x, b = scale * rng.standard_normal(3), scale * rng.standard_normal(1000)
     r = A @ x - b
     at = np.zeros((3, 2))
-    assert kernels.residual_pnorm(A, x, b, 2.0, at=at) == kernels.pnorm(r, 2.0)
+    assert kernels.residual_pnorm(A, x, b, 2.0, at=at)[0] == kernels.pnorm(r, 2.0)
     assert math.isfinite(kernels.pnorm(r, 2.0)) and kernels.pnorm(r, 2.0) > 0.0
     np.testing.assert_allclose(at, np.column_stack([A.T @ r, A.T @ b]), rtol=1e-12)
 
@@ -536,17 +536,17 @@ def test_clipped_shares_reject_a_zero_array():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("cols", [None, 2])
 @pytest.mark.parametrize("block", [256, kernels._ROW_BLOCK])
-def test_powsum_total_is_the_residual_pass_total(rng, monkeypatch, p, cols, block):
-    # the residual pass's unscaled total, which stage 2 divides by, is
-    # bitwise powsum_total of the residual it wrote, with or without out,
-    # and the whole-array sum up to the order of its terms
+def test_residual_pass_total(rng, monkeypatch, p, cols, block):
+    # the residual pass's unscaled total of |r|^p, which stage 2 divides
+    # by, is the same with or without out, the whole residual's sum up to
+    # the order of its terms, and the norm's p-th power
     monkeypatch.setattr(kernels, "_ROW_BLOCK", block)
     A = np.asfortranarray(rng.standard_normal((2003, 3)))
     x = rng.standard_normal((3,) if cols is None else (3, cols))
     b = rng.standard_normal((2003,) if cols is None else (2003, cols))
     out = np.empty(b.shape)
-    total = kernels.residual_powsum(A, x, b, p, out=out)
+    norm, total = kernels.residual_pnorm(A, x, b, p, out=out)
     np.testing.assert_array_equal(out, A @ x - b)
-    assert kernels.residual_powsum(A, x, b, p) == total == kernels.powsum_total(out, p)
+    assert kernels.residual_pnorm(A, x, b, p) == (norm, total)
     assert total == pytest.approx(float(np.sum(np.abs(out) ** p)), rel=1e-13)
-    assert kernels.residual_pnorm(A, x, b, p) == kernels.powsum_pnorm(total, p, out)
+    assert norm == (math.sqrt(total) if p == 2.0 else total ** (1.0 / p))
