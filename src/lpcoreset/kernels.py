@@ -55,7 +55,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _COUNTER_CHUNK = 16384
 # Rows per block of row_powsums and residual_pnorm, the block height of
 # the TSQR in linalg: a 16,384 x 10 block of doubles (1.3 MB) stays in
-# the L2 cache while the block's passes run.  Keep it a multiple of 4: OpenBLAS computed each row of the block products
+# the L2 cache while the block's passes run.  Keep it a multiple of 4:
+# OpenBLAS computed each row of the block products
 # A[blk] @ x bitwise as in A @ x at heights 16,384, 256 and 100, but not
 # at 7, on row-major and on column-major A (1,000,000 x 10 and
 # 200,000 x 8).
@@ -212,8 +213,11 @@ def row_powsums(M, p, cols=None):
 
 
 def _powsum_buffer(blocks, k, p):
-    """_block_powsums' work array for blocks of k columns (None at p=2)."""
-    return None if p == 2.0 else np.empty((blocks[-1].stop - blocks[-1].start, k), order="F")
+    """_block_powsums' work array for blocks of k columns (None at p=2 or
+    for one column, neither of which uses it)."""
+    if p == 2.0 or k == 1:
+        return None
+    return np.empty((blocks[-1].stop - blocks[-1].start, k), order="F")
 
 
 def _block_powsums(m, p, out, buf):
@@ -402,7 +406,8 @@ class ClippedShares(ChunkRule):
         """(the floor's workspace, row sums, _block_powsums' work array)."""
         if self.shares is not None:
             return self.floor.workspace(h), None, None
-        return self.floor.workspace(h), np.empty(h), _powsum_buffer([slice(0, h)], self.M.shape[1], self.p)
+        pows = _powsum_buffer([slice(0, h)], self.M.shape[1], self.p)
+        return self.floor.workspace(h), np.empty(h), pows
 
     def __call__(self, lo, out, work):
         floor_work, sums, pows = work

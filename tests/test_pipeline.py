@@ -898,7 +898,9 @@ class TestBlockedStages:
                     assert v is inst.basis.leverage or np.shares_memory(v, st1.residual)
         # once read, probs is the whole-array formula's, bitwise, and kept
         p1 = st1.plan.probs
-        np.testing.assert_array_equal(p1, whole_array_stage1(inst.basis.leverage, lc.r1_default(cfg)))
+        np.testing.assert_array_equal(
+            p1, whole_array_stage1(inst.basis.leverage, lc.r1_default(cfg))
+        )
         q = whole_array_stage2(
             p1, st1.residual, p, lc.r2_default(cfg, strict=False), st1.residual_powsum
         )
