@@ -321,11 +321,16 @@ class ChunkRule:
     by the loop over the chunks, once, so that no rule keeps state
     between calls.  whole() evaluates the same rule over all rows, in
     chunks of _COUNTER_CHUNK, into a new n-vector: the values
-    counter_bernoulli draws against, bitwise.
+    counter_bernoulli draws against, bitwise.  unclipped(lo, out, work)
+    writes values whose min with 1 is the rule's, for a rule that
+    clips them anyway; by default the rule's own.
     """
 
     def workspace(self, h):
         return None
+
+    def unclipped(self, lo, out, work):
+        self(lo, out, work)
 
     def whole(self):
         out = np.empty(len(self))
@@ -365,8 +370,11 @@ class ScaledShares(ChunkRule):
     def __len__(self):
         return self.shares.shape[0]
 
-    def __call__(self, lo, out, work):
+    def unclipped(self, lo, out, work):
         np.multiply(self.shares[lo:lo + out.size], self.scale, out=out)
+
+    def __call__(self, lo, out, work):
+        self.unclipped(lo, out, work)
         np.minimum(out, 1.0, out=out)
 
 
@@ -383,7 +391,10 @@ class ClippedShares(ChunkRule):
     powsum_shares' max-scaled ones, formed once as an n-vector and
     clipped the same way.  With the total inside it, no row is redone: a
     row whose sum underflowed has a share below 2^-122.  An all-zero M
-    raises ValueError.
+    raises ValueError.  The floor enters unclipped: min(1, max(min(1, f),
+    s)) is min(1, max(f, s)) bitwise, NaN included, and skipping the
+    floor's clip took 0.3-0.5 ms off 9.4-10.3 ms per 1,000,000 stage-2
+    draws (medians of 40 alternating calls, 2 vCPUs).
     """
 
     def __init__(self, M, p, scale, floor, total):
@@ -411,7 +422,7 @@ class ClippedShares(ChunkRule):
 
     def __call__(self, lo, out, work):
         floor_work, sums, pows = work
-        self.floor(lo, out, floor_work)
+        self.floor.unclipped(lo, out, floor_work)
         h = out.size
         if self.shares is not None:
             s = self.shares[lo:lo + h]
