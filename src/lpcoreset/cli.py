@@ -12,6 +12,7 @@ from .conditioning import certify_basis, well_conditioned_basis
 from .errors import InvalidConfigError, MatrixParseError, StageFailureError
 from .io import emit_report, generate_instance, json_dumps, load_matrix, load_vector
 from .pipeline import (
+    DESIGNS,
     RegressionInstance,
     derive_seed,
     guarantee_statistics,
@@ -62,6 +63,7 @@ def _build_parser():
     pg.add_argument("--rho", type=float, default=0.1)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--noise", choices=("gaussian", "sparse-gross"), default="sparse-gross")
+    pg.add_argument("--design", choices=DESIGNS, default="gaussian")
     pg.add_argument("--out", required=True, help="output directory")
 
     pc = sub.add_parser("certify", help="print conditioning certificates for A")
@@ -125,7 +127,7 @@ def _cmd_solve(args):
 
 def _cmd_gen(args):
     paths = generate_instance(
-        args.n, args.d, args.p, args.noise, args.rho, args.seed, args.out
+        args.n, args.d, args.p, args.noise, args.rho, args.seed, args.out, design=args.design
     )
     for path in paths:
         print(path)

@@ -239,15 +239,16 @@ def save_matrix_csv(M, path):
             f.write("".join(fmt % tuple(r) for r in M[i : i + _CSV_WRITE_ROWS].tolist()))
 
 
-def generate_instance(n, d, p, noise_model, corruption_rho, seed, out_dir):
-    """Write A.csv, b.csv, and meta.json for a generated instance.
+def generate_instance(n, d, p, noise_model, corruption_rho, seed, out_dir, design="gaussian"):
+    """Write A.csv, b.csv, and meta.json for a generated instance of the
+    row design design (pipeline.DESIGNS).
 
     meta.json records the planted solution, generator parameters, and the
     corrupted row indices.  Identical arguments produce byte-identical
     files.
     """
     A, b, meta = make_instance_arrays(
-        n, d, noise_model=noise_model, corruption_rho=corruption_rho, seed=seed
+        n, d, noise_model=noise_model, corruption_rho=corruption_rho, seed=seed, design=design
     )
     meta["p"] = float(p)
     os.makedirs(out_dir, exist_ok=True)

@@ -63,6 +63,10 @@ _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
 _ZERO_RESIDUAL_RTOL = 1e-12
 _MAX_SAMPLE_ATTEMPTS = 6  # first try plus five derived-seed retries
+# make_instance_arrays' row designs; heavy-tailed rows are multivariate t
+# with _T_DOF degrees of freedom
+DESIGNS = ("gaussian", "heavy-tailed")
+_T_DOF = 1.0  # T1, the heaviest of the T designs
 
 
 def derive_seed(master, label):
@@ -520,19 +524,31 @@ def guarantee_statistics(inst, cfg, n_seeds, master_seed=0):
     }
 
 
-def make_instance_arrays(n, d, noise_model="sparse-gross", corruption_rho=0.1, seed=0):
-    """Reference-family generator: Gaussian design, planted x* = 1.
+def make_instance_arrays(
+    n, d, noise_model="sparse-gross", corruption_rho=0.1, seed=0, design="gaussian"
+):
+    """Reference-family generator: planted x* = 1, rows by design.
 
-    sparse-gross plants small dense noise plus floor(rho*n) rows corrupted
-    by +-10*max|Ax*| (where l1 and l2 behavior visibly differ); gaussian
-    is plain unit-variance dense noise.  Returns (A, b, meta).
+    design "gaussian" draws i.i.d. unit normal rows.  "heavy-tailed" draws
+    multivariate-t rows with _T_DOF degrees of freedom and covariance
+    2 * 0.5^|i-j|, the T designs of Ma, Mahoney & Yu (arXiv:1306.5362):
+    a few rows carry most of the leverage, so uniform row sampling misses
+    them.  sparse-gross plants small dense noise plus floor(rho*n) rows
+    corrupted by +-10*max|Ax*| (where l1 and l2 behavior visibly differ);
+    gaussian is plain unit-variance dense noise.  Returns (A, b, meta).
     """
     if not (n > d >= 1):
         raise InvalidConfigError(f"need n > d >= 1, got n={n}, d={d}")
     if not (0.0 <= corruption_rho < 1.0):
         raise InvalidConfigError("corruption_rho must lie in [0, 1)")
+    if design not in DESIGNS:
+        raise InvalidConfigError(f"unknown design {design!r}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
+    if design == "heavy-tailed":
+        i = np.arange(d)
+        A = A @ np.linalg.cholesky(2.0 * 0.5 ** np.abs(i[:, None] - i[None, :])).T
+        A /= np.sqrt(rng.chisquare(_T_DOF, n) / _T_DOF)[:, None]
     x_star = np.ones(d)
     ax = A @ x_star
     if noise_model == "gaussian":
@@ -549,6 +565,7 @@ def make_instance_arrays(n, d, noise_model="sparse-gross", corruption_rho=0.1, s
     meta = {
         "n": n,
         "d": d,
+        "design": design,
         "noise_model": noise_model,
         "corruption_rho": corruption_rho,
         "seed": int(seed),

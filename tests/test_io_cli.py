@@ -385,6 +385,17 @@ class TestCli:
         assert code == 1
         assert "error: vector contains non-finite entries" in capsys.readouterr().err
 
+    def test_gen_design(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        assert run_cli(["gen", "--n", "80", "--d", "2", "--seed", "4",
+                        "--design", "heavy-tailed", "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["design"] == "heavy-tailed"
+        A, _, _ = lc.make_instance_arrays(80, 2, seed=4, design="heavy-tailed")
+        np.testing.assert_array_equal(load_matrix(str(out / "A.csv")), A)
+        assert run_cli(["gen", "--n", "80", "--d", "2", "--design", "cauchy",
+                        "--out", str(out)]) == 1
+
     def test_gen_then_solve_exact(self, tmp_path, capsys):
         assert run_cli(["gen", "--n", "80", "--d", "2", "--seed", "4",
                         "--out", str(tmp_path / "inst")]) == 0

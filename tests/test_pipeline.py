@@ -521,6 +521,24 @@ class TestInstances:
         with pytest.raises(lc.InvalidConfigError):
             lc.make_instance_arrays(3, 3)
 
+    def test_designs(self):
+        # the default design is the seed's unit normal draw, as before
+        # designs existed; the heavy-tailed rows share that draw's stream,
+        # and a few of them carry most of the l2 leverage
+        A, _, meta = lc.make_instance_arrays(2000, 4, seed=5)
+        np.testing.assert_array_equal(A, np.random.default_rng(5).standard_normal((2000, 4)))
+        assert meta["design"] == "gaussian"
+        H, b, meta = lc.make_instance_arrays(2000, 4, seed=5, design="heavy-tailed")
+        assert meta["design"] == "heavy-tailed" and H.shape == (2000, 4) and b.shape == (2000,)
+        np.testing.assert_array_equal(
+            H, lc.make_instance_arrays(2000, 4, seed=5, design="heavy-tailed")[0]
+        )
+        Q = lc.qr_thin(H).Q
+        lev = np.sort(np.sum(Q * Q, axis=1))[::-1]
+        assert lev[:20].sum() >= 0.5 * lev.sum()
+        with pytest.raises(lc.InvalidConfigError, match="unknown design"):
+            lc.make_instance_arrays(50, 2, design="cauchy")
+
     @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
     def test_rejects_invalid_p(self, p):
         A, b, _ = lc.make_instance_arrays(50, 2, seed=0)
