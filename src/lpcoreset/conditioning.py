@@ -4,45 +4,64 @@ Construction: the R-only QR of A (linalg.r_factors) gives R and a column
 map C with T = A C a basis of col(A); for a full-rank A, C = R^-1 and T
 is Householder's Q up to rounding, but no Q is formed or kept.  An
 ellipsoidal rounding of the norm ball C_p = {z : ||Tz||_p <= 1} produces
-G such that U = T G^-1 satisfies, for all w,
+G such that U = T G^-1 satisfies, for all z,
 
-    ||w||_2 / slack  <=  ||U w||_p  <=  kappa * ||w||_2,
+    ||z||_2 / slack  <=  ||U z||_p  <=  kappa * ||z||_2,
 
-from which the (alpha, beta, p) conditioning certificates follow.  Both
-factors are rigorous, up to floating-point rounding, with no probes, and
-hold for any T of full column rank.
+and measures alpha = |||U|||_p, U's entrywise p-norm, from which the
+(alpha, beta, p) conditioning certificates follow.  All are rigorous, up
+to floating-point rounding, with no probes, and hold for any T of full
+column rank.
 
 The rounding uses lp Lewis weights (D. Lewis, Studia Math. 1978; Cohen &
 Peng, arXiv:1412.0588).  For any positive row weights w, with
-M = T^T W^(1-2/p) T = G^T G, tau_i = t_i^T M^-1 t_i, c = max_i
-tau_i / w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, the Hoelder and
-Cauchy-Schwarz inequalities bound ||Tz||_p against ||Gz||_2 from both
-sides with product (S c)^e.  At the exact Lewis weights c = 1 and S = d,
-so the product is d^e <= sqrt(d).
+M = T^T W^(1-2/p) T, N(x) = (x^T M x)^(1/2), tau_i(M) = t_i^T M^-1 t_i,
+c = max_i tau_i(M) / w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, the
+Hoelder and Cauchy-Schwarz inequalities give, for p <= 2,
+||Tx||_p <= S^e N(x) and N(x) <= c^e ||Tx||_p, and for p >= 2 the same
+with S and c swapped.  At the exact Lewis weights c = 1 and S = d.
 
 The weights come from the fixed point w <- tau(w)^(p/2), swept on a
 proxy: a fixed row sample Ts of T, drawn once per call by p-norm
-importance with the library's own sampler.  Two passes over T then give
-every row its weight from the proxy's M and compute the exact M, c and S,
-so the certificates hold on T itself, whatever the proxy missed.
+importance with the library's own sampler.  The sweeps end with the
+proxy's factor Gs, and the rounding certifies Gs itself on all of T, in
+one pass over row blocks of T that reads each block as
+Y = T_blk Gs^-1 and takes from it
 
-At p != 2 the rounding's last pass forms T G^-1 block by block, for the
-unscaled G, and takes from each block both tau and each row's sum of
-|t_ij|^p; it keeps no block.  Scaling G scales every row of U = T G^-1
-alike, so the normalized sums are U's lp leverage, all that stage-1
+    tau_i = ||y_i||_2^2,  w_i = tau_i^(p/2),  S = sum_i w_i,
+    M' = sum_i w_i^(1-2/p) y_i y_i^T   (= Gs^-T M Gs^-1),
+
+and each row's sum_j |y_ij|^p.  With lambda = 1 / lambda_min(M') and
+Ms = Gs^T Gs, M >= Ms / lambda, so tau_i(M) <= lambda tau_i =
+lambda w_i^(2/p) and c <= lambda.  For z = Gs x, ||z||_2 <= sqrt(lambda)
+N(x) and N(x) <= sqrt(lambda_max(M')) ||z||_2, so for Y = T Gs^-1,
+
+    p <= 2:  ||z||_2 <= lambda^(1/p) ||Yz||_p,
+             ||Yz||_p <= S^e sqrt(lambda_max(M')) ||z||_2;
+    p >= 2:  ||z||_2 <= sqrt(lambda) S^e ||Yz||_p,
+             ||Yz||_p <= lambda^e sqrt(lambda_max(M')) ||z||_2,
+
+whatever the proxy missed; near the Lewis weights lambda and
+lambda_max(M') are near 1 and S near d.  G is Gs scaled so that the
+slack is 1 + _TOL, |||U|||_p is the p-th root of the sums' total over
+that scale, and the sums' shares are U's lp leverage, all that stage-1
 sampling reads of U.  At p = 2 no rounding runs, the certificates are
 exactly (sqrt(d), 1), and the leverage comes from one pass over row
 blocks of T.
+
+At p != 2 the rounding reads T only through A's row blocks times C: its
+first pass takes the proxy's importance sums from A_blk C, its last
+reads Y = A_blk (C Gs^-1), so T is never written and conditioning holds
+no n x d array.  Both passes reuse one workspace of _BLOCK rows.
 
 At every p, U, G and tau are formed from A when first read (lpcoreset
 certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
 columns are orthonormal only up to about cond(A) * eps, and this
 Cholesky step brings that to rounding), U = T G^-1 and tau = G R.  So a
 basis keeps no n x d array, and A must not change before they are read.
-T and U are column-major (F-order): a row pass, such as the proxy's
-power sums over T, took 2.1 to 3.4 times as long on a row-major n x d
-array (20,000 and 200,000 rows, d = 8, p in {1, 1.5, 3}, one BLAS
-thread, 2 vCPUs).
+U is column-major (F-order), as the instance's A is: a row pass took
+2.1 to 3.4 times as long on a row-major n x d array (20,000 and 200,000
+rows, d = 8, p in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).
 """
 import math
 import warnings
@@ -51,8 +70,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
-from .kernels import _pow_inplace, pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
+from .kernels import _SQ_HI, _SQ_LO, _pow_inplace, pnorm, powsum_shares, row_pnorms, row_powsums
 from .linalg import (
     _as_2d, _check_exponent, _check_finite, _r_factors, dual_exponent, numeric_rank, vec_p_norm
 )
@@ -77,21 +97,28 @@ _SWEEP_RTOL = 1e-3
 _MAX_SWEEPS = 100
 # The rounding scales G so that the slack is 1 + _TOL.
 _TOL = 0.05
+# Rows per block of the rounding's passes over Q.
+_BLOCK = 4096
+# Lewis sweeps on all rows after the proxy's, each one more pass, when the
+# last pass does not converge
+_FULL_SWEEPS = 2
 
 
 @dataclass(frozen=True)
 class RoundingResult:
-    """Ellipsoidal rounding of {z : ||Qz||_p <= 1}.
+    """Ellipsoidal rounding of {z : ||Qz||_p <= 1}, certified on Q.
 
-    kappa:  rigorous factor with ||Q G^-1 w||_p <= kappa ||w||_2 for all w
-            (<= sqrt(d)*(1+_TOL) when converged).
+    kappa:  rigorous factor with ||Q G^-1 z||_p <= kappa ||z||_2 for all z
+            (converged says kappa <= sqrt(d)*(1+_TOL)).
     kappa_slack: rigorous factor for the reverse direction,
-            ||w||_2 <= kappa_slack ||Q G^-1 w||_p for all w; G is scaled
+            ||z||_2 <= kappa_slack ||Q G^-1 z||_p for all z; G is scaled
             so that it is 1 + _TOL.
+    norm:   |||U|||_p, the entrywise p-norm of U = Q G^-1.
     iterations: Lewis-weight sweeps on the row-sample proxy.
-    leverage: each row's share ||u_i||_p^p / |||U|||_p^p of U = Q G^-1,
-            from the last pass's block products; U itself is not kept.
-    Both factors follow in closed form from the row weights (module
+    leverage: each row's share ||u_i||_p^p / |||U|||_p^p, from the last
+            pass's block products; U itself is not kept.
+    G is the proxy's Lewis factor Gs, scaled; the factors follow in
+    closed form from the last pass's lambda, lambda_max(M') and S (module
     docstring) and hold on Q itself, converged or not.
     """
 
@@ -100,6 +127,7 @@ class RoundingResult:
     kappa_slack: float
     iterations: int
     converged: bool
+    norm: float
     leverage: np.ndarray = field(repr=False)
 
 
@@ -109,13 +137,14 @@ class WellConditionedBasis:
     constants.
 
     tau = G R reconstructs A = U tau (R and C from linalg.r_factors).
-    alpha_cert bounds the entrywise p-norm of U; beta_cert bounds
-    ||z||_q / ||Uz||_p (q dual to p).  leverage holds the n row shares
-    ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads, computed once
-    with the basis; at p = 2 they are T's shares, which are U's up to T's
-    departure from orthonormal columns.  At every p, U, G and tau are
-    formed from A when first read (module docstring), so A must not
-    change before; the basis keeps no U, nor any other n x d array.
+    alpha_cert bounds the entrywise p-norm of U: at p != 2 it is that norm,
+    from the rounding's sums; beta_cert bounds ||z||_q / ||Uz||_p (q dual
+    to p).  leverage holds the n row shares ||u_i||_p^p / |||U|||_p^p that
+    stage-1 sampling reads, computed once with the basis; at p = 2 they
+    are T's shares, which are U's up to T's departure from orthonormal
+    columns.  At every p, U, G and tau are formed from A when first read
+    (module docstring), so A must not change before; the basis keeps no
+    U, nor any other n x d array.
     """
 
     p: float
@@ -145,26 +174,37 @@ class WellConditionedBasis:
         return self._formed[2]
 
 
-def _search_proxy(Q, p, sums):
-    """Row sample of Q on which the rounding sweeps for Lewis weights.
+def _search_proxy(Q, p, sums, cols=None):
+    """Row sample of T = Q cols (Q itself without cols) on which the
+    rounding sweeps for Lewis weights.
 
-    Rows are kept by p-norm importance, ||row_i(Q)||_p^p, given as sums =
-    row_powsums(Q, p) and overwritten, at an expected count of at most
-    _PROXY_ROWS * d, with the library's own sampler under _PROXY_SEED and
-    the usual p_i^(-1/p) rescaling, so ||Qs u||_p^p estimates ||Q u||_p^p
-    without bias.  Returns Q itself when the sample would keep every row
-    or would lose rank by the library's rank rule (linalg.numeric_rank).
+    Rows are kept by p-norm importance, ||row_i(T)||_p^p, given as sums
+    (overwritten), at an expected count of at most _PROXY_ROWS * d, with
+    the library's own sampler under _PROXY_SEED and the usual p_i^(-1/p)
+    rescaling, so ||Ts u||_p^p estimates ||T u||_p^p without bias; only
+    the kept rows of T are formed.  Returns Q itself when the sample
+    would keep every row or would lose rank by the library's rank rule
+    (linalg.numeric_rank).  With cols, the sums' total must lie in
+    [_SQ_LO, _SQ_HI], so that powsum_shares needs no T.
     """
-    d = Q.shape[1]
+    d = Q.shape[1] if cols is None else cols.shape[1]
     probs = powsum_shares(Q, p, sums)
     probs *= _PROXY_ROWS * d
     np.minimum(probs, 1.0, out=probs)
     if np.all(probs >= 1.0):
         return Q
     Qs = apply_plan(realize_sample(probs, p, _PROXY_SEED), Q)
+    if cols is not None:
+        Qs = _column_basis(Qs, cols)
     if numeric_rank(Qs) < d:
         return Q
     return Qs
+
+
+def _gram(X):
+    """X^T X by one GEMM: at 4,000 x 8 column-major, 14 us, against 38-41
+    us by np.matmul, which runs it as a SYRK (one BLAS thread, 2 vCPUs)."""
+    return dgemm(1.0, X, X, trans_a=1)
 
 
 def _lewis_factor(Q, w, p):
@@ -172,108 +212,161 @@ def _lewis_factor(Q, w, p):
     s = np.zeros_like(w)
     pos = w > 0.0
     s[pos] = w[pos] ** (0.5 - 1.0 / p)
-    X = Q * s[:, None]
-    return scipy.linalg.cholesky(X.T @ X, lower=False)
+    return scipy.linalg.cholesky(_gram(Q * s[:, None]), lower=False)
 
 
-def _leverages(Q, G, p=None):
-    """(tau, sums): tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||t_i||_2^2
-    for T = Q G^-1, taken block by block.  With p, sums holds each row's
-    sum_j |t_ij|^p, taken from the same block products; else sums is
-    None.  No block is kept.
+def _leverages(Q, G):
+    """tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||y_i||_2^2 for Y = Q G^-1."""
+    Y = _column_basis(Q, scipy.linalg.solve_triangular(G, np.eye(G.shape[0])))
+    return np.einsum("ij,ij->i", Y, Y)
 
-    tau is summed on each block's row-major product, because einsum adds
-    a row's squares in another order on a column-major array, and the
-    certificates read tau's last bits.  The power sums need no such care:
-    |Y|^p is formed in the block itself and summed by one GEMV, which
-    took 10.8 ms of conditioning against 12.3 ms for kernels.row_powsums'
-    column-major work array (20,000 x 8, p=1.5, medians of 150 calls,
-    one BLAS thread, 2 vCPUs), mostly in the page faults of that array.
+
+def _abs_pow(y, p, tmp):
+    """|y|^p in place; at p = 3 by y*y*y through tmp, an array of y's shape."""
+    np.abs(y, out=y)
+    if p != 3.0:
+        return _pow_inplace(y, p)
+    np.multiply(y, y, out=tmp)
+    y *= tmp
+    return y
+
+
+def _blocks(n):
+    """ceil(n / _BLOCK) slices of near-equal height covering n rows."""
+    k = -(-n // _BLOCK)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _workspace(n, d):
+    """The buffers of _block_pass over n rows and d columns: two of a
+    block's d columns, column-major once reshaped to a block's height,
+    and two of a block's rows."""
+    h = min(n, _BLOCK)
+    return np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h)
+
+
+def _block_pass(Q, K, p, sums, work, lewis=False):
+    """One pass over Q's row blocks (_blocks), each read as Y = Q_blk K
+    (Q_blk itself when K is None), writing each row's sum_j |y_ij|^p into
+    sums.  With lewis, also returns (S, M') for the weights
+    w_i = tau_i^(p/2), tau_i = ||y_i||_2^2: S = sum_i w_i and
+    M' = sum_i w_i^(1-2/p) y_i y_i^T (module docstring).  A tau below
+    _SQ_LO (a zero row) is raised to it, which only lowers that row's
+    ratio tau_i(M) / w_i^(2/p) and keeps 0^(1-2/p) out at p < 2.
+    work is _workspace(n, d).  Y is column-major: at 4,000 x 8, tau, the
+    row scaling and the row sums took 19, 27 and 6 us on it, against 29,
+    40 and 14 us on a row-major block (one BLAS thread, 2 vCPUs).
     """
-    n, d = Q.shape
-    Ginv = scipy.linalg.solve_triangular(G, np.eye(d))
-    tau = np.empty(n)
-    sums = None if p is None else np.empty(n)
-    for blk in row_blocks(n):
-        Y = Q[blk] @ Ginv
-        np.einsum("ij,ij->i", Y, Y, out=tau[blk])
-        if sums is not None:
-            np.matmul(_pow_inplace(np.abs(Y, out=Y), p), np.ones(d), out=sums[blk])
-    return tau, sums
+    Yf, Xf, v, s = work
+    d = Yf.size // v.size
+    ones = np.ones(d)
+    S, Mp = 0.0, np.zeros((d, d))
+    for blk in _blocks(Q.shape[0]):
+        h = blk.stop - blk.start
+        y = Yf[:h * d].reshape((h, d), order="F")
+        x = Xf[:h * d].reshape((h, d), order="F")
+        if K is None:
+            y[...] = Q[blk]
+        else:
+            np.matmul(Q[blk], K, out=y)
+        if lewis:
+            tau, sq = v[:h], s[:h]
+            np.einsum("ij,ij->i", y, y, out=tau)
+            np.maximum(tau, _SQ_LO, out=tau)
+            # sq = w^(1/2 - 1/p), the row scale of M', and w = sq^2 tau
+            np.power(tau, p / 4.0 - 0.5, out=sq)
+            Mp += _gram(np.multiply(y, sq[:, None], out=x))
+            sq *= sq
+            S += float(sq @ tau)
+        np.matmul(_abs_pow(y, p, x), ones, out=sums[blk])
+    return S, Mp
 
 
-def lowner_john_round(Q, p):
-    """Round the unit ball of ||Qz||_p by an ellipsoid {z : ||Gz||_2 <= 1}.
+def lowner_john_round(Q, p, cols=None):
+    """Round the unit ball of ||Tz||_p, T = Q cols (Q itself without
+    cols), by an ellipsoid {z : ||Gz||_2 <= 1}.
 
-    Q must be finite, or ValueError is raised, and of full column rank.
-    Its columns need not be orthonormal: the factors are closed-form on Q
-    itself, and a Q near orthonormal (A R^-1, say) keeps the proxy's
+    Q must be finite, or ValueError is raised, and T of full column rank.
+    T's columns need not be orthonormal: the factors are closed-form on T
+    itself, and a T near orthonormal (A R^-1, say) keeps the proxy's
     sample representative.  d = 1 is an interval and is rounded exactly.
     Otherwise sweeps the Lewis-weight fixed point on the row-sample proxy
-    for at most _MAX_SWEEPS sweeps, weights every row of Q from the
-    proxy's M, and takes G from the exact M on Q, scaled so that
-    kappa_slack = 1 + _TOL.  Both factors hold for any weights; converged
-    says that kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the
-    weights leave M = Q^T Q, so the sweeps stop after two and
-    kappa = 1 / (1+_TOL).
-    The last pass over Q also gives the leverage of U = Q G^-1 (module
-    docstring); U itself is neither formed nor kept.
+    for at most _MAX_SWEEPS sweeps and certifies the proxy's factor Gs on
+    all of T in one last pass (module docstring), scaling it to G so that
+    kappa_slack = 1 + _TOL; converged says that
+    kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the weights
+    leave M = T^T T, so the sweeps stop after two, and kappa and the slack
+    are the extreme singular values of T Gs^-1, rescaled.
+    T is read in row blocks of Q times cols and formed whole only when
+    the proxy is all of T, d = 1, or the powers over- or underflow.
     """
     Q = _as_2d(Q)
-    d = Q.shape[1]
-    sums = row_powsums(Q, p)
-    if not math.isfinite(float(sums.sum())):
+    if cols is not None and cols.shape[1] == 1:
+        Q, cols = _column_basis(Q, cols), None
+    d = Q.shape[1] if cols is None else cols.shape[1]
+    sums, work = np.empty(Q.shape[0]), _workspace(Q.shape[0], d)
+    with np.errstate(over="ignore"):
+        _block_pass(Q, cols, p, sums, work)
+    total = float(sums.sum())
+    if not math.isfinite(total):
         # Q holds inf or NaN, or its finite entries' powers overflowed
         _check_finite(Q)
     if d == 1:
         G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, sums)
         return RoundingResult(
-            G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, leverage=lev
+            G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, norm=1.0,
+            leverage=lev,
         )
+    if cols is not None and not _SQ_LO <= total <= _SQ_HI:
+        Q, cols = _column_basis(Q, cols), None
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
     # w <- w^(1-2/p) tau(w), which has the same fixed point
-    Qs = _search_proxy(Q, p, sums)
+    Qs = _search_proxy(Q, p, sums, cols)
+    if Qs is Q and cols is not None:
+        Q, cols = _column_basis(Q, cols), None
+        Qs = Q
     w = np.full(Qs.shape[0], d / Qs.shape[0])
-    Gs = None
+    Gs = _lewis_factor(Qs, w, p)
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
-        Gs = _lewis_factor(Qs, w, p)
-        tau = _leverages(Qs, Gs)[0]
+        tau = _leverages(Qs, Gs)
         new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
         pos = w > 0.0
         change = float(np.max(np.abs(new[pos] - w[pos]) / w[pos]))
-        w = new
         sweeps += 1
         if change < _SWEEP_RTOL:
             break
+        w = new
+        Gs = _lewis_factor(Qs, w, p)
 
-    # every row of Q weighted from the last sweep's M (uniformly when no
-    # sweep ran), then the exact M on Q
-    n = Q.shape[0]
-    w = np.full(n, d / n) if Gs is None else _leverages(Q, Gs)[0] ** (p / 2.0)
-    G = _lewis_factor(Q, w, p)
-    tau, sums = _leverages(Q, G, p)
-    pos = w > 0.0
-    c = float(np.max(tau[pos] / w[pos] ** (2.0 / p)))
-    S = float(w.sum())
-
-    # with N(z) = ||Gz||_2, Hoelder and Cauchy-Schwarz give, for p <= 2,
-    # ||Qz||_p <= S^e N(z) and N(z) <= c^e ||Qz||_p, and for p >= 2 the
-    # same with S and c swapped; G is scaled to put 1 + _TOL on the
-    # slack.  The scale multiplies every row of U = Q G^-1 alike, so the
-    # sums' shares are U's; they need no max-scaled fallback, since
-    # |||U|||_p^p lies between d / slack^p and kappa^p d
-    e = abs(1.0 / p - 0.5)
-    G *= (1.0 + _TOL) / (c if p < 2.0 else S) ** e
-    sums /= sums.sum()
-    kappa = (S * c) ** e / (1.0 + _TOL)
+    # the last pass certifies Gs on all of T: lambda, lambda_max(M') and
+    # S give both factors, and the scale puts 1 + _TOL on the slack; it
+    # multiplies every row of U alike, so the sums' shares are U's.  Below
+    # p = 4, a pass that does not converge is followed by a Lewis sweep on
+    # all rows, Gs <- chol(M') Gs, the factor of the pass's own M, and one
+    # more pass, at most _FULL_SWEEPS times
+    e, bound = abs(1.0 / p - 0.5), math.sqrt(d) * (1.0 + _TOL)
+    for full in range(_FULL_SWEEPS + 1):
+        Ginv = scipy.linalg.solve_triangular(Gs, np.eye(d))
+        S, Mp = _block_pass(Q, Ginv if cols is None else cols @ Ginv, p, sums, work, lewis=True)
+        lo, hi = (float(v) for v in scipy.linalg.eigvalsh(Mp)[[0, -1]])
+        lam = 1.0 / lo
+        slack = math.sqrt(lam) * (lam if p <= 2.0 else S) ** e
+        kappa = math.sqrt(hi) * (S if p <= 2.0 else lam) ** e * slack / (1.0 + _TOL)
+        if kappa <= bound or p >= 4.0 or sweeps >= _MAX_SWEEPS or full == _FULL_SWEEPS:
+            break
+        Gs = scipy.linalg.cholesky(Mp, lower=False) @ Gs
+        sweeps += 1
+    total = float(sums.sum())
+    sums /= total
     return RoundingResult(
-        G=G,
+        G=Gs * ((1.0 + _TOL) / slack),
         kappa=kappa,
         kappa_slack=1.0 + _TOL,
         iterations=sweeps,
-        converged=kappa <= math.sqrt(d) * (1.0 + _TOL),
+        converged=kappa <= bound,
+        norm=total ** (1.0 / p) * slack / (1.0 + _TOL),
         leverage=sums,
     )
 
@@ -308,7 +401,7 @@ def well_conditioned_basis(A, p, *, factors=None):
         leverage = row_powsums(A, 2.0, factors.C)
         leverage /= leverage.sum()
     else:
-        rounding = lowner_john_round(_column_basis(A, factors.C), p)
+        rounding = lowner_john_round(A, p, factors.C)
         if not rounding.converged:
             warnings.warn(
                 "ellipsoidal rounding did not converge; certificates inflated "
@@ -317,7 +410,7 @@ def well_conditioned_basis(A, p, *, factors=None):
                 stacklevel=2,
             )
         G, kappa, slack = rounding.G, rounding.kappa, rounding.kappa_slack
-        alpha = kappa * d ** (1.0 / p)
+        alpha = rounding.norm
         beta = slack * d ** (1.0 / dual_exponent(p) - 0.5) if p > 2.0 else slack
         leverage = rounding.leverage
     return WellConditionedBasis(
