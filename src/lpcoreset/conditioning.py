@@ -3,38 +3,31 @@
 Construction: the R-only QR of A (linalg.r_factors) gives R and a column
 map C with T = A C a basis of col(A); for a full-rank A, C = R^-1 and T
 is Householder's Q up to rounding, but no Q is formed or kept.  An
-ellipsoidal rounding of the norm ball C_p = {z : ||Tz||_p <= 1} produces
-G such that U = T G^-1 satisfies, for all z,
+ellipsoidal rounding of the norm ball {z : ||Tz||_p <= 1} produces G
+such that U = T G^-1 satisfies, for all z,
 
     ||z||_2 / slack  <=  ||U z||_p  <=  kappa * ||z||_2,
 
-and measures alpha = |||U|||_p, U's entrywise p-norm, from which the
-(alpha, beta, p) conditioning certificates follow.  All are rigorous, up
-to floating-point rounding, with no probes, and hold for any T of full
-column rank.
+and gives alpha = |||U|||_p, U's entrywise p-norm, from which the
+(alpha, beta, p) certificates follow.  All are rigorous, up to rounding,
+with no probes, and hold for any T of full column rank.
 
 The rounding uses lp Lewis weights (D. Lewis, Studia Math. 1978; Cohen &
 Peng, arXiv:1412.0588).  For any positive row weights w, with
-M = T^T W^(1-2/p) T, N(x) = (x^T M x)^(1/2), tau_i(M) = t_i^T M^-1 t_i,
-c = max_i tau_i(M) / w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, the
-Hoelder and Cauchy-Schwarz inequalities give, for p <= 2,
-||Tx||_p <= S^e N(x) and N(x) <= c^e ||Tx||_p, and for p >= 2 the same
-with S and c swapped.  At the exact Lewis weights c = 1 and S = d.
+M = T^T W^(1-2/p) T, N(x) = (x^T M x)^(1/2), c = max_i t_i^T M^-1 t_i /
+w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, Hoelder and Cauchy-Schwarz
+give ||Tx||_p <= S^e N(x) and N(x) <= c^e ||Tx||_p for p <= 2, and the
+same with S and c swapped for p >= 2.  At the Lewis weights c = 1, S = d.
 
 The weights come from the fixed point w <- tau(w)^(p/2), swept on a
-proxy: a fixed row sample Ts of T, drawn once per call by p-norm
-importance with the library's own sampler.  The sweeps end with the
-proxy's factor Gs, and the rounding certifies Gs itself on all of T, in
-one pass over row blocks of T that reads each block as
-Y = T_blk Gs^-1 and takes from it
-
-    tau_i = ||y_i||_2^2,  w_i = tau_i^(p/2),  S = sum_i w_i,
-    M' = sum_i w_i^(1-2/p) y_i y_i^T   (= Gs^-T M Gs^-1),
-
-and each row's sum_j |y_ij|^p.  With lambda = 1 / lambda_min(M') and
-Ms = Gs^T Gs, M >= Ms / lambda, so tau_i(M) <= lambda tau_i =
-lambda w_i^(2/p) and c <= lambda.  For z = Gs x, ||z||_2 <= sqrt(lambda)
-N(x) and N(x) <= sqrt(lambda_max(M')) ||z||_2, so for Y = T Gs^-1,
+proxy: a fixed row sample of T, drawn by p-norm importance with the
+library's own sampler.  The sweeps end in the proxy's factor Gs, which is
+certified on all of T by one pass over T's row blocks, each read as
+Y = T_blk Gs^-1, that takes tau_i = ||y_i||_2^2, w_i = tau_i^(p/2),
+S = sum_i w_i, M' = sum_i w_i^(1-2/p) y_i y_i^T = Gs^-T M Gs^-1 and each
+row's sum_j |y_ij|^p.  With lambda = 1 / lambda_min(M'), M >= Gs^T Gs /
+lambda, so c <= lambda, and for z = Gs x, ||z||_2 <= sqrt(lambda) N(x) and
+N(x) <= sqrt(lambda_max(M')) ||z||_2.  Hence, for Y = T Gs^-1,
 
     p <= 2:  ||z||_2 <= lambda^(1/p) ||Yz||_p,
              ||Yz||_p <= S^e sqrt(lambda_max(M')) ||z||_2;
@@ -42,26 +35,19 @@ N(x) and N(x) <= sqrt(lambda_max(M')) ||z||_2, so for Y = T Gs^-1,
              ||Yz||_p <= lambda^e sqrt(lambda_max(M')) ||z||_2,
 
 whatever the proxy missed; near the Lewis weights lambda and
-lambda_max(M') are near 1 and S near d.  G is Gs scaled so that the
-slack is 1 + _TOL, |||U|||_p is the p-th root of the sums' total over
-that scale, and the sums' shares are U's lp leverage, all that stage-1
-sampling reads of U.  At p = 2 no rounding runs, the certificates are
-exactly (sqrt(d), 1), and the leverage comes from one pass over row
-blocks of T.
-
-At p != 2 the rounding reads T only through A's row blocks times C: its
-first pass takes the proxy's importance sums from A_blk C, its last
-reads Y = A_blk (C Gs^-1), so T is never written and conditioning holds
-no n x d array.  Both passes reuse one workspace of _BLOCK rows.
+lambda_max(M') are near 1.  G is Gs scaled to put 1 + _TOL on the slack,
+alpha is the sums' total to the 1/p over that scale, and the sums' shares
+are U's lp leverage, all that stage-1 sampling reads of U.  T is read
+only as A's row blocks times C, C Gs^-1 in the last pass, and a first
+such pass gives the proxy's importance sums, so at p != 2 conditioning
+writes no n x d array.  At p = 2 no rounding runs, the certificates are
+exactly (sqrt(d), 1), and the leverage comes from one pass over T.
 
 At every p, U, G and tau are formed from A when first read (lpcoreset
 certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
-columns are orthonormal only up to about cond(A) * eps, and this
-Cholesky step brings that to rounding), U = T G^-1 and tau = G R.  So a
+columns are orthonormal only up to about cond(A) * eps, and this step
+brings that to rounding), U = T G^-1, column-major, and tau = G R.  So a
 basis keeps no n x d array, and A must not change before they are read.
-U is column-major (F-order), as the instance's A is: a row pass took
-2.1 to 3.4 times as long on a row-major n x d array (20,000 and 200,000
-rows, d = 8, p in {1, 1.5, 3}, one BLAS thread, 2 vCPUs).
 """
 import math
 import warnings
@@ -82,45 +68,38 @@ from .linalg import qr_thin  # noqa: F401
 from .sampling import apply_plan, realize_sample
 
 _PROXY_SEED = 0x5EEDB0B
-# Expected rows of the sweep proxy per column of Q.  Rounding the
-# 20,000 x 8 reference instance at p=1.5 took a median of 5.9, 6.3, 6.9,
-# 7.1 and 9.2 ms at 125, 250, 500, 1000 and 2000 rows per column, for a
-# distortion kappa * slack of 1.440, 1.436, 1.425, 1.422 and 1.417
-# against d^e = 1.414 at the exact weights; at p=1 it was 2.99, 2.97,
-# 2.91, 2.87 and 2.85 against 2.83, and 3.12 is the converged bound (one
-# BLAS thread, 2 vCPUs).  Fewer rows loosen the certificates, more rows
-# cost more per sweep.
+# Expected rows of the sweep proxy per column of T.  Rounding the
+# 20,000 x 8 reference instance at p=1.5 took a median of 3.2, 3.3, 3.8,
+# 4.5 and 7.1 ms at 125, 250, 500, 1000 and 2000 rows per column, for a
+# certified alpha * beta of 5.60, 5.57, 5.37, 5.31 and 5.24; at p=1,
+# kappa * slack was 3.10 at 500 rows against the converged bound 3.12
+# (d^e = 2.83), and 125 and 250 rows took a sweep on all rows to reach
+# 2.88 and 2.87 (100 alternating calls, one BLAS thread, 2 vCPUs).
 _PROXY_ROWS = 500
 # Lewis sweeps stop at a relative weight change below _SWEEP_RTOL or after
-# _MAX_SWEEPS sweeps.
+# _MAX_SWEEPS sweeps, those on all rows (_FULL_SWEEPS at most, below p = 4,
+# each one more pass, when a last pass does not converge) included.
 _SWEEP_RTOL = 1e-3
 _MAX_SWEEPS = 100
+_FULL_SWEEPS = 2
 # The rounding scales G so that the slack is 1 + _TOL.
 _TOL = 0.05
-# Rows per block of the rounding's passes over Q.
+# Rows per block of the rounding's passes: rounding the 20,000 x 8
+# reference instance at p=1.5 took a median of 3.05, 2.74, 2.74, 2.80 and
+# 3.82 ms in blocks of 1,024, 2,048, 4,096, 8,192 and 20,000 rows (150
+# alternating calls, one BLAS thread, 2 vCPUs).
 _BLOCK = 4096
-# Lewis sweeps on all rows after the proxy's, each one more pass, when the
-# last pass does not converge
-_FULL_SWEEPS = 2
 
 
 @dataclass(frozen=True)
 class RoundingResult:
-    """Ellipsoidal rounding of {z : ||Qz||_p <= 1}, certified on Q.
-
-    kappa:  rigorous factor with ||Q G^-1 z||_p <= kappa ||z||_2 for all z
-            (converged says kappa <= sqrt(d)*(1+_TOL)).
-    kappa_slack: rigorous factor for the reverse direction,
-            ||z||_2 <= kappa_slack ||Q G^-1 z||_p for all z; G is scaled
-            so that it is 1 + _TOL.
-    norm:   |||U|||_p, the entrywise p-norm of U = Q G^-1.
-    iterations: Lewis-weight sweeps on the row-sample proxy.
-    leverage: each row's share ||u_i||_p^p / |||U|||_p^p, from the last
-            pass's block products; U itself is not kept.
-    G is the proxy's Lewis factor Gs, scaled; the factors follow in
-    closed form from the last pass's lambda, lambda_max(M') and S (module
-    docstring) and hold on Q itself, converged or not.
-    """
+    """Ellipsoidal rounding of {z : ||Tz||_p <= 1}, certified on T itself,
+    converged or not, by the last pass (module docstring): for U = T G^-1,
+    ||z||_2 / kappa_slack <= ||U z||_p <= kappa ||z||_2, norm = |||U|||_p
+    and leverage_i = ||u_i||_p^p / |||U|||_p^p.  G, the proxy's Lewis
+    factor scaled, puts kappa_slack at 1 + _TOL; converged says kappa <=
+    sqrt(d) * (1 + _TOL).  iterations counts Lewis sweeps, on the proxy
+    and then on all rows."""
 
     G: np.ndarray
     kappa: float
@@ -137,14 +116,13 @@ class WellConditionedBasis:
     constants.
 
     tau = G R reconstructs A = U tau (R and C from linalg.r_factors).
-    alpha_cert bounds the entrywise p-norm of U: at p != 2 it is that norm,
-    from the rounding's sums; beta_cert bounds ||z||_q / ||Uz||_p (q dual
-    to p).  leverage holds the n row shares ||u_i||_p^p / |||U|||_p^p that
-    stage-1 sampling reads, computed once with the basis; at p = 2 they
-    are T's shares, which are U's up to T's departure from orthonormal
-    columns.  At every p, U, G and tau are formed from A when first read
-    (module docstring), so A must not change before; the basis keeps no
-    U, nor any other n x d array.
+    alpha_cert bounds the entrywise p-norm of U (at p != 2 it is that
+    norm, from the rounding's last pass); beta_cert bounds
+    ||z||_q / ||Uz||_p (q dual to p).  leverage holds the n row shares
+    ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads; at p = 2 they
+    are T's, which are U's up to T's departure from orthonormal columns.
+    U, G and tau are formed from A when first read (module docstring), so
+    A must not change before; the basis keeps no n x d array.
     """
 
     p: float
@@ -175,18 +153,15 @@ class WellConditionedBasis:
 
 
 def _search_proxy(Q, p, sums, cols=None):
-    """Row sample of T = Q cols (Q itself without cols) on which the
-    rounding sweeps for Lewis weights.
+    """Row sample Ts of T = Q cols (Q without cols) for the Lewis sweeps,
+    or Q itself when it would keep every row or lose rank (numeric_rank).
 
-    Rows are kept by p-norm importance, ||row_i(T)||_p^p, given as sums
-    (overwritten), at an expected count of at most _PROXY_ROWS * d, with
-    the library's own sampler under _PROXY_SEED and the usual p_i^(-1/p)
-    rescaling, so ||Ts u||_p^p estimates ||T u||_p^p without bias; only
-    the kept rows of T are formed.  Returns Q itself when the sample
-    would keep every row or would lose rank by the library's rank rule
-    (linalg.numeric_rank).  With cols, the sums' total must lie in
-    [_SQ_LO, _SQ_HI], so that powsum_shares needs no T.
-    """
+    Rows are kept by p-norm importance, sums = row_powsums(T, p)
+    (overwritten), at an expected count of at most _PROXY_ROWS * d, by the
+    library's sampler under _PROXY_SEED, rescaled by p_i^(-1/p) so that
+    ||Ts u||_p^p estimates ||T u||_p^p without bias.  Only the kept rows
+    of T are formed, so with cols, sums' total must lie in [_SQ_LO,
+    _SQ_HI], where powsum_shares reads no T."""
     d = Q.shape[1] if cols is None else cols.shape[1]
     probs = powsum_shares(Q, p, sums)
     probs *= _PROXY_ROWS * d
@@ -196,14 +171,11 @@ def _search_proxy(Q, p, sums, cols=None):
     Qs = apply_plan(realize_sample(probs, p, _PROXY_SEED), Q)
     if cols is not None:
         Qs = _column_basis(Qs, cols)
-    if numeric_rank(Qs) < d:
-        return Q
-    return Qs
+    return Q if numeric_rank(Qs) < d else Qs
 
 
 def _gram(X):
-    """X^T X by one GEMM: at 4,000 x 8 column-major, 14 us, against 38-41
-    us by np.matmul, which runs it as a SYRK (one BLAS thread, 2 vCPUs)."""
+    # one GEMM: 14 us at 4,000 x 8, against 38-41 us by np.matmul's SYRK
     return dgemm(1.0, X, X, trans_a=1)
 
 
@@ -215,96 +187,57 @@ def _lewis_factor(Q, w, p):
     return scipy.linalg.cholesky(_gram(Q * s[:, None]), lower=False)
 
 
-def _leverages(Q, G):
-    """tau_i = q_i^T M^-1 q_i for M = G^T G, i.e. ||y_i||_2^2 for Y = Q G^-1."""
-    Y = _column_basis(Q, scipy.linalg.solve_triangular(G, np.eye(G.shape[0])))
-    return np.einsum("ij,ij->i", Y, Y)
-
-
-def _abs_pow(y, p, tmp):
-    """|y|^p in place; at p = 3 by y*y*y through tmp, an array of y's shape."""
-    np.abs(y, out=y)
-    if p != 3.0:
-        return _pow_inplace(y, p)
-    np.multiply(y, y, out=tmp)
-    y *= tmp
-    return y
-
-
-def _blocks(n):
-    """ceil(n / _BLOCK) slices of near-equal height covering n rows."""
-    k = -(-n // _BLOCK)
-    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
-def _workspace(n, d):
-    """The buffers of _block_pass over n rows and d columns: two of a
-    block's d columns, column-major once reshaped to a block's height,
-    and two of a block's rows."""
-    h = min(n, _BLOCK)
-    return np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h)
-
-
 def _block_pass(Q, K, p, sums, work, lewis=False):
-    """One pass over Q's row blocks (_blocks), each read as Y = Q_blk K
-    (Q_blk itself when K is None), writing each row's sum_j |y_ij|^p into
-    sums.  With lewis, also returns (S, M') for the weights
-    w_i = tau_i^(p/2), tau_i = ||y_i||_2^2: S = sum_i w_i and
-    M' = sum_i w_i^(1-2/p) y_i y_i^T (module docstring).  A tau below
-    _SQ_LO (a zero row) is raised to it, which only lowers that row's
-    ratio tau_i(M) / w_i^(2/p) and keeps 0^(1-2/p) out at p < 2.
-    work is _workspace(n, d).  Y is column-major: at 4,000 x 8, tau, the
-    row scaling and the row sums took 19, 27 and 6 us on it, against 29,
-    40 and 14 us on a row-major block (one BLAS thread, 2 vCPUs).
-    """
-    Yf, Xf, v, s = work
-    d = Yf.size // v.size
-    ones = np.ones(d)
-    S, Mp = 0.0, np.zeros((d, d))
-    for blk in _blocks(Q.shape[0]):
+    """One pass over ceil(n / _BLOCK) row blocks of Q, of near-equal
+    height, each read as Y = Q_blk K (Q_blk without K) into work: sums gets
+    each row's sum_j |y_ij|^p, and with lewis, (S, M') of the module
+    docstring are returned.  A tau below _SQ_LO (a zero row) is raised to
+    it, which only lowers its tau_i(M) / w_i^(2/p).  Y is column-major:
+    tau, the row scaling and the row sums took 19, 27 and 6 us on a
+    4,000 x 8 block so, against 29, 40 and 14 us row-major."""
+    Yf, Xf, tau, sq = work
+    n, d = Q.shape[0], Yf.size // tau.size
+    S, Mp, k = 0.0, np.zeros((d, d)), -(-n // _BLOCK)
+    for i in range(k):
+        blk = slice(i * n // k, (i + 1) * n // k)
         h = blk.stop - blk.start
-        y = Yf[:h * d].reshape((h, d), order="F")
-        x = Xf[:h * d].reshape((h, d), order="F")
+        y, x = (B[:h * d].reshape((h, d), order="F") for B in (Yf, Xf))
         if K is None:
             y[...] = Q[blk]
         else:
             np.matmul(Q[blk], K, out=y)
         if lewis:
-            tau, sq = v[:h], s[:h]
-            np.einsum("ij,ij->i", y, y, out=tau)
-            np.maximum(tau, _SQ_LO, out=tau)
-            # sq = w^(1/2 - 1/p), the row scale of M', and w = sq^2 tau
-            np.power(tau, p / 4.0 - 0.5, out=sq)
-            Mp += _gram(np.multiply(y, sq[:, None], out=x))
-            sq *= sq
-            S += float(sq @ tau)
-        np.matmul(_abs_pow(y, p, x), ones, out=sums[blk])
+            t, s = tau[:h], sq[:h]
+            np.maximum(np.einsum("ij,ij->i", y, y, out=t), _SQ_LO, out=t)
+            # s = w^(1/2 - 1/p) scales M's rows, and w = s^2 tau
+            np.power(t, p / 4.0 - 0.5, out=s)
+            Mp += _gram(np.multiply(y, s[:, None], out=x))
+            S += float((s * s) @ t)
+        np.abs(y, out=y)
+        if p == 3.0:
+            y *= np.multiply(y, y, out=x)
+        else:
+            _pow_inplace(y, p)
+        np.matmul(y, np.ones(d), out=sums[blk])
     return S, Mp
 
 
 def lowner_john_round(Q, p, cols=None):
-    """Round the unit ball of ||Tz||_p, T = Q cols (Q itself without
-    cols), by an ellipsoid {z : ||Gz||_2 <= 1}.
+    """Round the unit ball of ||Tz||_p, T = Q cols (Q without cols), by an
+    ellipsoid {z : ||Gz||_2 <= 1}, certified on T (module docstring).
 
-    Q must be finite, or ValueError is raised, and T of full column rank.
-    T's columns need not be orthonormal: the factors are closed-form on T
-    itself, and a T near orthonormal (A R^-1, say) keeps the proxy's
-    sample representative.  d = 1 is an interval and is rounded exactly.
-    Otherwise sweeps the Lewis-weight fixed point on the row-sample proxy
-    for at most _MAX_SWEEPS sweeps and certifies the proxy's factor Gs on
-    all of T in one last pass (module docstring), scaling it to G so that
-    kappa_slack = 1 + _TOL; converged says that
-    kappa * kappa_slack <= sqrt(d) * (1+_TOL)^2.  At p = 2 the weights
-    leave M = T^T T, so the sweeps stop after two, and kappa and the slack
-    are the extreme singular values of T Gs^-1, rescaled.
-    T is read in row blocks of Q times cols and formed whole only when
-    the proxy is all of T, d = 1, or the powers over- or underflow.
-    """
+    Q must be finite, or ValueError is raised, and T of full column rank;
+    near-orthonormal columns (A R^-1) keep the proxy representative.
+    d = 1 is an interval, rounded exactly.  At p = 2 the weights leave
+    M = T^T T, so the sweeps stop after two, and the factors are the
+    extreme singular values of T Gs^-1, rescaled.  T is formed whole only
+    at d = 1, when the proxy is all of T, or when the powers overflow."""
     Q = _as_2d(Q)
     if cols is not None and cols.shape[1] == 1:
         Q, cols = _column_basis(Q, cols), None
-    d = Q.shape[1] if cols is None else cols.shape[1]
-    sums, work = np.empty(Q.shape[0]), _workspace(Q.shape[0], d)
+    n, d = Q.shape[0], Q.shape[1] if cols is None else cols.shape[1]
+    h = min(n, _BLOCK)
+    sums, work = np.empty(n), (np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h))
     with np.errstate(over="ignore"):
         _block_pass(Q, cols, p, sums, work)
     total = float(sums.sum())
@@ -312,25 +245,22 @@ def lowner_john_round(Q, p, cols=None):
         # Q holds inf or NaN, or its finite entries' powers overflowed
         _check_finite(Q)
     if d == 1:
-        G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, sums)
-        return RoundingResult(
-            G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, norm=1.0,
-            leverage=lev,
-        )
+        G = np.array([[pnorm(Q[:, 0], p)]])
+        return RoundingResult(G, 1.0, 1.0, 0, True, 1.0, powsum_shares(Q, p, sums))
     if cols is not None and not _SQ_LO <= total <= _SQ_HI:
         Q, cols = _column_basis(Q, cols), None
+    Qs = _search_proxy(Q, p, sums, cols)
+    if Qs is Q and cols is not None:
+        Q = Qs = _column_basis(Q, cols)
+        cols = None
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
     # w <- w^(1-2/p) tau(w), which has the same fixed point
-    Qs = _search_proxy(Q, p, sums, cols)
-    if Qs is Q and cols is not None:
-        Q, cols = _column_basis(Q, cols), None
-        Qs = Q
     w = np.full(Qs.shape[0], d / Qs.shape[0])
-    Gs = _lewis_factor(Qs, w, p)
-    sweeps = 0
+    Gs, sweeps = _lewis_factor(Qs, w, p), 0
     while sweeps < _MAX_SWEEPS:
-        tau = _leverages(Qs, Gs)
+        Y = _column_basis(Qs, scipy.linalg.solve_triangular(Gs, np.eye(d)))
+        tau = np.einsum("ij,ij->i", Y, Y)
         new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
         pos = w > 0.0
         change = float(np.max(np.abs(new[pos] - w[pos]) / w[pos]))
@@ -340,34 +270,25 @@ def lowner_john_round(Q, p, cols=None):
         w = new
         Gs = _lewis_factor(Qs, w, p)
 
-    # the last pass certifies Gs on all of T: lambda, lambda_max(M') and
-    # S give both factors, and the scale puts 1 + _TOL on the slack; it
-    # multiplies every row of U alike, so the sums' shares are U's.  Below
-    # p = 4, a pass that does not converge is followed by a Lewis sweep on
-    # all rows, Gs <- chol(M') Gs, the factor of the pass's own M, and one
-    # more pass, at most _FULL_SWEEPS times
+    # the last pass certifies Gs; when it does not converge below p = 4,
+    # Gs <- chol(M') Gs, the factor of the pass's own M, is a Lewis sweep
+    # on all rows.  The scale puts 1 + _TOL on the slack, and multiplies
+    # every row of U alike, so the sums' shares are U's
     e, bound = abs(1.0 / p - 0.5), math.sqrt(d) * (1.0 + _TOL)
     for full in range(_FULL_SWEEPS + 1):
         Ginv = scipy.linalg.solve_triangular(Gs, np.eye(d))
         S, Mp = _block_pass(Q, Ginv if cols is None else cols @ Ginv, p, sums, work, lewis=True)
         lo, hi = (float(v) for v in scipy.linalg.eigvalsh(Mp)[[0, -1]])
-        lam = 1.0 / lo
-        slack = math.sqrt(lam) * (lam if p <= 2.0 else S) ** e
-        kappa = math.sqrt(hi) * (S if p <= 2.0 else lam) ** e * slack / (1.0 + _TOL)
+        slack = lo ** -0.5 * (1.0 / lo if p <= 2.0 else S) ** e
+        kappa = hi ** 0.5 * (S if p <= 2.0 else 1.0 / lo) ** e * slack / (1.0 + _TOL)
         if kappa <= bound or p >= 4.0 or sweeps >= _MAX_SWEEPS or full == _FULL_SWEEPS:
             break
         Gs = scipy.linalg.cholesky(Mp, lower=False) @ Gs
         sweeps += 1
-    total = float(sums.sum())
+    total, scale = float(sums.sum()), (1.0 + _TOL) / slack
     sums /= total
     return RoundingResult(
-        G=Gs * ((1.0 + _TOL) / slack),
-        kappa=kappa,
-        kappa_slack=1.0 + _TOL,
-        iterations=sweeps,
-        converged=kappa <= bound,
-        norm=total ** (1.0 / p) * slack / (1.0 + _TOL),
-        leverage=sums,
+        Gs * scale, kappa, 1.0 + _TOL, sweeps, kappa <= bound, total ** (1.0 / p) / scale, sums
     )
 
 
@@ -375,15 +296,12 @@ def well_conditioned_basis(A, p, *, factors=None):
     """Construct U = T G^-1 (T = A C) and tau = G R with conditioning
     certificates, for a finite p >= 1.
 
-    At p != 2, G and the leverage come from the rounding; at p = 2 the
-    certificates are exactly (sqrt(d), 1), and the leverage comes from
-    one pass over row blocks of T.  U, G and tau are formed when first
-    read (see the module docstring).
-
-    alpha_cert = kappa * d^(1/p) bounds the entrywise p-norm of U;
-    beta_cert = slack for p <= 2 and slack * d^(1/q - 1/2) for p > 2.
-    Both are rigorous.  Non-convergence of the rounding downgrades to a
-    warning; the certificates are then the looser factors it achieved.
+    At p != 2, G, the leverage and alpha_cert, U's entrywise p-norm, come
+    from the rounding, and beta_cert = slack for p < 2 and
+    slack * d^(1/q - 1/2) for p > 2; at p = 2 the certificates are exactly
+    (sqrt(d), 1), and the leverage comes from one pass over T's row
+    blocks.  All are rigorous; a rounding that did not converge warns, and
+    its looser factors stand.  U, G and tau are formed when first read.
 
     factors, when given, must be linalg.r_factors(A), and A is then
     neither validated nor factored again.  RegressionInstance passes its
@@ -406,22 +324,14 @@ def well_conditioned_basis(A, p, *, factors=None):
             warnings.warn(
                 "ellipsoidal rounding did not converge; certificates inflated "
                 f"(kappa={rounding.kappa:.3g}, slack={rounding.kappa_slack:.3g})",
-                RuntimeWarning,
-                stacklevel=2,
+                RuntimeWarning, stacklevel=2,
             )
-        G, kappa, slack = rounding.G, rounding.kappa, rounding.kappa_slack
-        alpha = rounding.norm
+        G, kappa, slack, alpha = rounding.G, rounding.kappa, rounding.kappa_slack, rounding.norm
         beta = slack * d ** (1.0 / dual_exponent(p) - 0.5) if p > 2.0 else slack
         leverage = rounding.leverage
     return WellConditionedBasis(
-        p=float(p),
-        d=d,
-        alpha_cert=float(alpha),
-        beta_cert=float(beta),
-        kappa_cert=float(kappa),
-        slack_cert=float(slack),
-        leverage=leverage,
-        form=lambda: _form_basis(A, factors, G),
+        float(p), d, float(alpha), float(beta), float(kappa), float(slack), leverage,
+        lambda: _form_basis(A, factors, G),
     )
 
 
@@ -444,12 +354,8 @@ def _form_basis(A, factors, G=None):
 
 
 def certify_basis(basis):
-    """Measure the conditioning constants a basis achieves, with no probes.
-
-    Returns (alpha_measured, beta_measured_lower): the exact entrywise
-    p-norm of U, and max_j 1 / ||U e_j||_p over U's d columns, an exact
-    lower bound on beta = max_z ||z||_q / ||Uz||_p because every
-    coordinate vector has ||e_j||_q = 1.
-    """
+    """(alpha_measured, beta_measured_lower) of a basis, with no probes:
+    U's exact entrywise p-norm, and max_j 1 / ||U e_j||_p, an exact lower
+    bound on beta = max_z ||z||_q / ||Uz||_p since every ||e_j||_q = 1."""
     U, p = basis.U, basis.p
     return vec_p_norm(U, p), float(1.0 / row_pnorms(U.T, p).min())

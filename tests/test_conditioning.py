@@ -1,8 +1,12 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import circle_directions
@@ -384,6 +388,49 @@ class TestWellConditionedBasis:
         Q = qr_thin(A).Q
         want = np.sum(Q * Q, axis=1) / np.sum(Q * Q)
         assert np.abs(W.leverage - want).max() <= 1e-6 * want.max()
+
+
+@functools.lru_cache(maxsize=None)
+def _tall_basis(design, p):
+    """(basis, certify_basis(basis)) of a 20,000 x 5 instance of the
+    design: tall enough that the rounding certifies a strict proxy's
+    ellipsoid on rows it never swept on."""
+    A, _, _ = make_instance_arrays(20_000, 5, seed=2, design=design)
+    W = well_conditioned_basis(A, p)
+    return W, certify_basis(W)
+
+
+class TestProxyCertificates:
+    """The rounding certifies the proxy's factor on all rows in closed form
+    (module docstring); nothing measured on U may beat its certificates."""
+
+    @pytest.mark.parametrize("design", ["gaussian", "heavy-tailed"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+    def test_exact_measures_within_certificates(self, design, p):
+        W, (alpha_m, beta_lower) = _tall_basis(design, p)
+        # alpha_cert is U's norm from the last pass's sums, and certify
+        # forms U again from A; they agree up to rounding
+        assert alpha_m <= W.alpha_cert * CERT_SLACK
+        assert W.alpha_cert <= alpha_m * CERT_SLACK
+        assert beta_lower <= W.beta_cert * CERT_SLACK
+
+
+@pytest.mark.parametrize("design", ["gaussian", "heavy-tailed"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+@settings(max_examples=40, deadline=None)
+@given(z=hnp.arrays(np.float64, 5, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+def test_proxy_certificates_on_drawn_directions(design, p, z):
+    # ||Uz||_p <= alpha ||z||_q (Hoelder, row by row) and
+    # ||z||_q <= beta ||Uz||_p; both are homogeneous in z, which is scaled
+    # to max |z_j| = 1 so that no product underflows
+    if not np.any(z):
+        return
+    z = z / np.abs(z).max()
+    W, _ = _tall_basis(design, p)
+    q = dual_exponent(p)
+    Uz, zq = vec_p_norm(W.U @ z, p), vec_p_norm(z, q)
+    assert Uz <= W.alpha_cert * zq * CERT_SLACK
+    assert zq <= W.beta_cert * Uz * CERT_SLACK
 
 
 class TestCertify:
