@@ -40,14 +40,19 @@ alpha is the sums' total to the 1/p over that scale, and the sums' shares
 are U's lp leverage, all that stage-1 sampling reads of U.  T is read
 only as A's row blocks times C, C Gs^-1 in the last pass, and a first
 such pass gives the proxy's importance sums, so at p != 2 conditioning
-writes no n x d array.  At p = 2 no rounding runs, the certificates are
-exactly (sqrt(d), 1), and the leverage comes from one pass over T.
+writes no n x d array.  At p = 2 no rounding runs,
+the certificates are exactly (sqrt(d), 1), and the leverage comes from
+one pass over T's row blocks.
 
 At every p, U, G and tau are formed from A when first read (lpcoreset
 certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
 columns are orthonormal only up to about cond(A) * eps, and this step
-brings that to rounding), U = T G^-1, column-major, and tau = G R.  So a
-basis keeps no n x d array, and A must not change before they are read.
+brings that to rounding), U = T G^-1 and tau = G R.  So a basis keeps
+no n x d array, and A must not change before they are read.  T, U and
+the last pass's blocks are column-major (F-order): a row pass, such as
+power sums over T, took 2.1 to 3.4 times as long on a row-major n x d
+array (20,000 and 200,000 rows, d = 8, p in {1, 1.5, 3}, one BLAS
+thread, 2 vCPUs).
 """
 import math
 import warnings
@@ -58,7 +63,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
 
-from .kernels import _SQ_HI, _SQ_LO, _pow_inplace, pnorm, powsum_shares, row_pnorms, row_powsums
+from .kernels import (
+    _SQ_HI, _SQ_LO, _pow_inplace, pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
+)
 from .linalg import (
     _as_2d, _check_exponent, _check_finite, _r_factors, dual_exponent, numeric_rank, vec_p_norm
 )
@@ -84,22 +91,31 @@ _MAX_SWEEPS = 100
 _FULL_SWEEPS = 2
 # The rounding scales G so that the slack is 1 + _TOL.
 _TOL = 0.05
-# Rows per block of the rounding's passes: rounding the 20,000 x 8
-# reference instance at p=1.5 took a median of 3.05, 2.74, 2.74, 2.80 and
-# 3.82 ms in blocks of 1,024, 2,048, 4,096, 8,192 and 20,000 rows (150
-# alternating calls, one BLAS thread, 2 vCPUs).
-_BLOCK = 4096
+# Rows per block of the rounding's two passes (kernels.row_blocks).
+# Conditioning the 20,000 x 8 reference instance at p=1.5 took a median
+# of 4.04, 4.24 and 4.23 ms at 3,072, 4,096 and 6,144 rows (300
+# alternating calls), and 4.59 ms in one block of all rows against
+# 2.84 ms at 3,072 in another run of 150; at 1,000,000 x 10 every height
+# from 2,048 to 8,192 took 120-123 ms (12 calls; one BLAS thread, 2 vCPUs).
+_BLOCK = 3072
 
 
 @dataclass(frozen=True)
 class RoundingResult:
-    """Ellipsoidal rounding of {z : ||Tz||_p <= 1}, certified on T itself,
-    converged or not, by the last pass (module docstring): for U = T G^-1,
-    ||z||_2 / kappa_slack <= ||U z||_p <= kappa ||z||_2, norm = |||U|||_p
-    and leverage_i = ||u_i||_p^p / |||U|||_p^p.  G, the proxy's Lewis
-    factor scaled, puts kappa_slack at 1 + _TOL; converged says kappa <=
-    sqrt(d) * (1 + _TOL).  iterations counts Lewis sweeps, on the proxy
-    and then on all rows."""
+    """Ellipsoidal rounding of {z : ||Tz||_p <= 1}, T = Q cols (Q without
+    cols), certified on T itself by the rounding's last pass (module
+    docstring), converged or not.
+
+    kappa:  rigorous factor with ||T G^-1 z||_p <= kappa ||z||_2 for all z
+            (<= sqrt(d)*(1+_TOL) when converged).
+    kappa_slack: rigorous factor for the reverse direction,
+            ||z||_2 <= kappa_slack ||T G^-1 z||_p for all z; G, the proxy's
+            Lewis factor scaled, puts it at 1 + _TOL.
+    iterations: Lewis-weight sweeps, on the proxy and then on all rows.
+    norm:   |||U|||_p, the entrywise p-norm of U = T G^-1.
+    leverage: each row's share ||u_i||_p^p / |||U|||_p^p, from the last
+            pass's block products; U itself is not formed.
+    """
 
     G: np.ndarray
     kappa: float
@@ -119,10 +135,11 @@ class WellConditionedBasis:
     alpha_cert bounds the entrywise p-norm of U (at p != 2 it is that
     norm, from the rounding's last pass); beta_cert bounds
     ||z||_q / ||Uz||_p (q dual to p).  leverage holds the n row shares
-    ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads; at p = 2 they
-    are T's, which are U's up to T's departure from orthonormal columns.
-    U, G and tau are formed from A when first read (module docstring), so
-    A must not change before; the basis keeps no n x d array.
+    ||u_i||_p^p / |||U|||_p^p that stage-1 sampling reads, computed once
+    with the basis; at p = 2 they are T's shares, which are U's up to T's
+    departure from orthonormal columns.  At every p, U, G and tau are
+    formed from A when first read (module docstring), so A must not
+    change before; the basis keeps no U, nor any other n x d array.
     """
 
     p: float
@@ -153,15 +170,18 @@ class WellConditionedBasis:
 
 
 def _search_proxy(Q, p, sums, cols=None):
-    """Row sample Ts of T = Q cols (Q without cols) for the Lewis sweeps,
-    or Q itself when it would keep every row or lose rank (numeric_rank).
+    """Row sample Ts of T = Q cols (Q without cols) on which the rounding
+    sweeps for Lewis weights, or Q itself when the sample would keep
+    every row or would lose rank by the library's rank rule
+    (linalg.numeric_rank).
 
-    Rows are kept by p-norm importance, sums = row_powsums(T, p)
-    (overwritten), at an expected count of at most _PROXY_ROWS * d, by the
-    library's sampler under _PROXY_SEED, rescaled by p_i^(-1/p) so that
-    ||Ts u||_p^p estimates ||T u||_p^p without bias.  Only the kept rows
-    of T are formed, so with cols, sums' total must lie in [_SQ_LO,
-    _SQ_HI], where powsum_shares reads no T."""
+    Rows are kept by p-norm importance, given as sums, each row's
+    sum_j |t_ij|^p, and overwritten, at an expected count of at most
+    _PROXY_ROWS * d, with the library's own sampler under _PROXY_SEED and
+    the usual p_i^(-1/p) rescaling, so ||Ts u||_p^p estimates ||T u||_p^p
+    without bias.  Only the kept rows of T are formed, so with cols, sums'
+    total must lie in [_SQ_LO, _SQ_HI], where powsum_shares reads no T.
+    """
     d = Q.shape[1] if cols is None else cols.shape[1]
     probs = powsum_shares(Q, p, sums)
     probs *= _PROXY_ROWS * d
@@ -188,24 +208,20 @@ def _lewis_factor(Q, w, p):
 
 
 def _block_pass(Q, K, p, sums, work, lewis=False):
-    """One pass over ceil(n / _BLOCK) row blocks of Q, of near-equal
-    height, each read as Y = Q_blk K (Q_blk without K) into work: sums gets
-    each row's sum_j |y_ij|^p, and with lewis, (S, M') of the module
-    docstring are returned.  A tau below _SQ_LO (a zero row) is raised to
-    it, which only lowers its tau_i(M) / w_i^(2/p).  Y is column-major:
-    tau, the row scaling and the row sums took 19, 27 and 6 us on a
-    4,000 x 8 block so, against 29, 40 and 14 us row-major."""
+    """One pass over the row blocks of Y = Q K, _BLOCK rows each, read
+    into work: sums gets each row's sum_j |y_ij|^p, and with lewis,
+    (S, M') of the module docstring are returned.  A tau below _SQ_LO (a
+    zero row) is raised to it, which only lowers its tau_i(M) /
+    w_i^(2/p).  Y is column-major: tau, the row scaling and the row sums
+    took 19, 27 and 6 us on a 4,000 x 8 block so, against 29, 40 and
+    14 us row-major."""
     Yf, Xf, tau, sq = work
-    n, d = Q.shape[0], Yf.size // tau.size
-    S, Mp, k = 0.0, np.zeros((d, d)), -(-n // _BLOCK)
-    for i in range(k):
-        blk = slice(i * n // k, (i + 1) * n // k)
+    d = Yf.size // tau.size
+    S, Mp = 0.0, np.zeros((d, d))
+    for blk in row_blocks(Q.shape[0], _BLOCK):
         h = blk.stop - blk.start
         y, x = (B[:h * d].reshape((h, d), order="F") for B in (Yf, Xf))
-        if K is None:
-            y[...] = Q[blk]
-        else:
-            np.matmul(Q[blk], K, out=y)
+        np.matmul(Q[blk], K, out=y)
         if lewis:
             t, s = tau[:h], sq[:h]
             np.maximum(np.einsum("ij,ij->i", y, y, out=t), _SQ_LO, out=t)
@@ -213,12 +229,7 @@ def _block_pass(Q, K, p, sums, work, lewis=False):
             np.power(t, p / 4.0 - 0.5, out=s)
             Mp += _gram(np.multiply(y, s[:, None], out=x))
             S += float((s * s) @ t)
-        np.abs(y, out=y)
-        if p == 3.0:
-            y *= np.multiply(y, y, out=x)
-        else:
-            _pow_inplace(y, p)
-        np.matmul(y, np.ones(d), out=sums[blk])
+        np.matmul(_pow_inplace(np.abs(y, out=y), p), np.ones(d), out=sums[blk])
     return S, Mp
 
 
@@ -226,33 +237,42 @@ def lowner_john_round(Q, p, cols=None):
     """Round the unit ball of ||Tz||_p, T = Q cols (Q without cols), by an
     ellipsoid {z : ||Gz||_2 <= 1}, certified on T (module docstring).
 
-    Q must be finite, or ValueError is raised, and T of full column rank;
-    near-orthonormal columns (A R^-1) keep the proxy representative.
-    d = 1 is an interval, rounded exactly.  At p = 2 the weights leave
-    M = T^T T, so the sweeps stop after two, and the factors are the
-    extreme singular values of T Gs^-1, rescaled.  T is formed whole only
-    at d = 1, when the proxy is all of T, or when the powers overflow."""
+    Q must be finite, or ValueError is raised, and T of full column rank.
+    Its columns need not be orthonormal: the factors are closed-form on T
+    itself, and near-orthonormal columns (A R^-1, say) keep the proxy's
+    sample representative.  d = 1 is an interval and is rounded exactly.
+    Otherwise sweeps the Lewis-weight fixed point on the row-sample proxy
+    and certifies its factor Gs on all of T by the last pass, at most
+    _FULL_SWEEPS times more after a sweep on all rows; G is Gs scaled so
+    that kappa_slack = 1 + _TOL.  At p = 2 the weights leave M = T^T T,
+    so the sweeps stop after two, and the factors are the extreme
+    singular values of T Gs^-1, rescaled.  T is formed whole only at
+    d = 1, when the proxy is all of T, or when the powers overflow.
+    """
     Q = _as_2d(Q)
-    if cols is not None and cols.shape[1] == 1:
-        Q, cols = _column_basis(Q, cols), None
-    n, d = Q.shape[0], Q.shape[1] if cols is None else cols.shape[1]
-    h = min(n, _BLOCK)
+    cols = np.eye(Q.shape[1]) if cols is None else cols
+    n, d = Q.shape[0], cols.shape[1]
+    # one work buffer for both passes, as tall as the last, tallest block
+    h = n - row_blocks(n, _BLOCK)[-1].start
     sums, work = np.empty(n), (np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _block_pass(Q, cols, p, sums, work)
     total = float(sums.sum())
     if not math.isfinite(total):
         # Q holds inf or NaN, or its finite entries' powers overflowed
         _check_finite(Q)
+    if d == 1 or not _SQ_LO <= total <= _SQ_HI:
+        # T is formed whole for an interval, and where powsum_shares reads it
+        Q, cols = _column_basis(Q, cols), np.eye(d)
     if d == 1:
-        G = np.array([[pnorm(Q[:, 0], p)]])
-        return RoundingResult(G, 1.0, 1.0, 0, True, 1.0, powsum_shares(Q, p, sums))
-    if cols is not None and not _SQ_LO <= total <= _SQ_HI:
-        Q, cols = _column_basis(Q, cols), None
+        G, lev = np.array([[pnorm(Q[:, 0], p)]]), powsum_shares(Q, p, sums)
+        return RoundingResult(
+            G=G, kappa=1.0, kappa_slack=1.0, iterations=0, converged=True, norm=1.0,
+            leverage=lev,
+        )
     Qs = _search_proxy(Q, p, sums, cols)
-    if Qs is Q and cols is not None:
-        Q = Qs = _column_basis(Q, cols)
-        cols = None
+    if Qs is Q:
+        Qs = _column_basis(Q, cols)
 
     # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
     # w <- w^(1-2/p) tau(w), which has the same fixed point
@@ -277,7 +297,7 @@ def lowner_john_round(Q, p, cols=None):
     e, bound = abs(1.0 / p - 0.5), math.sqrt(d) * (1.0 + _TOL)
     for full in range(_FULL_SWEEPS + 1):
         Ginv = scipy.linalg.solve_triangular(Gs, np.eye(d))
-        S, Mp = _block_pass(Q, Ginv if cols is None else cols @ Ginv, p, sums, work, lewis=True)
+        S, Mp = _block_pass(Q, cols @ Ginv, p, sums, work, lewis=True)
         lo, hi = (float(v) for v in scipy.linalg.eigvalsh(Mp)[[0, -1]])
         slack = lo ** -0.5 * (1.0 / lo if p <= 2.0 else S) ** e
         kappa = hi ** 0.5 * (S if p <= 2.0 else 1.0 / lo) ** e * slack / (1.0 + _TOL)
@@ -288,7 +308,13 @@ def lowner_john_round(Q, p, cols=None):
     total, scale = float(sums.sum()), (1.0 + _TOL) / slack
     sums /= total
     return RoundingResult(
-        Gs * scale, kappa, 1.0 + _TOL, sweeps, kappa <= bound, total ** (1.0 / p) / scale, sums
+        G=Gs * scale,
+        kappa=kappa,
+        kappa_slack=1.0 + _TOL,
+        iterations=sweeps,
+        converged=kappa <= bound,
+        norm=total ** (1.0 / p) / scale,
+        leverage=sums,
     )
 
 
@@ -324,14 +350,21 @@ def well_conditioned_basis(A, p, *, factors=None):
             warnings.warn(
                 "ellipsoidal rounding did not converge; certificates inflated "
                 f"(kappa={rounding.kappa:.3g}, slack={rounding.kappa_slack:.3g})",
-                RuntimeWarning, stacklevel=2,
+                RuntimeWarning,
+                stacklevel=2,
             )
         G, kappa, slack, alpha = rounding.G, rounding.kappa, rounding.kappa_slack, rounding.norm
         beta = slack * d ** (1.0 / dual_exponent(p) - 0.5) if p > 2.0 else slack
         leverage = rounding.leverage
     return WellConditionedBasis(
-        float(p), d, float(alpha), float(beta), float(kappa), float(slack), leverage,
-        lambda: _form_basis(A, factors, G),
+        p=float(p),
+        d=d,
+        alpha_cert=float(alpha),
+        beta_cert=float(beta),
+        kappa_cert=float(kappa),
+        slack_cert=float(slack),
+        leverage=leverage,
+        form=lambda: _form_basis(A, factors, G),
     )
 
 
@@ -354,8 +387,12 @@ def _form_basis(A, factors, G=None):
 
 
 def certify_basis(basis):
-    """(alpha_measured, beta_measured_lower) of a basis, with no probes:
-    U's exact entrywise p-norm, and max_j 1 / ||U e_j||_p, an exact lower
-    bound on beta = max_z ||z||_q / ||Uz||_p since every ||e_j||_q = 1."""
+    """Measure the conditioning constants a basis achieves, with no probes.
+
+    Returns (alpha_measured, beta_measured_lower): the exact entrywise
+    p-norm of U, and max_j 1 / ||U e_j||_p over U's d columns, an exact
+    lower bound on beta = max_z ||z||_q / ||Uz||_p because every
+    coordinate vector has ||e_j||_q = 1.
+    """
     U, p = basis.U, basis.p
     return vec_p_norm(U, p), float(1.0 / row_pnorms(U.T, p).min())

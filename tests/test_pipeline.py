@@ -794,10 +794,12 @@ class TestBlockedStages:
     def test_multi_block_run_matches_one_block(self, monkeypatch, p, cols):
         # blocks of 256 rows for the residuals, the power sums and the
         # draws, against one block of all 2,000: the same plans and
-        # stage-1 solution, the stage-1 residual bitwise A @ x - b, and the
-        # objectives equal up to the order of their sums; stage 2's shares
-        # divide by the residual's blockwise total, so its scales and its
-        # solution are equal up to that order too
+        # solutions, the stage-1 residual bitwise A @ x - b, and the
+        # objectives equal up to the order of their sums.  Stage 2's shares
+        # divide by the residual's sum of |r|^p, added block by block, whose
+        # last bit may move with the blocks: here it does at p=1.5 with two
+        # right-hand sides, not at p=2, so at p != 2 stage 2's scales and
+        # solution are compared up to that rounding
         A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
         if cols is not None:
             b = np.column_stack([b, 2.0 * b + A[:, 0]])
@@ -814,7 +816,7 @@ class TestBlockedStages:
             a, z = getattr(one, k), getattr(many, k)
             assert 0 < a.plan.actual_count < inst.n
             np.testing.assert_array_equal(a.plan.realized_indices, z.plan.realized_indices)
-            if k == "stage1":
+            if k == "stage1" or p == 2.0:
                 np.testing.assert_array_equal(a.x_hat, z.x_hat)
             else:
                 np.testing.assert_allclose(z.plan.scales, a.plan.scales, rtol=1e-15, atol=0)
