@@ -19,15 +19,15 @@ w_i^(2/p), S = sum_i w_i and e = |1/p - 1/2|, Hoelder and Cauchy-Schwarz
 give ||Tx||_p <= S^e N(x) and N(x) <= c^e ||Tx||_p for p <= 2, and the
 same with S and c swapped for p >= 2.  At the Lewis weights c = 1, S = d.
 
-The weights come from the fixed point w <- tau(w)^(p/2), swept on a
-proxy: a fixed row sample of T, drawn by p-norm importance with the
-library's own sampler.  The sweeps end in the proxy's factor Gs, which is
-certified on all of T by one pass over T's row blocks, each read as
-Y = T_blk Gs^-1, that takes tau_i = ||y_i||_2^2, w_i = tau_i^(p/2),
-S = sum_i w_i, M' = sum_i w_i^(1-2/p) y_i y_i^T = Gs^-T M Gs^-1 and each
-row's sum_j |y_ij|^p.  With lambda = 1 / lambda_min(M'), M >= Gs^T Gs /
-lambda, so c <= lambda, and for z = Gs x, ||z||_2 <= sqrt(lambda) N(x) and
-N(x) <= sqrt(lambda_max(M')) ||z||_2.  Hence, for Y = T Gs^-1,
+A pass over row blocks Y = T_blk Gs^-1, for a factor Gs, takes tau_i =
+||y_i||_2^2, w_i = tau_i^(p/2), S = sum_i w_i and M' = sum_i w_i^(1-2/p)
+y_i y_i^T = Gs^-T M Gs^-1, and Gs <- chol(M') Gs is one sweep of the fixed
+point w <- tau(w)^(p/2).  The sweeps run on a proxy, a fixed row sample of
+T drawn by p-norm importance with the library's own sampler, from its Gram
+factor until M' is flat; a pass over all of T, which also takes each row's
+sum_j |y_ij|^p, certifies Gs.  With lambda = 1 / lambda_min(M'),
+M >= Gs^T Gs / lambda, so c <= lambda, and for z = Gs x, ||z||_2 <=
+sqrt(lambda) N(x) and N(x) <= sqrt(lambda_max(M')) ||z||_2.  Hence,
 
     p <= 2:  ||z||_2 <= lambda^(1/p) ||Yz||_p,
              ||Yz||_p <= S^e sqrt(lambda_max(M')) ||z||_2;
@@ -38,11 +38,11 @@ whatever the proxy missed; near the Lewis weights lambda and
 lambda_max(M') are near 1.  G is Gs scaled to put 1 + _TOL on the slack,
 alpha is the sums' total to the 1/p over that scale, and the sums' shares
 are U's lp leverage, all that stage-1 sampling reads of U.  T is read
-only as A's row blocks times C, C Gs^-1 in the last pass, and a first
-such pass gives the proxy's importance sums, so at p != 2 conditioning
-writes no n x d array.  At p = 2 no rounding runs,
-the certificates are exactly (sqrt(d), 1), and the leverage comes from
-one pass over T's row blocks.
+only as A's row blocks times C, C Gs^-1 in the passes over all of T,
+and a first such pass gives the proxy's importance sums, so at p != 2
+conditioning writes no n x d array.  At p = 2 no rounding runs, the
+certificates are exactly (sqrt(d), 1), and the leverage comes from one
+pass over T's row blocks.
 
 At every p, U, G and tau are formed from A when first read (lpcoreset
 certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
@@ -83,7 +83,8 @@ _PROXY_SEED = 0x5EEDB0B
 # (d^e = 2.83), and 125 and 250 rows took a sweep on all rows to reach
 # 2.88 and 2.87 (100 alternating calls, one BLAS thread, 2 vCPUs).
 _PROXY_ROWS = 500
-# Lewis sweeps stop at a relative weight change below _SWEEP_RTOL or after
+# The proxy's sweeps stop once lambda_max(M') < lambda_min(M') (1 + _SWEEP_RTOL),
+# a rule free of the scale of T and of the weights, and all stop after
 # _MAX_SWEEPS sweeps, those on all rows (_FULL_SWEEPS at most, below p = 4,
 # each one more pass, when a last pass does not converge) included.
 _SWEEP_RTOL = 1e-3
@@ -91,7 +92,7 @@ _MAX_SWEEPS = 100
 _FULL_SWEEPS = 2
 # The rounding scales G so that the slack is 1 + _TOL.
 _TOL = 0.05
-# Rows per block of the rounding's two passes (kernels.row_blocks).
+# Rows per block of the rounding's passes (kernels.row_blocks).
 # Conditioning the 20,000 x 8 reference instance at p=1.5 took a median
 # of 4.04, 4.24 and 4.23 ms at 3,072, 4,096 and 6,144 rows (300
 # alternating calls), and 4.59 ms in one block of all rows against
@@ -111,7 +112,7 @@ class RoundingResult:
     kappa_slack: rigorous factor for the reverse direction,
             ||z||_2 <= kappa_slack ||T G^-1 z||_p for all z; G, the proxy's
             Lewis factor scaled, puts it at 1 + _TOL.
-    iterations: Lewis-weight sweeps, on the proxy and then on all rows.
+    iterations: Lewis sweeps Gs <- chol(M') Gs, on the proxy, then on all rows.
     norm:   |||U|||_p, the entrywise p-norm of U = T G^-1.
     leverage: each row's share ||u_i||_p^p / |||U|||_p^p, from the last
             pass's block products; U itself is not formed.
@@ -199,22 +200,22 @@ def _gram(X):
     return dgemm(1.0, X, X, trans_a=1)
 
 
-def _lewis_factor(Q, w, p):
-    """Upper Cholesky factor G of M = Q^T W^(1-2/p) Q, rows with w = 0 left out."""
-    s = np.zeros_like(w)
-    pos = w > 0.0
-    s[pos] = w[pos] ** (0.5 - 1.0 / p)
-    return scipy.linalg.cholesky(_gram(Q * s[:, None]), lower=False)
+def _workspace(n, d, work=None):
+    """Buffers for _block_pass over n rows' tallest block: work, if as tall."""
+    h = n - row_blocks(n, _BLOCK)[-1].start
+    fits = work is not None and work[2].size >= h
+    return work if fits else (np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h))
 
 
-def _block_pass(Q, K, p, sums, work, lewis=False):
+def _block_pass(Q, K, p, sums, work, lewis=False, w=None):
     """One pass over the row blocks of Y = Q K, _BLOCK rows each, read
-    into work: sums gets each row's sum_j |y_ij|^p, and with lewis,
-    (S, M') of the module docstring are returned.  A tau below _SQ_LO (a
-    zero row) is raised to it, which only lowers its tau_i(M) /
-    w_i^(2/p).  Y is column-major: tau, the row scaling and the row sums
-    took 19, 27 and 6 us on a 4,000 x 8 block so, against 29, 40 and
-    14 us row-major."""
+    into work: sums, unless None, gets each row's sum_j |y_ij|^p, and with
+    lewis, (S, M') of the module docstring are returned, or given w, S = 0
+    and the M' of the damped weights w^(1-2/p) tau, written into w.  A tau
+    below _SQ_LO (a zero row) is raised to it, which only lowers its
+    tau_i(M) / w_i^(2/p).  Y is column-major: tau, the row scaling and the
+    row sums took 19, 27 and 6 us on a 4,000 x 8 block so, against 29, 40
+    and 14 us row-major."""
     Yf, Xf, tau, sq = work
     d = Yf.size // tau.size
     S, Mp = 0.0, np.zeros((d, d))
@@ -225,11 +226,16 @@ def _block_pass(Q, K, p, sums, work, lewis=False):
         if lewis:
             t, s = tau[:h], sq[:h]
             np.maximum(np.einsum("ij,ij->i", y, y, out=t), _SQ_LO, out=t)
-            # s = w^(1/2 - 1/p) scales M's rows, and w = s^2 tau
-            np.power(t, p / 4.0 - 0.5, out=s)
+            if w is None:
+                # s = w^(1/2 - 1/p) scales M's rows, and w = s^2 tau
+                np.power(t, p / 4.0 - 0.5, out=s)
+                S += float((s * s) @ t)
+            else:
+                v = np.multiply(w[blk] ** (1.0 - 2.0 / p), t, out=w[blk])
+                np.power(v, 0.5 - 1.0 / p, out=s)
             Mp += _gram(np.multiply(y, s[:, None], out=x))
-            S += float((s * s) @ t)
-        np.matmul(_pow_inplace(np.abs(y, out=y), p), np.ones(d), out=sums[blk])
+        if sums is not None:
+            np.matmul(_pow_inplace(np.abs(y, out=y), p), np.ones(d), out=sums[blk])
     return S, Mp
 
 
@@ -241,20 +247,18 @@ def lowner_john_round(Q, p, cols=None):
     Its columns need not be orthonormal: the factors are closed-form on T
     itself, and near-orthonormal columns (A R^-1, say) keep the proxy's
     sample representative.  d = 1 is an interval and is rounded exactly.
-    Otherwise sweeps the Lewis-weight fixed point on the row-sample proxy
-    and certifies its factor Gs on all of T by the last pass, at most
-    _FULL_SWEEPS times more after a sweep on all rows; G is Gs scaled so
-    that kappa_slack = 1 + _TOL.  At p = 2 the weights leave M = T^T T,
-    so the sweeps stop after two, and the factors are the extreme
-    singular values of T Gs^-1, rescaled.  T is formed whole only at
-    d = 1, when the proxy is all of T, or when the powers overflow.
+    Otherwise sweeps Gs <- chol(M') Gs on the row-sample proxy, from its
+    Gram factor until M' is flat, and certifies Gs on all of T by the last
+    pass, at most _FULL_SWEEPS times more after a sweep on all rows; G is
+    Gs scaled so that kappa_slack = 1 + _TOL.  At p = 2 the weights leave
+    M = T^T T, so M' is flat at the first sweep, and the factors are the
+    extreme singular values of T Gs^-1, rescaled.  T is formed whole only
+    at d = 1, when the proxy is all of T, or when the powers overflow.
     """
     Q = _as_2d(Q)
     cols = np.eye(Q.shape[1]) if cols is None else cols
     n, d = Q.shape[0], cols.shape[1]
-    # one work buffer for both passes, as tall as the last, tallest block
-    h = n - row_blocks(n, _BLOCK)[-1].start
-    sums, work = np.empty(n), (np.empty(h * d), np.empty(h * d), np.empty(h), np.empty(h))
+    sums, work = np.empty(n), _workspace(n, d)
     with np.errstate(over="ignore", invalid="ignore"):
         _block_pass(Q, cols, p, sums, work)
     total = float(sums.sum())
@@ -273,38 +277,33 @@ def lowner_john_round(Q, p, cols=None):
     Qs = _search_proxy(Q, p, sums, cols)
     if Qs is Q:
         Qs = _column_basis(Q, cols)
+    work = _workspace(Qs.shape[0], d, work)
 
-    # Cohen-Peng fixed point w <- tau(w)^(p/2); for p >= 4 the damped
-    # w <- w^(1-2/p) tau(w), which has the same fixed point
-    w = np.full(Qs.shape[0], d / Qs.shape[0])
-    Gs, sweeps = _lewis_factor(Qs, w, p), 0
-    while sweeps < _MAX_SWEEPS:
-        Y = _column_basis(Qs, scipy.linalg.solve_triangular(Gs, np.eye(d)))
-        tau = np.einsum("ij,ij->i", Y, Y)
-        new = w ** (1.0 - 2.0 / p) * tau if p >= 4.0 else tau ** (p / 2.0)
-        pos = w > 0.0
-        change = float(np.max(np.abs(new[pos] - w[pos]) / w[pos]))
-        sweeps += 1
-        if change < _SWEEP_RTOL:
-            break
-        w = new
-        Gs = _lewis_factor(Qs, w, p)
-
-    # the last pass certifies Gs; when it does not converge below p = 4,
-    # Gs <- chol(M') Gs, the factor of the pass's own M, is a Lewis sweep
-    # on all rows.  The scale puts 1 + _TOL on the slack, and multiplies
-    # every row of U alike, so the sums' shares are U's
+    # Gs starts as the factor of the proxy's uniform weights w = 1 (not I,
+    # whose S overflows for a T with huge rows).  Each pass but the last is
+    # a sweep, for p >= 4 of the damped w <- w^(1-2/p) tau(w) on the proxy,
+    # which has the same fixed point.  The scale puts 1 + _TOL on the
+    # slack, and multiplies every row of U alike, so the sums' shares are U's
+    w = np.ones(Qs.shape[0]) if p >= 4.0 else None
+    Gs = scipy.linalg.cholesky(_gram(Qs), lower=False)
     e, bound = abs(1.0 / p - 0.5), math.sqrt(d) * (1.0 + _TOL)
-    for full in range(_FULL_SWEEPS + 1):
+    sweeps, full, proxy = 0, 0, _MAX_SWEEPS > 0
+    while True:
         Ginv = scipy.linalg.solve_triangular(Gs, np.eye(d))
-        S, Mp = _block_pass(Q, cols @ Ginv, p, sums, work, lewis=True)
+        if proxy:
+            _, Mp = _block_pass(Qs, Ginv, p, None, work, lewis=True, w=w)
+        else:
+            S, Mp = _block_pass(Q, cols @ Ginv, p, sums, work, lewis=True)
         lo, hi = (float(v) for v in scipy.linalg.eigvalsh(Mp)[[0, -1]])
-        slack = lo ** -0.5 * (1.0 / lo if p <= 2.0 else S) ** e
-        kappa = hi ** 0.5 * (S if p <= 2.0 else 1.0 / lo) ** e * slack / (1.0 + _TOL)
-        if kappa <= bound or p >= 4.0 or sweeps >= _MAX_SWEEPS or full == _FULL_SWEEPS:
-            break
-        Gs = scipy.linalg.cholesky(Mp, lower=False) @ Gs
+        if not proxy:
+            slack = lo ** -0.5 * (1.0 / lo if p <= 2.0 else S) ** e
+            kappa = hi ** 0.5 * (S if p <= 2.0 else 1.0 / lo) ** e * slack / (1.0 + _TOL)
+            if kappa <= bound or p >= 4.0 or sweeps >= _MAX_SWEEPS or full == _FULL_SWEEPS:
+                break
+            full += 1
         sweeps += 1
+        proxy = proxy and hi >= lo * (1.0 + _SWEEP_RTOL) and sweeps < _MAX_SWEEPS
+        Gs = scipy.linalg.cholesky(Mp, lower=False) @ Gs
     total, scale = float(sums.sum()), (1.0 + _TOL) / slack
     sums /= total
     return RoundingResult(

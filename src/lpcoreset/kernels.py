@@ -61,6 +61,10 @@ _COUNTER_CHUNK = 16384
 # at 7, on row-major and on column-major A (1,000,000 x 10 and
 # 200,000 x 8).
 _ROW_BLOCK = 16384
+# residual_pnorm adds |r|^p at p != 2 in groups of _SUM_ROWS rows from
+# row 0, then adds the groups' sums, so its total does not depend on the
+# block height where that is a multiple of _SUM_ROWS, as _ROW_BLOCK is.
+_SUM_ROWS = 256
 # A sum s of p-th powers (at p=2, of squares) needs no scaling when
 # _SQ_LO <= s <= _SQ_HI: a finite s had no power overflow, and each power
 # that underflowed is below 2^-1022 = 2^-122 * _SQ_LO, far below the last
@@ -484,11 +488,12 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
     Each block's residual A[blk] @ x - b[blk] is bitwise that block of
     A @ x - b (see _ROW_BLOCK) and is written into out[blk] when out is
     given; otherwise no n-length array is built.  The blocks' sums of
-    |r|^p (one BLAS dot at p=2) are added unscaled into total, which
-    stage 2's shares divide by; it may be inf, 0 or NaN where the powers
-    over- or underflow.  The norm is total's p-th root, or, for a total
-    outside [_SQ_LO, _SQ_HI], pnorm's scaled norm of out, or of the
-    residual formed again when out is None.
+    |r|^p (one BLAS dot at p=2, at p != 2 the sums of groups of _SUM_ROWS
+    rows) are added unscaled into total, which stage 2's shares divide
+    by; it may be inf, 0 or NaN where the powers over- or underflow.  The
+    norm is total's p-th root, or, for a total outside [_SQ_LO, _SQ_HI],
+    pnorm's scaled norm of out, or of the residual formed again when out
+    is None.
     Pass a column-major A: at 1,000,000 x 10, p=2, the pass took 7.7-9.6
     ms on one, against 15-16 ms on a row-major A, whose block GEMVs
     OpenBLAS runs at half the speed (one BLAS thread, 2 vCPUs).
@@ -508,8 +513,11 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
         res = buf[:, 0]
     elif out is None:
         res = np.empty((rows,) + b.shape[1:])
-    tmp = np.empty(rows * (b.shape[1] if b.ndim == 2 else 1)) if p != 2.0 else None
-    total = 0.0
+    k = b.shape[1] if b.ndim == 2 else 1
+    tmp = np.empty(rows * k) if p != 2.0 else None
+    # entries of r.reshape(-1) per group of _SUM_ROWS rows
+    group = _SUM_ROWS * max(k, 1)
+    total, groups = 0.0, []
     with np.errstate(over="ignore"):
         for blk in blocks:
             a, h = A[blk], blk.stop - blk.start
@@ -520,12 +528,15 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
             if p == 2.0:
                 total += float(v @ v)
             else:
-                total += float(_pow_inplace(np.abs(v, out=tmp[:v.size]), p).sum())
+                powers = _pow_inplace(np.abs(v, out=tmp[:v.size]), p)
+                groups.append(np.add.reduceat(powers, np.arange(0, v.size, group)))
             if at is not None:
                 if out is not None:
                     buf[:h, 0] = r
                 buf[:h, 1] = b[blk]
                 at += a.T @ buf[:h]
+        if groups:
+            total = float(np.concatenate(groups).sum())
     if _SQ_LO <= total <= _SQ_HI:
         return (math.sqrt(total) if p == 2.0 else total ** (1.0 / p)), total
     if out is None:

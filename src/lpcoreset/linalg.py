@@ -36,6 +36,7 @@ import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from . import kernels
+from .kernels import row_blocks
 from .errors import InvalidExponentError, ZeroRankError
 
 DEFAULT_RANK_TOL = 1e-10
@@ -159,15 +160,6 @@ def _rank(sv):
     return int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
 
 
-def _tsqr_blocks(n, m):
-    """Slices of the TSQR's row blocks of an n x m matrix: _TSQR_ROWS rows
-    each but at least m, so that each block has an m x m R, and the tail
-    below one block joined to the last block."""
-    rows = max(_TSQR_ROWS, m)
-    k = max(1, n // rows)
-    return [slice(i * rows, n if i == k - 1 else (i + 1) * rows) for i in range(k)]
-
-
 _GEQRF, _GEQRF_LWORK, _GELSY, _GELSY_LWORK = get_lapack_funcs(
     ("geqrf", "geqrf_lwork", "gelsy", "gelsy_lwork"), dtype=np.float64
 )
@@ -190,7 +182,8 @@ class BlockedR:
 
     def __init__(self, n, k, buffer=None):
         self.k = k
-        self.blocks = _tsqr_blocks(n, k)
+        # _TSQR_ROWS rows but at least k, so that each block has a k x k R
+        self.blocks = row_blocks(n, max(_TSQR_ROWS, k))
         rows = [blk.stop - blk.start for blk in self.blocks]
         if buffer is not None:
             self._outs = [buffer]
@@ -263,7 +256,7 @@ def _r_factors(A, copy=None):
     faults).
     """
     n, m = A.shape
-    in_copy = copy is not None and len(_tsqr_blocks(n, m)) == 1
+    in_copy = copy is not None and len(row_blocks(n, max(_TSQR_ROWS, m))) == 1
 
     def copy_rows(blk, out):
         out[:] = A[blk]

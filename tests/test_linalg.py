@@ -233,7 +233,7 @@ class TestBlockedQR:
     def one_and_blocked(A, monkeypatch):
         one = r_factors(A)
         monkeypatch.setattr(linalg, "_TSQR_ROWS", 7)
-        assert len(linalg._tsqr_blocks(*A.shape)) > 1
+        assert len(linalg.BlockedR(*A.shape).blocks) > 1
         return one, r_factors(A)
 
     @pytest.mark.parametrize("n, m", [(14, 3), (29, 1), (50, 5), (200, 7), (40, 9), (1000, 4)])
@@ -307,7 +307,7 @@ class TestRFactors:
         A = _design(rng, kind)
         one = r_factors(A) if A.any() else None
         monkeypatch.setattr(linalg, "_TSQR_ROWS", BLOCK)
-        assert len(linalg._tsqr_blocks(*A.shape)) == A.shape[0] // BLOCK > 1
+        assert len(linalg.BlockedR(*A.shape).blocks) == A.shape[0] // BLOCK > 1
         if one is None:
             with pytest.raises(ZeroRankError):
                 r_factors(A)
