@@ -1,10 +1,13 @@
 """File formats: CSV / MatrixMarket ingestion, instance generation,
-and JSON report emission.
+and JSON report emission.  np.loadtxt reads a CSV from the open file;
+the list of stripped lines is built only for MatrixMarket, a pipe, or
+when loadtxt raises.
 
 Reports are serialized with a fixed field layout and floats printed at 17
 significant digits, so emit -> parse round-trips every numeric field
 exactly and identical runs produce byte-identical files.
 """
+import itertools
 import json
 import math
 import os
@@ -50,8 +53,13 @@ def json_dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [json_dumps(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+        if all(type(v) is int for v in obj):  # bools and numpy ints recurse
+            items = map(str, obj)
+        elif all(isinstance(v, (float, np.floating)) for v in obj):
+            items = map(_format_float, obj)
+        else:
+            items = [json_dumps(v, indent + 2) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -63,9 +71,13 @@ def json_dumps(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _is_header(line):  # a first line with no numeric cell
+    return not any(_is_number(c) for c in line.split(","))
+
+
 def _parse_csv(lines):
-    if lines and not any(_is_number(c) for c in lines[0][1].split(",")):
-        lines = lines[1:]  # first line with no numeric cell: header
+    if lines and _is_header(lines[0][1]):
+        lines = lines[1:]
     if not lines:
         raise MatrixParseError("no data rows found", line=1)
     try:
@@ -151,15 +163,15 @@ def _parse_matrix_market(lines):
                 f"expected {n * m} entries, found {len(entries)}", line=size_line
             )
         M = np.empty((n, m))
-        k = 0
-        for j in range(m):  # MatrixMarket array data is column-major
-            for i in range(n):
-                lineno, s = entries[k]
+        try:
+            values = [float(s.split()[0]) for _, s in entries]
+        except ValueError:
+            for lineno, s in entries:  # raise at the first bad entry
                 try:
-                    M[i, j] = float(s.split()[0])
-                except (ValueError, IndexError):
+                    float(s.split()[0])
+                except ValueError:
                     raise MatrixParseError(f"bad entry {s!r}", line=lineno) from None
-                k += 1
+        M.T[...] = np.reshape(values, (m, n))  # MatrixMarket array data is column-major
         return M
 
     if len(sizes) != 3:
@@ -187,6 +199,12 @@ def _parse_matrix_market(lines):
     return M
 
 
+def _nonblank_lines(f):
+    for lineno, line in enumerate(f, 1):
+        if stripped := line.strip():
+            yield lineno, stripped
+
+
 def load_matrix(path):
     """Load a dense matrix from CSV or MatrixMarket (array or coordinate).
 
@@ -194,7 +212,10 @@ def load_matrix(path):
     banner (in any case) is MatrixMarket, with the layout its header
     names; any other file is CSV.  The file is read as UTF-8; a leading
     byte-order mark is dropped.  Blank lines are skipped and line endings
-    may be LF or CRLF.
+    may be LF, CRLF or CR.  The file is opened once, and np.loadtxt reads a
+    CSV from it; the list of stripped non-blank lines is built only for
+    MatrixMarket, for a file that cannot seek (a pipe), or when loadtxt
+    raises.
 
     A CSV cell is a number in float()'s grammar (surrounding whitespace,
     sign, decimal or exponent form, nan, inf, infinity in any case) without
@@ -205,11 +226,19 @@ def load_matrix(path):
     MatrixParseError with a 1-based line number.
     """
     with open(path, "r", encoding="utf-8-sig") as f:
-        lines = [
-            (lineno, stripped)
-            for lineno, line in enumerate(f, 1)
-            if (stripped := line.strip())
-        ]
+        lines = _nonblank_lines(f)
+        head = list(itertools.islice(lines, 2))
+        skip = head[0][0] if head and _is_header(head[0][1]) else 0  # header's line
+        csv = head and not head[0][1].lower().startswith(_MM_BANNER)
+        # loadtxt warns on a file with no data row; a pipe cannot seek back
+        if csv and len(head) > bool(skip) and f.seekable():
+            f.seek(0)
+            try:
+                return np.loadtxt(f, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+            except ValueError:  # a whitespace-only line, a bad cell, a ragged row
+                f.seek(0)
+                head, lines = [], _nonblank_lines(f)
+        lines = head + list(lines)
     if not lines:
         raise MatrixParseError("empty file", line=1)
     if lines[0][1].lower().startswith(_MM_BANNER):

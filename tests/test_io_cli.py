@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lpcoreset as lc
+import lpcoreset.io as lpc_io
 from lpcoreset.cli import run_cli
 from lpcoreset.errors import MatrixParseError
 from lpcoreset.io import (
@@ -20,6 +22,7 @@ from lpcoreset.io import (
     json_dumps,
     load_matrix,
     load_vector,
+    report_to_dict,
     save_matrix_csv,
 )
 
@@ -237,6 +240,133 @@ class TestMatrixMarket:
         np.testing.assert_array_equal(load_matrix(path), [[2.0]])
 
 
+def line_path_load(path):
+    """The line path alone, as the reference: one list of (line number,
+    stripped line) for every non-blank line, then the parsers."""
+    with open(path, "r", encoding="utf-8-sig") as f:
+        lines = [(n, s) for n, line in enumerate(f, 1) if (s := line.strip())]
+    if not lines:
+        raise MatrixParseError("empty file", line=1)
+    if lines[0][1].lower().startswith("%%matrixmarket"):
+        return lpc_io._parse_matrix_market(lines)
+    return lpc_io._parse_csv(lines)
+
+
+def load_outcome(load, path):
+    try:
+        M = load(path)
+    except ValueError as err:  # MatrixParseError, UnicodeDecodeError
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return M.dtype.str, M.shape, M.tobytes()
+
+
+TOKENS = [
+    " 1 ", "+1", "-0", ".5", "5.", "1E+05", "nan", "-Infinity", "1e400", "4.9e-324",
+    "", "1_0", "１", "0x10", "1d3", '"1"',
+]
+ROWS = "".join(f"{i}.25,-{i},{i}e-3\n" for i in range(1, 3000))
+
+LOAD_CORPUS = {
+    "plain": b"1,2\n3,4\n",
+    "bom": b"\xef\xbb\xbf1,2\n3,4\n",
+    "crlf": b"1,2\r\n3,4\r\n",
+    "lone-cr": b"1,2\r3,4\r",
+    "no-final-newline": b"1,2\n3,4",
+    "blank-lines": b"\n1,2\n\n\n3,4\n\n",
+    "whitespace-only-ascii": b"1,2\n \t \n3,4\n",
+    "whitespace-only-nbsp": "1,2\n\xa0\n3,4\n".encode(),
+    "whitespace-only-crlf": b"1,2\r\n \r\n\t\r\n3,4\r\n",
+    "whitespace-only-one-column": b"1\n \n2\n",
+    "header-after-blank-lines": b"\n\n \ncolA,colB\n1,2\n3,4\n",
+    "header-with-bom": b"\xef\xbb\xbfcolA,colB\n1,2\n",
+    "header-crlf-blank-lines": b"colA,colB\r\n\r\n \r\n1,2\r\n",
+    "header-only": b"colA,colB\n",
+    "header-then-blank-lines": b"colA,colB\n\n\r\n",
+    "header-then-whitespace": b"colA,colB\n\n \n",
+    "edge-whitespace": b" 1,2\t\n\t3 , 4 \n",
+    "edge-nbsp": "\xa01,2\xa0\n3,4\xa0\n".encode(),
+    "one-column": b"1\n2\n3\n",
+    "one-row": b"1,2,3\n",
+    "ragged": b"1,2\n3,4,5\n",
+    "ragged-short": b"1,2\n3\n",
+    "empty-cell": b"1,2\n3,\n",
+    "mixed-first-row": b"1,x\n3,4\n",
+    "second-header": b"colA,colB\nfoo,bar\n1,2\n",
+    "empty-file": b"",
+    "only-blank-lines": b"\n \n\r\n",
+    "invalid-utf8": b"1,2\n3,\xff\n",
+    "invalid-utf8-first-line": b"\xc3,2\n3,4\n",
+    "invalid-utf8-late": ROWS.encode() + b"\xff,1,2\n",
+    "whitespace-only-late": ROWS.encode() + b" \n1,2,3\n",
+    "bad-cell-late": ROWS.encode() + b"1,oops,3\n",
+    "matrix-market": b"%%MatrixMarket matrix array real general\n2 1\n5\n6\n",
+    **{f"token-{t!r}": f"x,y\n1,2\n{t},4\n".encode() for t in TOKENS},
+    **{f"edge-token-{t!r}": f"{t},4\n1,2\n".encode() for t in TOKENS},
+}
+
+
+class TestLoadPaths:
+    """load_matrix hands a CSV file to np.loadtxt and builds its line list
+    only for MatrixMarket, a pipe, or when loadtxt raises."""
+
+    @pytest.mark.parametrize("data", LOAD_CORPUS.values(), ids=LOAD_CORPUS.keys())
+    def test_matches_line_path(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert load_outcome(load_matrix, path) == load_outcome(line_path_load, path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["", "colA,colB,colC\n", "\r\n\ncolA,colB,colC\r\n"],
+        ids=["plain", "header", "blank-lines-then-header"],
+    )
+    def test_large_csv_builds_no_line_list(self, tmp_path, monkeypatch, header):
+        # the first data row (after any header) is the last line drawn
+        M = np.random.default_rng(9).standard_normal((50_000, 3))
+        path = str(tmp_path / "m.csv")
+        save_matrix_csv(M, path)
+        with open(path, "r+", encoding="ascii") as f:
+            text = f.read()
+            f.seek(0)
+            f.write(header + text)
+        reader = lpc_io._nonblank_lines
+
+        def two_lines_at_most(f):
+            for k, item in enumerate(reader(f)):
+                if k == 2:
+                    raise AssertionError("the line list was built")
+                yield item
+
+        monkeypatch.setattr(lpc_io, "_nonblank_lines", two_lines_at_most)
+        assert load_matrix(path).tobytes() == M.tobytes()
+        with pytest.raises(AssertionError, match="line list"):  # the fallback reads on
+            load_matrix(write(tmp_path, "ws.csv", header + "1,2,3\n \n4,5,6\n7,8,9\n"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize(
+        "text",
+        ["colA,colB\r\n1,2\r\n \r\n3,4\r\n", "1,2\n3,4\n"],
+        ids=["header-crlf-whitespace-line", "plain"],
+    )
+    def test_pipe_loads(self, tmp_path, text):
+        # a pipe cannot seek back, so it is read once, as a line list
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as f:
+                f.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            M = load_matrix(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+
+
 class TestVectors:
     def test_column(self, tmp_path):
         for bom in ("", "\ufeff"):
@@ -341,6 +471,83 @@ class TestReportJson:
             "solver_iterations",
             "solver_converged",
         ]
+
+
+def item_by_item_dumps(obj, indent=0):
+    """json_dumps with every list written one recursive call per item."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict) and obj:
+        inner = " " * (indent + 2)
+        items = [
+            f"{inner}{json.dumps(str(k))}: {item_by_item_dumps(v, indent + 2)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = " " * (indent + 2)
+        items = [inner + item_by_item_dumps(v, indent + 2) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+    return json_dumps(obj, indent)
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+)
+JSON_FLOATS = st.one_of(
+    FINITE_FLOATS,
+    FINITE_FLOATS.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+)
+JSON_SCALARS = st.one_of(
+    JSON_FLOATS,
+    st.integers(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+class TestJsonLists:
+    """json_dumps writes a list of only floats, or of only ints, in one join."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        obj=st.one_of(
+            st.lists(JSON_FLOATS),
+            st.lists(st.integers()),
+            st.lists(
+                st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=4)), max_size=8
+            ),
+        ),
+        indent=st.sampled_from([0, 2, 6]),
+    )
+    def test_bytes_match_item_by_item(self, obj, indent):
+        assert json_dumps(obj, indent) == item_by_item_dumps(obj, indent)
+        assert json_dumps(tuple(obj), indent) == item_by_item_dumps(obj, indent)
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, np.float64(np.inf), np.float32(np.nan)]
+    )
+    def test_non_finite_float_raises(self, bad):
+        for obj in ([1.0, bad], [bad], np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                json_dumps(obj)
+
+    def test_bools_stay_json_literals(self):
+        assert json_dumps([True, False]) == "[\n  true,\n  false\n]"
+        assert json_dumps([1, True, np.bool_(False)]) == "[\n  1,\n  true,\n  false\n]"
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_report_bytes_match_item_by_item(self, p):
+        inst = lc.reference_instance(n=3000, d=3, p=p, seed=4)
+        cfg = lc.SamplerConfig(p=p, d=3, epsilon=0.1, r1_scale=1e-3, r2_scale=1e-3)
+        report = lc.two_stage_solve(inst, cfg, seed=8, compute_exact=True)
+        assert report.status == "ok" and len(report.coreset_indices) > 50
+        doc = report_to_dict(report)
+        assert emit_report(report) == item_by_item_dumps(doc) + "\n"
 
 
 @pytest.fixture
