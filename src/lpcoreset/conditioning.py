@@ -38,11 +38,11 @@ whatever the proxy missed; near the Lewis weights lambda and
 lambda_max(M') are near 1.  G is Gs scaled to put 1 + _TOL on the slack,
 alpha is the sums' total to the 1/p over that scale, and the sums' shares
 are U's lp leverage, all that stage-1 sampling reads of U.  T is read
-only as A's row blocks times C, C Gs^-1 in the passes over all of T,
-and a first such pass gives the proxy's importance sums, so at p != 2
-conditioning writes no n x d array.  At p = 2 no rounding runs, the
-certificates are exactly (sqrt(d), 1), and the leverage comes from one
-pass over T's row blocks.
+only as A's row blocks times C, C Gs^-1 in the passes over all of T
+(_block_pass, the one code that forms T's blocks), and a first such pass
+gives the proxy's importance sums.  At p = 2 no rounding runs, the
+certificates are exactly (sqrt(d), 1), and that first pass alone gives
+the leverage.  So conditioning writes no n x d array.
 
 At every p, U, G and tau are formed from A when first read (lpcoreset
 certify, the tests): T = A C again, at p = 2 G = chol(T^T T) (T's
@@ -63,9 +63,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
 
-from .kernels import (
-    _SQ_HI, _SQ_LO, _pow_inplace, pnorm, powsum_shares, row_blocks, row_pnorms, row_powsums
-)
+from .kernels import _SQ_HI, _SQ_LO, _block_powsums, pnorm, powsum_shares, row_blocks, row_pnorms
 from .linalg import (
     _as_2d, _check_exponent, _check_finite, _r_factors, dual_exponent, numeric_rank, vec_p_norm
 )
@@ -235,7 +233,7 @@ def _block_pass(Q, K, p, sums, work, lewis=False, w=None):
                 np.power(v, 0.5 - 1.0 / p, out=s)
             Mp += _gram(np.multiply(y, s[:, None], out=x))
         if sums is not None:
-            np.matmul(_pow_inplace(np.abs(y, out=y), p), np.ones(d), out=sums[blk])
+            _block_powsums(y, p, sums[blk], y)
     return S, Mp
 
 
@@ -324,9 +322,10 @@ def well_conditioned_basis(A, p, *, factors=None):
     At p != 2, G, the leverage and alpha_cert, U's entrywise p-norm, come
     from the rounding, and beta_cert = slack for p < 2 and
     slack * d^(1/q - 1/2) for p > 2; at p = 2 the certificates are exactly
-    (sqrt(d), 1), and the leverage comes from one pass over T's row
-    blocks.  All are rigorous; a rounding that did not converge warns, and
-    its looser factors stand.  U, G and tau are formed when first read.
+    (sqrt(d), 1), and the leverage comes from the rounding's first pass
+    over T's row blocks, with no sweeps.  All are rigorous; a rounding
+    that did not converge warns, and its looser factors stand.  U, G and
+    tau are formed when first read.
 
     factors, when given, must be linalg.r_factors(A), and A is then
     neither validated nor factored again.  RegressionInstance passes its
@@ -341,7 +340,8 @@ def well_conditioned_basis(A, p, *, factors=None):
         # T's columns are orthonormal up to rounding, so the total is
         # about d, far from where powsum_shares would need to rescale
         G, kappa, slack, alpha, beta = None, 1.0, 1.0, math.sqrt(d), 1.0
-        leverage = row_powsums(A, 2.0, factors.C)
+        leverage = np.empty(A.shape[0])
+        _block_pass(A, factors.C, 2.0, leverage, _workspace(A.shape[0], d))
         leverage /= leverage.sum()
     else:
         rounding = lowner_john_round(A, p, factors.C)

@@ -1,7 +1,7 @@
 """File formats: CSV / MatrixMarket ingestion, instance generation,
 and JSON report emission.  np.loadtxt reads a CSV from the open file;
-the list of stripped lines is built only for MatrixMarket, a pipe, or
-when loadtxt raises.
+the list of stripped lines is built only for MatrixMarket, or when
+loadtxt raises.
 
 Reports are serialized with a fixed field layout and floats printed at 17
 significant digits, so emit -> parse round-trips every numeric field
@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -121,6 +122,17 @@ def _is_number(s):
         return False
 
 
+def _mm_sizes(fields, line):
+    """The sizes of a MatrixMarket size line, nonnegative integers."""
+    try:
+        sizes = [int(s) for s in fields]
+    except ValueError:
+        raise MatrixParseError("bad size line", line=line) from None
+    if min(sizes) < 0:
+        raise MatrixParseError("negative size", line=line)
+    return sizes
+
+
 def _parse_matrix_market(lines):
     header_line, header = lines[0]
     fields = header.split()
@@ -154,10 +166,7 @@ def _parse_matrix_market(lines):
     if fmt == "array":
         if len(sizes) != 2:
             raise MatrixParseError("array size line must be 'n m'", line=size_line)
-        try:
-            n, m = int(sizes[0]), int(sizes[1])
-        except ValueError:
-            raise MatrixParseError("bad size line", line=size_line) from None
+        n, m = _mm_sizes(sizes, size_line)
         if len(entries) != n * m:
             raise MatrixParseError(
                 f"expected {n * m} entries, found {len(entries)}", line=size_line
@@ -176,10 +185,7 @@ def _parse_matrix_market(lines):
 
     if len(sizes) != 3:
         raise MatrixParseError("coordinate size line must be 'n m nnz'", line=size_line)
-    try:
-        n, m, nnz = (int(s) for s in sizes)
-    except ValueError:
-        raise MatrixParseError("bad size line", line=size_line) from None
+    n, m, nnz = _mm_sizes(sizes, size_line)
     if len(entries) != nnz:
         raise MatrixParseError(
             f"expected {nnz} entries, found {len(entries)}", line=size_line
@@ -214,36 +220,60 @@ def load_matrix(path):
     byte-order mark is dropped.  Blank lines are skipped and line endings
     may be LF, CRLF or CR.  The file is opened once, and np.loadtxt reads a
     CSV from it; the list of stripped non-blank lines is built only for
-    MatrixMarket, for a file that cannot seek (a pipe), or when loadtxt
-    raises.
+    MatrixMarket, or when loadtxt raises.  A pipe is read whole into
+    memory first, so that it too can be read again.
 
     A CSV cell is a number in float()'s grammar (surrounding whitespace,
     sign, decimal or exponent form, nan, inf, infinity in any case) without
     '_' digit grouping or non-ASCII characters such as full-width digits;
     each parses to the same double as float().  The first non-blank line
     is a header when none of its cells is a number; a first line that
-    mixes numbers and non-numbers is an error.  Malformed inputs raise
-    MatrixParseError with a 1-based line number.
+    mixes numbers and non-numbers is an error.  Malformed inputs, and a
+    byte that is not UTF-8, raise MatrixParseError with a 1-based line
+    number.
     """
-    with open(path, "r", encoding="utf-8-sig") as f:
-        lines = _nonblank_lines(f)
-        head = list(itertools.islice(lines, 2))
-        skip = head[0][0] if head and _is_header(head[0][1]) else 0  # header's line
-        csv = head and not head[0][1].lower().startswith(_MM_BANNER)
-        # loadtxt warns on a file with no data row; a pipe cannot seek back
-        if csv and len(head) > bool(skip) and f.seekable():
+    with open(path, "rb") as f:
+        raw = f if f.seekable() else BytesIO(f.read())
+        text = TextIOWrapper(raw, encoding="utf-8-sig")
+        try:
+            return _load_text(text)
+        except UnicodeDecodeError:
+            raw.seek(0)
+            _raise_at_invalid_utf8(raw.read())
+            raise
+
+
+def _load_text(f):
+    """load_matrix of the seekable text file f."""
+    lines = _nonblank_lines(f)
+    head = list(itertools.islice(lines, 2))
+    skip = head[0][0] if head and _is_header(head[0][1]) else 0  # header's line
+    csv = head and not head[0][1].lower().startswith(_MM_BANNER)
+    # loadtxt warns on a file with no data row
+    if csv and len(head) > bool(skip):
+        f.seek(0)
+        try:
+            return np.loadtxt(f, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+        except ValueError:  # a whitespace-only line, a bad cell, a ragged row
             f.seek(0)
-            try:
-                return np.loadtxt(f, delimiter=",", comments=None, ndmin=2, skiprows=skip)
-            except ValueError:  # a whitespace-only line, a bad cell, a ragged row
-                f.seek(0)
-                head, lines = [], _nonblank_lines(f)
-        lines = head + list(lines)
+            head, lines = [], _nonblank_lines(f)
+    lines = head + list(lines)
     if not lines:
         raise MatrixParseError("empty file", line=1)
     if lines[0][1].lower().startswith(_MM_BANNER):
         return _parse_matrix_market(lines)
     return _parse_csv(lines)
+
+
+def _raise_at_invalid_utf8(data):
+    """Raise MatrixParseError at the line of the first byte of data that is
+    not UTF-8, lines ending at LF, CRLF or CR as the text reader ends them."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MatrixParseError(f"invalid UTF-8 byte 0x{data[err.start]:02x}", line=line) from None
 
 
 def load_vector(path):

@@ -17,6 +17,10 @@ the expected count, and the residual pass sums ``|r|^p``, the total that
 stage 2's shares divide by.  No n-length array of probabilities is made
 unless a caller asks for one (``ChunkRule.whole``).
 
+``_block_powsums`` is the one kernel that sums a row's ``|m_ij|^p``.  No
+kernel takes a column map: conditioning alone forms the row blocks of
+T = A C.
+
 The p=2 norms are guarded instead of scaled: ``pnorm`` and ``row_pnorms``
 take the unscaled sum of squares in one pass over the input, with no
 ``np.abs`` copy.  Only a sum outside ``[_SQ_LO, _SQ_HI]`` (overflowed,
@@ -85,15 +89,14 @@ def row_blocks(n, height=None):
 def _pow_inplace(a, e):
     """Raise the nonnegative float64 array a to the power e in place.
 
-    The exponents the benchmark workloads measured take multiply/sqrt
-    chains: 2 (a*a) and 1.5 (a*sqrt(a)), the p of tall-p2 and tall-p1.5.
-    So does 3 (a*a*a, within an ulp of np.power on normal draws), which
-    took 41 us on a 4,096 x 10 block against 121 us by np.power, and 2.0
-    against 3.4 ms on 10^6 values (36 us and 2.1 ms with the square in a
-    preallocated array; 2 vCPUs).  At 1, a is returned as it is: np.power(a, 1.0)
-    returns a bitwise, and its pass took 6 of 26.5 ms of
-    row_powsums(T, 1.0) at 1,000,000 x 10 (one BLAS thread).  Every other
-    exponent goes through np.power.
+    1.5 (a*sqrt(a)), the p of tall-p1.5, 2 (a*a) and 3 (a*a*a, within an
+    ulp of np.power on normal draws; 41 against 121 us on a 4,096 x 10
+    block, 2 vCPUs) take multiply/sqrt chains, and 1 returns a as it is:
+    np.power(a, 1.0) returns a bitwise, and its pass took 6 of 26.5 ms of
+    the row power sums of T at 1,000,000 x 10 (one BLAS thread).  Every
+    other exponent goes through np.power.  A line trace of the benchmark
+    workloads reaches this only at 1.5 and through np.power: their p=2
+    sums are einsums and dot products.
     """
     if e == 1.0:
         return a
@@ -171,10 +174,9 @@ def _scaled_row_pnorms(a, p):
         out = m
     else:
         a /= np.where(m > 0.0, m, 1.0)[:, None]
-        if p == 2.0:
-            out = np.sqrt(np.einsum("ij,ij->i", a, a))
-        else:
-            out = _pow_inplace(a, p).sum(axis=1) ** (1.0 / p)
+        out = np.empty(a.shape[0])
+        _block_powsums(a, p, out, a)
+        out = np.sqrt(out) if p == 2.0 else out ** (1.0 / p)
         out = np.where(m > 0.0, m * out, 0.0)
     if bad.size:
         out[bad] = nonfinite
@@ -187,26 +189,20 @@ def _nonfinite_norms(R):
     return np.where(np.isnan(R).any(axis=1) & ~np.isinf(R).any(axis=1), np.nan, np.inf)
 
 
-def row_powsums(M, p, cols=None):
+def row_powsums(M, p):
     """Per-row sums sum_j |m_ij|^p of a 2-D array, for a finite p >= 1.
 
-    With cols (k x d), the sums are those of the rows of M @ cols, whose
-    blocks M[blk] @ cols are formed one at a time and never as a whole.
-    The sums are taken unscaled in the blocks of row_blocks (at p=2 one
-    einsum per block, so the last bits may depend on M's memory order);
-    a sum outside [_SQ_LO, _SQ_HI] is redone as the row's max-scaled
-    p-norm raised to p (see the module docstring).
+    The sums are taken unscaled by _block_powsums in the blocks of
+    row_blocks (at p=2 one einsum per block, so the last bits may depend
+    on M's memory order); a sum outside [_SQ_LO, _SQ_HI] is redone as the
+    row's max-scaled p-norm raised to p (see the module docstring).
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("row_powsums expects a 2-D array")
     if not (1.0 <= p < math.inf):
         raise ValueError(f"row_powsums needs a finite p >= 1, got {p}")
-
-    def rows(idx):
-        return M[idx] if cols is None else M[idx] @ cols
-
-    n, k = M.shape[0], M.shape[1] if cols is None else cols.shape[1]
+    n, k = M.shape
     out = np.zeros(n)
     if k == 0:
         return out
@@ -214,12 +210,12 @@ def row_powsums(M, p, cols=None):
     buf = _powsum_buffer(blocks, k, p)
     with np.errstate(over="ignore"):
         for blk in blocks:
-            _block_powsums(rows(blk), p, out[blk], buf)
+            _block_powsums(M[blk], p, out[blk], buf)
     if out.min(initial=_SQ_LO) >= _SQ_LO and out.max(initial=0.0) <= _SQ_HI:
         return out
     bad = np.flatnonzero(~((out >= _SQ_LO) & (out <= _SQ_HI)))
     with np.errstate(over="ignore"):
-        out[bad] = _scaled_row_pnorms(np.abs(rows(bad)), p) ** p
+        out[bad] = _scaled_row_pnorms(np.abs(M[bad]), p) ** p
     return out
 
 
@@ -233,9 +229,13 @@ def _powsum_buffer(blocks, k, p):
 
 def _block_powsums(m, p, out, buf):
     """The unscaled row sums of |m_ij|^p of the 2-D block m, written into
-    out; at p != 2 and more than one column, |m| is raised to p in buf.
-    A single column's powers are formed in out itself: the same values,
-    where einsum over rows of one entry took 15 times as long."""
+    out.  At p != 2 and more than one column, |m| is raised to p in buf
+    (m itself may serve) and summed by a GEMV with ones: at p=1.5, 44, 62
+    and 43 us on C-ordered 3,072 x 8 and 16,384 x 2 and F-ordered 3,072 x
+    8 blocks, against 102, 305 and 47 us by np.sum.  At p=2 einsum is the
+    faster (10 against 15 us, F-ordered 3,072 x 8; 2 vCPUs, one BLAS
+    thread).  One column's powers are formed in out itself: the same
+    values, where einsum over rows of one entry took 15 times as long."""
     if m.shape[1] == 1:
         v = m[:, 0]
         if p == 2.0:
@@ -245,24 +245,22 @@ def _block_powsums(m, p, out, buf):
     elif p == 2.0:
         np.einsum("ij,ij->i", m, m, out=out)
     else:
-        np.sum(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), axis=1, out=out)
+        np.matmul(_pow_inplace(np.abs(m, out=buf[:m.shape[0]]), p), np.ones(m.shape[1]), out=out)
 
 
-def powsum_shares(M, p, sums, scale=1.0):
-    """Each row's share scale * sums_i / sum_j sums_j of sums =
-    row_powsums(M, p), computed in place on sums.
+def powsum_shares(M, p, sums):
+    """Each row's share sums_i / sum_j sums_j of sums = row_powsums(M, p),
+    computed in place on sums.
 
     A total outside [_SQ_LO, _SQ_HI] (at large p, or at extreme scales)
     means rows were lost to under- or overflow; the shares are then the
-    max-scaled scale * powsum_ratios(row_pnorms(M, p), p) instead.
+    max-scaled powsum_ratios(row_pnorms(M, p), p) instead.
     """
     total = float(sums.sum())
     if _SQ_LO <= total <= _SQ_HI:
-        sums /= total / scale
+        sums /= total
         return sums
-    shares = powsum_ratios(row_pnorms(M, p), p)
-    shares *= scale
-    return shares
+    return powsum_ratios(row_pnorms(M, p), p)
 
 
 def powsum_ratios(vals, p):

@@ -175,19 +175,18 @@ class TestProxySearch:
         work = []
 
         def counted(kernel, blocks=False):
-            def wrapper(M, p):
+            def wrapper(M, p, *args):
                 M = np.asarray(M)
                 if blocks or n in M.shape:
                     work.append(M.size)
-                return kernel(M, p)
+                return kernel(M, p, *args)
 
             return wrapper
 
         monkeypatch.setattr(conditioning, "pnorm", counted(conditioning.pnorm))
         monkeypatch.setattr(conditioning, "row_pnorms", counted(conditioning.row_pnorms))
-        monkeypatch.setattr(conditioning, "row_powsums", counted(conditioning.row_powsums))
         monkeypatch.setattr(
-            conditioning, "_pow_inplace", counted(conditioning._pow_inplace, blocks=True)
+            conditioning, "_block_powsums", counted(conditioning._block_powsums, blocks=True)
         )
         res = lowner_john_round(Q, 1.5)
         assert res.converged

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 import threading
 
@@ -234,6 +235,53 @@ class TestMatrixMarket:
             load_matrix(write(tmp_path, "m.mtx", text))
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("%%MatrixMarket matrix array real\n1 1\n1\n", 1,
+             "MatrixMarket header must have 5 fields"),
+            ("%%MatrixMarket vector array real general\n1 1\n1\n", 1,
+             "unsupported object 'vector'"),
+            ("%%MatrixMarket matrix dense real general\n1 1\n1\n", 1,
+             "unsupported format 'dense'"),
+            ("%%MatrixMarket matrix array real general\n% only a comment\n", 1,
+             "missing size line"),
+            ("%%MatrixMarket matrix array real general\n%\n2 1 2\n1\n2\n", 3,
+             "array size line must be 'n m'"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1\n", 2,
+             "coordinate size line must be 'n m nnz'"),
+            ("%%MatrixMarket matrix array real general\n2 x\n1\n", 2, "bad size line"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1.5\n1 1 1\n", 2,
+             "bad size line"),
+            ("%%MatrixMarket matrix array real general\n-2 -3\n" + "1\n" * 6, 2,
+             "negative size"),
+            ("%%MatrixMarket matrix coordinate real general\n-1 -1 1\n1 1 1\n", 2,
+             "negative size"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", 2, "negative size"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n", 2,
+             "expected 2 entries, found 1"),
+            ("%%MatrixMarket matrix array real general\n2 1\n1\n\n%\n1,5\n", 6,
+             "bad entry '1,5'"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2\n", 4,
+             "coordinate entry needs 'i j value'"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1.0 3\n", 3,
+             "bad entry '1 1.0 3'"),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 0 3\n", 3,
+             r"index \(1, 0\) out of bounds"),
+        ],
+        ids=[
+            "header-fields", "header-object", "header-format", "no-size-line",
+            "array-size-fields", "coordinate-size-fields", "array-size-int",
+            "coordinate-size-int", "array-negative", "coordinate-negative",
+            "coordinate-negative-nnz", "entry-count", "array-entry", "coordinate-fields",
+            "coordinate-entry", "coordinate-index",
+        ],
+    )
+    def test_malformed_inputs_name_their_line(self, tmp_path, text, line, message):
+        with pytest.raises(MatrixParseError, match=f"^line {line}: {message}") as err:
+            load_matrix(write(tmp_path, "m.mtx", text))
+        assert err.value.line == line
+
     def test_declared_layout_checked(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n"
         path = write(tmp_path, "m.mtx", text)
@@ -242,7 +290,14 @@ class TestMatrixMarket:
 
 def line_path_load(path):
     """The line path alone, as the reference: one list of (line number,
-    stripped line) for every non-blank line, then the parsers."""
+    stripped line) for every non-blank line, then the parsers.  A byte
+    that is not UTF-8 is found by decoding the lines one at a time."""
+    for number, raw in enumerate(re.split(rb"\r\n|\r|\n", pathlib.Path(path).read_bytes()), 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            message = f"invalid UTF-8 byte 0x{raw[err.start]:02x}"
+            raise MatrixParseError(message, line=number) from None
     with open(path, "r", encoding="utf-8-sig") as f:
         lines = [(n, s) for n, line in enumerate(f, 1) if (s := line.strip())]
     if not lines:
@@ -255,7 +310,7 @@ def line_path_load(path):
 def load_outcome(load, path):
     try:
         M = load(path)
-    except ValueError as err:  # MatrixParseError, UnicodeDecodeError
+    except ValueError as err:  # MatrixParseError
         return type(err).__name__, str(err), getattr(err, "line", None)
     return M.dtype.str, M.shape, M.tobytes()
 
@@ -297,6 +352,8 @@ LOAD_CORPUS = {
     "invalid-utf8": b"1,2\n3,\xff\n",
     "invalid-utf8-first-line": b"\xc3,2\n3,4\n",
     "invalid-utf8-late": ROWS.encode() + b"\xff,1,2\n",
+    "invalid-utf8-after-cr-lines": b"1,2\r\n3,4\r5,6\r\xe2\x82,7\r",
+    "invalid-utf8-matrix-market": b"%%MatrixMarket matrix array real general\n2 1\n5\n\xff\n",
     "whitespace-only-late": ROWS.encode() + b" \n1,2,3\n",
     "bad-cell-late": ROWS.encode() + b"1,oops,3\n",
     "matrix-market": b"%%MatrixMarket matrix array real general\n2 1\n5\n6\n",
@@ -305,9 +362,28 @@ LOAD_CORPUS = {
 }
 
 
+def _through_pipe(tmp_path, data):
+    """load_matrix of the bytes data written into a named pipe."""
+    fifo = str(tmp_path / "pipe")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_matrix(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 class TestLoadPaths:
     """load_matrix hands a CSV file to np.loadtxt and builds its line list
-    only for MatrixMarket, a pipe, or when loadtxt raises."""
+    only for MatrixMarket or when loadtxt raises; a pipe is read whole
+    first."""
 
     @pytest.mark.parametrize("data", LOAD_CORPUS.values(), ids=LOAD_CORPUS.keys())
     def test_matches_line_path(self, tmp_path, data):
@@ -349,22 +425,30 @@ class TestLoadPaths:
         ids=["header-crlf-whitespace-line", "plain"],
     )
     def test_pipe_loads(self, tmp_path, text):
-        # a pipe cannot seek back, so it is read once, as a line list
-        fifo = str(tmp_path / "pipe")
-        os.mkfifo(fifo)
-
-        def feed():
-            with open(fifo, "w", encoding="utf-8") as f:
-                f.write(text)
-
-        writer = threading.Thread(target=feed)
-        writer.start()
-        try:
-            M = load_matrix(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        M = _through_pipe(tmp_path, text.encode())
         np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "path",
+        ["loadtxt", "lines", pytest.param("pipe", marks=pytest.mark.skipif(
+            not hasattr(os, "mkfifo"), reason="needs os.mkfifo"))],
+    )
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_late_names_its_line(self, tmp_path, path, end):
+        # a bad byte on line 49,990 of 50,001, read by loadtxt, by the line
+        # path (a whitespace-only line 3 makes loadtxt raise first), or from
+        # a pipe; the decoder's own position lies inside one 8 KB chunk
+        rows = [f"{i}.25,-{i}".encode() for i in range(50_001)]
+        rows[49_989] = b"7,\xff8"
+        if path == "lines":
+            rows[2] = b" "
+        data = end.join(rows) + end
+        with pytest.raises(MatrixParseError, match="^line 49990: invalid UTF-8 byte 0xff$"):
+            if path == "pipe":
+                _through_pipe(tmp_path, data)
+            else:
+                (tmp_path / "m.csv").write_bytes(data)
+                load_matrix(tmp_path / "m.csv")
 
 
 class TestVectors:
@@ -581,6 +665,12 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_invalid_utf8_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "A.csv"
+        path.write_bytes(b"1,2\n3,\xc3\n")
+        assert run_cli(["solve", "--input", str(path), "--rhs", "x", "--p", "2"]) == 1
+        assert "error: line 2: invalid UTF-8 byte 0xc3" in capsys.readouterr().err
 
     def test_non_finite_rhs_is_clean_error(self, instance_files, capsys):
         b = load_vector(str(instance_files / "b.csv"))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcoreset import kernels
+from lpcoreset import conditioning, kernels
 
 # Values captured from the stream every sampling plan so far was drawn
 # from: the first three draws for two seeds, and a digest of the first 1000
@@ -320,17 +320,18 @@ def test_row_powsums_blocks_do_not_change_a_row(rng, monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_row_powsums_of_a_product_in_blocks(rng, monkeypatch, p):
-    # the sums of the rows of M @ cols, formed 64 rows at a time, against
-    # those of the whole product; rows whose sums are near 1e-290 take the
-    # guarded path
+    # the sums of the rows of M @ cols that conditioning's block pass
+    # forms, 64 rows at a time, against row_powsums of the whole product,
+    # which redoes the rows whose sums are near 1e-290 by its guarded path
     M = rng.standard_normal((1000, 5))
     M[:30] *= 1e100
     M[30:60] *= 1e-290 ** (1.0 / p)
     M[60:70] = 0.0
     cols = rng.standard_normal((5, 3))
     want = kernels.row_powsums(M @ cols, p)
-    monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
-    got = kernels.row_powsums(M, p, cols)
+    monkeypatch.setattr(conditioning, "_BLOCK", 64)
+    got = np.empty(1000)
+    conditioning._block_pass(M, cols, p, got, conditioning._workspace(1000, 3))
     assert _guarded(M[30:60] @ cols, p).all()
     np.testing.assert_allclose(got, want, rtol=1e-13)
     assert np.all(got[60:70] == 0.0) and np.all(np.isfinite(got[:60]))
@@ -350,11 +351,11 @@ def test_row_powsums_edge_shapes():
 def test_powsum_shares(rng, p):
     M = rng.standard_normal((200, 4))
     sums = kernels.row_powsums(M, p)
-    shares = kernels.powsum_shares(M, p, sums, 7.0)
+    shares = kernels.powsum_shares(M, p, sums)
     assert shares is sums  # in place
-    np.testing.assert_allclose(shares, 7.0 * kernels.powsum_ratios(kernels.row_pnorms(M, p), p),
+    np.testing.assert_allclose(shares, kernels.powsum_ratios(kernels.row_pnorms(M, p), p),
                                rtol=1e-13)
-    assert shares.sum() == pytest.approx(7.0, rel=1e-14)
+    assert shares.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -482,9 +483,14 @@ def test_counter_bernoulli_rejects_a_rule_with_a_nan(monkeypatch):
 
 def _shares_then_clip(M, p, scale, floor):
     """Stage-2 probabilities as row_powsums, powsum_shares and one clip
-    pass formed them."""
+    pass formed them, the sums divided by total / scale in one step."""
     M = M.reshape(M.shape[0], -1)
-    q = kernels.powsum_shares(M, p, kernels.row_powsums(M, p), scale)
+    sums = kernels.row_powsums(M, p)
+    total = float(sums.sum())
+    if kernels._SQ_LO <= total <= kernels._SQ_HI:
+        q = np.divide(sums, total / scale, out=sums)
+    else:
+        q = kernels.powsum_shares(M, p, sums) * scale
     return np.clip(q, floor, 1.0, out=q)
 
 

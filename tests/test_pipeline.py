@@ -173,6 +173,24 @@ class TestRetries:
         assert exc_info.value.diagnostics["attempts"] == want
         assert {r["rank"] for r in want} == {1, 2}
 
+    def test_all_zero_samples_are_retried_at_rank_zero(self):
+        # rows 0-9 are zero and always kept, so a sample without rows
+        # 10-12 has d rows or more, and its solve raises ZeroRankError
+        A = np.zeros((13, 3))
+        A[10:] = np.eye(3) + 0.1
+        inst = lc.RegressionInstance(A=A, b=np.arange(13.0), p=2.0)
+        never = np.concatenate([np.ones(10), np.zeros(3)])
+        with pytest.raises(lc.StageFailureError) as exc_info:
+            _sample_and_solve(inst, never, 1, 0)
+        assert exc_info.value.diagnostics["attempts"] == [{"count": 10, "rank": 0}] * 6
+        # seed 23's first sample is all zero, and its first derived seed
+        # keeps rows 10-12
+        sometimes = np.concatenate([np.ones(10), np.full(3, 0.5)])
+        assert lc.realize_sample(sometimes, 2.0, 23).realized_indices.max() < 10
+        out = _sample_and_solve(inst, sometimes, 1, 23)
+        assert out.attempts == 2
+        np.testing.assert_array_equal(out.plan.realized_indices[-3:], [10, 11, 12])
+
     @pytest.mark.parametrize(
         "solve",
         [
@@ -198,6 +216,23 @@ class TestReportInvariants:
         a = lc.two_stage_solve(ref300, small_cfg(1.5), seed=33, compute_exact=True)
         b = lc.two_stage_solve(ref300, small_cfg(1.5), seed=33, compute_exact=True)
         assert report_payload(a) == report_payload(b)
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_no_exact_baseline_above_the_cell_cap(self, monkeypatch, cols):
+        # n * m * columns cells one above the cap: no Z_exact, no ratio and
+        # no full solve; at the cap the baseline is computed
+        A, b, _ = lc.make_instance_arrays(300, 3, seed=5)
+        if cols == 2:
+            b = np.column_stack([b, 2.0 * b])
+        inst = lc.RegressionInstance(A=A, b=b, p=1.5)
+        monkeypatch.setattr(lc.pipeline, "_EXACT_CELL_CAP", 300 * 3 * cols - 1)
+        rep = lc.two_stage_solve(inst, small_cfg(1.5), seed=0, compute_exact=True)
+        assert rep.status == "ok"
+        assert (rep.Z_exact, rep.approx_ratio, rep.exact_solver_converged) == (None, None, None)
+        assert "Z_exact" not in report_to_dict(rep) and "exact_result" not in vars(inst)
+        monkeypatch.setattr(lc.pipeline, "_EXACT_CELL_CAP", 300 * 3 * cols)
+        rep = lc.two_stage_solve(inst, small_cfg(1.5), seed=0, compute_exact=True)
+        assert rep.Z_exact == inst.optimum[1] and rep.approx_ratio >= 1.0 - 1e-10
 
     def test_ratio_at_least_one(self, ref300):
         for seed in range(5):
@@ -824,15 +859,15 @@ class TestBlockedStages:
         # solves, an oracle solve and guarantee statistics on one instance
         # condition it once, and no stage reads U, which stays unformed
         # (stage 2's row sums are formed chunk by chunk by its rule);
-        # conditioning's only full-size kernel passes are one pass over the
-        # row blocks of T = A C at p = 2, and at p != 2 the rounding's two
-        # block passes over A C, for the proxy's power sums and for the
-        # last pass's block products, which give the leverage
+        # conditioning's only full-size kernel passes are the row sums of
+        # one pass over the row blocks of T = A C at p = 2, and at p != 2
+        # of the rounding's two block passes over A C, for the proxy's
+        # power sums and for the last pass's block products, which give
+        # the leverage
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
         passes = []
         watched = [
-            (lc.conditioning, "row_powsums"),
-            (lc.conditioning, "_pow_inplace"),
+            (lc.conditioning, "_block_powsums"),
             (lc.conditioning, "row_pnorms"),
             (lc.sampling, "row_pnorms"),
             (lc.sampling, "ClippedShares"),
@@ -853,12 +888,8 @@ class TestBlockedStages:
         conditioning = [
             (name, M.shape[0]) for (module, name), M in passes if module is lc.conditioning
         ]
-        if p == 2.0:
-            assert [name for (_, name), M in passes if M is inst.A] == ["row_powsums"]
-            assert conditioning == [("row_powsums", inst.n)]
-        else:
-            assert {name for name, _ in conditioning} == {"_pow_inplace"}
-            assert sum(rows for _, rows in conditioning) == 2 * inst.n
+        assert {name for name, _ in conditioning} == {"_block_powsums"}
+        assert sum(rows for _, rows in conditioning) == (1 if p == 2.0 else 2) * inst.n
         assert not [
             M for (_, name), M in passes if name == "row_pnorms" and M.shape[0] == inst.n
         ]
@@ -957,3 +988,104 @@ class TestBlockedStages:
         assert rep.status == "ok"
         assert vector <= held < 1.5 * vector
         assert 2 * vector <= read - held < 2 * vector + 4096
+
+
+class _Blocks(list):
+    """row_blocks' slices, counting the loops over them: each is one pass
+    over the rows, but for skip loops that read no rows."""
+
+    def __init__(self, blocks, skip):
+        super().__init__(blocks)
+        self.loops, self.skip = 0, skip
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+    @property
+    def passes(self):
+        return max(0, self.loops - self.skip)
+
+
+class TestPassBudget:
+    """Full passes over A's n rows, each reading its n * m entries once,
+    by layer, in one run and in the direct solve.
+
+    A pass is a loop over the row blocks of n rows from a module's own
+    row_blocks binding (BlockedR's first loop sizes its buffers and reads
+    no rows), or one of the solver's whole-array products with A
+    (_residual, _smoothed_gradient).  Two more products of the p != 2
+    direct solve, its gradient scale A^T b and its final objective, are
+    not counted.  A change to a count restates it here and in CHANGES.md.
+    """
+
+    N, M = 40_000, 4  # 2 blocks of kernels and linalg, 13 of conditioning
+
+    def _counted(self, monkeypatch):
+        phase, blocks, calls = ["setup"], [], []
+        real = lc.kernels.row_blocks
+        for module in (lc.linalg, lc.conditioning, lc.kernels, lc.solver):
+
+            def counted(n, height=None, _skip=int(module is lc.linalg)):
+                out = _Blocks(real(n, height), _skip)
+                if n == self.N:
+                    blocks.append((phase[0], out))
+                return out
+
+            monkeypatch.setattr(module, "row_blocks", counted)
+        for name in ("_residual", "_smoothed_gradient"):
+
+            def product(A, *args, _real=getattr(lc.solver, name)):
+                if A.shape[0] == self.N:
+                    calls.append(phase[0])
+                return _real(A, *args)
+
+            monkeypatch.setattr(lc.solver, name, product)
+        for name in ("stage_one", "stage_two"):
+
+            def stage(*args, _real=getattr(lc.pipeline, name), _name=name):
+                phase[0] = _name
+                return _real(*args)
+
+            monkeypatch.setattr(lc.pipeline, name, stage)
+        sums = []
+
+        def powsums(m, *args, _real=lc.conditioning._block_powsums):
+            sums.append(m.shape[0])
+            return _real(m, *args)
+
+        monkeypatch.setattr(lc.conditioning, "_block_powsums", powsums)
+
+        def count():
+            passes = {}
+            for layer, out in blocks:
+                passes[layer] = passes.get(layer, 0) + out.passes
+            for layer in calls:
+                passes[layer] = passes.get(layer, 0) + 1
+            blocks.clear()
+            calls.clear()
+            return {layer: k for layer, k in passes.items() if k}
+
+        return phase, count, sums
+
+    # the direct solve: at p = 2 its QR and its residual pass; at p != 2 the
+    # warm start's QR, one QR and one residual per Newton step (9, 8 and 4
+    # steps here), the first residual and the final gradient
+    @pytest.mark.parametrize("p, direct", [(1.0, 21), (1.5, 19), (2.0, 2), (3.0, 11)])
+    def test_passes_per_layer(self, monkeypatch, p, direct):
+        phase, count, sums = self._counted(monkeypatch)
+        A, b, _ = lc.make_instance_arrays(self.N, self.M, seed=1)
+        phase[0] = "instance"
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        phase[0] = "conditioning"
+        inst.basis
+        rep = lc.two_stage_solve(inst, small_cfg(p, d=self.M), seed=0)
+        assert rep.status == "ok" and rep.stage2.plan.actual_count < self.N
+        cond = 1 if p == 2.0 else 2
+        passes = count()
+        assert passes == {"instance": 1, "conditioning": cond, "stage_one": 1, "stage_two": 1}
+        # every pass of conditioning sums the powers of its n rows
+        assert sum(sums) == cond * self.N
+        phase[0] = "direct"
+        lc.solve_lp_regression(inst.A, inst.b, p)
+        assert count() == {"direct": direct}
