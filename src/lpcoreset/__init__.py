@@ -54,8 +54,8 @@ from .sampling import (
     r1_default,
     r2_default,
     realize_sample,
-    stage1_probabilities,
-    stage2_probabilities,
+    stage1_rule,
+    stage2_rule,
 )
 from .solver import SolveResult, solve_lp_regression
 

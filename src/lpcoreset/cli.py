@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 usage/input error, 2 solve failure.
 """
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -14,6 +15,7 @@ from .io import emit_report, generate_instance, json_dumps, load_matrix, load_ve
 from .pipeline import (
     DESIGNS,
     RegressionInstance,
+    _ratio,
     derive_seed,
     guarantee_statistics,
     reference_instance,
@@ -193,19 +195,14 @@ def _cmd_bench(args):
 
 def _ratio_sweep(inst, cfg, args):
     """Median approximation ratio at 0.5x/1x/2x of the stage-2 scale,
-    against the instance's optimum.
+    against the instance's optimum, by the reports' rule (pipeline._ratio);
+    a run with no ratio, whose optimum alone is zero, is left out.
 
     A run whose report failed ends the sweep with StageFailureError."""
     Z = inst.optimum[1]
     sweep = []
     for mult in (0.5, 1.0, 2.0):
-        cfg_k = SamplerConfig(
-            p=cfg.p,
-            d=cfg.d,
-            epsilon=cfg.epsilon,
-            r1_scale=cfg.r1_scale,
-            r2_scale=cfg.r2_scale * mult,
-        )
+        cfg_k = dataclasses.replace(cfg, r2_scale=cfg.r2_scale * mult)
         ratios = []
         for k in range(args.seeds):
             seed = derive_seed(args.seed, f"sweep:{mult}:{k}")
@@ -214,12 +211,14 @@ def _ratio_sweep(inst, cfg, args):
                 raise StageFailureError(
                     f"ratio sweep at r2_scale={cfg_k.r2_scale:g}: {rep.error}"
                 )
-            ratios.append(rep.final_objective / Z if Z > 0 else 1.0)
+            ratio = _ratio(rep.final_objective, Z, inst.b_norm)
+            if ratio is not None:
+                ratios.append(ratio)
         sweep.append(
             {
                 "r2_scale": cfg_k.r2_scale,
-                "median_ratio": float(np.median(ratios)),
-                "max_ratio": float(np.max(ratios)),
+                "median_ratio": float(np.median(ratios)) if ratios else None,
+                "max_ratio": float(np.max(ratios)) if ratios else None,
             }
         )
     return sweep

@@ -63,7 +63,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
 
-from .kernels import _SQ_HI, _SQ_LO, _block_powsums, pnorm, powsum_shares, row_blocks, row_pnorms
+from .kernels import (
+    _SQ_HI, _SQ_LO, ScaledShares, _block_powsums, pnorm, powsum_shares, row_blocks, row_pnorms
+)
 from .linalg import (
     _as_2d, _check_exponent, _check_finite, _r_factors, dual_exponent, numeric_rank, vec_p_norm
 )
@@ -168,28 +170,25 @@ class WellConditionedBasis:
         return self._formed[2]
 
 
-def _search_proxy(Q, p, sums, cols=None):
-    """Row sample Ts of T = Q cols (Q without cols) on which the rounding
-    sweeps for Lewis weights, or Q itself when the sample would keep
-    every row or would lose rank by the library's rank rule
-    (linalg.numeric_rank).
+def _search_proxy(Q, p, sums, cols):
+    """Row sample Ts of T = Q cols on which the rounding sweeps for Lewis
+    weights, or Q itself when the sample would keep every row or would
+    lose rank by the library's rank rule (linalg.numeric_rank).
 
     Rows are kept by p-norm importance, given as sums, each row's
     sum_j |t_ij|^p, and overwritten, at an expected count of at most
-    _PROXY_ROWS * d, with the library's own sampler under _PROXY_SEED and
-    the usual p_i^(-1/p) rescaling, so ||Ts u||_p^p estimates ||T u||_p^p
-    without bias.  Only the kept rows of T are formed, so with cols, sums'
-    total must lie in [_SQ_LO, _SQ_HI], where powsum_shares reads no T.
+    _PROXY_ROWS * d, with the library's own sampler and chunk rule
+    (ScaledShares) under _PROXY_SEED and the usual p_i^(-1/p) rescaling,
+    so ||Ts u||_p^p estimates ||T u||_p^p without bias.  Only the kept
+    rows of T are formed, so sums' total must lie in [_SQ_LO, _SQ_HI],
+    where powsum_shares reads no T.
     """
-    d = Q.shape[1] if cols is None else cols.shape[1]
-    probs = powsum_shares(Q, p, sums)
-    probs *= _PROXY_ROWS * d
-    np.minimum(probs, 1.0, out=probs)
-    if np.all(probs >= 1.0):
+    d = cols.shape[1]
+    shares, scale = powsum_shares(Q, p, sums), _PROXY_ROWS * d
+    if shares.min() * scale >= 1.0:
         return Q
-    Qs = apply_plan(realize_sample(probs, p, _PROXY_SEED), Q)
-    if cols is not None:
-        Qs = _column_basis(Qs, cols)
+    plan = realize_sample(ScaledShares(shares, scale), p, _PROXY_SEED)
+    Qs = _column_basis(apply_plan(plan, Q), cols)
     return Q if numeric_rank(Qs) < d else Qs
 
 

@@ -6,16 +6,18 @@ Each kernel allocates one working array (the ``np.abs`` result, the
 scaled ratios, ``r*r``) and does the rest of its work in place on it, so
 callers' arrays are never modified.  A step that needs a second operand
 of full size (the power chain at 1.5) uses one temporary array.  The
-counter mix, ``row_powsums``, ``counter_bernoulli`` and
-``residual_pnorm`` are the exceptions: they work on buffers of one block
-of rows (``_COUNTER_CHUNK`` draws, or a block of ``row_blocks``) and
-write each block's result into the output.  Whatever else such a loop
-needs of a block it does while the block is in cache, not in a pass of
-its own: the draws form each chunk's probabilities by a chunk rule
-(``ScaledShares``, ``ClippedShares``) just before comparing them and sum
-the expected count, and the residual pass sums ``|r|^p``, the total that
-stage 2's shares divide by.  No n-length array of probabilities is made
-unless a caller asks for one (``ChunkRule.whole``).
+counter mix, ``row_powsums``, ``counter_bernoulli``, ``ChunkRule.whole``
+and ``residual_pnorm`` are the exceptions: they walk the row blocks of
+``row_blocks``, the blocks of the TSQR in linalg too, on buffers of the
+tallest block, and write each block's result into the output.  Whatever
+else such a loop needs of a block it does while the block is in cache,
+not in a pass of its own: the draws form each block's probabilities by a
+chunk rule (``ScaledShares``, ``ClippedShares``) just before comparing
+them and sum the expected count, and the residual pass sums ``|r|^p``,
+the total that stage 2's shares divide by.  So a draw's chunks are the
+residual pass's blocks.  A chunk rule is the library's one form of a
+sampling probability: no n-length array of probabilities is made unless
+a caller asks for one (``ChunkRule.whole``).
 
 ``_block_powsums`` is the one kernel that sums a row's ``|m_ij|^p``.  No
 kernel takes a column map: conditioning alone forms the row blocks of
@@ -49,21 +51,22 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 _INV53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# Draws per chunk of counter_uniforms and counter_bernoulli; the three
-# uint64 working arrays of the mix (the first chunk's states, the chunk
-# and a temporary) are 128 KB each, as is the buffer of a chunk's
-# probabilities.
-# 1,000,000 draws took 6.4-6.6 ms in chunks of 16,384, against 9.0 ms at
-# 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8 ms at 65,536 and 14.5-16.8 ms over
-# whole-length arrays (medians of 40 alternating calls, two runs, 2 vCPUs).
-_COUNTER_CHUNK = 16384
-# Rows per block of row_powsums and residual_pnorm, the block height of
-# the TSQR in linalg: a 16,384 x 10 block of doubles (1.3 MB) stays in
-# the L2 cache while the block's passes run.  Keep it a multiple of 4:
-# OpenBLAS computed each row of the block products
-# A[blk] @ x bitwise as in A @ x at heights 16,384, 256 and 100, but not
-# at 7, on row-major and on column-major A (1,000,000 x 10 and
-# 200,000 x 8).
+# Rows per block of row_blocks, which every loop over n rows walks (the
+# draws and chunk rules, row_powsums, residual_pnorm, the TSQR in linalg):
+# a 16,384 x 10 block of doubles (1.3 MB) stays in the L2 cache while the
+# block's passes run.  Keep it a multiple of 4: OpenBLAS computed each row
+# of the block products A[blk] @ x bitwise as in A @ x at heights 16,384,
+# 256 and 100, but not at 7, on row-major and on column-major A
+# (1,000,000 x 10 and 200,000 x 8).  1,000,000 draws took 6.4-6.6 ms in
+# chunks of 16,384, against 9.0 ms at 4,096, 6.2-6.5 ms at 32,768, 7.1-7.8
+# ms at 65,536 and 14.5-16.8 ms over whole-length arrays.  A Q-and-R TSQR
+# took 166, 169, 165 and 185 ms at 1,000,000 x 10 and 28, 26, 27 and 29 ms
+# at 200,000 x 8 in blocks of 2,048, 4,096, 8,192 and 16,384 rows, against
+# 408 and 44 ms by one Householder QR; at 20,000 x 8, which fits in the L2
+# cache (2 MB per core), blocks gained nothing (Householder 3.8-4.3 ms,
+# blocks of 2,048 and 4,096 rows 3.9-4.6 and 4.2-5.3 ms), and at 16,384
+# rows such an A stays one block.  (Medians of alternating calls, one BLAS
+# thread, 2 vCPUs.)
 _ROW_BLOCK = 16384
 # residual_pnorm adds |r|^p at p != 2 in groups of _SUM_ROWS rows from
 # row 0, then adds the groups' sums, so its total does not depend on the
@@ -79,8 +82,7 @@ _SQ_HI = float(np.finfo(np.float64).max)
 
 def row_blocks(n, height=None):
     """Slices of height rows (_ROW_BLOCK by default) covering n rows, the
-    tail below one block joined to the last block, as the TSQR in linalg
-    splits A."""
+    tail below one block joined to the last block, the tallest."""
     h = _ROW_BLOCK if height is None else height
     k = max(1, n // h)
     return [slice(i * h, n if i == k - 1 else (i + 1) * h) for i in range(k)]
@@ -190,7 +192,8 @@ def _nonfinite_norms(R):
 
 
 def row_powsums(M, p):
-    """Per-row sums sum_j |m_ij|^p of a 2-D array, for a finite p >= 1.
+    """Per-row sums sum_j |m_ij|^p of a 2-D array, for a finite p >= 1:
+    the tests' reference, as linalg.qr_thin is; no library path calls it.
 
     The sums are taken unscaled by _block_powsums in the blocks of
     row_blocks (at p=2 one einsum per block, so the last bits may depend
@@ -249,8 +252,8 @@ def _block_powsums(m, p, out, buf):
 
 
 def powsum_shares(M, p, sums):
-    """Each row's share sums_i / sum_j sums_j of sums = row_powsums(M, p),
-    computed in place on sums.
+    """Each row's share sums_i / sum_j sums_j of sums, the row sums
+    sum_j |m_ij|^p, computed in place on sums.
 
     A total outside [_SQ_LO, _SQ_HI] (at large p, or at extreme scales)
     means rows were lost to under- or overflow; the shares are then the
@@ -278,11 +281,11 @@ def powsum_ratios(vals, p):
     return r
 
 
-def _counter_chunks(seed, n):
-    """Yield (lo, u) for each chunk of the first n draws keyed by seed:
-    u holds draws lo, lo + 1, ... in one buffer that the next chunk
-    overwrites."""
-    size = min(n, _COUNTER_CHUNK)
+def _counter_chunks(seed, blocks):
+    """Yield (blk, u) for each block of blocks = row_blocks(n): u holds
+    the draws of rows blk keyed by seed, in one buffer of the last,
+    tallest block that the next block overwrites."""
+    size = blocks[-1].stop - blocks[-1].start
     # state of draw lo + j + 1 is (j + 1) * golden + seed + lo * golden
     first = np.arange(1, size + 1, dtype=np.uint64)
     first *= _GOLDEN
@@ -290,8 +293,8 @@ def _counter_chunks(seed, n):
     x = np.empty_like(first)
     t = np.empty_like(first)
     u = np.empty(size)
-    for lo in range(0, n, _COUNTER_CHUNK):
-        h = min(n - lo, size)
+    for blk in blocks:
+        lo, h = blk.start, blk.stop - blk.start
         xs, ts = x[:h], t[:h]
         np.add(first[:h], _U64(lo * int(_GOLDEN) & _MASK64), out=xs)
         xs ^= np.right_shift(xs, _S30, out=ts)
@@ -305,19 +308,19 @@ def _counter_chunks(seed, n):
         uh = u[:h]
         np.copyto(uh, np.right_shift(xs, _S11, out=xs).view(np.int64), casting="unsafe")
         uh *= _INV53
-        yield lo, uh
+        yield blk, uh
 
 
 def counter_uniforms(seed, n):
     """n uniforms in [0,1) from a splitmix64 counter stream keyed by seed.
 
     Draw i depends only on (seed, i), so plans are reproducible and
-    row-parallel.  The stream is mixed in chunks of _COUNTER_CHUNK draws
+    row-parallel.  The stream is mixed in the blocks of row_blocks,
     copied into the one output array.
     """
     u = np.empty(n)
-    for lo, chunk in _counter_chunks(seed, n):
-        u[lo:lo + chunk.size] = chunk
+    for blk, chunk in _counter_chunks(seed, row_blocks(n)):
+        u[blk] = chunk
     return u
 
 
@@ -328,8 +331,8 @@ class ChunkRule:
     into out, and len(rule) is the number of rows.  work is
     rule.workspace(h), the scratch a chunk of at most h rows needs, made
     by the loop over the chunks, once, so that no rule keeps state
-    between calls.  whole() evaluates the same rule over all rows, in
-    chunks of _COUNTER_CHUNK, into a new n-vector: the values
+    between calls.  The chunks are the blocks of row_blocks.  whole()
+    evaluates the same rule over all rows into a new n-vector: the values
     counter_bernoulli draws against, bitwise.  unclipped(lo, out, work)
     writes values whose min with 1 is the rule's, for a rule that
     clips them anyway; by default the rule's own.
@@ -343,9 +346,10 @@ class ChunkRule:
 
     def whole(self):
         out = np.empty(len(self))
-        work = self.workspace(min(out.size, _COUNTER_CHUNK))
-        for lo in range(0, out.size, _COUNTER_CHUNK):
-            self(lo, out[lo:lo + _COUNTER_CHUNK], work)
+        blocks = row_blocks(out.size)
+        work = self.workspace(out.size - blocks[-1].start)
+        for blk in blocks:
+            self(blk.start, out[blk], work)
         return out
 
 
@@ -361,8 +365,9 @@ class ArrayRule(ChunkRule):
 
     def __call__(self, lo, out, work):
         chunk = self.probs[lo:lo + out.size]
-        # NaN fails both comparisons, since min and max propagate it
-        if not (chunk.min() >= 0.0 and chunk.max() <= 1.0):
+        # NaN fails both comparisons, since min and max propagate it; the
+        # initial values let the one empty block of 0 rows pass
+        if not (chunk.min(initial=0.0) >= 0.0 and chunk.max(initial=1.0) <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         out[...] = chunk
 
@@ -388,7 +393,7 @@ class ScaledShares(ChunkRule):
 
 
 class ClippedShares(ChunkRule):
-    """min(1, max(floor_i, scale * s_i / total)), s = row_powsums(M, p),
+    """min(1, max(floor_i, scale * s_i / total)), s_i = sum_j |m_ij|^p,
     for a finite p >= 1; a vector M's rows are its entries and floor is a
     ChunkRule over the same rows.
 
@@ -449,31 +454,29 @@ def counter_bernoulli(seed, rule):
     counter_uniforms(seed, n) and q is the ChunkRule rule's probabilities
     over its n rows, their probabilities q[idx], and the sum of q.
 
-    Each chunk's probabilities are formed into a buffer of one chunk just
-    before its draws are compared with them, and added to the total
-    while in cache, so no n-length array of probabilities or uniforms is
-    built; the buffer and the rule's workspace are made once per call.
-    The indices are bitwise
+    Each block of row_blocks(n) has its probabilities formed into a
+    buffer of the tallest block just before its draws are compared with
+    them, and added to the total while in cache, so no n-length array of
+    probabilities or uniforms is built; the buffer and the rule's
+    workspace are made once per call.  The indices are bitwise
     np.flatnonzero(counter_uniforms(seed, n) < rule.whole()).  A rule
     checks what it does not form itself (ArrayRule checks each chunk); a
     total that is not finite, as a NaN share gives, raises ValueError.
     """
-    n = len(rule)
+    blocks = row_blocks(len(rule))
     hits, kept = [], []
     total = 0.0
-    h = min(n, _COUNTER_CHUNK)
+    h = blocks[-1].stop - blocks[-1].start
     buf, work = np.empty(h), rule.workspace(h)
-    for lo, u in _counter_chunks(seed, n):
+    for blk, u in _counter_chunks(seed, blocks):
         q = buf[:u.size]
-        rule(lo, q, work)
+        rule(blk.start, q, work)
         total += float(q.sum())
         hit = np.flatnonzero(u < q)
         kept.append(q[hit])
-        hits.append(hit + lo)
+        hits.append(hit + blk.start)
     if not math.isfinite(total):
         raise ValueError("probabilities must lie in [0, 1]")
-    if not hits:
-        return np.zeros(0, dtype=np.intp), np.zeros(0), total
     return np.concatenate(hits), np.concatenate(kept), total
 
 

@@ -5,7 +5,8 @@ real with fast paths for p=1 and p=2.
 
 The library factors A by an R-only QR.  BlockedR is the R half of a
 tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664): each cache-sized row block is written into one reused
+arXiv:0808.2664): each row block of kernels.row_blocks, the blocks every
+loop over n rows walks, is written into one reused
 Fortran-ordered buffer and factored in place by LAPACK's geqrf, and the
 triangles of several blocks are stacked and factored once more, so no Q
 is ever formed.  Its R has A's singular values up to rounding.
@@ -40,16 +41,6 @@ from .kernels import row_blocks
 from .errors import InvalidExponentError, ZeroRankError
 
 DEFAULT_RANK_TOL = 1e-10
-# Rows per TSQR block; the tail below one block joins the last block.
-# Measured on a Q-and-R TSQR: Householder QR took 408 ms at 1,000,000 x 10
-# and 44 ms at 200,000 x 8; TSQR took 166, 169, 165 and 185 ms there, and
-# 28, 26, 27 and 29 ms, at 2,048, 4,096, 8,192 and 16,384 rows per block.
-# An A that fits in the L2 cache (2 MB per core) gains nothing from
-# blocks: at 20,000 x 8 Householder took 3.8-4.3 ms, blocks of 2,048 rows
-# 3.9-4.6 ms and of 4,096 rows 4.2-5.3 ms.  At 16,384 rows such an A stays
-# one block.  (Medians of alternating runs on fresh arrays, one BLAS
-# thread, 2 vCPUs.)
-_TSQR_ROWS = 16384
 
 
 def _check_exponent(p):
@@ -176,14 +167,14 @@ class BlockedR:
     overwrites, so fill may read it first.  It returns geqrf's output for
     the whole matrix: R on and above the diagonal of its first min(n, k)
     rows, Householder vectors below.  buffer, an F-ordered n x k array,
-    serves a matrix of one block (n below 2 * _TSQR_ROWS) as its block
-    buffer.
+    serves a matrix of one block (n below 2 * kernels._ROW_BLOCK) as its
+    block buffer.
     """
 
     def __init__(self, n, k, buffer=None):
         self.k = k
-        # _TSQR_ROWS rows but at least k, so that each block has a k x k R
-        self.blocks = row_blocks(n, max(_TSQR_ROWS, k))
+        # _ROW_BLOCK rows but at least k, so that each block has a k x k R
+        self.blocks = row_blocks(n, max(kernels._ROW_BLOCK, k))
         rows = [blk.stop - blk.start for blk in self.blocks]
         if buffer is not None:
             self._outs = [buffer]
@@ -256,7 +247,7 @@ def _r_factors(A, copy=None):
     faults).
     """
     n, m = A.shape
-    in_copy = copy is not None and len(row_blocks(n, max(_TSQR_ROWS, m))) == 1
+    in_copy = copy is not None and len(row_blocks(n, max(kernels._ROW_BLOCK, m))) == 1
 
     def copy_rows(blk, out):
         out[:] = A[blk]

@@ -51,10 +51,9 @@ from .linalg import (
 # module calls it, since each sample's rank comes from its solve's QR
 from .linalg import numeric_rank  # noqa: F401
 from .sampling import apply_plan, r1_default, r2_default, realize_sample
-# A stage's probabilities are its chunk rule, so this module builds them
-# by the rule builders, under the names that perfbench's tracer wraps to
-# time them and to learn each draw's stage.  sampling's own functions of
-# these names form all n probabilities instead.
+# A stage's probabilities are its chunk rule, built by the rule builders
+# under the names that perfbench's tracer wraps to time them and to learn
+# each draw's stage; they form no n-vector.
 from .sampling import stage1_rule as stage1_probabilities
 from .sampling import stage2_rule as stage2_probabilities
 from .solver import row_scaled, solve_lp_regression
@@ -306,12 +305,17 @@ def _exact_result(inst):
     return inst.exact_result
 
 
-def _ratio(final_obj, Z):
+def _ratio(final_obj, Z, b_norm):
+    """final_obj / Z, by stage 2's zero test (an objective at most
+    _ZERO_RESIDUAL_RTOL * ||b||_p is exact): 1.0 when both are zero, as on
+    a consistent system, where both are rounding noise, and None when Z
+    alone is."""
     if Z is None:
         return None
-    if Z > 0.0:
+    zero = _ZERO_RESIDUAL_RTOL * b_norm
+    if Z > zero:
         return final_obj / Z
-    return 1.0 if final_obj <= _ZERO_RESIDUAL_RTOL else None
+    return 1.0 if final_obj <= zero else None
 
 
 def _base_report(inst, cfg, seed, variant, extra_config=None):
@@ -377,7 +381,7 @@ def _run_stages(report, inst, seed, stages, compute_exact):
             report.Z_exact = exact.objective
             report.exact_solver_iterations = exact.iterations
             report.exact_solver_converged = exact.converged
-            report.approx_ratio = _ratio(out.full_objective, exact.objective)
+            report.approx_ratio = _ratio(out.full_objective, exact.objective, inst.b_norm)
     return report
 
 
@@ -499,7 +503,7 @@ def guarantee_statistics(inst, cfg, n_seeds, master_seed=0):
         ev_e = st2.full_objective <= (1.0 + 7.0 * cfg.epsilon) * Z * pad
         return {
             "events": (ev_a, ev_b, ev_c, ev_d, ev_e),
-            "ratio2": _ratio(st2.full_objective, Z),
+            "ratio2": _ratio(st2.full_objective, Z, inst.b_norm),
             "count1": st1.plan.actual_count,
             "count2": 0 if st2.plan is None else st2.plan.actual_count,
         }

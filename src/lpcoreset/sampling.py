@@ -6,22 +6,22 @@ Row i is kept independently with probability p_i and, when kept, its row
 counter-based generator keyed by (seed, row), so plans are reproducible
 and the draw at row i never depends on the probability at row j.
 
-Each stage's probabilities are a chunk rule (kernels.ChunkRule), formed
-a chunk of rows at a time inside the loop that draws against them
+Each stage's probabilities are a chunk rule (kernels.ChunkRule), the
+one form of a sampling probability, formed a block of rows of
+kernels.row_blocks at a time inside the loop that draws against them
 (kernels.counter_bernoulli), so no stage makes an n-length array of
 probabilities.  Stage 1's rule scales the basis's leverage, the row
 shares ||u_i||_p^p / |||U|||_p^p that well_conditioned_basis computes
-once per basis.  Stage 2's rule forms each chunk's p-th power row sums
+once per basis.  Stage 2's rule forms each block's p-th power row sums
 of the stage-1 residual, divides them by the total that the residual's
 own pass summed, and takes the max with stage 1's rule
 (kernels.ClippedShares), so it makes no pass over the residual of its
 own.  The oracle variant's probabilities are these two rules with a
 reference residual in place of stage 1's.  A plan keeps its rule, and
 its scales are formed from the probabilities of its realized rows; all
-n probabilities are formed when first read.  stage1_probabilities and
-stage2_probabilities evaluate the same rules over all rows, and
-realize_sample also draws against a caller's n-vector, which is checked
-chunk by chunk.
+n probabilities are formed, by the rule's whole(), when first read.
+realize_sample and stage2_rule's floor also take a caller's n-vector,
+which is checked chunk by chunk.
 """
 import math
 from dataclasses import dataclass, field
@@ -30,9 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import (
-    ArrayRule, ChunkRule, ClippedShares, ScaledShares, counter_bernoulli, row_powsums
-)
+from .kernels import ArrayRule, ChunkRule, ClippedShares, ScaledShares, counter_bernoulli
 from .linalg import _check_exponent
 # kept only as bindings that perfbench's tracer counts kernel calls at;
 # no code of this module calls them
@@ -142,9 +140,9 @@ def stage1_rule(basis, r1):
 
 def stage2_rule(floor, residual, p, r2, total):
     """The chunk rule q_i = min(1, max(p_i, r2 * |rho_i|^p / ||rho||_p^p)),
-    with p_i from the chunk rule floor and total = ||rho||_p^p, the
-    unscaled sum of |rho|^p that the residual's own pass added
-    (kernels.residual_pnorm), so the rule makes no pass over rho.
+    with p_i from floor, a chunk rule or an n-vector, and total =
+    ||rho||_p^p, the unscaled sum of |rho|^p that the residual's own pass
+    added (kernels.residual_pnorm), so the rule makes no pass over rho.
 
     residual may be a matrix, in which case the row sums of |rho_ij|^p
     replace |rho_i|^p (the multi-column generalization); the
@@ -152,23 +150,7 @@ def stage2_rule(floor, residual, p, r2, total):
     residual is a caller contract violation (ValueError; the pipeline
     short-circuits it first).
     """
-    return ClippedShares(residual, p, r2, floor, total)
-
-
-def stage1_probabilities(basis, r1):
-    """stage1_rule's probabilities of all n rows, as an n-vector."""
-    return stage1_rule(basis, r1).whole()
-
-
-def stage2_probabilities(p1, residual, p, r2):
-    """stage2_rule's probabilities of all n rows, as an n-vector, with the
-    stage-1 probabilities p1 as the floor.  The total is the sum of
-    row_powsums over the whole residual, where a stage divides by its
-    residual pass's total, summed block by block, so the two may differ
-    in the last bit."""
-    M = np.asarray(residual, dtype=np.float64)
-    total = float(row_powsums(M.reshape(M.shape[0], -1), p).sum())
-    return stage2_rule(_as_rule(p1), M, p, r2, total).whole()
+    return ClippedShares(residual, p, r2, _as_rule(floor), total)
 
 
 def _as_rule(probs):

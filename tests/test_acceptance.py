@@ -120,7 +120,7 @@ def test_criterion_2_subspace_preservation(p):
     # has a coefficient of variation of 4.1%, so 1/8 is only three of its
     # standard deviations.  Hits on seeds 0-99 at E[sample] = 400:
     #     uniform probabilities    70/100
-    #     stage1_probabilities     80/100
+    #     stage1_rule              80/100
     #     l1 Lewis weights         83/100  (Cohen & Peng, arXiv:1412.0588)
     # The paper's own size (r1_default: eps = 1/8, delta = 1/100) is
     # ~515,000 rows for p = 1, d = 4, which keeps every row.
@@ -143,7 +143,7 @@ def test_criterion_2_subspace_preservation(p):
     A = g.standard_normal((2000, 4))
     W = lc.well_conditioned_basis(A, p)
     r = SUBSPACE_SAMPLE[p]
-    probs = lc.stage1_probabilities(W, r)
+    probs = lc.stage1_rule(W, r).whole()
     assert 0.75 * r <= probs.sum() <= r + 1e-9  # E[sample] ~ r
     distortion_hits, rank_hits, _ = subspace_trials(A, probs, p)
     ok = distortion_hits >= 95 and rank_hits >= 99
@@ -152,7 +152,7 @@ def test_criterion_2_subspace_preservation(p):
         f"rank=4 in {rank_hits}/100 (need 99)"
     )
     if p == 1.0:
-        hard = lc.stage1_probabilities(W, 400.0)
+        hard = lc.stage1_rule(W, 400.0).whole()
         uniform = np.full(hard.shape[0], hard.sum() / hard.shape[0])
         hard_hits, _, hard_mean = subspace_trials(A, hard, p)
         _, _, uniform_mean = subspace_trials(A, uniform, p)
@@ -412,7 +412,7 @@ def test_criterion_9_sample_size_accounting(reference_2000):
     t0 = time.perf_counter()
     inst, _ = reference_2000
     cfg = scaled_config(1.0, 4, 0.5, stage1_target=400.0, stage2_target=600.0)
-    probs = lc.stage1_probabilities(inst.basis, r1_default(cfg))
+    probs = lc.stage1_rule(inst.basis, r1_default(cfg)).whole()
     expected = probs.sum()
     assert expected <= r1_default(cfg) + 1e-9  # E[sample] never exceeds r1
     counts = [

@@ -121,7 +121,7 @@ class TestProxySearch:
         n = 10_000
         A = rng.standard_normal((n, d))
         Q = qr_thin(A).Q
-        proxy = conditioning._search_proxy(Q, p, row_powsums(Q, p))
+        proxy = conditioning._search_proxy(Q, p, row_powsums(Q, p), np.eye(Q.shape[1]))
         assert proxy.shape[1] == d and proxy.shape[0] < n
 
         ascent = oracles._ratio_ascent
@@ -147,7 +147,7 @@ class TestProxySearch:
         Q = np.zeros((n, 2))
         Q[:4, 0] = 0.5
         Q[4:, 1] = 1.0 / math.sqrt(n - 4)
-        assert conditioning._search_proxy(Q, 4.0, row_powsums(Q, 4.0)) is Q
+        assert conditioning._search_proxy(Q, 4.0, row_powsums(Q, 4.0), np.eye(Q.shape[1])) is Q
         res = lowner_john_round(Q, 4.0)
         assert res.converged
         assert res.kappa <= math.sqrt(2.0) * (1.0 + TOL) * CERT_SLACK
@@ -159,7 +159,7 @@ class TestProxySearch:
         U, _, Vt = np.linalg.svd(rng.standard_normal((1000, 3)), full_matrices=False)
         proxy = (U * [1.0, 0.5, 1e-11]) @ Vt
         monkeypatch.setattr(conditioning, "apply_plan", lambda plan, M: proxy)
-        assert conditioning._search_proxy(Q, 1.5, row_powsums(Q, 1.5)) is Q
+        assert conditioning._search_proxy(Q, 1.5, row_powsums(Q, 1.5), np.eye(Q.shape[1])) is Q
 
     def test_full_size_work(self, monkeypatch):
         # the entries handed to the norm and power-sum kernels, n per

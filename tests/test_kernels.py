@@ -84,10 +84,12 @@ def whole_stream_uniforms(seed, n):
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-@pytest.mark.parametrize("chunk", [5, kernels._COUNTER_CHUNK])
+@pytest.mark.parametrize("chunk", [5, kernels._ROW_BLOCK])
 def test_counter_uniforms_chunks_match_whole_stream(monkeypatch, chunk):
-    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
-    for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+    # the stream is mixed in the blocks of row_blocks, the tail joined to
+    # the last block: one block below 2 * chunk rows, then more
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", chunk)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 3 * chunk + 2):
         for seed in (0, 99, 2**64 - 1):
             u = kernels.counter_uniforms(seed, n)
             assert u.dtype == np.float64 and u.shape == (n,)
@@ -443,13 +445,13 @@ def test_residual_pnorm_normal_columns_guarded(rng, monkeypatch, scale):
     np.testing.assert_allclose(at, np.column_stack([A.T @ r, A.T @ b]), rtol=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [5, 256, kernels._COUNTER_CHUNK])
+@pytest.mark.parametrize("chunk", [5, 256, kernels._ROW_BLOCK])
 def test_counter_bernoulli_matches_the_whole_stream(rng, monkeypatch, chunk):
     # the draws are bitwise those of the whole stream, the kept
-    # probabilities those of the drawn rows, and the total, added chunk by
-    # chunk, is the sum of the probabilities up to its order
-    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
-    for n in (0, 1, chunk - 1, chunk, 2 * chunk + 3):
+    # probabilities those of the drawn rows, and the total, added block by
+    # block, is the sum of the probabilities up to its order
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", chunk)
+    for n in (0, 1, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk + 3):
         probs = rng.uniform(0.0, 1.0, n) ** 4
         probs[::5] = 0.0
         probs[2::9] = 1.0
@@ -464,8 +466,8 @@ def test_counter_bernoulli_matches_the_whole_stream(rng, monkeypatch, chunk):
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2**-52, np.inf])
 def test_counter_bernoulli_checks_every_chunk(monkeypatch, bad):
-    # a caller's array is checked chunk by chunk as its rule copies it
-    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 5)
+    # a caller's array is checked block by block as its rule copies it
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 5)
     probs = np.full(23, 0.5)
     probs[21] = bad
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
@@ -474,7 +476,7 @@ def test_counter_bernoulli_checks_every_chunk(monkeypatch, bad):
 
 def test_counter_bernoulli_rejects_a_rule_with_a_nan(monkeypatch):
     # a library rule is not range-checked; a NaN share makes the total NaN
-    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 5)
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 5)
     shares = np.full(23, 0.01)
     shares[21] = np.nan
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
@@ -503,7 +505,7 @@ def _clipped_shares(M, p, scale, floor):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("cols", [None, 2])
 def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
-    # bitwise in one chunk and in chunks of 256 rows, given the same total
+    # bitwise in one block and in blocks of 256 rows, given the same total
     n = 2003
     M = rng.standard_normal((n,) if cols is None else (n, cols))
     M[:7] = 0.0
@@ -512,7 +514,7 @@ def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
     want = _shares_then_clip(M, p, 300.0, floor)
     assert 0 < np.count_nonzero(want == floor) < n and np.any((want > floor) & (want < 1.0))
     np.testing.assert_array_equal(_clipped_shares(M, p, 300.0, floor), want)
-    monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 256)
+    monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
     np.testing.assert_array_equal(_clipped_shares(M, p, 300.0, floor), want)
 
 
@@ -521,7 +523,7 @@ def test_clipped_shares_match_shares_then_clip(rng, monkeypatch, p, cols):
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_clipped_shares_fall_back_when_the_total_is_not_safe(rng, monkeypatch, p, cols, scale):
     # the powers overflow (1e200) or underflow (1e-200): the shares are the
-    # max-scaled ones, bitwise, in one chunk or in many
+    # max-scaled ones, bitwise, in one block or in many
     n = 600
     M = rng.standard_normal((n,) if cols is None else (n, cols)) * scale
     with np.errstate(over="ignore", under="ignore"):
@@ -530,7 +532,7 @@ def test_clipped_shares_fall_back_when_the_total_is_not_safe(rng, monkeypatch, p
         floor = rng.uniform(0.0, 0.01, n)
         want = _shares_then_clip(M, p, 50.0, floor)
         np.testing.assert_array_equal(_clipped_shares(M, p, 50.0, floor), want)
-        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 64)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 64)
         np.testing.assert_array_equal(_clipped_shares(M, p, 50.0, floor), want)
 
 

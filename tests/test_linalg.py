@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcoreset import linalg
+from lpcoreset import kernels, linalg
 from lpcoreset.errors import InvalidExponentError, ZeroRankError
 from lpcoreset.linalg import (
     dual_exponent,
@@ -232,7 +232,7 @@ class TestBlockedQR:
     @staticmethod
     def one_and_blocked(A, monkeypatch):
         one = r_factors(A)
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 7)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 7)
         assert len(linalg.BlockedR(*A.shape).blocks) > 1
         return one, r_factors(A)
 
@@ -306,7 +306,7 @@ class TestRFactors:
     def test_multi_block_matches_one_block(self, rng, monkeypatch, kind):
         A = _design(rng, kind)
         one = r_factors(A) if A.any() else None
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", BLOCK)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", BLOCK)
         assert len(linalg.BlockedR(*A.shape).blocks) == A.shape[0] // BLOCK > 1
         if one is None:
             with pytest.raises(ZeroRankError):
@@ -342,13 +342,13 @@ class TestRFactors:
         np.testing.assert_allclose((A @ f.C) @ f.R, A, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("rows", [BLOCK, linalg._TSQR_ROWS])
+    @pytest.mark.parametrize("rows", [BLOCK, kernels._ROW_BLOCK])
     def test_blocks_checked_finite_and_copied(self, rng, monkeypatch, bad, rows):
         # the pass that factors A checks each block and can copy it
         # column-major (one block of 2,000 rows is factored in the copy,
         # which is then filled again); the same R either way, and a
         # non-finite entry in the last block still raises
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", rows)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", rows)
         A = _design(rng, "gaussian")
         copy = np.empty(A.shape, order="F")
         got, want = linalg._r_factors(A, copy=copy), r_factors(A)
@@ -399,7 +399,7 @@ class TestBlockedLstsq:
         one = linalg.BlockedLstsq(n, m)
         assert len(one.blocks) == 1
         x_one = one.solve_rows(M, c)
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
         many = linalg.BlockedLstsq(n, m)
         assert [blk.stop - blk.start for blk in many.blocks] == [256, 256, 356]
         M0, c0 = M.copy(), c.copy()
@@ -416,7 +416,7 @@ class TestBlockedLstsq:
     def test_rank_of_the_last_solve(self, rng, monkeypatch, shape, rank):
         # read from the M-columns of the QR of [M | c], by numeric_rank's
         # rule; the 600-row system is factored in blocks of 256 rows
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
         n, m = shape
         M = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
         ls = linalg.BlockedLstsq(n, m)
@@ -428,7 +428,7 @@ class TestBlockedLstsq:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["M", "c"])
     def test_non_finite_raises_and_input_untouched(self, rng, monkeypatch, bad, where):
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
         n, m = 600, 3
         for order in ("C", "F"):
             M = np.asarray(rng.standard_normal((n, m)), order=order)

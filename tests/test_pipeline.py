@@ -1,11 +1,13 @@
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import lpcoreset as lc
+from lpcoreset.cli import _ratio_sweep
 from lpcoreset.io import json_dumps, report_to_dict
 from lpcoreset.pipeline import _sample_and_solve, derive_seed
 from oracles import whole_array_stage1, whole_array_stage2
@@ -233,6 +235,32 @@ class TestReportInvariants:
         monkeypatch.setattr(lc.pipeline, "_EXACT_CELL_CAP", 300 * 3 * cols)
         rep = lc.two_stage_solve(inst, small_cfg(1.5), seed=0, compute_exact=True)
         assert rep.Z_exact == inst.optimum[1] and rep.approx_ratio >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e6], ids=["0", "Ax", "1e6Ax"])
+    def test_consistent_system_ratio_is_one(self, p, scale):
+        # b in col(A): the optimum and the final objective are both
+        # rounding noise, zero by stage 2's test (which passes stage 1's
+        # solution through), so the ratio is 1, and so is the bench sweep's
+        A, _, _ = lc.make_instance_arrays(3000, 4, seed=1)
+        b = scale * (A @ np.array([1.0, -2.0, 3.0, 0.5]))
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        cfg = lc.SamplerConfig(p=p, d=4, epsilon=0.1, r1_scale=1e-3, r2_scale=1e-3)
+        rep = lc.two_stage_solve(inst, cfg, seed=42, compute_exact=True)
+        assert rep.status == "ok" and rep.stage2.exact_passthrough
+        assert rep.approx_ratio == 1.0
+        args = types.SimpleNamespace(seeds=2, seed=0)
+        for row in _ratio_sweep(inst, cfg, args):
+            assert row["median_ratio"] == row["max_ratio"] == 1.0
+
+    def test_ratio_by_the_zero_test(self):
+        # zero means at most 1e-12 ||b||_p; a zero optimum alone gives no ratio
+        ratio = lc.pipeline._ratio
+        assert ratio(3.0, 2.0, 1.0) == 1.5
+        assert ratio(1e-12, 1e-12, 1.0) == 1.0 and ratio(0.0, 0.0, 0.0) == 1.0
+        assert ratio(1e-11, 1e-12, 1.0) is None
+        assert ratio(1e-11, 1e-12, 100.0) == 1.0
+        assert ratio(1.0, None, 1.0) is None
 
     def test_ratio_at_least_one(self, ref300):
         for seed in range(5):
@@ -685,7 +713,7 @@ class TestOneFactorization:
         # the instance's QR factors six blocks of 256 rows, one of 464 (the
         # last block with the tail) and the 28-row stack of their
         # triangles, and nothing factors A again
-        monkeypatch.setattr(lc.linalg, "_TSQR_ROWS", 256)
+        monkeypatch.setattr(lc.kernels, "_ROW_BLOCK", 256)
         A, b, _ = lc.make_instance_arrays(2000, 4, seed=1)
         heights = []
         real_geqrf = lc.linalg._GEQRF
@@ -840,7 +868,10 @@ class TestBlockedStages:
         cfg = small_cfg(p, d=4)
         one = lc.two_stage_solve(lc.RegressionInstance(A=A, b=b, p=p), cfg, seed=3)
         monkeypatch.setattr(lc.kernels, "_ROW_BLOCK", 256)
-        monkeypatch.setattr(lc.kernels, "_COUNTER_CHUNK", 256)
+        # the QRs keep one block each, as at the default height: a TSQR's
+        # R moves by rounding with its blocks (test_linalg's TestRFactors)
+        real = lc.kernels.row_blocks
+        monkeypatch.setattr(lc.linalg, "row_blocks", lambda n, height: real(n, max(n, height)))
         inst = lc.RegressionInstance(A=A, b=b, p=p)
         many = lc.two_stage_solve(inst, cfg, seed=3)
         assert one.status == many.status == "ok"
@@ -929,7 +960,7 @@ class TestBlockedStages:
         # no plan holds an n-length array until its probs are read: each
         # rule reads only the basis's leverage and stage 1's residual, and
         # keeps no scratch between calls
-        monkeypatch.setattr(lc.kernels, "_COUNTER_CHUNK", 256)
+        monkeypatch.setattr(lc.kernels, "_ROW_BLOCK", 256)
         inst = lc.reference_instance(n=2000, d=4, p=p, seed=1)
         cfg = small_cfg(p, d=4)
         rep = lc.two_stage_solve(inst, cfg, seed=0)
@@ -1016,7 +1047,10 @@ class TestPassBudget:
     no rows), or one of the solver's whole-array products with A
     (_residual, _smoothed_gradient).  Two more products of the p != 2
     direct solve, its gradient scale A^T b and its final objective, are
-    not counted.  A change to a count restates it here and in CHANGES.md.
+    not counted.  A draw (kernels.counter_bernoulli) loops over the same
+    row blocks but reads its rule's n-vectors, not A: its loops are
+    counted apart, under the layer's name and " draw".  A change to a
+    count restates it here and in CHANGES.md.
     """
 
     N, M = 40_000, 4  # 2 blocks of kernels and linalg, 13 of conditioning
@@ -1048,6 +1082,15 @@ class TestPassBudget:
                 return _real(*args)
 
             monkeypatch.setattr(lc.pipeline, name, stage)
+        def draw(*args, _real=lc.sampling.counter_bernoulli):
+            layer = phase[0]
+            phase[0] = f"{layer} draw"
+            try:
+                return _real(*args)
+            finally:
+                phase[0] = layer
+
+        monkeypatch.setattr(lc.sampling, "counter_bernoulli", draw)
         sums = []
 
         def powsums(m, *args, _real=lc.conditioning._block_powsums):
@@ -1083,7 +1126,13 @@ class TestPassBudget:
         assert rep.status == "ok" and rep.stage2.plan.actual_count < self.N
         cond = 1 if p == 2.0 else 2
         passes = count()
-        assert passes == {"instance": 1, "conditioning": cond, "stage_one": 1, "stage_two": 1}
+        # one draw per sample: each stage's, and at p != 2 the proxy's
+        draws = {"stage_one draw": 1, "stage_two draw": 1}
+        if p != 2.0:
+            draws["conditioning draw"] = 1
+        assert passes == {
+            "instance": 1, "conditioning": cond, "stage_one": 1, "stage_two": 1, **draws
+        }
         # every pass of conditioning sums the powers of its n rows
         assert sum(sums) == cond * self.N
         phase[0] = "direct"

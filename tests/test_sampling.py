@@ -23,9 +23,7 @@ from lpcoreset.sampling import (
     r1_default,
     r2_default,
     realize_sample,
-    stage1_probabilities,
     stage1_rule,
-    stage2_probabilities,
     stage2_rule,
 )
 from lpcoreset.errors import StageFailureError
@@ -97,18 +95,18 @@ class TestStage1Probabilities:
     def test_uniform_rows_give_half(self):
         # equal row norms, r1 = n/2 -> every probability is 1/2
         W = well_conditioned_basis(np.eye(10), 2.0)
-        probs = stage1_probabilities(W, 5.0)
+        probs = stage1_rule(W, 5.0).whole()
         np.testing.assert_allclose(probs, 0.5)
 
     def test_full_sample_clamp(self, basis):
-        probs = stage1_probabilities(basis, 1e12)
+        probs = stage1_rule(basis, 1e12).whole()
         np.testing.assert_array_equal(probs, np.ones(50))
 
     def test_zero_row_gets_zero(self, rng):
         A = rng.standard_normal((20, 2))
         A[7] = 0.0
         W = well_conditioned_basis(A, 1.0)
-        probs = stage1_probabilities(W, 10.0)
+        probs = stage1_rule(W, 10.0).whole()
         assert probs[7] == 0.0
         assert np.all(probs[np.arange(20) != 7] > 0.0)
 
@@ -120,7 +118,7 @@ class TestStage1Probabilities:
         want = np.sum(np.abs(W.U) ** p, axis=1)
         np.testing.assert_allclose(W.leverage, want / want.sum(), rtol=1e-13)
         np.testing.assert_array_equal(
-            stage1_probabilities(W, 40.0), np.minimum(1.0, 40.0 * W.leverage)
+            stage1_rule(W, 40.0).whole(), np.minimum(1.0, 40.0 * W.leverage)
         )
 
     def test_p2_is_clamped_leverage(self, rng):
@@ -130,46 +128,53 @@ class TestStage1Probabilities:
         W = well_conditioned_basis(A, 2.0)
         Q = W.U
         r1 = 60.0
-        probs = stage1_probabilities(W, r1)
+        probs = stage1_rule(W, r1).whole()
         want = np.minimum(1.0, r1 * np.einsum("ij,ij->i", Q, Q) / 4)
         np.testing.assert_allclose(probs, want, rtol=1e-14)
         assert 0 < np.count_nonzero(probs == 1.0) < 400
 
 
+def stage2_whole(p1, rho, p, r2):
+    """stage2_rule's probabilities of all rows, dividing by the total of
+    row_powsums over the whole residual."""
+    total = float(kernels.row_powsums(np.reshape(rho, (len(rho), -1)), p).sum())
+    return stage2_rule(p1, rho, p, r2, total).whole()
+
+
 class TestStage2Probabilities:
     def test_uniform_residual(self):
         rho = np.full(8, 3.0)
-        q = stage2_probabilities(np.zeros(8), rho, 2.0, 4.0)
+        q = stage2_whole(np.zeros(8), rho, 2.0, 4.0)
         np.testing.assert_allclose(q, 0.5)
 
     def test_point_mass(self):
         rho = np.zeros(6)
         rho[2] = 5.0
-        q = stage2_probabilities(np.zeros(6), rho, 1.0, 1.0)
+        q = stage2_whole(np.zeros(6), rho, 1.0, 1.0)
         assert q[2] == 1.0
         assert np.all(q[np.arange(6) != 2] == 0.0)
 
     def test_stage1_floor_dominates(self, rng):
         rho = rng.standard_normal(30)
-        q = stage2_probabilities(np.ones(30), rho, 2.0, 0.001)
+        q = stage2_whole(np.ones(30), rho, 2.0, 0.001)
         np.testing.assert_array_equal(q, np.ones(30))
 
     def test_dominance_over_stage1(self, rng):
         p1 = rng.uniform(0.0, 1.0, 40)
         rho = rng.standard_normal(40)
-        q = stage2_probabilities(p1, rho, 1.5, 7.0)
+        q = stage2_whole(p1, rho, 1.5, 7.0)
         assert np.all(q >= p1)
         assert np.all(q <= 1.0)
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
-            stage2_probabilities(np.zeros(4), np.zeros(4), 2.0, 1.0)
+            stage2_whole(np.zeros(4), np.zeros(4), 2.0, 1.0)
 
     def test_matrix_single_column_matches_vector(self, rng):
         rho = rng.standard_normal(25)
         p1 = rng.uniform(0.0, 0.5, 25)
-        qv = stage2_probabilities(p1, rho, 1.5, 9.0)
-        qm = stage2_probabilities(p1, rho[:, None], 1.5, 9.0)
+        qv = stage2_whole(p1, rho, 1.5, 9.0)
+        qm = stage2_whole(p1, rho[:, None], 1.5, 9.0)
         np.testing.assert_array_equal(qv, qm)
 
 
@@ -190,14 +195,14 @@ class TestOracleProbabilities:
         x_ref = np.array([1.0, 2.0, 3.0])
         inst = RegressionInstance(A=A, b=A @ x_ref, p=1.5)
         probs = oracle_report(inst, x_ref, 12.0).stage1.plan.probs
-        np.testing.assert_array_equal(probs, stage1_probabilities(inst.basis, 12.0))
+        np.testing.assert_array_equal(probs, stage1_rule(inst.basis, 12.0).whole())
 
     def test_pointwise_at_least_leverage(self, rng):
         inst = RegressionInstance(
             A=rng.standard_normal((50, 3)), b=rng.standard_normal(50), p=1.5
         )
         probs = oracle_report(inst, rng.standard_normal(3), 5.0).stage1.plan.probs
-        assert np.all(probs >= stage1_probabilities(inst.basis, 5.0))
+        assert np.all(probs >= stage1_rule(inst.basis, 5.0).whole())
 
     def test_uniform_case(self):
         # equal rows and equal residuals: leverage and residual share are
@@ -252,12 +257,13 @@ class TestRealize:
         ib = set(b.realized_indices.tolist()) - {50}
         assert ia == ib
 
-    @pytest.mark.parametrize("chunk", [7, kernels._COUNTER_CHUNK])
+    @pytest.mark.parametrize("chunk", [7, kernels._ROW_BLOCK])
     def test_chunked_draws_match_the_whole_stream(self, rng, monkeypatch, chunk):
-        # below one chunk, whole chunks and a partial last chunk: the plan
-        # keeps exactly the rows whose uniform lies below their probability
-        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
-        for n in (1, chunk - 3, chunk, 2 * chunk + 5):
+        # below one block, one block with a tail and whole blocks with a
+        # tail joined to the last: the plan keeps exactly the rows whose
+        # uniform lies below their probability
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", chunk)
+        for n in (1, chunk - 3, chunk, 2 * chunk - 1, 2 * chunk + 5):
             probs = rng.uniform(0.0, 1.0, n) ** 3
             probs[::7] = 0.0
             probs[3::11] = 1.0
@@ -366,7 +372,7 @@ class TestDistortion:
         g = np.random.default_rng(1234)
         A = g.standard_normal((2000, 4))
         W = well_conditioned_basis(A, p)
-        probs = stage1_probabilities(W, 400.0)
+        probs = stage1_rule(W, 400.0).whole()
         hits = 0
         for seed in range(10):
             plan = realize_sample(probs, p, seed=seed)
@@ -378,7 +384,7 @@ class TestDistortion:
         g = np.random.default_rng(99)
         A = g.standard_normal((500, 4))
         W = well_conditioned_basis(A, 1.0)
-        probs = stage1_probabilities(W, 100.0)
+        probs = stage1_rule(W, 100.0).whole()
         kept = 0
         for seed in range(200):
             plan = realize_sample(probs, 1.0, seed=seed)
@@ -394,7 +400,7 @@ class TestDistortion:
         x = g.standard_normal(3)
         p = 1.5
         W = well_conditioned_basis(A, p)
-        probs = stage1_probabilities(W, 30.0)
+        probs = stage1_rule(W, 30.0).whole()
         ax = np.abs(A @ x) ** p
         target = ax.sum()
         vals = np.empty(10_000)
@@ -409,7 +415,7 @@ class TestDistortion:
         A = g.standard_normal((400, 3))
         W = well_conditioned_basis(A, 2.0)
         r1 = 80.0
-        probs = stage1_probabilities(W, r1)
+        probs = stage1_rule(W, r1).whole()
         assert probs.sum() <= r1 + 1e-9
         counts = [realize_sample(probs, 2.0, seed=s).actual_count for s in range(100)]
         sigma_mean = math.sqrt(np.sum(probs * (1 - probs))) / 10.0
@@ -434,7 +440,7 @@ def assert_plan_is_whole_array(plan, probs, p):
     np.testing.assert_array_equal(plan.probs, probs)
 
 
-# _COUNTER_CHUNK and n: below, at and above one chunk
+# _ROW_BLOCK and n: one block below 2 * _ROW_BLOCK rows, and many blocks
 CHUNK_SIZES = [(7, 6), (7, 7), (7, 300), (None, 2000), (None, 16384), (None, 20000)]
 
 
@@ -448,7 +454,7 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_two_stage_plans(self, monkeypatch, chunk, n, rhs, p):
         if chunk is not None:
-            monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+            monkeypatch.setattr(kernels, "_ROW_BLOCK", chunk)
         inst = chunk_instance(n, p, rhs)
         unit = SamplerConfig(p=p, d=3, epsilon=0.5)
         cfg = SamplerConfig(
@@ -473,7 +479,7 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_single_stage_plans(self, monkeypatch, chunk, n, rhs, p):
         if chunk is not None:
-            monkeypatch.setattr(kernels, "_COUNTER_CHUNK", chunk)
+            monkeypatch.setattr(kernels, "_ROW_BLOCK", chunk)
         inst = chunk_instance(n, p, rhs)
         cfg = SamplerConfig(p=p, d=3, epsilon=0.5)
         r = min(0.8 * n, 300.0)
@@ -529,7 +535,7 @@ class TestRuleEdges:
                 realize_sample(stage2_rule(floor, rho, p, 10.0, t), p, 0)
 
     def test_saturated_probabilities_keep_every_row(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_COUNTER_CHUNK", 7)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 7)
         inst = reference_instance(n=50, d=3, p=1.5, seed=2)
         rule = stage1_rule(inst.basis, 1e300)
         plan = realize_sample(rule, 1.5, 4)

@@ -347,7 +347,6 @@ def blocks(request, monkeypatch):
     """2,003 rows as one block, or as blocks of 256 rows with a last block
     of 467, for both the QR and the residual passes."""
     if request.param == "blocks of 256":
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
         monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
     return request.param
 
@@ -383,7 +382,6 @@ class TestTwoPasses:
     """At p = 2 the solve reads A in one QR pass and one residual pass."""
 
     def test_one_qr_pass_and_one_residual_pass(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_TSQR_ROWS", 256)
         monkeypatch.setattr(kernels, "_ROW_BLOCK", 256)
         A, b, _ = make_instance_arrays(2003, 4, seed=2)
         heights, passes = [], []
