@@ -15,8 +15,9 @@ A C = T, a basis of col(A): C = R^-1, or V_d / s_d from the SVD of R
 when A is rank-deficient.  numeric_rank and every RegressionInstance
 factor A this way; the pass checks each block finite as it reads it, and
 for an instance also writes the block into the instance's column-major
-copy of A.  qr_thin, one Householder QR that forms Q, is the tests'
-reference; no library path calls it.
+copy of A and, at p = 2, adds the block's part of A^T b.  qr_thin, one
+Householder QR that forms Q, is the tests' reference; no library path
+calls it.
 
 Every least-squares solve of the library, min ||M x - c||_2, goes through
 BlockedLstsq: the BlockedR pass over the augmented matrix [M | c].  The
@@ -234,7 +235,7 @@ def r_factors(A):
     return _r_factors(_as_2d(A))
 
 
-def _r_factors(A, copy=None):
+def _r_factors(A, copy=None, b=None, atb=None):
     """r_factors of a 2-D float64 A (n >= 1, m >= 1), whose row blocks are
     checked finite, as as_matrix checks a whole A, while the QR pass
     reads them.
@@ -245,6 +246,12 @@ def _r_factors(A, copy=None):
     again: at 20,000 x 8 that second copy took 0.15 ms, where the fresh
     pages of a block buffer as large as A took about 1 ms (313 minor
     faults).
+
+    With b (n rows, finite) and atb, a zero array of shape (m,) +
+    b.shape[1:], each block also adds A[blk]^T b[blk] into atb while it
+    is in cache, before its QR overwrites it, so atb ends A^T b with no
+    pass of its own.  A product that overflows leaves inf or NaN in atb,
+    with no warning.
     """
     n, m = A.shape
     in_copy = copy is not None and len(row_blocks(n, max(kernels._ROW_BLOCK, m))) == 1
@@ -254,9 +261,12 @@ def _r_factors(A, copy=None):
         _check_finite(out)
         if copy is not None and not in_copy:
             copy[blk] = out
+        if atb is not None:
+            atb[...] += out.T @ b[blk]
 
     qr = BlockedR(n, m, buffer=copy if in_copy else None)
-    R = np.triu(qr.factor(copy_rows)[:min(n, m)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.triu(qr.factor(copy_rows)[:min(n, m)])
     if in_copy:
         copy[:] = A
     _, sv, Vt = np.linalg.svd(R, full_matrices=False)

@@ -14,20 +14,25 @@ on a basis for [A b].  Each RegressionInstance keeps what every stage and
 statistic of it shares: its own column-major copy of A, the R factor of
 A (no Q), the well-conditioned basis (with its leverage), ||b||_p and
 the full problem's optimum, each made once; the copy is written by the
-same pass that factors A.  So the caller may change A after
-construction, but not b, which the instance keeps as given.
+same pass that factors A, and at p = 2 that pass also sums A^T b.  So
+the caller may change A after construction, but not b, which the
+instance keeps as given.
 
-Past conditioning, a stage reads A once, in row blocks.  Its
+Past conditioning, a stage reads A at most once, in row blocks.  Its
 probabilities are a chunk rule (sampling.stage1_rule, stage2_rule), and
 its plan is drawn against it: each chunk's probabilities are formed just
 before its draws and summed into the expected count as they go
-(kernels.counter_bernoulli).  Then the full residual A x - b is formed,
-one GEMV per block of the column-major A, whose blocks give the full
-objective and the sum of the residual's p-th powers
-(kernels.residual_pnorm).  The sampled rows are factored once: the
-solve's QR of [SA | Sb] gives SA's rank too.  Only stage 1 keeps its
-n-length residual, because stage 2's rule reads it and the sum; no
-stage keeps an n-length array of probabilities.
+(kernels.counter_bernoulli).  A stage 1 that stage 2 follows then forms
+the full residual A x - b, one GEMV per block of the column-major A,
+whose blocks give the full objective and the sum of the residual's p-th
+powers (kernels.residual_pnorm), and keeps it, because stage 2's rule
+reads it and the sum.  Every other stage keeps no residual and takes
+both numbers from RegressionInstance.residual_pnorm: at p = 2 from the
+Gram identity ||A x - b||^2 = ||R x||^2 - 2 x^T A^T b + ||b||^2, with no
+pass over A, unless it could cancel; else from the same pass with no
+n-length array built.  The sampled rows are factored once: the solve's
+QR of [SA | Sb] gives SA's rank too.  No stage keeps an n-length array
+of probabilities.
 
 All randomness flows from one master seed through labeled derivations,
 so every report is reproducible end to end.
@@ -43,7 +48,7 @@ import numpy as np
 
 from .conditioning import well_conditioned_basis
 from .errors import InvalidConfigError, StageFailureError, ZeroRankError
-from .kernels import residual_pnorm
+from .kernels import _SQ_HI, _SQ_LO, residual_pnorm
 from .linalg import (
     RFactors, _as_2d, _check_exponent, _r_factors, as_matrix, as_vector, vec_p_norm
 )
@@ -62,6 +67,21 @@ _MASK64 = (1 << 64) - 1
 _EXACT_CELL_CAP = 10**7
 _ZERO_RESIDUAL_RTOL = 1e-12
 _MAX_SAMPLE_ATTEMPTS = 6  # first try plus five derived-seed retries
+# At p = 2 an instance takes S = ||A x - b||^2 as t1 - t2 + ||b||^2, with
+# t1 = ||R x||^2 and t2 = 2 x^T A^T b (RegressionInstance.residual_pnorm),
+# only where S * _GRAM_CANCEL >= t1 + |t2| + ||b||^2 + a (sqrt(t1) + ||b||),
+# a = ||R||_F ||x|| >= || |A| |x| ||; elsewhere one residual pass over A
+# gives S.  The right side over S, the cancel factor, scales the
+# identity's rounding: its first three terms that of the sum, the last
+# that of R and of A^T b, which grows with A's condition.  Against S in
+# extended precision, at 200,000 x 8 with Gaussian and heavy-tailed rows
+# and Gaussian noise of seven sizes (cancel factors 2 to 1e6), the
+# identity erred by 0.6e-16 to 3.0e-16 times the cancel factor, and the
+# pass by at most 3.3e-16, so this bound keeps S within 1e-13.
+# Sparse-gross noise puts the factor near 1.2.  Without its last term,
+# A of condition 1e6 to 1e12 read a factor of 1.03 where the identity
+# erred by up to 9e-11; with it, 5.8e3 to 4e7.
+_GRAM_CANCEL = 2.0 ** 8
 # make_instance_arrays' row designs; heavy-tailed rows are multivariate t
 # with _T_DOF degrees of freedom
 DESIGNS = ("gaussian", "heavy-tailed")
@@ -99,11 +119,18 @@ class RegressionInstance:
     of the instance shares them.  Once conditioned, the instance holds
     the basis's leverage, one n-vector, and at every p no n x d array
     besides A, and so no U: the basis forms U, G and tau from A when
-    they are first read.  Its reports hold stage 1's residual, n
-    entries, but no stage-2 residual and no probabilities: each plan
-    forms its n probabilities from its rule when they are first read.
+    they are first read.  A two-stage report holds stage 1's
+    residual, n entries, but no stage-2 residual and no probabilities:
+    each plan forms its n probabilities from its rule when they are
+    first read.
     exact_result, the full problem's SolveResult, is kept the same way;
     optimum is its (x, objective).
+
+    At p = 2 the QR pass also sums atb = A^T b (A^T B for a matrix b), and
+    the instance keeps it with b_sq = ||b||_2^2 (||B||_F^2), which may be
+    inf.  With R^T R = A^T A these give ||A x - b||_2^2 for any x in
+    O(m^2) (residual_pnorm), so a stage that keeps no residual reads no
+    row of A for its objective.  Both are None at p != 2.
     """
 
     A: np.ndarray
@@ -112,6 +139,8 @@ class RegressionInstance:
     weights: np.ndarray | None = None
     d: int = field(init=False)
     factors: RFactors = field(init=False, repr=False)
+    atb: np.ndarray | None = field(init=False, repr=False, default=None)
+    b_sq: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         A = _as_2d(self.A)
@@ -122,10 +151,16 @@ class RegressionInstance:
         if self.weights is not None:
             self.weights = as_vector(self.weights)
             A, self.b = row_scaled(A, self.b, self.weights, self.p)
-        # the QR pass checks A finite and copies it column-major block by block
+        # the QR pass checks A finite and copies it column-major block by
+        # block, and at p = 2 sums A^T b
         self.A = np.empty(A.shape, order="F")
+        if self.p == 2.0:
+            self.atb = np.zeros(A.shape[1:] + self.b.shape[1:])
+            v = self.b.reshape(-1)
+            with np.errstate(over="ignore"):
+                self.b_sq = float(v @ v)
         try:
-            self.factors = _r_factors(A, copy=self.A)
+            self.factors = _r_factors(A, copy=self.A, b=self.b, atb=self.atb)
         except ZeroRankError:
             raise InvalidConfigError("A must have numeric rank >= 1") from None
         self.d = self.factors.rank
@@ -143,6 +178,26 @@ class RegressionInstance:
         """The full problem's SolveResult, with its Newton steps and
         converged flag."""
         return solve_lp_regression(self.A, self.b, self.p)
+
+    def residual_pnorm(self, x):
+        """(||A x - b||_p, total) for a solution x, as
+        kernels.residual_pnorm returns them without out.  At p = 2 they
+        come from the Gram identity ||A x - b||^2 = ||R x||^2 - 2 x^T atb
+        + b_sq where its rounding stays small (_GRAM_CANCEL), and from one
+        pass over A elsewhere."""
+        if self.atb is not None:
+            R = self.factors.R
+            with np.errstate(over="ignore", invalid="ignore"):
+                Rx = R @ x
+                t1 = float(np.vdot(Rx, Rx))
+                t2 = 2.0 * float(np.vdot(x, self.atb))
+                total = t1 - t2 + self.b_sq
+                a = math.sqrt(float(np.vdot(R, R)) * float(np.vdot(x, x)))
+                scale = t1 + abs(t2) + self.b_sq
+                scale += a * (math.sqrt(t1) + math.sqrt(self.b_sq))
+            if _SQ_LO <= total <= _SQ_HI and total * _GRAM_CANCEL >= scale:
+                return math.sqrt(total), total
+        return residual_pnorm(self.A, x, self.b, self.p)
 
     @property
     def optimum(self):
@@ -165,13 +220,17 @@ class RegressionInstance:
 class StageOutcome:
     """One sampling stage: the realized plan, the subproblem solution,
     and its objective evaluated on the full data.  residual, A x_hat - b
-    on the full data, is kept by stage 1 only, for stage 2 to sample by;
-    it is None on every other outcome.  residual_powsum is the unscaled
-    sum of the residual's p-th powers that the objective's pass added,
-    which stage 2 divides by.  solver_iterations and solver_converged
-    are the sampled solve's Newton steps and converged flag (summed and
-    and-ed over the columns of a matrix right-hand side).  The last
-    three are None on a passthrough stage, which solves nothing."""
+    on the full data, is kept by a stage 1 that stage 2 follows, for stage
+    2 to sample by; it is None on every other outcome.  residual_powsum
+    is the unscaled sum of the residual's p-th powers, which stage 2
+    divides by.  full_objective and residual_powsum come from the pass
+    that forms the residual, or, on an outcome with no residual, from
+    RegressionInstance.residual_pnorm: at p = 2 from the Gram identity,
+    with no pass over A, where it cannot cancel.  solver_iterations and
+    solver_converged are the sampled solve's Newton steps and converged
+    flag (summed and and-ed over the columns of a matrix right-hand
+    side).  The last three are None on a passthrough stage, which solves
+    nothing."""
 
     stage: int
     plan: object
@@ -220,10 +279,10 @@ class SolveReport:
 
 def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
     """Realize a plan against the chunk rule (retrying on rank-deficient
-    samples), solve it, and evaluate the solution on the full data,
-    keeping the full residual only when keep_residual is set.  A sample's
-    rank comes from its own solve, so a rank-deficient sample is solved
-    before it is retried."""
+    samples), solve it, and evaluate the solution on the full data:
+    with keep_residual by one pass that keeps the full residual, else by
+    inst.residual_pnorm.  A sample's rank comes from its own solve, so a
+    rank-deficient sample is solved before it is retried."""
     diag = {"stage": stage, "seed": int(seed), "attempts": []}
     for attempt in range(_MAX_SAMPLE_ATTEMPTS):
         plan_seed = seed if attempt == 0 else derive_seed(seed, f"retry:{attempt}")
@@ -241,8 +300,12 @@ def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
         if rank < inst.d:
             diag["attempts"].append({"count": plan.actual_count, "rank": rank})
             continue
-        residual = np.empty(inst.b.shape) if keep_residual else None
-        full_obj, total = residual_pnorm(inst.A, res.x, inst.b, inst.p, out=residual)
+        if keep_residual:
+            residual = np.empty(inst.b.shape)
+            full_obj, total = residual_pnorm(inst.A, res.x, inst.b, inst.p, out=residual)
+        else:
+            residual = None
+            full_obj, total = inst.residual_pnorm(res.x)
         return StageOutcome(
             stage=stage,
             plan=plan,
@@ -262,14 +325,15 @@ def _sample_and_solve(inst, rule, stage, seed, keep_residual=False):
     )
 
 
-def stage_one(inst, cfg, seed):
+def stage_one(inst, cfg, seed, keep_residual=True):
     """Leverage-based sampling stage at size r1 on inst.basis.
 
     The min(1, .) clamp already bounds every probability, so oversized r1
     (the default formula at desk scale) degenerates to full sampling.
+    keep_residual keeps the full residual, which only stage 2 reads.
     """
     rule = stage1_probabilities(inst.basis, r1_default(cfg))
-    return _sample_and_solve(inst, rule, 1, seed, keep_residual=True)
+    return _sample_and_solve(inst, rule, 1, seed, keep_residual)
 
 
 def stage_two(inst, stage1_out, cfg, seed):
@@ -415,7 +479,7 @@ def two_stage_solve(inst, cfg, seed, compute_exact=False, stages=2):
     with _timed(report, "conditioning"):
         inst.basis  # conditioned on the instance's first run, then kept
     steps = [
-        ("stage1", lambda _, s: stage_one(inst, cfg, s)),
+        ("stage1", lambda _, s: stage_one(inst, cfg, s, stages == 2)),
         ("stage2", lambda st1, s: stage_two(inst, st1, cfg, s)),
     ]
     return _run_stages(report, inst, seed, steps[:stages], compute_exact)

@@ -1020,6 +1020,26 @@ class TestBlockedStages:
         assert vector <= held < 1.5 * vector
         assert 2 * vector <= read - held < 2 * vector + 4096
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_one_stage_run_keeps_no_residual(self, p):
+        # with no stage 2 to read it, stage 1 keeps no residual, so the
+        # report holds no n-vector
+        A, b, _ = lc.make_instance_arrays(200_000, 8, seed=1)
+        inst = lc.RegressionInstance(A=A, b=b, p=p)
+        del A, b
+        inst.basis
+        unit = lc.SamplerConfig(p=p, d=8, epsilon=0.5)
+        cfg = small_cfg(p, d=8, s1=1000.0 / lc.r1_default(unit))
+        tracemalloc.start()
+        try:
+            rep = lc.two_stage_solve(inst, cfg, seed=0, stages=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rep.status == "ok" and rep.stage2 is None
+        assert rep.stage1.residual is None
+        assert held < 0.5 * inst.n * 8
+
 
 class _Blocks(list):
     """row_blocks' slices, counting the loops over them: each is one pass
@@ -1041,6 +1061,9 @@ class _Blocks(list):
 class TestPassBudget:
     """Full passes over A's n rows, each reading its n * m entries once,
     by layer, in one run and in the direct solve.
+
+    At p = 2 stage 2 takes its objective from the Gram identity, with no
+    pass over A, unless the identity could cancel (a well-fitting b).
 
     A pass is a loop over the row blocks of n rows from a module's own
     row_blocks binding (BlockedR's first loop sizes its buffers and reads
@@ -1130,11 +1153,114 @@ class TestPassBudget:
         draws = {"stage_one draw": 1, "stage_two draw": 1}
         if p != 2.0:
             draws["conditioning draw"] = 1
+        stage_two = {} if p == 2.0 else {"stage_two": 1}
         assert passes == {
-            "instance": 1, "conditioning": cond, "stage_one": 1, "stage_two": 1, **draws
+            "instance": 1, "conditioning": cond, "stage_one": 1, **stage_two, **draws
         }
         # every pass of conditioning sums the powers of its n rows
         assert sum(sums) == cond * self.N
         phase[0] = "direct"
         lc.solve_lp_regression(inst.A, inst.b, p)
         assert count() == {"direct": direct}
+
+    def test_well_fitting_p2_stage_two_reads_a(self, monkeypatch):
+        # with no corrupted rows the Gram identity's terms nearly cancel,
+        # so stage 2's objective takes the residual pass
+        phase, count, _ = self._counted(monkeypatch)
+        A, b, _ = lc.make_instance_arrays(self.N, self.M, corruption_rho=0.0, seed=1)
+        inst = lc.RegressionInstance(A=A, b=b, p=2.0)
+        inst.basis
+        count()
+        rep = lc.two_stage_solve(inst, small_cfg(2.0, d=self.M), seed=0)
+        assert rep.status == "ok" and rep.stage2.plan.actual_count < self.N
+        assert count() == {
+            "stage_one": 1, "stage_two": 1, "stage_one draw": 1, "stage_two draw": 1
+        }
+
+
+def _gram_case(case):
+    """A p = 2 instance of 20,000 rows for TestGramObjective."""
+    design = "heavy-tailed" if case == "heavy-tailed" else "gaussian"
+    noise = "gaussian" if case == "gaussian-noise" else "sparse-gross"
+    rho = 0.0 if case == "well-fitting" else 0.1
+    A, b, _ = lc.make_instance_arrays(
+        20_000, 4, noise_model=noise, corruption_rho=rho, seed=1, design=design
+    )
+    weights = None
+    if case == "weighted":
+        weights = np.random.default_rng(3).uniform(0.5, 2.0, A.shape[0])
+    elif case == "two-column":
+        b = np.column_stack([b, 2.0 * b + A[:, 0]])
+    elif case == "rank-deficient":
+        A = np.column_stack([A, A[:, 0] - 2.0 * A[:, 2]])
+    elif case == "b-1e160":
+        b = b * 1e160
+    elif case == "cond-1e9":
+        # singular values 1 to 1e-9: the gross rows put large entries in
+        # x along the weak directions, where R and A^T b round coarsely
+        g = np.random.default_rng(4)
+        U = np.linalg.qr(g.standard_normal(A.shape))[0]
+        V = np.linalg.qr(g.standard_normal((4, 4)))[0]
+        A = (U * np.logspace(0, -9, 4)) @ V.T
+        b = A @ np.ones(4) + 1e-4 * g.standard_normal(A.shape[0])
+        b[::10] += 1.0
+    return lc.RegressionInstance(A=A, b=b, p=2.0, weights=weights)
+
+
+class TestGramObjective:
+    """At p = 2 an outcome with no residual takes its objective from the
+    Gram identity ||A x - b||^2 = ||R x||^2 - 2 x^T A^T b + ||b||^2, with
+    no pass over A, where its rounding stays small, and from the residual
+    pass, bitwise, elsewhere."""
+
+    @pytest.mark.parametrize(
+        "case, identity",
+        [
+            ("gaussian", True),
+            ("heavy-tailed", True),
+            ("gaussian-noise", True),
+            ("weighted", True),
+            ("two-column", True),
+            ("rank-deficient", True),
+            ("well-fitting", False),
+            ("b-1e160", False),
+            ("cond-1e9", False),
+        ],
+    )
+    def test_stage_two_objective(self, monkeypatch, case, identity):
+        inst = _gram_case(case)
+        assert inst.d == 4
+        passes = []
+        real = lc.pipeline.residual_pnorm
+
+        def counted(A, x, b, p, out=None):
+            passes.append(out is None)
+            return real(A, x, b, p, out=out)
+
+        monkeypatch.setattr(lc.pipeline, "residual_pnorm", counted)
+        rep = lc.two_stage_solve(inst, small_cfg(2.0, d=4, s1=1e-3, s2=1e-3), seed=0)
+        assert rep.status == "ok" and rep.stage2.plan is not None
+        # stage 1 keeps its residual for stage 2; stage 2 keeps none
+        assert passes[0] is False and rep.stage2.residual is None
+        st2 = rep.stage2
+        norm, total = real(inst.A, st2.x_hat, inst.b, 2.0)
+        if identity:
+            assert passes == [False]
+            assert st2.full_objective == pytest.approx(norm, rel=1e-13, abs=0.0)
+            assert st2.residual_powsum == pytest.approx(total, rel=1e-13, abs=0.0)
+        else:
+            assert passes == [False, True]
+            assert st2.full_objective == norm and st2.residual_powsum == total
+
+    @pytest.mark.parametrize("cols", [None, 2])
+    def test_qr_pass_sums_atb(self, cols):
+        # two row blocks of the QR pass, each adding its part of A^T b
+        A, b, _ = lc.make_instance_arrays(40_000, 4, seed=1)
+        if cols is not None:
+            b = np.column_stack([b, 2.0 * b + A[:, 0]])
+        inst = lc.RegressionInstance(A=A, b=b, p=2.0)
+        assert len(lc.kernels.row_blocks(inst.n)) == 2
+        np.testing.assert_allclose(inst.atb, A.T @ b, rtol=1e-13)
+        assert inst.b_sq == pytest.approx(float(np.sum(b * b)), rel=1e-14)
+        other = lc.RegressionInstance(A=A, b=b, p=1.5)
+        assert other.atb is None and other.b_sq is None
