@@ -76,8 +76,8 @@ _MAX_SAMPLE_ATTEMPTS = 6  # first try plus five derived-seed retries
 # that of R and of A^T b, which grows with A's condition.  Against S in
 # extended precision, at 200,000 x 8 with Gaussian and heavy-tailed rows
 # and Gaussian noise of seven sizes (cancel factors 2 to 1e6), the
-# identity erred by 0.6e-16 to 3.0e-16 times the cancel factor, and the
-# pass by at most 3.3e-16, so this bound keeps S within 1e-13.
+# identity erred by at most 3.0e-16 times the cancel factor, and the pass
+# by at most 3.3e-16, so this bound keeps S within 1e-13.
 # Sparse-gross noise puts the factor near 1.2.  Without its last term,
 # A of condition 1e6 to 1e12 read a factor of 1.03 where the identity
 # erred by up to 9e-11; with it, 5.8e3 to 4e7.
