@@ -242,7 +242,7 @@ def run_cli(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixParseError, InvalidConfigError, FileNotFoundError, ValueError) as exc:
+    except (MatrixParseError, InvalidConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageFailureError as exc:

@@ -499,8 +499,9 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
     ms on one, against 15-16 ms on a row-major A, whose block GEMVs
     OpenBLAS runs at half the speed (one BLAS thread, 2 vCPUs).
 
-    With at, an m x 2 array, for an n x m A and a vector b, each block
-    also adds A[blk]^T [r | b[blk]] into at while it is in cache:
+    With at, an m x 2 array, for an n x m A and a vector b and with no
+    out, each block also adds A[blk]^T [r | b[blk]] into at while it is
+    in cache:
     the least-squares gradient at x and A^T b, in the same pass.  One GEMM
     per block gives both: at 1,000,000 x 10 the pass took 9.2 ms on a
     column-major A, against 10.8 ms by two GEMVs per block and 6.5 ms
@@ -532,8 +533,6 @@ def residual_pnorm(A, x, b, p, out=None, at=None):
                 powers = _pow_inplace(np.abs(v, out=tmp[:v.size]), p)
                 groups.append(np.add.reduceat(powers, np.arange(0, v.size, group)))
             if at is not None:
-                if out is not None:
-                    buf[:h, 0] = r
                 buf[:h, 1] = b[blk]
                 at += a.T @ buf[:h]
         if groups:

@@ -350,11 +350,14 @@ class BlockedLstsq:
         self._below = np.tri(t, m, -1, dtype=bool)
         self._rhs = np.empty(t)
         self._gelsy_lwork = _gelsy_workspace(t, m)
+        # the finiteness mask of a block, as tall as the last, the tallest
+        self._finite = np.empty((n - self.blocks[-1].start) * (m + 1), dtype=bool)
 
     def solve(self, fill):
         def checked(blk, out):
             fill(blk, out)
-            if not np.isfinite(out).all():
+            finite = self._finite[:out.size].reshape(out.shape[::-1]).T
+            if not np.isfinite(out, out=finite).all():
                 raise ValueError("least-squares system contains non-finite entries")
 
         R = self._R = self._qr.factor(checked)

@@ -64,8 +64,8 @@ class SamplerConfig:
             raise InvalidConfigError(f"d must be >= 1, got {self.d}")
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.r1_scale < 0.0 or self.r2_scale < 0.0:
-            raise InvalidConfigError("scale multipliers must be nonnegative")
+        if not all(0.0 <= c < math.inf for c in (self.r1_scale, self.r2_scale)):
+            raise InvalidConfigError("scale multipliers must be nonnegative and finite")
 
     @property
     def k(self):

@@ -13,11 +13,13 @@ normalized by ||b||_p so tolerances and smoothing levels are scale-free.
 The ladder's ends and the step cap on each rung are fixed constants
 (_MU_FIRST, _MU_LAST, _MAX_ITERS).  Below p = 2 the ladder has 8 rungs,
 mu = 0.1 down to 1e-8 in units of ||b||_p / sqrt(n), the last exactly
-_MU_LAST; only the last rung's point is returned, so only the last rung
-stops at _DECREMENT_TOL, and every other rung is a centering step that
-stops once the decrement falls to mu * sqrt(n) times f, its own
-smoothing in those units (Boyd & Vandenberghe, 11.3).  p >= 2 runs the
-last rung alone (_mu_ladder).
+_MU_LAST; only the last rung's point is returned, the point converged
+describes, so only the last rung stops at _DECREMENT_TOL, and every
+other rung is a centering step that stops once the decrement falls to
+mu * sqrt(n) times f, its own smoothing in those units (Boyd &
+Vandenberghe, 11.3).  p >= 2 runs the last rung alone (_mu_ladder).
+The Newton steps' gradient is the only gradient formed at p != 2, and
+no KKT residual is reported there.
 
 Every least-squares solve, the p = 2 one, the warm start and each Newton
 step, is one linalg.BlockedLstsq solve: a Householder QR of the augmented
@@ -29,22 +31,23 @@ into the kernel's buffer, read from A when it is Fortran-ordered (a
 RegressionInstance's A is) and else from one Fortran-ordered copy, and
 sums the gradient from each block before the QR overwrites it.  Every
 other product with A at p != 2 (residuals, line-search trials, the
-gradient) reads that column-major A too, so a row-major A and its
+objective) reads that column-major A too, so a row-major A and its
 column-major copy give bitwise the same result.  The caller's A and b
 are never overwritten.  The first QR, of [A | b], also gives A's numeric
 rank (SolveResult.rank), which the pipeline reads to reject a
 rank-deficient sample; a zero b, whose answer is 0, makes that QR for
 the rank alone.
 
-At p = 2 the solve reads A twice: the QR pass, then one pass of
-kernels.residual_pnorm that forms each row block's residual while the
-block is in cache and sums from it the objective, the gradient
-A^T (Ax - b) and A^T b, with no n-length array built.  No pass over A
-exists only to validate it, at any p: the QR's block check finds a
-non-finite entry of A or b (ValueError) and its R's rank 0 an all-zero A
-(ZeroRankError).  A solve started from x0 with a nonzero b makes no
-first QR, so its first residual pass over A makes both checks block by
-block.
+Every objective a solve returns, at any p and for a vector or a matrix
+b, is one pass of kernels.residual_pnorm, which forms each row block's
+residual while the block is in cache and sums its powers, with no
+n-length array built.  At p = 2 the solve reads A twice: the QR pass,
+then that pass, which also sums the gradient A^T (Ax - b) and A^T b.
+No pass over A exists only to validate it, at any p: the QR's block
+check finds a non-finite entry of A or b (ValueError) and its R's rank
+0 an all-zero A (ZeroRankError).  A solve started from x0 with a
+nonzero b makes no first QR, so its first residual pass over A makes
+both checks block by block.
 """
 import math
 from dataclasses import dataclass
@@ -83,23 +86,23 @@ _MU_LAST = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """converged: at p != 2, the last rung of the mu ladder ended by the
-    Newton decrement test; kkt_residual is the smoothed gradient norm at
-    that rung's last point, relative to max(1, ||A^T b||) after
-    normalizing b.  At p = 2, kkt_residual is ||A^T (Ax - b)|| relative
-    to max(1, ||A^T b||), both read from the data A and b by the
-    objective's blocked pass, not from the QR's R, so converged
-    (kkt_residual <= _GRAD_TOL) checks the QR's answer.  rank: A's
-    numeric rank, read by linalg's rank rule
-    from the solver's first QR, of [A | b], so the rank costs no QR of
-    its own; None when a solve at p != 2 with a nonzero b starts from x0
-    and so makes no QR of [A | b]."""
+    """x: at p != 2, the point where the last rung of the mu ladder
+    ended; converged: that rung ended by the Newton decrement test.
+    objective: ||Ax - b||_p of the returned x, from one residual_pnorm
+    pass.  kkt_residual: p = 2 only, None at p != 2; it is
+    ||A^T (Ax - b)|| relative to max(1, ||A^T b||), both read from the
+    data A and b by the objective's blocked pass, not from the QR's R,
+    so converged (kkt_residual <= _GRAD_TOL) checks the QR's answer.
+    rank: A's numeric rank, read by linalg's rank rule from the solver's
+    first QR, of [A | b], so the rank costs no QR of its own; None when a
+    solve at p != 2 with a nonzero b starts from x0 and so makes no QR of
+    [A | b]."""
 
     x: np.ndarray
     objective: float
     iterations: int
     converged: bool
-    kkt_residual: float
+    kkt_residual: float | None
     rank: int | None
 
 
@@ -109,12 +112,6 @@ def _smoothed_objective(rho, mu, p, out=None):
     out += mu * mu
     out **= p / 2.0
     return float(np.sum(out))
-
-
-def _smoothed_gradient(A, rho, mu, p):
-    w = smoothed_power_weights(rho, mu, p)
-    w *= rho
-    return p * (A.T @ w)
 
 
 def _residual(A, x, b, out):
@@ -184,7 +181,7 @@ def solve_lp_regression(A, b, p, x0=None):
     sum over columns of ||A X_j - B_j||_p^p, and x0 goes only with a
     vector b.  The result joins the column solves: X, the entrywise
     objective, the first column's rank, the summed Newton steps, the and
-    of the converged flags and the largest kkt_residual.
+    of the converged flags and, at p = 2, the largest kkt_residual.
     """
     A = _as_2d(A)
     if np.ndim(b) == 2:
@@ -195,10 +192,10 @@ def solve_lp_regression(A, b, p, x0=None):
         X = np.column_stack([res.x for res in cols])
         return SolveResult(
             x=X,
-            objective=vec_p_norm(A @ X - b, p),
+            objective=residual_pnorm(A, X, b, p)[0],
             iterations=sum(res.iterations for res in cols),
             converged=all(res.converged for res in cols),
-            kkt_residual=max(res.kkt_residual for res in cols),
+            kkt_residual=max(res.kkt_residual for res in cols) if p == 2.0 else None,
             rank=cols[0].rank,
         )
     b = _as_1d(b)
@@ -244,7 +241,7 @@ def solve_lp_regression(A, b, p, x0=None):
             objective=0.0,
             iterations=0,
             converged=True,
-            kkt_residual=0.0,
+            kkt_residual=None,
             rank=_nonzero_rank(ls.rank()),
         )
     bs = b / s
@@ -270,9 +267,6 @@ def solve_lp_regression(A, b, p, x0=None):
     else:
         x, rank = x0 / s, None
         _checked_residual(AF, x, bs, rho)
-    gscale = max(1.0, float(np.linalg.norm(AF.T @ bs)))
-    best_x = x.copy()
-    best_true = vec_p_norm(rho, p)
 
     def weighted_rows(blk, out):
         # row i is sqrt(phi''/p) a_i (scratch holds sqrt(phi''/p) when the
@@ -330,18 +324,14 @@ def solve_lp_regression(A, b, p, x0=None):
                 t *= 0.5
             else:
                 break
-        true_obj = vec_p_norm(rho, p)
-        if true_obj < best_true:
-            best_true, best_x = true_obj, x.copy()
-    kkt = float(np.linalg.norm(_smoothed_gradient(AF, rho, mu, p))) / gscale
 
-    x_out = s * best_x
+    x = s * x
     return SolveResult(
-        x=x_out,
-        objective=vec_p_norm(AF @ x_out - b, p),
+        x=x,
+        objective=residual_pnorm(AF, x, b, p)[0],
         iterations=total_iters,
         converged=converged,
-        kkt_residual=kkt,
+        kkt_residual=None,
         rank=rank,
     )
 

@@ -11,7 +11,7 @@ from lpcoreset.errors import ZeroRankError
 from lpcoreset.kernels import row_pnorms
 from lpcoreset.linalg import as_matrix, as_vector, dual_exponent, vec_p_norm
 from lpcoreset.sampling import apply_plan
-from lpcoreset.solver import _smoothed_gradient, _smoothed_objective
+from lpcoreset.solver import _smoothed_objective
 
 _PROBE_SEED = 0x5EEDB0B
 _ASCENT_ITERS = 60
@@ -182,7 +182,9 @@ def objective_gradient_check(A, b, p, x, h=1e-5, mu=0.0):
     if p < 2.0 and mu <= 0.0:
         raise ValueError("p < 2 requires a positive smoothing mu")
     rho = A @ x - b
-    g = _smoothed_gradient(A, rho, mu, p)
+    w = kernels.smoothed_power_weights(rho, mu, p)
+    w *= rho
+    g = p * (A.T @ w)
     fd = np.empty_like(g)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)

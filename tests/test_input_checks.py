@@ -1,5 +1,6 @@
 """Input checks of the library's entry points: each raise, its error type
 and its message."""
+import math
 import types
 
 import numpy as np
@@ -68,6 +69,15 @@ CHECKS = [
         lambda: lc.SamplerConfig(p=2.0, d=2, r1_scale=-1.0),
         InvalidConfigError, "scale multipliers must be nonnegative", id="config-scale",
     ),
+    *[
+        pytest.param(
+            lambda field=field, value=value: lc.SamplerConfig(p=2.0, d=2, **{field: value}),
+            InvalidConfigError, "scale multipliers must be nonnegative and finite",
+            id=f"config-{field}-{value}",
+        )
+        for field in ("r1_scale", "r2_scale")
+        for value in (math.nan, math.inf, -math.inf)
+    ],
     pytest.param(
         lambda: lc.stage1_rule(types.SimpleNamespace(leverage=np.full(4, 0.25)), -1.0),
         ValueError, "r1 must be nonnegative", id="stage1-r1",

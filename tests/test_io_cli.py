@@ -654,6 +654,47 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--input", "{dir}", "--rhs", "{b}", "--p", "2"],
+            ["solve", "--input", "{A}", "--rhs", "{dir}", "--p", "2"],
+            ["solve", "--input", "{A}", "--rhs", "{b}", "--p", "2", "--weights", "{dir}"],
+            ["solve", "--input", "{A}", "--rhs", "{b}", "--p", "2", "--output", "{dir}"],
+            ["certify", "--input", "{dir}", "--p", "2"],
+            ["gen", "--n", "20", "--d", "2", "--out", "{A}"],
+            ["bench", "--seeds", "1", "--p", "2", "--n", "20", "--d", "2", "--out", "{A}"],
+        ],
+        ids=["input", "rhs", "weights", "output", "certify", "gen", "bench"],
+    )
+    def test_unusable_path_is_clean_error(self, instance_files, capsys, argv):
+        # a directory where a file is read or written, or a file where a
+        # directory is made, raises an OSError other than FileNotFoundError
+        paths = {
+            "dir": str(instance_files),
+            "A": str(instance_files / "A.csv"),
+            "b": str(instance_files / "b.csv"),
+        }
+        assert run_cli([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--r1-scale", "--r2-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_is_clean_error(self, instance_files, capsys, flag, value):
+        code = run_cli(
+            [
+                "solve",
+                "--input", str(instance_files / "A.csv"),
+                "--rhs", str(instance_files / "b.csv"),
+                "--p", "1.5",
+                f"{flag}={value}",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: scale multipliers must be nonnegative and finite\n"
+
     def test_epsilon_out_of_cli_range(self, instance_files, capsys):
         code = run_cli(
             [

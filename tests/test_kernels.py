@@ -417,14 +417,10 @@ def test_residual_pnorm_normal_columns(n, m, order, block, seed):
     g = np.random.default_rng(seed)
     A = np.asarray(g.standard_normal((n, m)), order=order)
     x, b = g.standard_normal(m), g.standard_normal(n)
-    at, at_out, out = np.zeros((m, 2)), np.zeros((m, 2)), np.empty(n)
+    at = np.zeros((m, 2))
     with mock.patch.object(kernels, "_ROW_BLOCK", block):
         got, _ = kernels.residual_pnorm(A, x, b, 2.0, at=at)
-        # with out as well, the residual lands there and at is the same
-        assert kernels.residual_pnorm(A, x, b, 2.0, out=out, at=at_out)[0] == got
-    np.testing.assert_array_equal(at_out, at)
     r = A @ x - b
-    np.testing.assert_array_equal(out, r)
     assert got == pytest.approx(kernels.pnorm(r, 2.0), rel=1e-12)
     for col, v in ((0, r), (1, b)):
         scale = np.abs(A).T @ np.abs(v)

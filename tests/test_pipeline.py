@@ -1067,10 +1067,9 @@ class TestPassBudget:
 
     A pass is a loop over the row blocks of n rows from a module's own
     row_blocks binding (BlockedR's first loop sizes its buffers and reads
-    no rows), or one of the solver's whole-array products with A
-    (_residual, _smoothed_gradient).  Two more products of the p != 2
-    direct solve, its gradient scale A^T b and its final objective, are
-    not counted.  A draw (kernels.counter_bernoulli) loops over the same
+    no rows), or the solver's whole-array product with A, _residual.
+    The final objective of the p != 2 direct solve is a counted pass of
+    kernels.residual_pnorm.  A draw (kernels.counter_bernoulli) loops over the same
     row blocks but reads its rule's n-vectors, not A: its loops are
     counted apart, under the layer's name and " draw".  A change to a
     count restates it here and in CHANGES.md.
@@ -1090,14 +1089,12 @@ class TestPassBudget:
                 return out
 
             monkeypatch.setattr(module, "row_blocks", counted)
-        for name in ("_residual", "_smoothed_gradient"):
+        def product(A, *args, _real=lc.solver._residual):
+            if A.shape[0] == self.N:
+                calls.append(phase[0])
+            return _real(A, *args)
 
-            def product(A, *args, _real=getattr(lc.solver, name)):
-                if A.shape[0] == self.N:
-                    calls.append(phase[0])
-                return _real(A, *args)
-
-            monkeypatch.setattr(lc.solver, name, product)
+        monkeypatch.setattr(lc.solver, "_residual", product)
         for name in ("stage_one", "stage_two"):
 
             def stage(*args, _real=getattr(lc.pipeline, name), _name=name):
@@ -1136,7 +1133,7 @@ class TestPassBudget:
 
     # the direct solve: at p = 2 its QR and its residual pass; at p != 2 the
     # warm start's QR, one QR and one residual per Newton step (9, 8 and 4
-    # steps here), the first residual and the final gradient
+    # steps here), the first residual and the final objective
     @pytest.mark.parametrize("p, direct", [(1.0, 21), (1.5, 19), (2.0, 2), (3.0, 11)])
     def test_passes_per_layer(self, monkeypatch, p, direct):
         phase, count, sums = self._counted(monkeypatch)

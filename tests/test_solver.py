@@ -122,11 +122,31 @@ class TestBasicSolves:
             assert res.objective == pytest.approx(vec_p_norm(A @ res.x - b, p), rel=1e-10)
 
     def test_converged_flag_tracks_kkt(self, rng):
+        # converged reads a KKT residual at p = 2 only (TestTwoPasses); at
+        # p != 2 it reads the last rung's decrement test and none is formed
         A = rng.standard_normal((30, 3))
         b = rng.standard_normal(30)
         res = solve_lp_regression(A, b, 3.0)
         assert res.converged
-        assert res.kkt_residual <= 1e-8
+        assert res.kkt_residual is None
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_last_rung_point_and_one_objective_pass(self, monkeypatch, p):
+        # the returned x is where the last rung ended, so no rung's end is
+        # normed: the one n-length vec_p_norm is ||b||_p, which scales the
+        # problem, and the objective is one residual_pnorm pass
+        A, b, _ = make_instance_arrays(2000, 4, seed=1)
+        lengths, real = [], solver.vec_p_norm
+
+        def spy(v, q):
+            lengths.append(np.size(v))
+            return real(v, q)
+
+        monkeypatch.setattr(solver, "vec_p_norm", spy)
+        res = solve_lp_regression(A, b, p)
+        assert lengths == [2000]
+        assert res.converged and res.kkt_residual is None
+        assert res.objective == kernels.residual_pnorm(A, res.x, b, p)[0]
 
 
     def test_converged_flag_needs_the_decrement_test(self, rng, monkeypatch):
@@ -605,7 +625,7 @@ def test_irls_reuses_its_working_memory():
     # are reused and a per-step copy need not fault at all.  The p = 1 and
     # p = 1.5 solves of one heavy-tailed problem take 25 and 8 Newton steps
     # and share their fixed cost, so their difference counts the faults of
-    # a step: ~18 here, ~60 with the Newton weights allocated per step and
+    # a step: none here, ~60 with the Newton weights allocated per step and
     # ~370 with a weighted copy of A allocated per step
     src = os.path.dirname(os.path.dirname(lpcoreset.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MALLOC_MMAP_THRESHOLD_="131072")
