@@ -1069,10 +1069,10 @@ class TestPassBudget:
     row_blocks binding (BlockedR's first loop sizes its buffers and reads
     no rows), or the solver's whole-array product with A, _residual.
     The final objective of the p != 2 direct solve is a counted pass of
-    kernels.residual_pnorm.  A draw (kernels.counter_bernoulli) loops over the same
-    row blocks but reads its rule's n-vectors, not A: its loops are
-    counted apart, under the layer's name and " draw".  A change to a
-    count restates it here and in CHANGES.md.
+    kernels.residual_pnorm.  A draw (kernels.counter_bernoulli) loops
+    over the same row blocks but reads its rule's n-vectors, not A: its
+    loops are counted apart, under the layer's name and " draw".  A
+    change to a count restates it here and in CHANGES.md.
     """
 
     N, M = 40_000, 4  # 2 blocks of kernels and linalg, 13 of conditioning
